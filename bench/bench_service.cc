@@ -84,9 +84,9 @@ int main(int argc, char** argv) {
     runtime::ComposeService service(service_options);
     start = std::chrono::steady_clock::now();
     for (size_t i = 0; i < problems.size(); ++i) {
-      const runtime::ServedResult& res =
-          *service.Submit(problems[i]).Wait();
-      if (res.Fingerprint() != baselines[i]) correct = false;
+      runtime::ComposeService::ResultPtr res =
+          service.Submit(serve::ServeRequest::Of(problems[i])).Result();
+      if (res->Fingerprint() != baselines[i]) correct = false;
     }
     miss_us.push_back(MicrosSince(start) /
                       static_cast<double>(problems.size()));
@@ -95,9 +95,9 @@ int main(int argc, char** argv) {
     start = std::chrono::steady_clock::now();
     for (int pass = 0; pass < hit_passes; ++pass) {
       for (size_t i = 0; i < problems.size(); ++i) {
-        const runtime::ServedResult& res =
-          *service.Submit(problems[i]).Wait();
-        if (pass == 0 && res.Fingerprint() != baselines[i]) correct = false;
+        runtime::ComposeService::ResultPtr res =
+            service.Submit(serve::ServeRequest::Of(problems[i])).Result();
+        if (pass == 0 && res->Fingerprint() != baselines[i]) correct = false;
       }
     }
     hit_us.push_back(MicrosSince(start) /

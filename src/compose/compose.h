@@ -56,9 +56,8 @@ struct ComposeOptions {
   /// one yields an interrupted result, which is never cached). A preset
   /// `eliminate.keys` is serialized by content; a non-default registry by
   /// its process-unique, never-reused `op::Registry::uid()`.
-  /// ComposeService combines this with CompositionProblem::Fingerprint()
-  /// so one service can host mixed-options traffic without serving stale
-  /// variants.
+  /// ChainComposer folds this into its prefix keys; ComposeService keys
+  /// on the same option set in wire form (serve::ServeRequest::CacheKey).
   std::string Fingerprint() const;
 };
 

@@ -50,8 +50,8 @@ struct CompositionProblem {
   /// Canonical serialization of everything Compose() reads: the three
   /// signatures (with keys), both constraint sets, and the elimination
   /// order — but not `name`, which is display-only. Two problems with
-  /// equal fingerprints are composed identically under equal options;
-  /// ComposeService uses this as its result-cache key. Signature names and
+  /// equal fingerprints are composed identically under equal options
+  /// (ComposeService keys on the wire encoding instead). Signature names and
   /// the order list are length-prefixed (collision-proof for arbitrary
   /// names); the constraint sets are rendered in the parser's text syntax,
   /// which is unambiguous for parser-shaped relation names — programmatic

@@ -88,7 +88,7 @@ Result<std::shared_ptr<const ChainPrefixState>> ExtendPrefix(
 
   ComposeService::ResultPtr served;
   if (service != nullptr) {
-    const ServedOutcome& outcome =
+    ServedOutcome outcome =
         service->Submit(serve::ServeRequest::WithOptions(problem, options))
             .Wait();
     if (!outcome.ok()) return outcome.status();

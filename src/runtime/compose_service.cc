@@ -8,19 +8,6 @@
 namespace mapcomp {
 namespace runtime {
 
-namespace {
-
-std::string CacheKeyFor(const serve::ServeRequest& request,
-                        const ComposeOptions& options) {
-  // The options fingerprint joins the key so mixed-options traffic on one
-  // service can never be answered with a variant computed under different
-  // options (the ROADMAP stale-variant hazard). The request_id is
-  // deliberately absent: it names the conversation, not the computation.
-  return options.Fingerprint() + "\n" + request.problem.Fingerprint();
-}
-
-}  // namespace
-
 /// Computation-wide cancellation state, shared by every submission joined
 /// to one computation plus the pool task that runs it.
 ///
@@ -210,25 +197,21 @@ void ComposeService::EnforceCapacityLocked() {
   stats_.cache_entries = cache_.size();
 }
 
-ComposeService::ResultPtr ComposeService::TryServeCached(
-    const serve::ServeRequest& request) {
-  if (options_.cache_capacity == 0) return nullptr;
-  const ComposeOptions& options =
-      request.has_options ? request.options : options_.compose;
-  std::string key = CacheKeyFor(request, options);
+ServedOutcome ComposeService::ProbeKey(const std::string& key, bool raw) {
+  if (options_.cache_capacity == 0) return {};
   std::lock_guard<std::mutex> lock(mu_);
   auto it = cache_.find(key);
-  if (it == cache_.end()) return nullptr;
+  if (it == cache_.end() || (raw && !it->second.wire_ok)) return {};
   if (it->second.future.wait_for(std::chrono::seconds(0)) !=
       std::future_status::ready) {
-    return nullptr;  // in flight: admission must queue (joining is cheap,
-                     // but the reply still needs a waiter)
+    return {};  // in flight: admission must queue (joining is cheap, but
+                // the reply still needs a waiter)
   }
-  const ServedOutcome& outcome = it->second.future.get();
-  if (!outcome.ok()) return nullptr;
+  ServedOutcome outcome = it->second.future.get();
+  if (!outcome.ok()) return {};
   ++stats_.hits;
   lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // touch
-  return outcome.shared();
+  return outcome;
 }
 
 ComposeService::Handle ComposeService::Submit(serve::ServeRequest request) {
@@ -256,7 +239,7 @@ ComposeService::Handle ComposeService::Submit(serve::ServeRequest request,
   const bool caching = options_.cache_capacity > 0;
   const ComposeOptions& options =
       request.has_options ? request.options : options_.compose;
-  std::string key = caching ? CacheKeyFor(request, options) : std::string();
+  std::string key = caching ? CacheKey(request) : std::string();
 
   auto promise = std::make_shared<std::promise<ServedOutcome>>();
   std::shared_ptr<CancelPlumb> plumb;
@@ -268,6 +251,7 @@ ComposeService::Handle ComposeService::Submit(serve::ServeRequest request,
       auto it = cache_.find(key);
       if (it != cache_.end()) {
         ++stats_.hits;
+        if (request.parsed()) it->second.wire_ok = true;
         lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // touch
         handle.future_ = it->second.future;
         // Joining attaches interest to the running (or finished)
@@ -289,7 +273,8 @@ ComposeService::Handle ComposeService::Submit(serve::ServeRequest request,
       lru_.push_front(key);
       cache_.emplace(key, CacheEntry{handle.future_, lru_.begin(), plumb,
                                      entry_id,
-                                     /*bytes=*/0});
+                                     /*bytes=*/0,
+                                     /*wire_ok=*/request.parsed()});
       // Evicting an entry still in flight is allowed (its handles stay
       // valid; only the dedup/memo reference is lost), so a capacity
       // smaller than the concurrent working set degrades to recomputation,
@@ -322,6 +307,7 @@ ComposeService::Handle ComposeService::Submit(serve::ServeRequest request,
        options = std::move(task_options),
        problem = std::move(request.problem)]() mutable {
         ResultPtr result;
+        std::shared_ptr<std::string> reply;
         try {
           CompositionResult full = Compose(problem, options);
           if (!full.interrupt.ok()) {
@@ -345,6 +331,9 @@ ComposeService::Handle ComposeService::Submit(serve::ServeRequest request,
           RecordCompletion(&full, /*interrupted=*/false, extra);
           result = std::make_shared<ServedResult>(
               ServedResult::FromResult(full));
+          // Serialized once; every wire reply for this entry appends it.
+          reply = std::make_shared<std::string>();
+          serve::ServeReply::SerializeResultTo(*result, reply.get());
         } catch (...) {
           // A failure is a Status, not a rethrow: it reaches every handle
           // already joined to this computation as an error outcome, but
@@ -370,8 +359,11 @@ ComposeService::Handle ComposeService::Submit(serve::ServeRequest request,
         // the outstanding release after it (the destructor may return the
         // moment outstanding_ hits zero, and by then every handle must
         // already be Ready).
-        if (caching) RecordEntryBytes(key, entry_id, result->ApproxBytes());
-        promise->set_value(ServedOutcome(std::move(result)));
+        if (caching) {
+          RecordEntryBytes(key, entry_id,
+                           result->ApproxBytes() + reply->size());
+        }
+        promise->set_value(ServedOutcome(std::move(result), std::move(reply)));
         ReleaseOutstanding();
       });
   return handle;

@@ -43,7 +43,7 @@ struct ServiceStats {
   /// holds even when timed-out requests had joined a shared computation.
   uint64_t cancelled = 0;
   uint64_t cache_entries = 0;  ///< entries currently cached
-  uint64_t cache_bytes = 0;    ///< ApproxBytes of completed cached entries
+  uint64_t cache_bytes = 0;    ///< bytes of completed cached entries
   uint64_t cache_bytes_peak = 0;  ///< high-water mark of cache_bytes
   uint64_t waves_executed = 0; ///< scheduler waves across completed results
   int max_wave_width = 0;      ///< widest elimination wave observed
@@ -67,15 +67,15 @@ struct ServiceStats {
 
 struct ComposeServiceOptions {
   /// Options applied to submissions that don't carry their own. The result
-  /// cache is keyed by ComposeOptions::Fingerprint() *and*
-  /// CompositionProblem::Fingerprint(), so one service can host
-  /// mixed-options traffic (see ServeRequest::WithOptions) without serving
-  /// a result computed under different options.
+  /// cache is keyed by the resolved options *and* the problem (see
+  /// ComposeService::CacheKey), so one service can host mixed-options
+  /// traffic (see ServeRequest::WithOptions) without serving a result
+  /// computed under different options.
   ComposeOptions compose;
   /// Completed results retained, least-recently-submitted evicted first.
   /// 0 disables caching (every Submit computes).
   size_t cache_capacity = 128;
-  /// Byte bound on cached entries (ServedResult::ApproxBytes sum). 0 =
+  /// Byte bound on cached entries (ApproxBytes + reply bytes sum). 0 =
   /// entries-only bound. When exceeded, least-recently-used entries are
   /// evicted until the sum fits — so capacity can be expressed the way a
   /// registry deployment sizes memory, not just as an entry count.
@@ -94,7 +94,8 @@ class ServedOutcome {
   using ResultPtr = std::shared_ptr<const ServedResult>;
 
   ServedOutcome() : status_(StatusCode::kInternal, "empty outcome") {}
-  explicit ServedOutcome(ResultPtr result) : result_(std::move(result)) {}
+  ServedOutcome(ResultPtr result, std::shared_ptr<const std::string> reply)
+      : result_(std::move(result)), reply_bytes_(std::move(reply)) {}
   explicit ServedOutcome(Status status) : status_(std::move(status)) {}
 
   bool ok() const { return result_ != nullptr; }
@@ -115,16 +116,21 @@ class ServedOutcome {
   const ServedResult& operator*() const { return value(); }
   const ServedResult* operator->() const { return &value(); }
 
+  /// ServeReply::SerializeResultTo of the result, written once at
+  /// completion; wire replies append it verbatim. Only on ok().
+  const std::string& reply_bytes() const { return *reply_bytes_; }
+
  private:
   ResultPtr result_;
+  std::shared_ptr<const std::string> reply_bytes_;
   Status status_;
 };
 
 /// A long-lived composition server: clients Submit serve::ServeRequests
 /// and get async handles; results are computed on the process-wide
-/// GlobalPool() and memoized in an LRU cache keyed by the problem (and
-/// options) fingerprint, so a hot problem is composed once and served from
-/// memory afterwards. Concurrent submissions of the same problem join the
+/// GlobalPool() and memoized in an LRU cache keyed by the request's
+/// canonical wire bytes (CacheKey), so a hot problem is composed once and
+/// served from memory afterwards. Concurrent submissions of the same problem join the
 /// in-flight computation instead of duplicating it. Thread-safe; one
 /// instance is meant to outlive many client requests, and
 /// serve::ComposeServer puts this interface on a network socket.
@@ -157,8 +163,9 @@ class ComposeService {
     Handle() = default;
 
     /// Blocks until the composition finishes. Never throws: a failed
-    /// computation is a Status inside the outcome.
-    const ServedOutcome& Wait() const { return future_.get(); }
+    /// computation is a Status inside the outcome. By value, so nothing
+    /// refers into the future of a temporary handle.
+    ServedOutcome Wait() const { return future_.get(); }
     /// Shared ownership of the result (blocks like Wait); null when the
     /// computation failed.
     ResultPtr Result() const { return future_.get().shared(); }
@@ -210,14 +217,14 @@ class ComposeService {
   /// The one submission entry point: enqueues the request's problem (or
   /// joins/serves a cached computation) under the request's options when
   /// it carries them, the service default otherwise. Never blocks on
-  /// composition work. Cache entries are keyed by (options fingerprint,
-  /// problem fingerprint), so the same problem submitted under different
-  /// options is computed and cached per variant — never served stale
-  /// across option sets (a mutated registry counts as a new variant via
-  /// its state uid). A preset options.eliminate.keys signature is copied
-  /// into the computation, so it may die the moment Submit returns; a
-  /// non-default options.eliminate.registry is borrowed and must outlive
-  /// the computation (registries are long-lived by design).
+  /// composition work. Cache entries are keyed by CacheKey(request), so
+  /// the same problem submitted under different options is computed and
+  /// cached per variant — never served stale across option sets (a
+  /// mutated registry counts as a new variant via its state uid). A
+  /// preset options.eliminate.keys signature is copied into the
+  /// computation, so it may die the moment Submit returns; a non-default
+  /// options.eliminate.registry is borrowed and must outlive the
+  /// computation (registries are long-lived by design).
   Handle Submit(serve::ServeRequest request);
 
   /// Submit with an end-to-end deadline: the computation runs under a
@@ -234,26 +241,22 @@ class ComposeService {
   /// caller owns its source.
   Handle Submit(serve::ServeRequest request, common::Deadline deadline);
 
-  /// Deprecated shim: wraps the problem in a ServeRequest under the
-  /// service's default options. Prefer Submit(serve::ServeRequest).
-  Handle Submit(CompositionProblem problem) {
-    return Submit(serve::ServeRequest::Of(std::move(problem)));
+  /// The request's canonical wire bytes under its resolved options (the
+  /// default for an options-less request), minus request_id, name and
+  /// deadline_ms.
+  std::string CacheKey(const serve::ServeRequest& request) const {
+    return request.CacheKey(request.has_options ? request.options
+                                                : options_.compose);
   }
 
-  /// Deprecated shim: wraps problem + options in a ServeRequest. Prefer
-  /// Submit(serve::ServeRequest).
-  Handle Submit(CompositionProblem problem, const ComposeOptions& options) {
-    return Submit(
-        serve::ServeRequest::WithOptions(std::move(problem), options));
+  /// Admission probe: the completed cached outcome under `key`, else an
+  /// error outcome. A `raw` key, read off an unparsed body, is served only
+  /// from a wire_ok entry. A hit touches the LRU and counts as a hit.
+  /// Never blocks, never computes. TryServeCached probes a request value.
+  ServedOutcome ProbeKey(const std::string& key, bool raw);
+  ResultPtr TryServeCached(const serve::ServeRequest& request) {
+    return ProbeKey(CacheKey(request), /*raw=*/false).shared();
   }
-
-  /// Admission probe for the serving tier: returns the completed cached
-  /// result for this request, or null when the entry is absent, still in
-  /// flight, or failed. A hit touches the LRU and counts as a cache hit —
-  /// it is a full serve, minus the queue. Never blocks, never computes:
-  /// this is what lets serve::ComposeServer answer hot traffic without
-  /// admitting it through the bounded queue.
-  ResultPtr TryServeCached(const serve::ServeRequest& request);
 
   /// The service's default ComposeOptions (what an option-less request
   /// composes under).
@@ -277,9 +280,12 @@ class ComposeService {
     /// original may be evicted and the key recomputed while the original
     /// computation is still running).
     uint64_t id = 0;
-    /// ApproxBytes of the completed entry; 0 while still in flight (the
-    /// size is unknown until the result exists).
+    /// ApproxBytes plus reply bytes of the completed entry; 0 while still
+    /// in flight (the size is unknown until the result exists).
     size_t bytes = 0;
+    /// A parsed request created or joined this entry. Raw probes need it:
+    /// SerializeTo accepts values (max_rounds = 0) that Parse refuses.
+    bool wire_ok = false;
   };
 
   /// `interrupted` = the composition unwound on a fired cancel token; it

@@ -21,16 +21,14 @@ namespace serve {
 
 namespace {
 
-/// A malformed body still starts with the request_id field (u64, first 8
-/// bytes) whenever at least that much arrived — salvage it so the error
-/// reply can name the conversation it refuses.
-uint64_t SalvageRequestId(const std::string& body) {
-  if (body.size() < 8) return 0;
-  uint64_t id = 0;
-  for (int i = 0; i < 8; ++i) {
-    id |= static_cast<uint64_t>(static_cast<uint8_t>(body[i])) << (8 * i);
-  }
-  return id;
+std::string ErrorFrame(uint64_t request_id, WireStatus status,
+                       std::string message) {
+  std::string body;
+  ServeReply::ErrorReply(request_id, status, std::move(message))
+      .SerializeTo(&body);
+  std::string frame;
+  EncodeFrame(FrameType::kReply, body, &frame);
+  return frame;
 }
 
 bool SetNonBlocking(int fd) {
@@ -135,8 +133,12 @@ void ComposeServer::Stop() {
   //
   // Phase 1 — answer what was admitted: draining_ stops new accepts and
   // admissions (fresh frames shed kOverloaded); dispatchers empty the
-  // queue (ignoring the test gate) and exit.
-  draining_.store(true);
+  // queue (ignoring the test gate) and exit. Setting it under the queue
+  // lock keeps a dispatcher from missing the wakeup between check and wait.
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    draining_.store(true);
+  }
   queue_cv_.notify_all();
   for (std::thread& t : dispatchers_) t.join();
   dispatchers_.clear();
@@ -150,17 +152,12 @@ void ComposeServer::Stop() {
       stranded.swap(queue_);
     }
     for (const Admitted& a : stranded) {
-      ServeReply reply = ServeReply::ErrorReply(
-          a.request.request_id, WireStatus::kOverloaded, "server draining");
-      std::string body;
-      reply.SerializeTo(&body);
-      std::string frame;
-      EncodeFrame(FrameType::kReply, body, &frame);
       {
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.sheds;
       }
-      PostReply(a.conn_id, std::move(frame));
+      PostReply(a.conn_id, ErrorFrame(a.request_id, WireStatus::kOverloaded,
+                                      "server draining"));
     }
   }
   // Phase 2 — flush: wait for every staged reply byte to reach a socket,
@@ -243,7 +240,7 @@ void ComposeServer::IoLoop() {
             std::lock_guard<std::mutex> lock(stats_mu_);
             ++stats_.replies_sent;
           }
-          UpdateEpollOut(conn);
+          HandleWritable(conn);
         }
         continue;
       }
@@ -312,55 +309,45 @@ void ComposeServer::HandleReadable(Connection& conn) {
   std::string body;
   for (;;) {
     FrameDecoder::Next next = conn.decoder.Poll(&type, &body);
-    if (next == FrameDecoder::Next::kNeedMore) return;
-    if (next == FrameDecoder::Next::kError) {
-      // The stream is desynced and cannot be re-trusted: one best-effort
-      // diagnostic, then close once it flushed.
+    if (next == FrameDecoder::Next::kNeedMore) break;
+    if (next == FrameDecoder::Next::kError || type != FrameType::kRequest) {
+      // The stream is desynced (or speaks the wrong direction) and cannot
+      // be re-trusted: one best-effort diagnostic, then close once it
+      // flushed.
       {
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.protocol_errors;
       }
-      QueueReply(conn, ServeReply::ErrorReply(0, WireStatus::kInvalidArgument,
-                                              conn.decoder.error()));
       conn.close_after_flush = true;
-      UpdateEpollOut(conn);
-      return;
+      QueueError(conn, 0, WireStatus::kInvalidArgument,
+                 next == FrameDecoder::Next::kError
+                     ? conn.decoder.error()
+                     : "server expects request frames");
+      break;
     }
-    if (type != FrameType::kRequest) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.protocol_errors;
-      }
-      QueueReply(conn,
-                 ServeReply::ErrorReply(0, WireStatus::kInvalidArgument,
-                                        "server expects request frames"));
-      conn.close_after_flush = true;
-      UpdateEpollOut(conn);
-      return;
-    }
-    OnFrame(conn, body);
-    if (!conns_.count(conn.fd)) return;  // OnFrame may have closed
+    OnFrame(conn, std::move(body));
   }
+  // Write this read's replies now; EPOLLOUT only if the socket refuses.
+  HandleWritable(conn);
 }
 
-void ComposeServer::OnFrame(Connection& conn, const std::string& body) {
-  Result<ServeRequest> parsed = ServeRequest::Parse(
-      reinterpret_cast<const uint8_t*>(body.data()), body.size());
-  if (!parsed.ok()) {
+void ComposeServer::OnFrame(Connection& conn, std::string body) {
+  RequestEnvelope envelope = RequestEnvelope::Walk(
+      reinterpret_cast<const uint8_t*>(body.data()), body.size(),
+      service_->default_options());
+  const uint64_t request_id = envelope.request_id;
+  if (!envelope.status.ok()) {
     // Well-framed but malformed: the length prefix kept the stream in
-    // sync, so refuse this request and keep the connection usable.
+    // sync, so refuse this request (naming the salvaged request_id) and
+    // keep the connection usable.
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.protocol_errors;
     }
-    QueueReply(conn, ServeReply::ErrorReply(
-                         SalvageRequestId(body),
-                         WireStatusFrom(parsed.status().code()),
-                         parsed.status().message()));
-    UpdateEpollOut(conn);
+    QueueError(conn, request_id, WireStatusFrom(envelope.status.code()),
+               envelope.status.message());
     return;
   }
-  ServeRequest request = std::move(*parsed);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.requests_parsed;
@@ -370,42 +357,41 @@ void ComposeServer::OnFrame(Connection& conn, const std::string& body) {
   // shed it (the cache probe below would be fine, but one uniform answer
   // keeps drain behavior predictable).
   if (draining_.load(std::memory_order_relaxed)) {
-    QueueReply(conn, ServeReply::ErrorReply(request.request_id,
-                                            WireStatus::kOverloaded,
-                                            "server draining"));
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.sheds;
-    }
-    UpdateEpollOut(conn);
+    QueueError(conn, request_id, WireStatus::kOverloaded, "server draining");
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.sheds;
     return;
   }
 
-  // Cache-aware admission: a completed cached result is served straight
-  // from the I/O thread — hot traffic never competes for queue slots.
-  if (runtime::ComposeService::ResultPtr hit =
-          service_->TryServeCached(request)) {
-    QueueReply(conn,
-               ServeReply::OkReply(request.request_id, *hit, /*hit=*/true));
-    {
+  // Cache-aware admission on the raw key bytes: a hit is answered here with
+  // stored reply bytes — hot traffic is never parsed and never queued.
+  if (!envelope.key.empty()) {
+    runtime::ServedOutcome hit = service_->ProbeKey(envelope.key, /*raw=*/true);
+    if (hit.ok()) {
+      const size_t before = conn.outbox.size();
+      ServeReply::AppendOkFrame(request_id, /*cache_hit=*/true,
+                                hit.reply_bytes(), &conn.outbox);
+      pending_write_bytes_.fetch_add(
+          static_cast<int64_t>(conn.outbox.size() - before),
+          std::memory_order_acq_rel);
       std::lock_guard<std::mutex> lock(stats_mu_);
+      ++stats_.replies_sent;
       ++stats_.cache_bypass;
+      return;
     }
-    UpdateEpollOut(conn);
-    return;
   }
 
-  uint64_t shed_id = 0;
+  // A miss admits the raw body; its dispatcher parses it.
   bool shed = false;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     if (queue_.size() >= options_.admission_capacity) {
       shed = true;
-      shed_id = request.request_id;
     } else {
       Admitted a;
       a.conn_id = conn.id;
-      a.request = std::move(request);
+      a.request_id = request_id;
+      a.body = std::move(body);
       a.enqueued = std::chrono::steady_clock::now();
       queue_.push_back(std::move(a));
       size_t depth = queue_.size();
@@ -418,26 +404,21 @@ void ComposeServer::OnFrame(Connection& conn, const std::string& body) {
   if (shed) {
     // Backpressure is a reply, not a dropped connection: the client learns
     // immediately and can back off.
-    QueueReply(conn, ServeReply::ErrorReply(shed_id, WireStatus::kOverloaded,
-                                            "admission queue full"));
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.sheds;
-    }
-    UpdateEpollOut(conn);
+    QueueError(conn, request_id, WireStatus::kOverloaded,
+               "admission queue full");
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.sheds;
     return;
   }
   queue_cv_.notify_one();
 }
 
-void ComposeServer::QueueReply(Connection& conn, const ServeReply& reply) {
-  std::string body;
-  reply.SerializeTo(&body);
-  std::string frame;
-  EncodeFrame(FrameType::kReply, body, &frame);
+void ComposeServer::QueueError(Connection& conn, uint64_t request_id,
+                               WireStatus status, const std::string& message) {
+  std::string frame = ErrorFrame(request_id, status, message);
+  conn.outbox.append(frame);
   pending_write_bytes_.fetch_add(static_cast<int64_t>(frame.size()),
                                  std::memory_order_acq_rel);
-  conn.outbox.append(frame);
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++stats_.replies_sent;
 }
@@ -487,7 +468,10 @@ void ComposeServer::HandleWritable(Connection& conn) {
       stats_.bytes_written += static_cast<uint64_t>(n);
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      UpdateEpollOut(conn);
+      return;
+    }
     if (n < 0 && errno == EINTR) continue;
     CloseConnection(conn.fd);
     return;
@@ -502,10 +486,13 @@ void ComposeServer::HandleWritable(Connection& conn) {
 }
 
 void ComposeServer::UpdateEpollOut(Connection& conn) {
+  const bool want_out = conn.out_pos < conn.outbox.size();
+  if (want_out == conn.epoll_out) return;
+  conn.epoll_out = want_out;
   epoll_event ev;
   memset(&ev, 0, sizeof(ev));
   ev.events = EPOLLIN;
-  if (conn.out_pos < conn.outbox.size()) ev.events |= EPOLLOUT;
+  if (want_out) ev.events |= EPOLLOUT;
   ev.data.fd = conn.fd;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
 }
@@ -552,66 +539,78 @@ void ComposeServer::DispatchLoop() {
       continue;
     }
 
-    // Submit the whole batch before the first Wait: independent problems
-    // overlap in the compose pool even with one dispatcher thread. Every
-    // entry runs under the earlier of its queue-aging bound and the
-    // request's own end-to-end deadline; Submit short-circuits entries
-    // that are already dead (stale work is refused, not amplified — and
-    // costs a counter bump, not a composition).
-    std::vector<runtime::ComposeService::Handle> handles;
-    std::vector<common::Deadline> deadlines;
-    handles.reserve(batch.size());
-    deadlines.reserve(batch.size());
-    for (const Admitted& a : batch) {
+    // Parse here, not on the I/O thread, then submit the whole batch
+    // before the first Wait: independent problems overlap in the compose
+    // pool even with one dispatcher thread. Every entry runs under the
+    // earlier of its queue-aging bound and the request's own end-to-end
+    // deadline; Submit short-circuits entries that are already dead (stale
+    // work is refused, not amplified — and costs a counter bump, not a
+    // composition).
+    struct Submitted {
+      uint64_t conn_id;
+      uint64_t request_id;
+      runtime::ComposeService::Handle handle;
+      common::Deadline deadline;
+    };
+    std::vector<Submitted> submitted;
+    submitted.reserve(batch.size());
+    for (Admitted& a : batch) {
+      Result<ServeRequest> request = ServeRequest::Parse(
+          reinterpret_cast<const uint8_t*>(a.body.data()), a.body.size());
+      if (!request.ok()) {
+        {
+          std::lock_guard<std::mutex> lock(stats_mu_);
+          ++stats_.protocol_errors;
+        }
+        PostReply(a.conn_id, ErrorFrame(a.request_id,
+                                        WireStatusFrom(request.status().code()),
+                                        request.status().message()));
+        continue;
+      }
       common::Deadline deadline;
       if (options_.queue_timeout_ms > 0) {
         deadline = common::Deadline::At(
             a.enqueued + std::chrono::milliseconds(options_.queue_timeout_ms));
       }
-      if (a.request.deadline_ms > 0) {
+      if (request->deadline_ms > 0) {
         deadline = common::Deadline::Min(
             deadline,
             common::Deadline::At(a.enqueued + std::chrono::milliseconds(
-                                                  a.request.deadline_ms)));
+                                                  request->deadline_ms)));
       }
-      deadlines.push_back(deadline);
-      handles.push_back(service_->Submit(a.request, deadline));
+      submitted.push_back(
+          Submitted{a.conn_id, a.request_id,
+                    service_->Submit(std::move(*request), deadline), deadline});
     }
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const uint64_t id = batch[i].request.request_id;
-      ServeReply reply;
+    for (const Submitted& s : submitted) {
+      std::string frame;
       // A false WaitUntil means the budget ran out mid-composition:
       // withdraw interest (the computation is cancelled once nobody else
       // wants it) and answer kTimeout now — the lane moves on instead of
       // babysitting a zombie. A Cancel that loses the race against
       // completion cancelled nothing, so the landed result is served
       // instead; that keeps `ServiceStats::cancelled >= timeouts` exact.
-      if (!handles[i].WaitUntil(deadlines[i]) && handles[i].Cancel()) {
-        reply = ServeReply::ErrorReply(
-            id, WireStatus::kTimeout,
-            "deadline exceeded before composition finished");
+      if (!s.handle.WaitUntil(s.deadline) && s.handle.Cancel()) {
+        frame = ErrorFrame(s.request_id, WireStatus::kTimeout,
+                           "deadline exceeded before composition finished");
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.timeouts;
       } else {
-        const runtime::ServedOutcome& outcome = handles[i].Wait();
+        runtime::ServedOutcome outcome = s.handle.Wait();
         if (outcome.ok()) {
-          reply = ServeReply::OkReply(id, *outcome.shared(),
-                                      handles[i].cache_hit());
+          ServeReply::AppendOkFrame(s.request_id, s.handle.cache_hit(),
+                                    outcome.reply_bytes(), &frame);
         } else {
-          reply = ServeReply::ErrorReply(
-              id, WireStatusFrom(outcome.status().code()),
-              outcome.status().message());
+          frame = ErrorFrame(s.request_id,
+                             WireStatusFrom(outcome.status().code()),
+                             outcome.status().message());
           if (outcome.status().IsInterrupt()) {
             std::lock_guard<std::mutex> lock(stats_mu_);
             ++stats_.timeouts;
           }
         }
       }
-      std::string body;
-      reply.SerializeTo(&body);
-      std::string frame;
-      EncodeFrame(FrameType::kReply, body, &frame);
-      PostReply(batch[i].conn_id, std::move(frame));
+      PostReply(s.conn_id, std::move(frame));
     }
   }
 }

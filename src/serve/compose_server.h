@@ -29,12 +29,13 @@ struct ServerOptions {
   int listen_backlog = 128;
   /// Per-connection frame size bound (both directions).
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Bounded admission queue: parsed requests waiting for a dispatcher.
+  /// Bounded admission queue: request bodies waiting for a dispatcher.
   /// When full, new requests are shed with an immediate kOverloaded reply —
   /// never silently dropped, never queued unboundedly.
   size_t admission_capacity = 256;
-  /// Threads that pop admitted requests, Submit them to the service, and
-  /// Wait for results. They are service *clients* (allowed to block), so
+  /// Threads that pop admitted requests, parse them, Submit them to the
+  /// service, and Wait for results. They are service *clients* (allowed
+  /// to block), so
   /// they must stay distinct from the GlobalPool that computes.
   int dispatch_threads = 2;
   /// Max requests one dispatcher pops per round; the whole batch is
@@ -63,7 +64,7 @@ struct ServerOptions {
 /// Point-in-time counters of a ComposeServer.
 struct ServerStats {
   uint64_t connections_accepted = 0;
-  uint64_t requests_parsed = 0;   ///< well-formed ServeRequests decoded
+  uint64_t requests_parsed = 0;   ///< requests accepted, hit or miss
   uint64_t replies_sent = 0;      ///< reply frames fully written
   uint64_t sheds = 0;             ///< kOverloaded replies (queue full)
   uint64_t timeouts = 0;          ///< kTimeout replies (aged out in the
@@ -79,12 +80,13 @@ struct ServerStats {
 };
 
 /// Network front end for a runtime::ComposeService: one epoll I/O thread
-/// owns every socket (accept, read, frame-decode, reply-write); parsed
-/// requests are either answered straight from the service's result cache
-/// (admission probe — hot traffic never queues) or admitted into a bounded
-/// queue drained by dispatcher threads that batch Submits into the
-/// service. Backpressure is explicit: a full queue sheds with an immediate
-/// kOverloaded reply.
+/// owns every socket (accept, read, frame-decode, reply-write) and never
+/// parses: it probes the service cache on the body's raw key bytes
+/// (RequestEnvelope) and answers a hit with the entry's stored reply
+/// bytes — hot traffic never queues. A miss enqueues the raw body into a
+/// bounded queue drained by dispatcher threads, which parse and batch
+/// Submits into the service. Backpressure is explicit: a full queue sheds
+/// with an immediate kOverloaded reply.
 ///
 /// Framing errors (bad magic/version/length) poison the stream and close
 /// the connection after a best-effort error reply; a well-framed but
@@ -117,12 +119,14 @@ class ComposeServer {
     std::string outbox;
     size_t out_pos = 0;
     bool close_after_flush = false;
+    bool epoll_out = false;  ///< EPOLLOUT currently registered
     explicit Connection(size_t max_frame) : decoder(max_frame) {}
   };
 
   struct Admitted {
     uint64_t conn_id = 0;
-    ServeRequest request;
+    uint64_t request_id = 0;
+    std::string body;  ///< unparsed; the dispatcher runs ServeRequest::Parse
     std::chrono::steady_clock::time_point enqueued;
   };
 
@@ -131,12 +135,15 @@ class ComposeServer {
   void AcceptNew();
   void HandleReadable(Connection& conn);
   void HandleWritable(Connection& conn);
-  void OnFrame(Connection& conn, const std::string& body);
-  void QueueReply(Connection& conn, const ServeReply& reply);
+  /// Queues this body's reply or admits it; never writes or closes.
+  void OnFrame(Connection& conn, std::string body);
+  void QueueError(Connection& conn, uint64_t request_id, WireStatus status,
+                  const std::string& message);
   /// Cross-thread reply path: dispatchers stage bytes here and poke the
   /// wake pipe; the I/O thread moves them into the connection outbox.
   void PostReply(uint64_t conn_id, std::string frame);
   void CloseConnection(int fd);
+  /// Calls epoll_ctl only when the EPOLLOUT interest changes.
   void UpdateEpollOut(Connection& conn);
 
   runtime::ComposeService* const service_;

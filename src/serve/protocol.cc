@@ -6,12 +6,16 @@ namespace mapcomp {
 namespace serve {
 
 void EncodeFrame(FrameType type, const std::string& body, std::string* out) {
-  PutU32(out, static_cast<uint32_t>(kFrameHeaderBytes + body.size()));
+  AppendFrameHeader(type, body.size(), out);
+  out->append(body);
+}
+
+void AppendFrameHeader(FrameType type, size_t body_len, std::string* out) {
+  PutU32(out, static_cast<uint32_t>(kFrameHeaderBytes + body_len));
   PutU8(out, kWireMagic0);
   PutU8(out, kWireMagic1);
   PutU8(out, kWireVersion);
   PutU8(out, static_cast<uint8_t>(type));
-  out->append(body);
 }
 
 FrameDecoder::Next FrameDecoder::Poll(FrameType* type, std::string* body) {

@@ -38,6 +38,10 @@ enum class FrameType : uint8_t {
 /// Appends one complete frame (length prefix + header + body) to `out`.
 void EncodeFrame(FrameType type, const std::string& body, std::string* out);
 
+/// Appends the length prefix and header of a frame whose `body_len` body
+/// bytes the caller appends next.
+void AppendFrameHeader(FrameType type, size_t body_len, std::string* out);
+
 /// Incremental stream decoder: feed whatever bytes arrived, poll for
 /// complete frames. Tolerates arbitrary fragmentation (byte-by-byte feeds
 /// included). On any protocol violation — oversized length claim, bad

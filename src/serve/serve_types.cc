@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/parser/parser.h"
+#include "src/serve/protocol.h"
 #include "src/serve/wire_format.h"
 
 namespace mapcomp {
@@ -63,8 +64,106 @@ bool ReadBool(WireReader* r, bool* v) {
   return true;
 }
 
+bool SkipString(WireReader* r) {
+  uint32_t n = 0;
+  return r->ReadU32(&n) && r->Skip(n);
+}
+
+/// Steps over one signature without building it.
+bool SkipSignature(WireReader* r) {
+  uint32_t count = 0, arity = 0, n = 0;
+  uint8_t has_key = 0;
+  if (!r->ReadU32(&count)) return false;
+  for (uint32_t i = 0; i < count; ++i) {
+    if (!SkipString(r) || !r->ReadU32(&arity) || !r->ReadU8(&has_key)) {
+      return false;
+    }
+    if (has_key && (!r->ReadU32(&n) || !r->Skip(size_t{4} * n))) return false;
+  }
+  return true;
+}
+
 Status Invalid(const char* what) {
   return Status::InvalidArgument(std::string("wire parse: ") + what);
+}
+
+void PutOptionFields(const ComposeOptions& options, std::string* out) {
+  PutU8(out, options.eliminate.enable_unfold ? 1 : 0);
+  PutU8(out, options.eliminate.enable_left_compose ? 1 : 0);
+  PutU8(out, options.eliminate.enable_right_compose ? 1 : 0);
+  PutU32(out, static_cast<uint32_t>(options.eliminate.max_blowup_factor));
+  PutU8(out, options.eliminate.keys != nullptr ? 1 : 0);
+  if (options.eliminate.keys != nullptr) {
+    PutSignature(out, *options.eliminate.keys);
+  }
+  PutStringList(out, options.order);
+  PutU8(out, options.simplify_output ? 1 : 0);
+  PutU32(out, static_cast<uint32_t>(options.max_rounds));
+  PutU8(out, options.exact_conflicts ? 1 : 0);
+}
+
+/// The problem section: everything Compose reads, `name` excluded.
+void PutProblem(const CompositionProblem& problem, std::string* out) {
+  PutSignature(out, problem.sigma1);
+  PutSignature(out, problem.sigma2);
+  PutSignature(out, problem.sigma3);
+  PutString(out, ConstraintSetToString(problem.sigma12));
+  PutString(out, ConstraintSetToString(problem.sigma23));
+  PutStringList(out, problem.elimination_order);
+}
+
+/// Reads what precedes the problem section: request_id, options, name.
+Status ReadHead(WireReader* r, ServeRequest* out) {
+  if (!r->ReadU64(&out->request_id)) return Invalid("truncated request id");
+  if (!ReadBool(r, &out->has_options)) return Invalid("bad options flag");
+  if (out->has_options) {
+    ComposeOptions& options = out->options;
+    if (!ReadBool(r, &options.eliminate.enable_unfold) ||
+        !ReadBool(r, &options.eliminate.enable_left_compose) ||
+        !ReadBool(r, &options.eliminate.enable_right_compose)) {
+      return Invalid("bad eliminate switches");
+    }
+    uint32_t blowup = 0;
+    if (!r->ReadU32(&blowup) || blowup == 0 || blowup > (1u << 20)) {
+      return Invalid("bad blowup factor");
+    }
+    options.eliminate.max_blowup_factor = static_cast<int>(blowup);
+    uint8_t has_keys = 0;
+    if (!r->ReadU8(&has_keys) || has_keys > 1) return Invalid("bad keys flag");
+    if (has_keys) {
+      Signature keys;
+      if (!ReadSignature(r, &keys)) return Invalid("bad keys signature");
+      out->owned_keys = std::make_shared<const Signature>(std::move(keys));
+      options.eliminate.keys = out->owned_keys.get();
+    }
+    if (!r->ReadStringList(&options.order)) {
+      return Invalid("bad elimination order option");
+    }
+    if (!ReadBool(r, &options.simplify_output)) {
+      return Invalid("bad simplify flag");
+    }
+    uint32_t rounds = 0;
+    if (!r->ReadU32(&rounds) || rounds == 0 || rounds > (1u << 16)) {
+      return Invalid("bad max_rounds");
+    }
+    options.max_rounds = static_cast<int>(rounds);
+    if (!ReadBool(r, &options.exact_conflicts)) {
+      return Invalid("bad exact_conflicts flag");
+    }
+  }
+  if (!r->ReadString(&out->problem.name)) return Invalid("bad problem name");
+  return Status::OK();
+}
+
+/// The key image of `options`: the wire option fields, then the two
+/// options that never cross the wire (registry, blowup_baseline_ops).
+void AppendOptionsKey(const ComposeOptions& options, std::string* out) {
+  PutOptionFields(options, out);
+  const op::Registry* registry = options.eliminate.registry;
+  PutString(out, registry == &op::Registry::Default()
+                     ? "default"
+                     : std::to_string(registry->uid()));
+  PutU64(out, static_cast<uint64_t>(options.eliminate.blowup_baseline_ops));
 }
 
 }  // namespace
@@ -84,73 +183,26 @@ Status ServeRequest::SerializeTo(std::string* out) const {
   }
   PutU64(out, request_id);
   PutU8(out, has_options ? 1 : 0);
-  if (has_options) {
-    PutU8(out, options.eliminate.enable_unfold ? 1 : 0);
-    PutU8(out, options.eliminate.enable_left_compose ? 1 : 0);
-    PutU8(out, options.eliminate.enable_right_compose ? 1 : 0);
-    PutU32(out, static_cast<uint32_t>(options.eliminate.max_blowup_factor));
-    PutU8(out, options.eliminate.keys != nullptr ? 1 : 0);
-    if (options.eliminate.keys != nullptr) {
-      PutSignature(out, *options.eliminate.keys);
-    }
-    PutStringList(out, options.order);
-    PutU8(out, options.simplify_output ? 1 : 0);
-    PutU32(out, static_cast<uint32_t>(options.max_rounds));
-    PutU8(out, options.exact_conflicts ? 1 : 0);
-  }
+  if (has_options) PutOptionFields(options, out);
   PutString(out, problem.name);
-  PutSignature(out, problem.sigma1);
-  PutSignature(out, problem.sigma2);
-  PutSignature(out, problem.sigma3);
-  PutString(out, ConstraintSetToString(problem.sigma12));
-  PutString(out, ConstraintSetToString(problem.sigma23));
-  PutStringList(out, problem.elimination_order);
+  PutProblem(problem, out);
   // Optional trailing field (v2): written only when set, so deadline-less
   // requests keep their v1 byte image.
   if (deadline_ms > 0) PutU32(out, deadline_ms);
   return Status::OK();
 }
 
+std::string ServeRequest::CacheKey(const ComposeOptions& resolved) const {
+  std::string key;
+  AppendOptionsKey(resolved, &key);
+  PutProblem(problem, &key);
+  return key;
+}
+
 Result<ServeRequest> ServeRequest::Parse(const uint8_t* data, size_t len) {
   WireReader r(data, len);
   ServeRequest out;
-  if (!r.ReadU64(&out.request_id)) return Invalid("truncated request id");
-  if (!ReadBool(&r, &out.has_options)) return Invalid("bad options flag");
-  if (out.has_options) {
-    if (!ReadBool(&r, &out.options.eliminate.enable_unfold) ||
-        !ReadBool(&r, &out.options.eliminate.enable_left_compose) ||
-        !ReadBool(&r, &out.options.eliminate.enable_right_compose)) {
-      return Invalid("bad eliminate switches");
-    }
-    uint32_t blowup = 0;
-    if (!r.ReadU32(&blowup) || blowup == 0 || blowup > (1u << 20)) {
-      return Invalid("bad blowup factor");
-    }
-    out.options.eliminate.max_blowup_factor = static_cast<int>(blowup);
-    uint8_t has_keys = 0;
-    if (!r.ReadU8(&has_keys) || has_keys > 1) return Invalid("bad keys flag");
-    if (has_keys) {
-      Signature keys;
-      if (!ReadSignature(&r, &keys)) return Invalid("bad keys signature");
-      out.owned_keys = std::make_shared<const Signature>(std::move(keys));
-      out.options.eliminate.keys = out.owned_keys.get();
-    }
-    if (!r.ReadStringList(&out.options.order)) {
-      return Invalid("bad elimination order option");
-    }
-    if (!ReadBool(&r, &out.options.simplify_output)) {
-      return Invalid("bad simplify flag");
-    }
-    uint32_t rounds = 0;
-    if (!r.ReadU32(&rounds) || rounds == 0 || rounds > (1u << 16)) {
-      return Invalid("bad max_rounds");
-    }
-    out.options.max_rounds = static_cast<int>(rounds);
-    if (!ReadBool(&r, &out.options.exact_conflicts)) {
-      return Invalid("bad exact_conflicts flag");
-    }
-  }
-  if (!r.ReadString(&out.problem.name)) return Invalid("bad problem name");
+  MAPCOMP_RETURN_IF_ERROR(ReadHead(&r, &out));
   if (!ReadSignature(&r, &out.problem.sigma1) ||
       !ReadSignature(&r, &out.problem.sigma2) ||
       !ReadSignature(&r, &out.problem.sigma3)) {
@@ -194,6 +246,33 @@ Result<ServeRequest> ServeRequest::Parse(const uint8_t* data, size_t len) {
     }
     if (!r.AtEnd()) return Invalid("trailing bytes after request");
   }
+  out.parsed_ = true;
+  return out;
+}
+
+RequestEnvelope RequestEnvelope::Walk(const uint8_t* data, size_t len,
+                                      const ComposeOptions& defaults) {
+  WireReader r(data, len);
+  ServeRequest head;
+  RequestEnvelope out;
+  out.status = ReadHead(&r, &head);
+  out.request_id = head.request_id;
+  const size_t begin = r.pos();
+  std::vector<std::string> order;
+  uint32_t deadline_ms = 0;
+  if (!out.status.ok() || !SkipSignature(&r) || !SkipSignature(&r) ||
+      !SkipSignature(&r) || !SkipString(&r) || !SkipString(&r) ||
+      !r.ReadStringList(&order)) {
+    return out;
+  }
+  const size_t end = r.pos();
+  if (!r.AtEnd() && (r.remaining() != 4 || !r.ReadU32(&deadline_ms) ||
+                     deadline_ms == 0)) {
+    return out;  // the deadline as Parse checks it
+  }
+  out.key.reserve(64 + (end - begin));  // the options key is ~40 bytes
+  AppendOptionsKey(head.has_options ? head.options : defaults, &out.key);
+  out.key.append(reinterpret_cast<const char*>(data) + begin, end - begin);
   return out;
 }
 
@@ -202,7 +281,11 @@ void ServeReply::SerializeTo(std::string* out) const {
   PutU8(out, static_cast<uint8_t>(status));
   PutString(out, message);
   PutU8(out, cache_hit ? 1 : 0);
-  if (status != WireStatus::kOk) return;
+  if (status == WireStatus::kOk) SerializeResultTo(result, out);
+}
+
+void ServeReply::SerializeResultTo(const runtime::ServedResult& result,
+                                   std::string* out) {
   PutSignature(out, result.sigma);
   PutStringList(out, result.residual_sigma2);
   PutString(out, ConstraintSetToString(result.constraints));
@@ -210,6 +293,19 @@ void ServeReply::SerializeTo(std::string* out) const {
   PutU32(out, static_cast<uint32_t>(result.eliminated_count));
   PutU32(out, static_cast<uint32_t>(result.total_count));
   PutString(out, result.fingerprint);
+}
+
+void ServeReply::AppendOkFrame(uint64_t request_id, bool cache_hit,
+                               const std::string& result_bytes,
+                               std::string* out) {
+  // request_id, status, empty message, cache_hit — SerializeTo's head.
+  constexpr size_t kHeadBytes = 8 + 1 + 4 + 1;
+  AppendFrameHeader(FrameType::kReply, kHeadBytes + result_bytes.size(), out);
+  PutU64(out, request_id);
+  PutU8(out, static_cast<uint8_t>(WireStatus::kOk));
+  PutU32(out, 0);
+  PutU8(out, cache_hit ? 1 : 0);
+  out->append(result_bytes);
 }
 
 Result<ServeReply> ServeReply::Parse(const uint8_t* data, size_t len) {

@@ -87,11 +87,37 @@ struct ServeRequest {
   /// for such requests, they just cannot be shipped.
   Status SerializeTo(std::string* out) const;
 
+  /// The result-cache key under `resolved` options: their wire fields and
+  /// off-wire registry/blowup baseline, then the body's problem bytes.
+  std::string CacheKey(const ComposeOptions& resolved) const;
+
   /// Parses one body. Hostile input is safe: every read is bounds-checked,
   /// structural invariants (bool bytes ∈ {0,1}, max_rounds ≥ 1, valid
   /// signatures, parseable constraint text, no trailing bytes) are
   /// enforced, and any violation is a clean kInvalidArgument.
   static Result<ServeRequest> Parse(const uint8_t* data, size_t len);
+
+  /// True only on a value built by Parse: its cache entry is `wire_ok`.
+  bool parsed() const { return parsed_; }
+
+ private:
+  bool parsed_ = false;
+};
+
+/// A raw request body as the server's I/O thread sees it. Walk checks
+/// request_id, the options and the name exactly as Parse does; the problem
+/// section is skipped, never parsed — a cache entry's `wire_ok` mark
+/// vouches for those bytes, as Parse depends on nothing else.
+struct RequestEnvelope {
+  uint64_t request_id = 0;  ///< 0 when the body is shorter than the id
+  Status status;            ///< Parse's refusal of the head, if any
+  /// Parse(body)->CacheKey(resolved options) for a canonical body; empty
+  /// when the bytes after the problem section are malformed.
+  std::string key;
+
+  /// `defaults` stand in for the options of an options-less body.
+  static RequestEnvelope Walk(const uint8_t* data, size_t len,
+                              const ComposeOptions& defaults);
 };
 
 /// One composition reply, as a value — the wire image of a served
@@ -129,6 +155,14 @@ struct ServeReply {
 
   /// Appends the canonical body bytes (total — replies always serialize).
   void SerializeTo(std::string* out) const;
+
+  /// Appends the part of a kOk body after cache_hit (the result image).
+  static void SerializeResultTo(const runtime::ServedResult& result,
+                                std::string* out);
+  /// Appends the kOk reply frame whose body ends in `result_bytes`.
+  static void AppendOkFrame(uint64_t request_id, bool cache_hit,
+                            const std::string& result_bytes,
+                            std::string* out);
 
   /// Same hostile-input guarantees as ServeRequest::Parse.
   static Result<ServeReply> Parse(const uint8_t* data, size_t len);

@@ -52,6 +52,14 @@ class WireReader {
 
   size_t remaining() const { return len_ - pos_; }
   bool AtEnd() const { return pos_ == len_; }
+  /// Bytes consumed so far.
+  size_t pos() const { return pos_; }
+
+  bool Skip(size_t n) {
+    if (remaining() < n) return false;
+    pos_ += n;
+    return true;
+  }
 
   bool ReadU8(uint8_t* v) {
     if (remaining() < 1) return false;

@@ -198,6 +198,24 @@ TEST(ChainComposerTest, DisabledCacheRecomposesEveryWalk) {
   EXPECT_EQ(stats.cache_bytes, 0u);
 }
 
+TEST(ChainComposerTest, UncachedServiceStepsMatchCold) {
+  // With no service cache, a step's Submit handle is the only owner of its
+  // outcome: the step must hold the outcome itself, not a reference into
+  // the temporary handle's future (the ASan CI job runs this).
+  TestChain tc = BuildChain(/*depth=*/4, /*seed=*/19);
+  ChainResult cold = ComposeChainCold(tc.chain).value();
+  ComposeServiceOptions service_options;
+  service_options.cache_capacity = 0;
+  ComposeService service(service_options);
+  ChainComposerOptions options;
+  options.cache_capacity = 0;
+  ChainComposer composer(&service, options);
+  ChainResult r = composer.ComposeChain(tc.chain).value();
+  EXPECT_EQ(r.fingerprint, cold.fingerprint);
+  EXPECT_EQ(r.result_fingerprint, cold.result_fingerprint);
+  EXPECT_EQ(service.Stats().cache_entries, 0u);
+}
+
 TEST(ChainComposerTest, ByteCapacityEvictsPrefixStates) {
   TestChain tc = BuildChain(/*depth=*/6, /*seed=*/19);
 

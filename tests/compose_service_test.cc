@@ -18,6 +18,13 @@ namespace mapcomp {
 namespace runtime {
 namespace {
 
+using serve::ServeRequest;
+
+/// A default-options request for the fan-out problem of `width`.
+ServeRequest FanoutRequest(int width) {
+  return ServeRequest::Of(sim::BuildFanoutProblem(width));
+}
+
 std::vector<CompositionProblem> ParsedLiteratureSuite() {
   Parser parser;
   std::vector<CompositionProblem> problems;
@@ -46,14 +53,14 @@ TEST(ProblemFingerprintTest, IdentifiesTheProblemNotItsName) {
 
 TEST(ComposeServiceTest, SecondSubmitIsACacheHit) {
   ComposeService service;
-  ComposeService::Handle h1 = service.Submit(sim::BuildFanoutProblem(4));
-  const ServedResult& first = *h1.Wait();
+  ComposeService::Handle h1 = service.Submit(FanoutRequest(4));
+  ComposeService::ResultPtr first = h1.Result();
   EXPECT_FALSE(h1.cache_hit());
 
-  ComposeService::Handle h2 = service.Submit(sim::BuildFanoutProblem(4));
+  ComposeService::Handle h2 = service.Submit(FanoutRequest(4));
   EXPECT_TRUE(h2.cache_hit());
   // Same object, not an equal recomputation.
-  EXPECT_EQ(&*h2.Wait(), &first);
+  EXPECT_EQ(h2.Result(), first);
 
   ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.hits, 1u);
@@ -67,7 +74,7 @@ TEST(ComposeServiceTest, ConcurrentSubmitsOfOneProblemShareComputation) {
   ComposeService service;
   std::vector<ComposeService::Handle> handles;
   for (int i = 0; i < 16; ++i) {
-    handles.push_back(service.Submit(sim::BuildFanoutProblem(6)));
+    handles.push_back(service.Submit(FanoutRequest(6)));
   }
   const ServedResult* result = &*handles[0].Wait();
   for (ComposeService::Handle& h : handles) {
@@ -83,19 +90,19 @@ TEST(ComposeServiceTest, LruEvictionDropsOldestAndRecounts) {
   options.cache_capacity = 2;
   ComposeService service(options);
 
-  service.Submit(sim::BuildFanoutProblem(2)).Wait();
-  service.Submit(sim::BuildFanoutProblem(3)).Wait();
+  service.Submit(FanoutRequest(2)).Wait();
+  service.Submit(FanoutRequest(3)).Wait();
   // Touch problem 2 so problem 3 is the LRU victim.
-  EXPECT_TRUE(service.Submit(sim::BuildFanoutProblem(2)).cache_hit());
-  service.Submit(sim::BuildFanoutProblem(4)).Wait();  // evicts problem 3
+  EXPECT_TRUE(service.Submit(FanoutRequest(2)).cache_hit());
+  service.Submit(FanoutRequest(4)).Wait();  // evicts problem 3
 
   EXPECT_EQ(service.Stats().evictions, 1u);
-  EXPECT_TRUE(service.Submit(sim::BuildFanoutProblem(2)).cache_hit());
-  EXPECT_TRUE(service.Submit(sim::BuildFanoutProblem(4)).cache_hit());
+  EXPECT_TRUE(service.Submit(FanoutRequest(2)).cache_hit());
+  EXPECT_TRUE(service.Submit(FanoutRequest(4)).cache_hit());
   // Hold the miss handle until it completes: dropping it mid-flight would
   // now count as abandonment and cancel the recomputation.
   ComposeService::Handle recomputed =
-      service.Submit(sim::BuildFanoutProblem(3));
+      service.Submit(FanoutRequest(3));
   EXPECT_FALSE(recomputed.cache_hit());
   recomputed.Wait();
   EXPECT_EQ(service.Stats().cache_entries, 2u);
@@ -105,8 +112,8 @@ TEST(ComposeServiceTest, ZeroCapacityDisablesCaching) {
   ComposeServiceOptions options;
   options.cache_capacity = 0;
   ComposeService service(options);
-  service.Submit(sim::BuildFanoutProblem(3)).Wait();
-  service.Submit(sim::BuildFanoutProblem(3)).Wait();
+  service.Submit(FanoutRequest(3)).Wait();
+  service.Submit(FanoutRequest(3)).Wait();
   ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 2u);
@@ -161,8 +168,10 @@ TEST(ComposeServiceTest, MixedOptionsTrafficNeverServesStaleVariants) {
   raw.eliminate.enable_left_compose = false;
   raw.eliminate.enable_right_compose = false;
 
-  ComposeService::Handle h1 = service.Submit(problem, simplified);
-  ComposeService::Handle h2 = service.Submit(problem, raw);
+  ComposeService::Handle h1 =
+      service.Submit(ServeRequest::WithOptions(problem, simplified));
+  ComposeService::Handle h2 =
+      service.Submit(ServeRequest::WithOptions(problem, raw));
   EXPECT_FALSE(h1.cache_hit());
   EXPECT_FALSE(h2.cache_hit());  // different options ⇒ its own computation
   EXPECT_EQ(h1.Wait()->Fingerprint(),
@@ -170,8 +179,10 @@ TEST(ComposeServiceTest, MixedOptionsTrafficNeverServesStaleVariants) {
   EXPECT_EQ(h2.Wait()->Fingerprint(), Compose(problem, raw).Fingerprint());
   EXPECT_NE(h1.Wait()->Fingerprint(), h2.Wait()->Fingerprint());
 
-  ComposeService::Handle h3 = service.Submit(problem, simplified);
-  ComposeService::Handle h4 = service.Submit(problem, raw);
+  ComposeService::Handle h3 =
+      service.Submit(ServeRequest::WithOptions(problem, simplified));
+  ComposeService::Handle h4 =
+      service.Submit(ServeRequest::WithOptions(problem, raw));
   EXPECT_TRUE(h3.cache_hit());
   EXPECT_TRUE(h4.cache_hit());
   EXPECT_EQ(&*h3.Wait(), &*h1.Wait());
@@ -179,7 +190,7 @@ TEST(ComposeServiceTest, MixedOptionsTrafficNeverServesStaleVariants) {
 
   // The plain Submit uses the service default options and shares their
   // cache entry.
-  ComposeService::Handle h5 = service.Submit(problem);
+  ComposeService::Handle h5 = service.Submit(ServeRequest::Of(problem));
   EXPECT_TRUE(h5.cache_hit());
 
   ServiceStats stats = service.Stats();
@@ -193,7 +204,8 @@ TEST(ComposeServiceTest, ResultsMatchDirectComposition) {
   ComposeService service(options);
   for (const CompositionProblem& p : ParsedLiteratureSuite()) {
     CompositionResult direct = Compose(p, options.compose);
-    EXPECT_EQ(service.Submit(p).Wait()->Fingerprint(), direct.Fingerprint())
+    EXPECT_EQ(service.Submit(ServeRequest::Of(p)).Wait()->Fingerprint(),
+              direct.Fingerprint())
         << p.name;
   }
 }
@@ -202,7 +214,7 @@ TEST(ComposeServiceTest, AggregatesSchedulerWaveStats) {
   ComposeServiceOptions options;
   options.compose.elim_jobs = 4;
   ComposeService service(options);
-  service.Submit(sim::BuildFanoutProblem(8)).Wait();
+  service.Submit(FanoutRequest(8)).Wait();
   ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.max_wave_width, 8);
   EXPECT_GE(stats.waves_executed, 1u);
@@ -239,9 +251,9 @@ TEST(ComposeServiceTest, ConcurrentClientsMixedHitsAndMisses) {
       for (int rep = 0; rep < kRequestsPerClient; ++rep) {
         for (size_t i = 0; i < problems.size(); ++i) {
           size_t slot = (i + static_cast<size_t>(t) * 3) % problems.size();
-          const ServedResult& res =
-              *service.Submit(problems[slot]).Wait();
-          if (res.Fingerprint() != baselines[slot]) {
+          ComposeService::ResultPtr res =
+              service.Submit(ServeRequest::Of(problems[slot])).Result();
+          if (res->Fingerprint() != baselines[slot]) {
             errors[t] = "fingerprint mismatch on problem " +
                         std::to_string(slot);
             return;
@@ -284,18 +296,18 @@ TEST(ComposeServiceTest, CacheBytesWatermarkTracksCompletedEntries) {
   ComposeService service;
   EXPECT_EQ(service.Stats().cache_bytes, 0u);
 
-  service.Submit(sim::BuildFanoutProblem(3)).Wait();
+  service.Submit(FanoutRequest(3)).Wait();
   uint64_t after_one = service.Stats().cache_bytes;
   EXPECT_GT(after_one, 0u);
 
-  service.Submit(sim::BuildFanoutProblem(5)).Wait();
+  service.Submit(FanoutRequest(5)).Wait();
   ServiceStats stats = service.Stats();
   EXPECT_GT(stats.cache_bytes, after_one);
   EXPECT_EQ(stats.cache_bytes_peak, stats.cache_bytes);
   EXPECT_NE(stats.ToString().find("bytes"), std::string::npos);
 
   // A cache hit adds no bytes.
-  EXPECT_TRUE(service.Submit(sim::BuildFanoutProblem(3)).cache_hit());
+  EXPECT_TRUE(service.Submit(FanoutRequest(3)).cache_hit());
   EXPECT_EQ(service.Stats().cache_bytes, stats.cache_bytes);
 }
 
@@ -303,9 +315,9 @@ TEST(ComposeServiceTest, EntryEvictionReleasesItsBytes) {
   ComposeServiceOptions options;
   options.cache_capacity = 1;
   ComposeService service(options);
-  service.Submit(sim::BuildFanoutProblem(3)).Wait();
+  service.Submit(FanoutRequest(3)).Wait();
   uint64_t with_three = service.Stats().cache_bytes;
-  service.Submit(sim::BuildFanoutProblem(5)).Wait();  // evicts problem 3
+  service.Submit(FanoutRequest(5)).Wait();  // evicts problem 3
   ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.cache_entries, 1u);
@@ -321,9 +333,9 @@ TEST(ComposeServiceTest, ByteCapacityEvictsUntilTheSumFits) {
   uint64_t bytes3 = 0, bytes5 = 0;
   {
     ComposeService probe;
-    probe.Submit(sim::BuildFanoutProblem(3)).Wait();
+    probe.Submit(FanoutRequest(3)).Wait();
     bytes3 = probe.Stats().cache_bytes;
-    probe.Submit(sim::BuildFanoutProblem(5)).Wait();
+    probe.Submit(FanoutRequest(5)).Wait();
     bytes5 = probe.Stats().cache_bytes - bytes3;
   }
   ASSERT_GT(bytes3, 0u);
@@ -333,16 +345,16 @@ TEST(ComposeServiceTest, ByteCapacityEvictsUntilTheSumFits) {
   options.cache_bytes_capacity =
       static_cast<size_t>(bytes3 + bytes5 - 1);  // one fits, two don't
   ComposeService service(options);
-  service.Submit(sim::BuildFanoutProblem(3)).Wait();
-  service.Submit(sim::BuildFanoutProblem(5)).Wait();
+  service.Submit(FanoutRequest(3)).Wait();
+  service.Submit(FanoutRequest(5)).Wait();
   ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.cache_entries, 1u);
   EXPECT_LE(stats.cache_bytes, options.cache_bytes_capacity);
   // Check the survivor first: resubmitting the evicted problem starts a
   // new computation whose completion may evict the survivor again.
-  EXPECT_TRUE(service.Submit(sim::BuildFanoutProblem(5)).cache_hit());
-  EXPECT_FALSE(service.Submit(sim::BuildFanoutProblem(3)).cache_hit());
+  EXPECT_TRUE(service.Submit(FanoutRequest(5)).cache_hit());
+  EXPECT_FALSE(service.Submit(FanoutRequest(3)).cache_hit());
 }
 
 TEST(ServiceStatsTest, ToStringCoversChainPrefixCounters) {
@@ -361,7 +373,7 @@ TEST(ComposeServiceTest, DestructorWaitsForInFlightWork) {
   ComposeService::Handle handle;
   {
     ComposeService service;
-    handle = service.Submit(sim::BuildFanoutProblem(6));
+    handle = service.Submit(FanoutRequest(6));
   }
   EXPECT_TRUE(handle.Ready());
   EXPECT_EQ(handle.Wait()->eliminated_count, 6);
@@ -369,14 +381,14 @@ TEST(ComposeServiceTest, DestructorWaitsForInFlightWork) {
 
 TEST(ComposeServiceTest, ServeRequestEntryPointAndAdmissionProbe) {
   ComposeService service;
-  serve::ServeRequest req =
-      serve::ServeRequest::Of(sim::BuildFanoutProblem(4), /*id=*/77);
+  ServeRequest req =
+      ServeRequest::Of(sim::BuildFanoutProblem(4), /*id=*/77);
 
   // Absent: the probe never computes.
   EXPECT_EQ(service.TryServeCached(req), nullptr);
 
   ComposeService::Handle h = service.Submit(req);
-  const ServedOutcome& outcome = h.Wait();
+  ServedOutcome outcome = h.Wait();
   ASSERT_TRUE(outcome.ok());
 
   // Present and completed: the probe serves the very same object.
@@ -386,8 +398,8 @@ TEST(ComposeServiceTest, ServeRequestEntryPointAndAdmissionProbe) {
 
   // The request_id names the conversation, not the computation: a new id
   // for the same problem is still a cache hit.
-  serve::ServeRequest req2 =
-      serve::ServeRequest::Of(sim::BuildFanoutProblem(4), /*id=*/78);
+  ServeRequest req2 =
+      ServeRequest::Of(sim::BuildFanoutProblem(4), /*id=*/78);
   EXPECT_TRUE(service.Submit(req2).cache_hit());
 
   ServiceStats stats = service.Stats();
@@ -401,21 +413,22 @@ TEST(ComposeServiceTest, RequestCarriedOptionsKeyTheCacheLikeTheShim) {
   raw.simplify_output = false;
 
   CompositionProblem problem = sim::BuildFanoutProblem(3);
-  ComposeService::Handle shim = service.Submit(problem, raw);
+  ComposeService::Handle shim =
+      service.Submit(ServeRequest::WithOptions(problem, raw));
   shim.Wait();
 
   // A wire-shaped request carrying the same options joins the same cache
   // slot — the two submission styles are one API.
-  serve::ServeRequest req =
-      serve::ServeRequest::WithOptions(sim::BuildFanoutProblem(3), raw);
+  ServeRequest req =
+      ServeRequest::WithOptions(sim::BuildFanoutProblem(3), raw);
   ComposeService::Handle wire = service.Submit(req);
   EXPECT_TRUE(wire.cache_hit());
   EXPECT_EQ(&*wire.Wait(), &*shim.Wait());
 
   // But the probe under default options misses: options are part of the
   // computation's identity.
-  serve::ServeRequest plain =
-      serve::ServeRequest::Of(sim::BuildFanoutProblem(3));
+  ServeRequest plain =
+      FanoutRequest(3);
   EXPECT_EQ(service.TryServeCached(plain), nullptr);
 }
 

@@ -140,7 +140,7 @@ TEST(FaultInjectionTest, InternerAllocFailureSurfacesAsStatusNotCrash) {
   ComposeService service;
   ServedOutcome outcome = [&] {
     ScopedFault alloc(FaultPoint::kAllocFailInterner);
-    return service.Submit(std::move(*problem)).Wait();
+    return service.Submit(serve::ServeRequest::Of(std::move(*problem))).Wait();
   }();
 
   ASSERT_FALSE(outcome.ok());
@@ -153,7 +153,8 @@ TEST(FaultInjectionTest, InternerAllocFailureSurfacesAsStatusNotCrash) {
   // nothing.
   Result<CompositionProblem> again = parser.ParseProblem(text);
   ASSERT_TRUE(again.ok());
-  ServedOutcome retry = service.Submit(std::move(*again)).Wait();
+  ServedOutcome retry =
+      service.Submit(serve::ServeRequest::Of(std::move(*again))).Wait();
   EXPECT_TRUE(retry.ok()) << retry.status().ToString();
 }
 
@@ -165,11 +166,12 @@ TEST(FaultInjectionTest, HandleCancelCountsAndUnwindsComputation) {
   ScopedFault slow(FaultPoint::kSlowEliminationWave, /*arg=*/50);
   ComposeService service;
   ComposeService::Handle handle =
-      service.Submit(sim::BuildFanoutProblem(6, /*chain_overlap=*/true));
+      service.Submit(serve::ServeRequest::Of(
+          sim::BuildFanoutProblem(6, /*chain_overlap=*/true)));
   EXPECT_TRUE(handle.Cancel()) << "computation should still be in flight";
   EXPECT_FALSE(handle.Cancel()) << "a second cancel withdraws nothing";
 
-  const ServedOutcome& outcome = handle.Wait();
+  ServedOutcome outcome = handle.Wait();
   ASSERT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.status().code(), StatusCode::kCancelled);
 
@@ -355,7 +357,10 @@ TEST(FaultInjectionTest, AbandonedInFlightHandleCountsCancelled) {
   // depend on clients being polite.
   ScopedFault slow(FaultPoint::kSlowEliminationWave, /*arg=*/50);
   ComposeService service;
-  { service.Submit(sim::BuildFanoutProblem(5, /*chain_overlap=*/true)); }
+  {
+    service.Submit(serve::ServeRequest::Of(
+        sim::BuildFanoutProblem(5, /*chain_overlap=*/true)));
+  }
   WaitServiceIdle(service);
   runtime::ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.cancelled, 1u);

@@ -1,23 +1,32 @@
 // Wire-protocol pinning tests: canonical byte round trips for
 // ServeRequest/ServeReply (serialize→parse→serialize is byte-identical),
 // the pinned WireStatus numeric values and total StatusCode mapping,
-// FrameDecoder behavior under fragmentation and hostile input, and
+// FrameDecoder behavior under fragmentation and hostile input,
 // hostile-body parsing (every violation a clean kInvalidArgument, never an
-// out-of-bounds read — the ASan CI job executes this file).
+// out-of-bounds read), and the raw-byte cache key: the envelope walk's key
+// equals the parsed request's, and a server that probes raw bytes first
+// answers every body exactly as parse-then-probe does. The ASan and TSan
+// CI jobs execute this file.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "src/algebra/builders.h"
+#include "src/parser/parser.h"
+#include "src/runtime/compose_service.h"
+#include "src/serve/compose_client.h"
+#include "src/serve/compose_server.h"
 #include "src/serve/protocol.h"
 #include "src/serve/serve_types.h"
 #include "src/serve/wire_status.h"
 #include "src/simulator/scenarios.h"
 #include "src/testdata/literature_suite.h"
-#include "src/parser/parser.h"
 
 namespace mapcomp {
 namespace serve {
@@ -316,6 +325,268 @@ TEST(HostileBodyTest, LengthClaimsCannotForceAllocations) {
       reinterpret_cast<const uint8_t*>(evil.data()), evil.size());
   EXPECT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// The raw-byte cache key and the raw-probe-first server path.
+
+using runtime::ComposeService;
+using runtime::ServedOutcome;
+
+const uint8_t* Bytes(const std::string& s) {
+  return reinterpret_cast<const uint8_t*>(s.data());
+}
+
+std::string Body(const ServeRequest& request) {
+  std::string body;
+  EXPECT_TRUE(request.SerializeTo(&body).ok());
+  return body;
+}
+
+/// Every literature-suite problem plus two reconciliation tasks at each of
+/// three schema sizes.
+std::vector<CompositionProblem> KeyCorpus() {
+  std::vector<CompositionProblem> out;
+  Parser parser;
+  for (const testdata::LiteratureProblem& prob :
+       testdata::LiteratureSuite()) {
+    Result<CompositionProblem> parsed = parser.ParseProblem(prob.text);
+    if (parsed.ok()) out.push_back(std::move(*parsed));
+  }
+  for (int size : {6, 8, 10}) {
+    for (uint64_t seed : {1, 2}) {
+      sim::ReconciliationScenarioOptions opts;
+      opts.schema_size = size;
+      opts.num_edits = 8;
+      opts.seed = seed;
+      opts.max_branch_attempts = 2;
+      out.push_back(sim::BuildReconciliationProblem(opts));
+    }
+  }
+  return out;
+}
+
+TEST(RawCacheKeyTest, WalkedKeyEqualsTheParsedRequestsKey) {
+  ComposeService service;
+  ComposeOptions opts;
+  opts.simplify_output = false;
+  opts.max_rounds = 2;
+  opts.eliminate.max_blowup_factor = 7;
+  int checked = 0;
+  for (const CompositionProblem& problem : KeyCorpus()) {
+    for (bool with_options : {false, true}) {
+      for (uint32_t deadline_ms : {0u, 250u}) {
+        ServeRequest req =
+            with_options ? ServeRequest::WithOptions(problem, opts, 17)
+                         : ServeRequest::Of(problem, 17);
+        req.deadline_ms = deadline_ms;
+        std::string body = Body(req);
+        Result<ServeRequest> parsed = ServeRequest::Parse(Bytes(body),
+                                                          body.size());
+        ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+        RequestEnvelope walked = RequestEnvelope::Walk(
+            Bytes(body), body.size(), service.default_options());
+        ASSERT_TRUE(walked.status.ok()) << walked.status.ToString();
+        EXPECT_EQ(walked.request_id, 17u);
+        EXPECT_EQ(walked.key, service.CacheKey(*parsed)) << problem.name;
+        // The in-process value keys identically: one encoder.
+        EXPECT_EQ(walked.key, service.CacheKey(req)) << problem.name;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GE(checked, 4 * 28);
+}
+
+TEST(RawCacheKeyTest, OptionlessAndExplicitDefaultsShareOneEntry) {
+  ComposeService service;
+  CompositionProblem problem = sim::BuildFanoutProblem(4);
+  ServeRequest plain = ServeRequest::Of(problem, 1);
+  ServeRequest explicit_defaults =
+      ServeRequest::WithOptions(problem, service.default_options(), 2);
+
+  std::string plain_body = Body(plain);
+  std::string explicit_body = Body(explicit_defaults);
+  ASSERT_NE(plain_body, explicit_body);
+  RequestEnvelope a = RequestEnvelope::Walk(
+      Bytes(plain_body), plain_body.size(), service.default_options());
+  RequestEnvelope b = RequestEnvelope::Walk(
+      Bytes(explicit_body), explicit_body.size(),
+      service.default_options());
+  ASSERT_FALSE(a.key.empty());
+  EXPECT_EQ(a.key, b.key);
+
+  service.Submit(plain).Wait();
+  EXPECT_TRUE(service.Submit(explicit_defaults).cache_hit());
+  EXPECT_EQ(service.Stats().cache_entries, 1u);
+}
+
+/// A value SerializeTo accepts but Parse refuses: the relation name "S-T"
+/// prints as the expression `S - T`.
+CompositionProblem ProblemWithExpressionName() {
+  CompositionProblem p;
+  p.name = "expression-shaped-name";
+  EXPECT_TRUE(p.sigma1.AddRelation("R", 1).ok());
+  EXPECT_TRUE(p.sigma2.AddRelation("S-T", 1).ok());
+  EXPECT_TRUE(p.sigma3.AddRelation("U", 1).ok());
+  p.sigma12 = {Constraint::Contain(Rel("R", 1), Rel("S-T", 1))};
+  p.sigma23 = {Constraint::Contain(Rel("S-T", 1), Rel("U", 1))};
+  return p;
+}
+
+TEST(RawCacheKeyTest, InProcessEntriesAreNeverServedRaw) {
+  ComposeService service;
+
+  // max_rounds = 0 crosses SerializeTo, but the walk refuses it exactly as
+  // Parse does, so a raw probe never even runs.
+  ComposeOptions zero_rounds;
+  zero_rounds.max_rounds = 0;
+  ServeRequest rounds_req =
+      ServeRequest::WithOptions(sim::BuildFanoutProblem(3), zero_rounds, 4);
+  service.Submit(rounds_req).Wait();
+  std::string rounds_body = Body(rounds_req);
+  RequestEnvelope refused = RequestEnvelope::Walk(
+      Bytes(rounds_body), rounds_body.size(), service.default_options());
+  ASSERT_FALSE(refused.status.ok());
+  EXPECT_TRUE(refused.key.empty());
+  EXPECT_EQ(refused.status.message(),
+            ServeRequest::Parse(Bytes(rounds_body), rounds_body.size())
+                .status()
+                .message());
+  EXPECT_FALSE(service.ProbeKey(service.CacheKey(rounds_req), /*raw=*/true)
+                   .ok());
+
+  // An expression-shaped name passes the walk — its problem section is
+  // never parsed — and its key finds the completed in-process entry, which
+  // is not wire_ok: the raw probe misses while a value probe hits.
+  ServeRequest named = ServeRequest::Of(ProblemWithExpressionName(), 5);
+  ASSERT_TRUE(service.Submit(named).Wait().ok());
+  std::string named_body = Body(named);
+  ASSERT_FALSE(ServeRequest::Parse(Bytes(named_body), named_body.size()).ok());
+  RequestEnvelope walked = RequestEnvelope::Walk(
+      Bytes(named_body), named_body.size(), service.default_options());
+  ASSERT_TRUE(walked.status.ok());
+  ASSERT_EQ(walked.key, service.CacheKey(named));
+  EXPECT_TRUE(service.ProbeKey(walked.key, /*raw=*/false).ok());
+  EXPECT_FALSE(service.ProbeKey(walked.key, /*raw=*/true).ok());
+
+  // Over the wire the body is therefore parsed — and refused.
+  ComposeServer server(&service, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  Result<std::unique_ptr<ComposeClient>> client =
+      ComposeClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  std::string frame;
+  EncodeFrame(FrameType::kRequest, named_body, &frame);
+  ASSERT_TRUE((*client)->SendRaw(frame).ok());
+  Result<ServeReply> reply = (*client)->Recv();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->status, WireStatus::kInvalidArgument);
+  EXPECT_EQ(reply->request_id, 5u);
+  EXPECT_EQ(server.Stats().cache_bypass, 0u);
+}
+
+/// The reply the server gave before the raw-byte path existed: Parse, then
+/// the value probe, then Submit — serialized through ServeReply.
+std::string ParseThenProbe(ComposeService* service, const std::string& body) {
+  Result<ServeRequest> req = ServeRequest::Parse(Bytes(body), body.size());
+  ServeReply reply;
+  if (!req.ok()) {
+    uint64_t id = 0;
+    for (size_t i = 0; body.size() >= 8 && i < 8; ++i) {
+      id |= static_cast<uint64_t>(static_cast<uint8_t>(body[i])) << (8 * i);
+    }
+    reply = ServeReply::ErrorReply(id, WireStatusFrom(req.status().code()),
+                                   req.status().message());
+  } else if (ComposeService::ResultPtr hit = service->TryServeCached(*req)) {
+    reply = ServeReply::OkReply(req->request_id, *hit, /*hit=*/true);
+  } else {
+    ComposeService::Handle handle = service->Submit(*req);
+    ServedOutcome outcome = handle.Wait();
+    reply = outcome.ok()
+                ? ServeReply::OkReply(req->request_id, *outcome,
+                                      handle.cache_hit())
+                : ServeReply::ErrorReply(
+                      req->request_id,
+                      WireStatusFrom(outcome.status().code()),
+                      outcome.status().message());
+  }
+  std::string bytes;
+  reply.SerializeTo(&bytes);
+  return bytes;
+}
+
+TEST(RawProbeDifferentialTest, HostileCorporaAnswerAsParseThenProbe) {
+  std::string flip_base =
+      Body(ServeRequest::Of(sim::BuildFanoutProblem(3), 5));
+  std::string cut_base =
+      Body(ServeRequest::Of(sim::BuildFanoutProblem(4), 99));
+  std::vector<std::string> corpus = {flip_base, cut_base};
+  std::mt19937 rng(20260808);  // the bit-flip corpus above
+  for (int trial = 0; trial < 500; ++trial) {
+    std::string mutated = flip_base;
+    size_t pos = rng() % mutated.size();
+    mutated[pos] = static_cast<char>(static_cast<uint8_t>(mutated[pos]) ^
+                                     (1u << (rng() % 8)));
+    corpus.push_back(std::move(mutated));
+  }
+  for (size_t cut = 0; cut < cut_base.size(); ++cut) {
+    corpus.push_back(cut_base.substr(0, cut));
+  }
+  // Tails after an intact problem section: the walk must not vouch for
+  // them (a zero or oversized deadline, trailing bytes) — or must accept
+  // exactly what Parse accepts (a 1 ms deadline).
+  for (size_t extra = 1; extra <= 8; ++extra) {
+    corpus.push_back(flip_base + std::string(extra, '\0'));
+  }
+  corpus.push_back(flip_base + std::string("\x01\0\0\0", 4));
+
+  // Two services see the same body sequence (the base bodies first, so
+  // both start warm): one behind a raw-probe-first server, one answering
+  // parse-then-probe in process.
+  ComposeService served;
+  ComposeService reference;
+  ComposeServer server(&served, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  Result<std::unique_ptr<ComposeClient>> client =
+      ComposeClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    std::string frame;
+    EncodeFrame(FrameType::kRequest, corpus[i], &frame);
+    ASSERT_TRUE((*client)->SendRaw(frame).ok());
+    Result<ServeReply> reply = (*client)->Recv();
+    ASSERT_TRUE(reply.ok()) << "body " << i << ": "
+                            << reply.status().ToString();
+    std::string got;
+    reply->SerializeTo(&got);
+    std::string want = ParseThenProbe(&reference, corpus[i]);
+    ASSERT_EQ(got[8], want[8]) << "WireStatus differs on body " << i;
+    EXPECT_EQ(got, want) << "reply bytes differ on body " << i;
+  }
+  // The warm, unmutated bodies were answered on the raw path.
+  EXPECT_GE(server.Stats().cache_bypass, 2u);
+  EXPECT_EQ(server.Stats().protocol_errors,
+            static_cast<uint64_t>(std::count_if(
+                corpus.begin(), corpus.end(), [](const std::string& b) {
+                  return !ServeRequest::Parse(Bytes(b), b.size()).ok();
+                })));
+}
+
+TEST(RawProbeDifferentialTest, StoredReplyFrameEqualsTheSerializedReply) {
+  runtime::ServedResult res = runtime::ServedResult::FromResult(
+      Compose(sim::BuildFanoutProblem(4), ComposeOptions()));
+  std::string result_bytes;
+  ServeReply::SerializeResultTo(res, &result_bytes);
+  for (bool hit : {false, true}) {
+    std::string body, want;
+    ServeReply::OkReply(0xABCDEF, res, hit).SerializeTo(&body);
+    EncodeFrame(FrameType::kReply, body, &want);
+    std::string got;
+    ServeReply::AppendOkFrame(0xABCDEF, hit, result_bytes, &got);
+    EXPECT_EQ(got, want);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -498,13 +498,14 @@ int main(int argc, char** argv) {
                 ? service.Submit(
                       mapcomp::serve::ServeRequest::Of(problems[i]),
                       mapcomp::common::Deadline::After(deadline_ms))
-                : service.Submit(problems[i]));
+                : service.Submit(
+                      mapcomp::serve::ServeRequest::Of(problems[i])));
       }
       for (const auto& h : handles) h.Wait();
     }
     served.reserve(problems.size());
     for (const auto& h : handles) {
-      const mapcomp::runtime::ServedOutcome& outcome = h.Wait();
+      mapcomp::runtime::ServedOutcome outcome = h.Wait();
       if (!outcome.ok()) {
         std::fprintf(stderr, "error: %s\n",
                      outcome.status().ToString().c_str());
