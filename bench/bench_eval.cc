@@ -7,14 +7,14 @@
 //   join_select  π σ (R × S) over random binary relations (the sharded
 //                per-tuple transform path)
 //   join_wide    σ_{#1=#5}(R4 × S4) — two wide relations joined on one
-//                column, recorded BOTH as the pre-kernel nested loop
-//                (EvalOptions::force_nested_loop) and as the columnar
-//                hash-join kernel, fingerprint-cross-checked against each
-//                other (the kernel's differential oracle in bench form)
+//                column, recorded BOTH on the nested-loop oracle
+//                (tests/oracles/oracle.h) and on the columnar hash-join
+//                kernel, fingerprint-cross-checked against each other (the
+//                kernel's differential oracle in bench form)
 //   user_ops     tc over a seeded random binary relation feeding a
-//                semijoin/antijoin pipeline, recorded BOTH with the legacy
-//                set-based operator hooks (RegisterExtraOpsSetBased) and
-//                with the columnar kernels (the default registry),
+//                semijoin/antijoin pipeline, recorded BOTH on the oracle's
+//                set-based operator bodies (the "legacy" column) and on the
+//                columnar kernels (the default registry),
 //                fingerprint-cross-checked at jobs 1 and 8 — the columnar
 //                user-operator boundary's differential gate in bench form
 //   dag_siblings a balanced union tree over 16 *independent* join subtrees
@@ -39,11 +39,11 @@
 #include "src/algebra/builders.h"
 #include "src/compose/compose.h"
 #include "src/eval/soundness.h"
-#include "src/op/extra_ops.h"
 #include "src/op/registry.h"
 #include "src/parser/parser.h"
 #include "src/runtime/thread_pool.h"
 #include "src/testdata/literature_suite.h"
+#include "tests/oracles/oracle.h"
 
 using namespace mapcomp;
 
@@ -209,15 +209,13 @@ int main(int argc, char** argv) {
                           Product(Rel("R", 4), Rel("S", 4)));
     int64_t work = static_cast<int64_t>(wide_tuples) * wide_tuples;
 
-    // Nested-loop column: the pre-kernel engine materializes the full
-    // product and selects afterwards.
+    // Nested-loop column: the oracle materializes the full product and
+    // selects afterwards.
     double nested_best = -1.0;
     std::string nested_fp;
     for (int rep = 0; rep < reps; ++rep) {
-      EvalOptions opts;
-      opts.force_nested_loop = true;
       auto start = std::chrono::steady_clock::now();
-      EvalResult out = EvaluateFull(join, db, opts).value();
+      EvalResult out = oracle::EvaluateFull(join, db).value();
       double elapsed = Seconds(start);
       if (nested_best < 0.0 || elapsed < nested_best) nested_best = elapsed;
       if (rep == 0) nested_fp = out.Fingerprint();
@@ -257,7 +255,7 @@ int main(int argc, char** argv) {
     std::printf("    },\n");
   }
 
-  // ---- user_ops: columnar user-operator kernels vs legacy set hooks. ----
+  // ---- user_ops: columnar user-operator kernels vs set-based bodies. ----
   {
     const int tc_nodes = smoke ? 16 : 64;
     const int tc_edges = smoke ? 24 : 100;
@@ -270,8 +268,6 @@ int main(int argc, char** argv) {
     }
     db.Set("E", std::move(edges));
 
-    op::Registry legacy_reg = op::Registry::Empty();
-    op::RegisterExtraOpsSetBased(&legacy_reg);
     const op::Registry& columnar_reg = op::Registry::Default();
 
     // tc(E) shared by a semijoin (closure pairs whose target has an
@@ -288,32 +284,30 @@ int main(int argc, char** argv) {
                     Condition::AttrCmp(1, CmpOp::kEq, 4))
             .value());
 
-    // Legacy set-based column (single measurement: the naive closure is
-    // the slow side by construction, noise cannot flip the gate).
-    auto time_once = [&](const ExprPtr& e, const op::Registry& reg,
-                         std::string* fp) {
-      EvalOptions opts;
-      opts.registry = &reg;
+    // Set-based column on the oracle (single measurement: the naive
+    // closure is the slow side by construction, noise cannot flip the
+    // gate).
+    auto time_once = [&](const ExprPtr& e, bool legacy, std::string* fp) {
       auto start = std::chrono::steady_clock::now();
-      EvalResult out = EvaluateFull(e, db, opts).value();
+      EvalResult out =
+          (legacy ? oracle::EvaluateFull(e, db) : EvaluateFull(e, db))
+              .value();
       if (fp != nullptr) *fp = out.Fingerprint();
       return Seconds(start);
     };
     std::string legacy_fp;
-    double tc_legacy_seconds = time_once(tc_expr, legacy_reg, nullptr);
-    double pipeline_legacy_seconds =
-        time_once(pipeline, legacy_reg, &legacy_fp);
+    double tc_legacy_seconds = time_once(tc_expr, true, nullptr);
+    double pipeline_legacy_seconds = time_once(pipeline, true, &legacy_fp);
 
     double tc_columnar_seconds = -1.0;
     for (int rep = 0; rep < reps; ++rep) {
-      double s = time_once(tc_expr, columnar_reg, nullptr);
+      double s = time_once(tc_expr, false, nullptr);
       if (tc_columnar_seconds < 0.0 || s < tc_columnar_seconds) {
         tc_columnar_seconds = s;
       }
     }
 
     int64_t closure_pairs = 0;
-    int64_t columnar_ops = 0, fallback_ops = 0;
     std::string fp_jobs1, fp_jobs8;
     auto rows = Sweep(kLanes, reps, [&](int jobs) {
       EvalOptions opts;
@@ -322,14 +316,12 @@ int main(int argc, char** argv) {
       EvalResult out = EvaluateFull(pipeline, db, opts).value();
       if (jobs == 1) {
         closure_pairs = out.stats.tuples_produced;
-        columnar_ops = out.stats.user_op_columnar;
-        fallback_ops = out.stats.user_op_decode_fallback;
         fp_jobs1 = out.Fingerprint();
       }
       if (jobs == 8) fp_jobs8 = out.Fingerprint();
       return out.Fingerprint();
     });
-    // The differential gate: columnar and legacy set-based hooks must be
+    // The differential gate: columnar kernels and set-based bodies must be
     // byte-identical, at 1 lane and at 8.
     bool matches = fp_jobs1 == legacy_fp && fp_jobs8 == legacy_fp;
     if (!matches) {
@@ -343,13 +335,11 @@ int main(int argc, char** argv) {
         "\"tc_legacy_seconds\": %.6f, \"tc_columnar_seconds\": %.6f, "
         "\"tc_columnar_speedup\": %.3f, "
         "\"pipeline_legacy_seconds\": %.6f, "
-        "\"columnar_matches_legacy\": %s, "
-        "\"user_op_columnar\": %lld, \"user_op_decode_fallback\": %lld,\n",
+        "\"columnar_matches_legacy\": %s,\n",
         tc_nodes, tc_edges, static_cast<long long>(closure_pairs),
         tc_legacy_seconds, tc_columnar_seconds,
         tc_legacy_seconds / tc_columnar_seconds, pipeline_legacy_seconds,
-        matches ? "true" : "false", static_cast<long long>(columnar_ops),
-        static_cast<long long>(fallback_ops));
+        matches ? "true" : "false");
     PrintRows(rows, closure_pairs);
     std::printf("    },\n");
   }

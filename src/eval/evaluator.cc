@@ -26,11 +26,8 @@ using eval_internal::CompiledCond;
 using eval_internal::DomainSelectPlan;
 using eval_internal::JoinPlan;
 
-/// Node results are shared, not copied: the memo table and every parent
-/// hold the same set/table. Treated as immutable everywhere (the pointee
-/// types stay non-const only so EvaluateMany can move a root set out when
-/// it is the last owner).
-using TupleSetPtr = std::shared_ptr<std::set<Tuple>>;
+/// Node results are shared, not copied: every parent holds the same table,
+/// treated as immutable everywhere.
 using TablePtr = std::shared_ptr<TupleTable>;
 
 /// Chunk boundaries are a pure function of the work size and the shared
@@ -48,22 +45,8 @@ struct NodeUse {
   bool evaluated = false;
 };
 
-TupleSetPtr Own(std::set<Tuple> s) {
-  return std::make_shared<std::set<Tuple>>(std::move(s));
-}
-
 TablePtr OwnTable(TupleTable t) {
   return std::make_shared<TupleTable>(std::move(t));
-}
-
-/// Deterministic approximate heap footprint of a legacy memo entry.
-/// Base-relation entries are non-owning aliases into the instance and
-/// count 0.
-int64_t ApproxSetBytes(const std::set<Tuple>& s) {
-  int64_t arity = s.empty() ? 0 : static_cast<int64_t>(s.begin()->size());
-  return static_cast<int64_t>(s.size()) *
-         (static_cast<int64_t>(sizeof(Tuple)) +
-          arity * static_cast<int64_t>(sizeof(Value)) + 48);
 }
 
 /// Parent-edge refcounts for the whole root forest: each static child edge
@@ -112,18 +95,6 @@ void CollectExprConstants(const ExprPtr& e, std::set<Value>* out,
   }
 }
 
-/// Shared guard on enumerating D^r: fails fast before any tuple is
-/// enumerated, so an oversized domain surfaces as an error, never a hang.
-Status CheckDomainGuard(int arity, int64_t d, double work,
-                        const EvalOptions& options) {
-  if (work > static_cast<double>(options.max_domain_tuples)) {
-    return Status::ResourceExhausted(
-        "enumerating D^" + std::to_string(arity) + " over " +
-        std::to_string(d) + " values is too large");
-  }
-  return Status::OK();
-}
-
 /// Deterministic morsel count of an eligible sharded enumeration over `n`
 /// work items: the number of contiguous chunks ShardedTransform splits it
 /// into. A pure function of n and kMaxShards — never of the lane count —
@@ -135,340 +106,7 @@ int64_t MorselCount(int64_t n) {
 }
 
 // --------------------------------------------------------------------------
-// Legacy nested-loop path (EvalOptions::force_nested_loop) — the kernel's
-// differential oracle. std::set<Tuple> end to end, products as full nested
-// loops with selection applied afterwards, D^r always fully enumerated.
-// --------------------------------------------------------------------------
-
-struct EvalState {
-  const Instance* instance;
-  const EvalOptions* options;
-  std::set<Value> domain;         ///< active domain + extra constants
-  std::vector<Value> domain_vec;  ///< same values, set order
-  runtime::ThreadPool* pool = nullptr;  ///< null ⇔ jobs <= 1
-  int max_helpers = 0;                  ///< jobs - 1
-  std::unordered_map<const Expr*, TupleSetPtr> memo_sets;
-  std::unordered_map<const Expr*, NodeUse> uses;
-  EvalStats stats;
-  int64_t memo_bytes_live = 0;
-};
-
-int64_t EntryBytes(const Expr* e, const EvalState& st) {
-  auto si = st.memo_sets.find(e);
-  if (si != st.memo_sets.end()) {
-    return e->kind() == ExprKind::kRelation ? 0 : ApproxSetBytes(*si->second);
-  }
-  return 0;
-}
-
-void AccountInsert(EvalState* st, int64_t bytes) {
-  st->memo_bytes_live += bytes;
-  st->stats.memo_bytes_total += bytes;
-  if (st->memo_bytes_live > st->stats.memo_bytes_peak) {
-    st->stats.memo_bytes_peak = st->memo_bytes_live;
-  }
-}
-
-/// One parent edge (or root occurrence) of `e` is done with its result.
-/// The last consumer drops the memo entry; if `e` was never computed (the
-/// planner bypassed it), its own child edges are released too, so
-/// grandchildren consumed directly by the planner can also be dropped.
-void Consume(const Expr* e, EvalState* st) {
-  NodeUse& u = st->uses[e];
-  if (--u.remaining > 0) return;
-  st->memo_bytes_live -= EntryBytes(e, *st);
-  st->memo_sets.erase(e);
-  if (!u.evaluated) {
-    for (const ExprPtr& c : e->children()) Consume(c.get(), st);
-  }
-}
-
-/// Applies `emit(t, out)` to every tuple of `in`. `work` is the number of
-/// candidate tuples the node will enumerate (|in| for unary transforms,
-/// |in|·|other| for products); when it crosses the threshold the input is
-/// split into ≤ kMaxShards contiguous chunks enumerated concurrently, and
-/// the per-chunk sets are merged in chunk order. The merged content is a
-/// set, so it is identical whatever the chunking or lane count.
-template <typename Emit>
-std::set<Tuple> TransformSet(EvalState* st, const std::set<Tuple>& in,
-                             int64_t work, const Emit& emit) {
-  int64_t n = static_cast<int64_t>(in.size());
-  bool eligible = work >= st->options->parallel_threshold;
-  if (eligible) ++st->stats.sharded_nodes;
-  if (!eligible || st->pool == nullptr || n <= 1) {
-    std::set<Tuple> out;
-    for (const Tuple& t : in) emit(t, &out);
-    return out;
-  }
-  std::vector<const Tuple*> refs;
-  refs.reserve(in.size());
-  for (const Tuple& t : in) refs.push_back(&t);
-  int64_t chunk = (n + kMaxShards - 1) / kMaxShards;
-  std::vector<std::set<Tuple>> chunks =
-      runtime::ShardedTransform<std::set<Tuple>>(
-          st->pool, n, chunk, st->max_helpers,
-          [&refs, &emit](int64_t begin, int64_t end) {
-            std::set<Tuple> local;
-            for (int64_t i = begin; i < end; ++i) emit(*refs[i], &local);
-            return local;
-          });
-  std::set<Tuple> out;
-  for (std::set<Tuple>& c : chunks) out.merge(c);
-  return out;
-}
-
-/// Enumerates the r-fold product of `vals` whose first coordinate index
-/// lies in [first_begin, first_end), in lexicographic order, into `out`.
-void EnumerateDomainRange(const std::vector<Value>& vals, int r,
-                          int64_t first_begin, int64_t first_end,
-                          std::set<Tuple>* out) {
-  if (first_begin >= first_end) return;
-  std::vector<int64_t> idx(static_cast<size_t>(r), 0);
-  idx[0] = first_begin;
-  int64_t d = static_cast<int64_t>(vals.size());
-  for (;;) {
-    Tuple t;
-    t.reserve(r);
-    for (int i = 0; i < r; ++i) t.push_back(vals[idx[i]]);
-    out->insert(out->end(), std::move(t));  // hint: enumeration is sorted
-    int pos = r - 1;
-    while (pos >= 0) {
-      ++idx[pos];
-      int64_t limit = pos == 0 ? first_end : d;
-      if (idx[pos] < limit) break;
-      if (pos == 0) return;
-      idx[pos] = 0;
-      --pos;
-    }
-  }
-}
-
-Result<TupleSetPtr> LegacyRec(const ExprPtr& e, EvalState* st);
-
-Result<TupleSetPtr> LegacyEvalDomain(int arity, EvalState* st) {
-  const std::vector<Value>& vals = st->domain_vec;
-  int64_t d = static_cast<int64_t>(vals.size());
-  double size = std::pow(static_cast<double>(d), static_cast<double>(arity));
-  MAPCOMP_RETURN_IF_ERROR(CheckDomainGuard(arity, d, size, *st->options));
-  if (arity == 0) return Own(std::set<Tuple>{Tuple{}});
-  if (d == 0) return Own(std::set<Tuple>{});
-  bool eligible = size >= static_cast<double>(st->options->parallel_threshold);
-  if (eligible) ++st->stats.sharded_nodes;
-  if (!eligible || st->pool == nullptr || d <= 1) {
-    std::set<Tuple> out;
-    EnumerateDomainRange(vals, arity, 0, d, &out);
-    return Own(std::move(out));
-  }
-  // Shard over the first coordinate: chunk c enumerates the suffix product
-  // under first coordinates [c·chunk, (c+1)·chunk). Chunks are disjoint and
-  // lexicographically ordered, so the chunk-ordered merge is the sorted set.
-  int64_t chunk = (d + kMaxShards - 1) / kMaxShards;
-  std::vector<std::set<Tuple>> chunks =
-      runtime::ShardedTransform<std::set<Tuple>>(
-          st->pool, d, chunk, st->max_helpers,
-          [&vals, arity](int64_t begin, int64_t end) {
-            std::set<Tuple> local;
-            EnumerateDomainRange(vals, arity, begin, end, &local);
-            return local;
-          });
-  std::set<Tuple> out;
-  for (std::set<Tuple>& c : chunks) out.merge(c);
-  return Own(std::move(out));
-}
-
-Result<TupleSetPtr> LegacyEvalNode(const ExprPtr& e, EvalState* st) {
-  switch (e->kind()) {
-    case ExprKind::kRelation:
-      // Aliased, non-owning view of the instance's own set (the instance
-      // outlives the evaluation); base relations are never copied. The
-      // const_cast is never written through: the only mutation anywhere is
-      // EvaluateMany's final move-out, gated on use_count() == 1, which a
-      // non-owning aliased pointer (use_count 0) can never satisfy.
-      return TupleSetPtr(
-          TupleSetPtr{},
-          const_cast<std::set<Tuple>*>(&st->instance->Get(e->name())));
-    case ExprKind::kDomain:
-      return LegacyEvalDomain(e->arity(), st);
-    case ExprKind::kEmpty:
-      return Own(std::set<Tuple>{});
-    case ExprKind::kLiteral: {
-      std::set<Tuple> out;
-      for (const Tuple& t : e->tuples()) out.insert(t);
-      return Own(std::move(out));
-    }
-    case ExprKind::kUnion: {
-      MAPCOMP_ASSIGN_OR_RETURN(TupleSetPtr a, LegacyRec(e->child(0), st));
-      MAPCOMP_ASSIGN_OR_RETURN(TupleSetPtr b, LegacyRec(e->child(1), st));
-      // Results are shared immutably, so a subsumed side means the union
-      // IS the other side — no copy. Union(x, x), the memo-witness shape,
-      // and the feed loop's re-unions all take these exits.
-      if (a->empty()) return b;
-      if (b->empty() || a == b) return a;
-      // Shard the filter "b minus a" (the only per-tuple work); the final
-      // insert of the disjoint remainder is a cheap sequential splice.
-      std::set<Tuple> extra = TransformSet(
-          st, *b, static_cast<int64_t>(b->size()),
-          [&a](const Tuple& t, std::set<Tuple>* out) {
-            if (a->count(t) == 0) out->insert(t);
-          });
-      if (extra.empty()) return a;  // b ⊆ a
-      std::set<Tuple> out = *a;
-      out.merge(extra);
-      return Own(std::move(out));
-    }
-    case ExprKind::kIntersect: {
-      MAPCOMP_ASSIGN_OR_RETURN(TupleSetPtr a, LegacyRec(e->child(0), st));
-      MAPCOMP_ASSIGN_OR_RETURN(TupleSetPtr b, LegacyRec(e->child(1), st));
-      return Own(TransformSet(st, *a, static_cast<int64_t>(a->size()),
-                              [&b](const Tuple& t, std::set<Tuple>* out) {
-                                if (b->count(t) > 0) out->insert(t);
-                              }));
-    }
-    case ExprKind::kDifference: {
-      MAPCOMP_ASSIGN_OR_RETURN(TupleSetPtr a, LegacyRec(e->child(0), st));
-      MAPCOMP_ASSIGN_OR_RETURN(TupleSetPtr b, LegacyRec(e->child(1), st));
-      return Own(TransformSet(st, *a, static_cast<int64_t>(a->size()),
-                              [&b](const Tuple& t, std::set<Tuple>* out) {
-                                if (b->count(t) == 0) out->insert(t);
-                              }));
-    }
-    case ExprKind::kProduct: {
-      MAPCOMP_ASSIGN_OR_RETURN(TupleSetPtr a, LegacyRec(e->child(0), st));
-      MAPCOMP_ASSIGN_OR_RETURN(TupleSetPtr b, LegacyRec(e->child(1), st));
-      ++st->stats.nested_product_nodes;
-      int64_t work = static_cast<int64_t>(a->size()) *
-                     static_cast<int64_t>(b->size());
-      return Own(TransformSet(st, *a, work,
-                              [&b](const Tuple& ta, std::set<Tuple>* out) {
-                                for (const Tuple& tb : *b) {
-                                  Tuple t = ta;
-                                  t.insert(t.end(), tb.begin(), tb.end());
-                                  out->insert(std::move(t));
-                                }
-                              }));
-    }
-    case ExprKind::kSelect: {
-      MAPCOMP_ASSIGN_OR_RETURN(TupleSetPtr a, LegacyRec(e->child(0), st));
-      const Condition& cond = e->condition();
-      return Own(TransformSet(st, *a, static_cast<int64_t>(a->size()),
-                              [&cond](const Tuple& t, std::set<Tuple>* out) {
-                                if (cond.Eval(t)) out->insert(t);
-                              }));
-    }
-    case ExprKind::kProject: {
-      MAPCOMP_ASSIGN_OR_RETURN(TupleSetPtr a, LegacyRec(e->child(0), st));
-      const std::vector<int>& indexes = e->indexes();
-      return Own(TransformSet(st, *a, static_cast<int64_t>(a->size()),
-                              [&indexes](const Tuple& t,
-                                         std::set<Tuple>* out) {
-                                Tuple p;
-                                p.reserve(indexes.size());
-                                for (int i : indexes) p.push_back(t[i - 1]);
-                                out->insert(std::move(p));
-                              }));
-    }
-    case ExprKind::kSkolem: {
-      if (st->options->skolem_mode == SkolemEvalMode::kError) {
-        return Status::Unsupported(
-            "cannot evaluate Skolem function " + e->name() +
-            " without an interpretation (SkolemEvalMode::kError)");
-      }
-      MAPCOMP_ASSIGN_OR_RETURN(TupleSetPtr a, LegacyRec(e->child(0), st));
-      const std::string& name = e->name();
-      const std::vector<int>& indexes = e->indexes();
-      return Own(TransformSet(
-          st, *a, static_cast<int64_t>(a->size()),
-          [&name, &indexes](const Tuple& t, std::set<Tuple>* out) {
-            std::string term = name + "(";
-            for (size_t i = 0; i < indexes.size(); ++i) {
-              if (i > 0) term += ",";
-              term += ValueToString(t[indexes[i] - 1]);
-            }
-            term += ")";
-            Tuple extended = t;
-            extended.push_back(Value(std::move(term)));
-            out->insert(std::move(extended));
-          }));
-    }
-    case ExprKind::kUserOp: {
-      const op::OperatorDef* def =
-          st->options->registry ? st->options->registry->Find(e->name())
-                                : nullptr;
-      if (def == nullptr || !def->eval) {
-        return Status::Unsupported("no evaluator for operator " + e->name());
-      }
-      // Child results are borrowed, never copied: the shared_ptrs keep
-      // them alive (and the memo may serve them to other parents).
-      std::vector<TupleSetPtr> owners;
-      std::vector<const std::set<Tuple>*> kids;
-      owners.reserve(e->children().size());
-      kids.reserve(e->children().size());
-      for (const ExprPtr& c : e->children()) {
-        MAPCOMP_ASSIGN_OR_RETURN(TupleSetPtr k, LegacyRec(c, st));
-        kids.push_back(k.get());
-        owners.push_back(std::move(k));
-      }
-      op::EvalContext ctx;
-      ctx.active_domain = &st->domain;
-      // The oracle is the set-based path by definition: every user op
-      // counts as a decode fallback, never as a columnar kernel.
-      ++st->stats.user_op_decode_fallback;
-      MAPCOMP_ASSIGN_OR_RETURN(std::set<Tuple> out, def->eval(*e, kids, ctx));
-      return Own(std::move(out));
-    }
-  }
-  return Status::Internal("unknown expression kind");
-}
-
-Result<TupleSetPtr> LegacyRec(const ExprPtr& e, EvalState* st) {
-  // Node-boundary cancellation point, mirroring the kernel's slot polls.
-  MAPCOMP_RETURN_IF_ERROR(st->options->cancel.StatusAt("eval node"));
-  // Interned nodes make the memo exact: pointer equality ⇔ structural
-  // equality, so a subtree shared k times in the DAG is computed once.
-  auto it = st->memo_sets.find(e.get());
-  if (it != st->memo_sets.end()) {
-    ++st->stats.memo_hits;
-    return it->second;
-  }
-  MAPCOMP_ASSIGN_OR_RETURN(TupleSetPtr out, LegacyEvalNode(e, st));
-  st->uses[e.get()].evaluated = true;
-  ++st->stats.nodes_evaluated;
-  st->stats.tuples_produced += static_cast<int64_t>(out->size());
-  st->memo_sets.emplace(e.get(), out);
-  AccountInsert(st, e->kind() == ExprKind::kRelation ? 0
-                                                     : ApproxSetBytes(*out));
-  // This node's computation is the one-and-only traversal of its static
-  // child edges — release them now so fully-consumed children drop out of
-  // the memo.
-  for (const ExprPtr& c : e->children()) Consume(c.get(), st);
-  return out;
-}
-
-Status LegacyInit(EvalState* st, const std::vector<ExprPtr>& roots,
-                  const Instance& instance, const EvalOptions& options) {
-  for (const ExprPtr& root : roots) {
-    if (root == nullptr) return Status::InvalidArgument("null expression");
-  }
-  st->instance = &instance;
-  st->options = &options;
-  st->domain = instance.ActiveDomain();
-  st->domain.insert(options.extra_constants.begin(),
-                    options.extra_constants.end());
-  st->domain_vec.assign(st->domain.begin(), st->domain.end());
-  if (options.jobs > 1) {
-    st->pool = runtime::GlobalPool();
-    st->max_helpers = options.jobs - 1;
-  }
-  std::set<const Expr*> counted;
-  for (const ExprPtr& root : roots) {
-    ++st->uses[root.get()].remaining;
-    CountUses(root, &st->uses, &counted);
-  }
-  return Status::OK();
-}
-
-// --------------------------------------------------------------------------
-// Columnar kernel path — a morsel-driven task graph over the interned DAG.
+// The columnar kernel — a morsel-driven task graph over the interned DAG.
 //
 // Evaluation runs in three phases:
 //
@@ -529,8 +167,8 @@ struct Slot {
   std::vector<int64_t> args;
 
   // kSelectFilter / kSelectDomain: the full compiled condition. Also the
-  // kUserOp columnar payload: the node's condition compiled at plan time,
-  // handed to the kernel via ColumnarContext.
+  // kUserOp payload: the node's condition compiled at plan time, handed to
+  // the operator's kernel via ColumnarContext.
   CompiledCond cond;
   // kSelectJoin payload (PlanJoin results, compiled at plan time).
   bool left_filter_true = true;
@@ -547,11 +185,7 @@ struct Slot {
   std::vector<char> class_bound;
   std::vector<int> free_slot;
   int free_count = 0;
-  // kUserOp payload. `user_columnar` is a plan-time routing decision (the
-  // registered hooks, never lane usage), so the replayed columnar/fallback
-  // counters are lane-count-independent like everything else.
-  const op::OperatorDef* def = nullptr;
-  bool user_columnar = false;
+  const op::OperatorDef* def = nullptr;  ///< kUserOp
 
   // Execution outputs.
   TablePtr result;
@@ -582,10 +216,7 @@ struct KernelState {
   /// Shared so results can outlive the evaluation (lazy decode).
   std::shared_ptr<ValueDict> dict;
   /// Active domain + extra constants as ascending seeded ids — the only
-  /// eagerly built domain structure. The decoded `std::set<Value>` form
-  /// exists solely for legacy set-based user operators and is built lazily
-  /// (see FallbackDomain): an evaluation whose user ops all run columnar —
-  /// or that has none — never pays for the copy.
+  /// domain structure the kernel builds.
   std::vector<ValueId> domain_ids;
   runtime::ThreadPool* pool = nullptr;  ///< null ⇔ jobs <= 1
   int max_helpers = 0;                  ///< jobs - 1
@@ -603,37 +234,12 @@ struct KernelState {
   std::vector<int> slot_depth;  ///< longest input chain per slot
   std::unordered_map<int, int64_t> width_at_depth;
   int64_t max_width = 0;
-
-  // Execution state: decoded child sets served to legacy set-based
-  // user-operator evaluators, cached per input slot (a child feeding
-  // several user ops decodes once even when those ops run on different
-  // lanes). Stays empty when every user op takes the columnar path — the
-  // no-decode-seam witness pinned by user_op_decode_fallback == 0.
-  std::mutex decode_mu;
-  std::unordered_map<int64_t, TupleSetPtr> decoded;
-  /// Lazily decoded EvalContext::active_domain for the same fallback path.
-  std::unique_ptr<std::set<Value>> fallback_domain;
 };
 
-/// Decodes domain_ids into the std::set<Value> form legacy set-based user
-/// operators expect, once per evaluation, under decode_mu. domain_ids is
-/// ascending over seeded ids, whose order is the value order — so the
-/// end-hinted inserts are O(1) amortized.
-const std::set<Value>& FallbackDomain(KernelState* ks) {
-  std::lock_guard<std::mutex> lock(ks->decode_mu);
-  if (ks->fallback_domain == nullptr) {
-    auto d = std::make_unique<std::set<Value>>();
-    for (ValueId id : ks->domain_ids) {
-      d->insert(d->end(), ks->dict->ValueOf(id));
-    }
-    ks->fallback_domain = std::move(d);
-  }
-  return *ks->fallback_domain;
-}
-
-/// Plan-time mirror of Consume: decrements the pending-edge count and, at
-/// zero, records the memo drop (replay subtracts the slot's measured bytes
-/// at this exact point in plan order) and cascades through bypassed nodes.
+/// One parent edge (or root occurrence) of `e` is done with its result:
+/// decrements the pending-edge count and, at zero, records the memo drop
+/// (replay subtracts the slot's measured bytes at this exact point in plan
+/// order) and cascades through bypassed nodes.
 void SimConsume(const Expr* e, KernelState* ks) {
   NodeUse& u = ks->uses[e];
   if (--u.remaining > 0) return;
@@ -772,8 +378,8 @@ Result<int64_t> PlanSelectDomain(const ExprPtr& e, const DomainSelectPlan& plan,
   double size = std::pow(static_cast<double>(d),
                          static_cast<double>(free_count));
   // The guard measures the *pruned* enumeration — the whole point of the
-  // constraint-driven path (the nested-loop oracle still guards |D|^r) —
-  // and the diagnostic reports that pruned work, not |D|^r.
+  // constraint-driven path — and the diagnostic reports that pruned work,
+  // not |D|^r.
   if (size > static_cast<double>(ks->options->max_domain_tuples)) {
     return Status::ResourceExhausted(
         "constraint-pruned enumeration of sigma(D^" + std::to_string(r) +
@@ -815,8 +421,13 @@ Result<int64_t> PlanVisit(const ExprPtr& e, KernelState* ks) {
       int64_t d = static_cast<int64_t>(ks->domain_ids.size());
       double size = std::pow(static_cast<double>(d),
                              static_cast<double>(e->arity()));
-      MAPCOMP_RETURN_IF_ERROR(
-          CheckDomainGuard(e->arity(), d, size, *ks->options));
+      // Fails at plan time, before any tuple is enumerated, so an
+      // oversized domain surfaces as an error, never a hang.
+      if (size > static_cast<double>(ks->options->max_domain_tuples)) {
+        return Status::ResourceExhausted(
+            "enumerating D^" + std::to_string(e->arity()) + " over " +
+            std::to_string(d) + " values is too large");
+      }
       int64_t slot = NewSlot(e.get(), SlotOp::kDomain, e->arity(), {}, ks);
       FinishSlot(e.get(), slot, ks);
       return slot;
@@ -896,7 +507,7 @@ Result<int64_t> PlanVisit(const ExprPtr& e, KernelState* ks) {
       const op::OperatorDef* def =
           ks->options->registry ? ks->options->registry->Find(e->name())
                                 : nullptr;
-      if (def == nullptr || (!def->eval_columnar && !def->eval)) {
+      if (def == nullptr || !def->eval_columnar) {
         return Status::Unsupported("no evaluator for operator " + e->name());
       }
       std::vector<int64_t> args;
@@ -909,13 +520,10 @@ Result<int64_t> PlanVisit(const ExprPtr& e, KernelState* ks) {
           NewSlot(e.get(), SlotOp::kUserOp, e->arity(), std::move(args), ks);
       Slot& s = ks->slots[static_cast<size_t>(slot)];
       s.def = def;
-      if (def->eval_columnar) {
-        // Columnar route, decided at plan time. The node's condition is
-        // compiled here (sequential phase — constants intern into the
-        // still-warm dictionary) so every lane shares one compiled form.
-        s.user_columnar = true;
-        s.cond = CompiledCond::Compile(e->condition(), ks->dict.get());
-      }
+      // The node's condition is compiled here (sequential phase — constants
+      // intern into the still-warm dictionary) so every lane shares one
+      // compiled form.
+      s.cond = CompiledCond::Compile(e->condition(), ks->dict.get());
       FinishSlot(e.get(), slot, ks);
       return slot;
     }
@@ -1353,59 +961,30 @@ Result<TablePtr> EvalSlot(KernelState* ks, Slot* s,
       return OwnTable(std::move(out));
     }
     case SlotOp::kUserOp: {
-      if (s->user_columnar) {
-        // Columnar kernel: borrowed child tables in, one table out, no
-        // value decode anywhere. The kernel may return rows unsorted /
-        // duplicated (hash-order closures, multi-match outer joins) —
-        // canonicalize here so downstream consumers keep the sorted-unique
-        // invariant every other slot guarantees.
-        std::vector<const TupleTable*> kids;
-        kids.reserve(s->args.size());
-        for (size_t i = 0; i < s->args.size(); ++i) {
-          kids.push_back(in[i].get());
-        }
-        op::ColumnarContext ctx;
-        ctx.dict = ks->dict.get();
-        ctx.cond = &s->cond;
-        ctx.domain_ids = &ks->domain_ids;
-        MAPCOMP_ASSIGN_OR_RETURN(TupleTable out,
-                                 s->def->eval_columnar(*e, kids, ctx));
-        if (out.arity() != s->arity) {
-          // Mirror the FromSet guard on the set path: a kernel emitting the
-          // wrong width is a clean argument error, not a crash downstream.
-          return Status::InvalidArgument(
-              "columnar operator " + e->name() + " returned arity " +
-              std::to_string(out.arity()) + ", expected " +
-              std::to_string(s->arity));
-        }
-        out.SortDedupRows();
-        return OwnTable(std::move(out));
-      }
-      // Legacy set-based evaluators speak std::set<Tuple>: decode children
-      // at this boundary (cached per input slot under a mutex — a child
-      // feeding several user ops decodes once) and re-encode the result.
-      std::vector<TupleSetPtr> owners;
-      std::vector<const std::set<Tuple>*> kids;
-      owners.reserve(s->args.size());
+      // Borrowed child tables in, one table out, no value decode anywhere.
+      // The kernel may return rows unsorted / duplicated (hash-order
+      // closures, multi-match outer joins) — canonicalize here so
+      // downstream consumers keep the sorted-unique invariant every other
+      // slot guarantees.
+      std::vector<const TupleTable*> kids;
       kids.reserve(s->args.size());
-      for (size_t i = 0; i < s->args.size(); ++i) {
-        TupleSetPtr cached;
-        {
-          std::lock_guard<std::mutex> lock(ks->decode_mu);
-          TupleSetPtr& entry = ks->decoded[s->args[i]];
-          if (entry == nullptr) entry = Own(in[i]->ToSet(*ks->dict));
-          cached = entry;
-        }
-        kids.push_back(cached.get());
-        owners.push_back(std::move(cached));
+      for (size_t i = 0; i < s->args.size(); ++i) kids.push_back(in[i].get());
+      op::ColumnarContext ctx;
+      ctx.dict = ks->dict.get();
+      ctx.cond = &s->cond;
+      ctx.domain_ids = &ks->domain_ids;
+      MAPCOMP_ASSIGN_OR_RETURN(TupleTable out,
+                               s->def->eval_columnar(*e, kids, ctx));
+      if (out.arity() != s->arity) {
+        // A kernel emitting the wrong width is a clean argument error, not
+        // a crash downstream.
+        return Status::InvalidArgument(
+            "columnar operator " + e->name() + " returned arity " +
+            std::to_string(out.arity()) + ", expected " +
+            std::to_string(s->arity));
       }
-      op::EvalContext ctx;
-      ctx.active_domain = &FallbackDomain(ks);
-      MAPCOMP_ASSIGN_OR_RETURN(std::set<Tuple> out,
-                               s->def->eval(*e, kids, ctx));
-      MAPCOMP_ASSIGN_OR_RETURN(
-          TupleTable t, TupleTable::FromSet(out, s->arity, ks->dict.get()));
-      return OwnTable(std::move(t));
+      out.SortDedupRows();
+      return OwnTable(std::move(out));
     }
   }
   return Status::Internal("unknown slot op");
@@ -1494,13 +1073,6 @@ void ReplayStats(KernelRun* run) {
         st.hash_join_nodes += s.d_hash_join;
         st.nested_product_nodes += s.d_nested;
         st.tasks_spawned += 1 + s.d_tasks;
-        if (s.op == SlotOp::kUserOp) {
-          if (s.user_columnar) {
-            ++st.user_op_columnar;
-          } else {
-            ++st.user_op_decode_fallback;
-          }
-        }
         st.memo_bytes_total += s.bytes;
         live += s.bytes;
         peak = std::max(peak, live);
@@ -1546,7 +1118,7 @@ Result<std::unique_ptr<KernelRun>> KernelExecute(
   // (domain + every expression constant), sorted — so the id order over
   // this range is the value order and encodes/enumerations arrive sorted.
   // This is the evaluation's single value-set copy: the domain is kept as
-  // ids from here on (legacy user-op fallbacks decode it lazily).
+  // ids from here on.
   std::set<Value> universe = instance.ActiveDomain();
   universe.insert(options.extra_constants.begin(),
                   options.extra_constants.end());
@@ -1648,8 +1220,6 @@ void EvalStats::MergeFrom(const EvalStats& other) {
   max_ready_depth = std::max(max_ready_depth, other.max_ready_depth);
   index_cache_hits += other.index_cache_hits;
   index_cache_misses += other.index_cache_misses;
-  user_op_columnar += other.user_op_columnar;
-  user_op_decode_fallback += other.user_op_decode_fallback;
 }
 
 EvalStats EvalStats::DiffFrom(const EvalStats& before) const {
@@ -1667,9 +1237,6 @@ EvalStats EvalStats::DiffFrom(const EvalStats& before) const {
   out.max_ready_depth = max_ready_depth;  // watermark, not a counter
   out.index_cache_hits = index_cache_hits - before.index_cache_hits;
   out.index_cache_misses = index_cache_misses - before.index_cache_misses;
-  out.user_op_columnar = user_op_columnar - before.user_op_columnar;
-  out.user_op_decode_fallback =
-      user_op_decode_fallback - before.user_op_decode_fallback;
   return out;
 }
 
@@ -1685,9 +1252,7 @@ std::string EvalStats::ToString() const {
          std::to_string(tasks_spawned) + " tasks, ready width " +
          std::to_string(max_ready_depth) + ", join index " +
          std::to_string(index_cache_hits) + " hits / " +
-         std::to_string(index_cache_misses) + " misses, user ops " +
-         std::to_string(user_op_columnar) + " columnar / " +
-         std::to_string(user_op_decode_fallback) + " decode-fallback";
+         std::to_string(index_cache_misses) + " misses";
 }
 
 /// Shared decode-on-demand payload: copies of one EvalResult (and the
@@ -1813,43 +1378,17 @@ std::string EvalResult::Fingerprint() const {
 Result<std::vector<EvalResult>> EvaluateMany(const std::vector<ExprPtr>& roots,
                                              const Instance& instance,
                                              const EvalOptions& options) {
+  MAPCOMP_ASSIGN_OR_RETURN(std::unique_ptr<KernelRun> run,
+                           KernelExecute(roots, instance, options));
   std::vector<EvalResult> results(roots.size());
-  if (!options.force_nested_loop) {
-    MAPCOMP_ASSIGN_OR_RETURN(std::unique_ptr<KernelRun> run,
-                             KernelExecute(roots, instance, options));
-    for (size_t i = 0; i < roots.size(); ++i) {
-      results[i].arity = roots[i]->arity();
-      results[i].stats = run->root_stats[i];
-      // Columnar handoff: the table is decoded only if someone asks for
-      // tuples() — fingerprints and containment checks never pay for it.
-      results[i].SetTable(
-          run->ks.slots[static_cast<size_t>(run->ks.root_slots[i])].result,
-          run->ks.dict);
-    }
-    return results;
-  }
-  EvalState st;
-  MAPCOMP_RETURN_IF_ERROR(LegacyInit(&st, roots, instance, options));
-  std::vector<TupleSetPtr> ptrs;
-  ptrs.reserve(roots.size());
   for (size_t i = 0; i < roots.size(); ++i) {
-    EvalStats before = st.stats;
-    MAPCOMP_ASSIGN_OR_RETURN(TupleSetPtr tuples, LegacyRec(roots[i], &st));
     results[i].arity = roots[i]->arity();
-    results[i].stats = st.stats.DiffFrom(before);
-    ptrs.push_back(std::move(tuples));
-    Consume(roots[i].get(), &st);
-  }
-  // Refcount dropping usually leaves each root set uniquely owned here, so
-  // it is moved, not copied (a base-relation root is a non-owning alias
-  // into the instance, and duplicate roots share one set — both copy).
-  st.memo_sets.clear();
-  for (size_t i = 0; i < roots.size(); ++i) {
-    if (ptrs[i].use_count() == 1) {
-      results[i].SetDecoded(std::move(*ptrs[i]));
-    } else {
-      results[i].SetDecoded(*ptrs[i]);
-    }
+    results[i].stats = run->root_stats[i];
+    // Columnar handoff: the table is decoded only if someone asks for
+    // tuples() — fingerprints and containment checks never pay for it.
+    results[i].SetTable(
+        run->ks.slots[static_cast<size_t>(run->ks.root_slots[i])].result,
+        run->ks.dict);
   }
   return results;
 }
@@ -1858,26 +1397,6 @@ Result<bool> EvaluateContainment(const ExprPtr& lhs, const ExprPtr& rhs,
                                  bool equality, const Instance& instance,
                                  const EvalOptions& options,
                                  EvalStats* stats) {
-  if (options.force_nested_loop) {
-    MAPCOMP_ASSIGN_OR_RETURN(std::vector<EvalResult> sides,
-                             EvaluateMany({lhs, rhs}, instance, options));
-    if (stats != nullptr) {
-      stats->MergeFrom(sides[0].stats);
-      stats->MergeFrom(sides[1].stats);
-    }
-    bool contained = true;
-    for (const Tuple& t : sides[0].tuples()) {
-      if (sides[1].tuples().count(t) == 0) {
-        contained = false;
-        break;
-      }
-    }
-    if (equality) {
-      contained =
-          contained && sides[0].tuples().size() == sides[1].tuples().size();
-    }
-    return contained;
-  }
   // Both sides run under one plan: shared subtrees evaluate once, and the
   // two roots' independent subtrees interleave on the task graph. The
   // subset check is a linear merge walk over the columnar tables — nothing

@@ -55,14 +55,6 @@ struct EvalOptions {
   /// sharded across lanes. Eligibility depends only on the data, never on
   /// `jobs`, so EvalStats is lane-count-independent too.
   int64_t parallel_threshold = 4096;
-  /// Forces the pre-kernel evaluation strategy: tuples as value vectors in
-  /// `std::set`, products materialized as full nested loops with the
-  /// selection applied afterwards, `D^r` always enumerated in full. Kept as
-  /// the columnar kernel's differential oracle — `EvalResult::Fingerprint()`
-  /// must be byte-identical between the two paths (the kernel may *succeed*
-  /// where the nested-loop path exhausts `max_domain_tuples`, since
-  /// constraint-driven `σ(D^r)` enumeration needs only the pruned space).
-  bool force_nested_loop = false;
   /// Cooperative cancellation/deadline token, polled at task-graph slot
   /// boundaries (both sides of each slot's compute) and at sharded-morsel
   /// chunk boundaries. A fired token makes the evaluation return
@@ -95,10 +87,10 @@ struct EvalStats {
   /// last DAG parent has consumed it, so on deep chains peak ≪ total.
   int64_t memo_bytes_total = 0;
   int64_t memo_bytes_peak = 0;
-  /// Task-graph decomposition (kernel path): node tasks plus the sharded
-  /// morsel chunks of every eligible intra-node enumeration — the units a
-  /// free lane can claim. Derived from work sizes and the fixed chunking
-  /// constant only, never from `jobs`.
+  /// Task-graph decomposition: node tasks plus the sharded morsel chunks
+  /// of every eligible intra-node enumeration — the units a free lane can
+  /// claim. Derived from work sizes and the fixed chunking constant only,
+  /// never from `jobs`.
   int64_t tasks_spawned = 0;
   /// Widest structural layer of the task graph (nodes whose longest input
   /// chain has equal length) — an upper bound on sibling tasks that can be
@@ -109,14 +101,6 @@ struct EvalStats {
   /// lookups answered by a cached permutation vs. built fresh.
   int64_t index_cache_hits = 0;
   int64_t index_cache_misses = 0;
-  /// User-operator kernel routing: nodes that ran a registered columnar
-  /// kernel (`OperatorDef::eval_columnar`) vs. nodes that decoded their
-  /// children for the legacy set-based `eval` hook. `user_op_decode_fallback
-  /// == 0` ⇔ the kernel's decode cache stayed empty — the no-decode-seam
-  /// witness. The nested-loop oracle counts every user op as a fallback
-  /// (it is the set-based path by definition).
-  int64_t user_op_columnar = 0;
-  int64_t user_op_decode_fallback = 0;
 
   void MergeFrom(const EvalStats& other);
   /// Counter-wise `this - before` (the work added since the `before`
@@ -197,8 +181,8 @@ Result<std::set<Tuple>> Evaluate(const ExprPtr& e, const Instance& instance,
 
 /// Evaluates both sides of a constraint under one shared memo and reports
 /// `lhs ⊆ rhs` (with `equality` also `|lhs| == |rhs|`) — the checker's hot
-/// path. On the kernel path the subset check is a linear merge walk over
-/// the two columnar tables; nothing is ever decoded back to `std::set`.
+/// path. The subset check is a linear merge walk over the two columnar
+/// tables; nothing is ever decoded back to `std::set`.
 /// Accumulates evaluation counters into `stats` when non-null.
 Result<bool> EvaluateContainment(const ExprPtr& lhs, const ExprPtr& rhs,
                                  bool equality, const Instance& instance,

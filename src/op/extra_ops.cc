@@ -45,16 +45,6 @@ Result<int> BinaryRelationArity(const std::vector<int>& arities) {
   return 2;
 }
 
-bool HasMatch(const Tuple& t1, const std::set<Tuple>& right,
-              const Condition& c) {
-  for (const Tuple& t2 : right) {
-    Tuple joined = t1;
-    joined.insert(joined.end(), t2.begin(), t2.end());
-    if (c.Eval(joined)) return true;
-  }
-  return false;
-}
-
 // --------------------------------------------------------------------------
 // Columnar join-family probe. The three binary ops share one build-once
 // structure: the condition is decomposed by the evaluator's join planner
@@ -199,8 +189,7 @@ bool HasColumnarMatch(const JoinProbe& p, const ValueId* lrow,
 }
 
 // --------------------------------------------------------------------------
-// Operator definitions. Each registers the columnar kernel AND the
-// original set-based evaluator (the kernel's differential oracle).
+// Operator definitions.
 // --------------------------------------------------------------------------
 
 OperatorDef LeftOuterJoinDef() {
@@ -215,28 +204,6 @@ OperatorDef LeftOuterJoinDef() {
     // lojoin[c](∅, E2) = ∅.
     if (e->child(0)->kind() == ExprKind::kEmpty) return EmptyRel(e->arity());
     return nullptr;
-  };
-  def.eval = [](const Expr& e, const std::vector<const std::set<Tuple>*>& kids,
-                const EvalContext&) -> Result<std::set<Tuple>> {
-    std::set<Tuple> out;
-    int r2 = e.child(1)->arity();
-    for (const Tuple& t1 : (*kids[0])) {
-      bool matched = false;
-      for (const Tuple& t2 : (*kids[1])) {
-        Tuple joined = t1;
-        joined.insert(joined.end(), t2.begin(), t2.end());
-        if (e.condition().Eval(joined)) {
-          out.insert(std::move(joined));
-          matched = true;
-        }
-      }
-      if (!matched) {
-        Tuple padded = t1;
-        for (int i = 0; i < r2; ++i) padded.push_back(NullValue());
-        out.insert(std::move(padded));
-      }
-    }
-    return out;
   };
   def.eval_columnar =
       [](const Expr& e, const std::vector<const TupleTable*>& kids,
@@ -291,14 +258,6 @@ OperatorDef SemiJoinDef() {
     }
     return nullptr;
   };
-  def.eval = [](const Expr& e, const std::vector<const std::set<Tuple>*>& kids,
-                const EvalContext&) -> Result<std::set<Tuple>> {
-    std::set<Tuple> out;
-    for (const Tuple& t1 : (*kids[0])) {
-      if (HasMatch(t1, (*kids[1]), e.condition())) out.insert(t1);
-    }
-    return out;
-  };
   def.eval_columnar =
       [](const Expr& e, const std::vector<const TupleTable*>& kids,
          const ColumnarContext& ctx) -> Result<TupleTable> {
@@ -330,14 +289,6 @@ OperatorDef AntiJoinDef() {
     if (e->child(1)->kind() == ExprKind::kEmpty) return e->child(0);
     if (e->child(0)->kind() == ExprKind::kEmpty) return EmptyRel(e->arity());
     return nullptr;
-  };
-  def.eval = [](const Expr& e, const std::vector<const std::set<Tuple>*>& kids,
-                const EvalContext&) -> Result<std::set<Tuple>> {
-    std::set<Tuple> out;
-    for (const Tuple& t1 : (*kids[0])) {
-      if (!HasMatch(t1, (*kids[1]), e.condition())) out.insert(t1);
-    }
-    return out;
   };
   def.eval_columnar =
       [](const Expr& e, const std::vector<const TupleTable*>& kids,
@@ -371,33 +322,10 @@ OperatorDef TransitiveClosureDef() {
     if (e->child(0)->kind() == ExprKind::kEmpty) return EmptyRel(2);
     return nullptr;
   };
-  def.eval = [](const Expr&, const std::vector<const std::set<Tuple>*>& kids,
-                const EvalContext&) -> Result<std::set<Tuple>> {
-    std::set<Tuple> closure = (*kids[0]);
-    bool grew = true;
-    while (grew) {
-      grew = false;
-      std::vector<Tuple> added;
-      for (const Tuple& a : closure) {
-        for (const Tuple& b : closure) {
-          if (CompareValues(a[1], b[0]) == 0) {
-            Tuple t{a[0], b[1]};
-            if (closure.count(t) == 0) added.push_back(std::move(t));
-          }
-        }
-      }
-      for (Tuple& t : added) {
-        closure.insert(std::move(t));
-        grew = true;
-      }
-    }
-    return closure;
-  };
   // Semi-naive delta fixpoint over packed ValueId pairs: round k extends
   // only the paths discovered in round k-1 by one base edge (equal-range
   // binary search over the sorted input table), instead of the naive
-  // closure × closure rescan. Like the set-based oracle, the node's
-  // condition is ignored.
+  // closure × closure rescan. The node's condition is ignored.
   def.eval_columnar =
       [](const Expr&, const std::vector<const TupleTable*>& kids,
          const ColumnarContext&) -> Result<TupleTable> {
@@ -458,26 +386,19 @@ OperatorDef TransitiveClosureDef() {
   return def;
 }
 
-void RegisterAll(Registry* registry, bool columnar) {
+}  // namespace
+
+void RegisterExtraOps(Registry* registry) {
   // Registration failures here are programming errors (duplicate names);
   // surface loudly.
   for (OperatorDef def : {LeftOuterJoinDef(), SemiJoinDef(), AntiJoinDef(),
                           TransitiveClosureDef()}) {
-    if (!columnar) def.eval_columnar = nullptr;
     Status st = registry->Register(std::move(def));
     if (!st.ok()) {
       std::cerr << "RegisterExtraOps: " << st.ToString() << "\n";
       std::abort();
     }
   }
-}
-
-}  // namespace
-
-void RegisterExtraOps(Registry* registry) { RegisterAll(registry, true); }
-
-void RegisterExtraOpsSetBased(Registry* registry) {
-  RegisterAll(registry, false);
 }
 
 }  // namespace op

@@ -26,18 +26,11 @@ const Value& NullValue();
 /// lojoin/semijoin/antijoin carry their join condition in the node's
 /// condition slot, interpreted over the concatenated attributes of E1,E2.
 ///
-/// Every operator registers BOTH hooks: a columnar kernel (`eval_columnar`
-/// — build-once key probes for the join family, a semi-naive delta
-/// fixpoint over ValueId pairs for tc) and the original set-based `eval`,
-/// kept as the differential oracle the kernel is fingerprint-gated
-/// against.
+/// Every operator evaluates through a columnar kernel (`eval_columnar`):
+/// build-once key probes for the join family, a semi-naive delta fixpoint
+/// over ValueId pairs for tc. The tests gate each kernel against a
+/// set-semantics reference body (tests/oracles/set_ops.cc).
 void RegisterExtraOps(Registry* registry);
-
-/// Registers the same four operators with ONLY the set-based `eval` hooks
-/// — the pre-columnar behavior. Forces the evaluator's decode fallback on
-/// every user op; tests and bench_eval use it as the legacy column /
-/// differential oracle registry.
-void RegisterExtraOpsSetBased(Registry* registry);
 
 }  // namespace op
 }  // namespace mapcomp

@@ -5,7 +5,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -31,15 +30,7 @@ enum class Polarity {
   kUnknown,   ///< no information — MONOTONE returns 'u' through this argument
 };
 
-/// Evaluation context handed to set-based user-operator evaluators.
-struct EvalContext {
-  /// Active domain of the instance (plus the constraint set's constants).
-  /// Built lazily by the kernel: an evaluation whose registry never runs a
-  /// set-based evaluator never pays for this copy.
-  const std::set<Value>* active_domain = nullptr;
-};
-
-/// Context handed to columnar user-operator kernels (eval_columnar).
+/// Context handed to user-operator kernels (eval_columnar).
 struct ColumnarContext {
   /// The evaluation's interning dictionary. Child-table ids decode through
   /// it, and output values the operator invents (left-outerjoin pad values,
@@ -52,9 +43,8 @@ struct ColumnarContext {
   /// that decompose the raw condition themselves (e.g. into join keys via
   /// eval_internal::PlanJoin) read it from the node instead.
   const eval_internal::CompiledCond* cond = nullptr;
-  /// Interned active domain + extra constants, ascending seeded ids — the
-  /// columnar stand-in for EvalContext::active_domain, shared with the
-  /// evaluator instead of copied per evaluation.
+  /// Interned active domain (plus the constraint set's constants), as
+  /// ascending seeded ids — shared with the evaluator, never copied.
   const std::vector<ValueId>* domain_ids = nullptr;
 };
 
@@ -81,21 +71,11 @@ struct OperatorDef {
   NormalizeRule right_rule;
   /// Optional D/∅/constant simplification; returns nullptr if no rewrite.
   std::function<ExprPtr(const ExprPtr&)> simplify;
-  /// Optional set-semantics evaluator: receives the node and pointers to
-  /// its evaluated children (borrowed — the DAG evaluator shares child
-  /// results between parents and its memo table, so they are never copied
-  /// into the callback).
-  std::function<Result<std::set<Tuple>>(
-      const Expr&, const std::vector<const std::set<Tuple>*>&,
-      const EvalContext&)>
-      eval;
-  /// Optional columnar evaluator: borrowed child TupleTables in, one
-  /// TupleTable out, no value decode anywhere. When present, the kernel
-  /// prefers it over `eval` (which then serves as the set-based
-  /// differential oracle / fallback). The returned table's rows need not
-  /// be sorted or unique — the evaluator canonicalizes — but its arity
-  /// must equal the node's (anything else is a clean InvalidArgument,
-  /// mirroring the set path's FromSet guard).
+  /// Optional evaluator: borrowed child TupleTables in, one TupleTable
+  /// out, no value decode anywhere. Without it, evaluating the operator is
+  /// kUnsupported. The returned table's rows need not be sorted or unique —
+  /// the evaluator canonicalizes — but its arity must equal the node's
+  /// (anything else is a clean InvalidArgument).
   std::function<Result<TupleTable>(const Expr&,
                                    const std::vector<const TupleTable*>&,
                                    const ColumnarContext&)>

@@ -223,48 +223,9 @@ std::string ChainStats::ToString() const {
 
 ChainComposer::ChainComposer(ComposeService* service,
                              ChainComposerOptions options)
-    : service_(service), options_(options) {}
-
-ChainComposer::StatePtr ChainComposer::Lookup(const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(key);
-  if (it == cache_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // touch
-  return it->second.state;
-}
-
-void ChainComposer::Insert(const std::string& key, StatePtr state) {
-  size_t bytes = state->ApproxBytes();
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    // A racing walk extended the same prefix; both states are identical
-    // by determinism — keep the incumbent.
-    return;
-  }
-  lru_.push_front(key);
-  cache_.emplace(key, CacheEntry{std::move(state), lru_.begin(), bytes});
-  stats_.cache_bytes += bytes;
-  if (stats_.cache_bytes > stats_.cache_bytes_peak) {
-    stats_.cache_bytes_peak = stats_.cache_bytes;
-  }
-  while (cache_.size() > options_.cache_capacity) EvictLruLocked();
-  if (options_.cache_bytes_capacity > 0) {
-    while (stats_.cache_bytes > options_.cache_bytes_capacity &&
-           !cache_.empty()) {
-      EvictLruLocked();
-    }
-  }
-  stats_.entries = cache_.size();
-}
-
-void ChainComposer::EvictLruLocked() {
-  ++stats_.evictions;
-  auto it = cache_.find(lru_.back());
-  stats_.cache_bytes -= it->second.bytes;
-  cache_.erase(it);
-  lru_.pop_back();
-}
+    : service_(service),
+      options_(options),
+      cache_(options.cache_capacity, options.cache_bytes_capacity) {}
 
 Result<ChainResult> ChainComposer::ComposeChain(
     const std::vector<Mapping>& chain) {
@@ -286,9 +247,11 @@ Result<ChainResult> ChainComposer::ComposeChain(
     key.FoldMapping(chain[k]);
     std::string prefix_key = caching ? key.Key() : std::string();
     if (caching) {
-      if (StatePtr cached = Lookup(prefix_key)) {
+      // Hits and misses are tallied once per walk, below.
+      std::lock_guard<std::mutex> lock(mu_);
+      if (StatePtr* cached = cache_.Get(prefix_key)) {
         ++hits;
-        state = std::move(cached);
+        state = *cached;
         continue;
       }
     }
@@ -296,7 +259,13 @@ Result<ChainResult> ChainComposer::ComposeChain(
         state,
         ExtendPrefix(chain[0].input, *state, chain[k], options, service_));
     ++composed;
-    if (caching) Insert(prefix_key, state);
+    if (caching) {
+      size_t bytes = state->ApproxBytes();
+      std::lock_guard<std::mutex> lock(mu_);
+      // A racing walk may have extended the same prefix; both states are
+      // identical by determinism, and Insert keeps the incumbent.
+      cache_.Insert(prefix_key, state, bytes);
+    }
   }
 
   {
@@ -312,7 +281,12 @@ Result<ChainResult> ChainComposer::ComposeChain(
 
 ChainStats ChainComposer::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  ChainStats out = stats_;
+  out.evictions = cache_.evictions();
+  out.entries = cache_.size();
+  out.cache_bytes = cache_.bytes();
+  out.cache_bytes_peak = cache_.bytes_peak();
+  return out;
 }
 
 Result<ChainResult> ComposeChainCold(const std::vector<Mapping>& chain,

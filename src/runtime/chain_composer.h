@@ -2,14 +2,13 @@
 #define MAPCOMP_RUNTIME_CHAIN_COMPOSER_H_
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "src/runtime/byte_lru.h"
 #include "src/runtime/compose_service.h"
 
 namespace mapcomp {
@@ -85,8 +84,8 @@ struct ChainComposerOptions {
   /// ComposeChain recomposes the full chain (the cold baseline lanes of
   /// bench_registry use this).
   size_t cache_capacity = 4096;
-  /// Byte bound on retained prefix states (ChainPrefixState::ApproxBytes
-  /// sum); 0 = entries-only bound.
+  /// Byte bound on retained prefix states (key + ChainPrefixState::
+  /// ApproxBytes sum); 0 = entries-only bound.
   size_t cache_bytes_capacity = 0;
 };
 
@@ -137,25 +136,13 @@ class ChainComposer {
 
  private:
   using StatePtr = std::shared_ptr<const ChainPrefixState>;
-  struct CacheEntry {
-    StatePtr state;
-    std::list<std::string>::iterator lru_it;
-    size_t bytes = 0;
-  };
-
-  /// Returns the cached state for `key` or nullptr, counting neither —
-  /// the caller folds hit/miss tallies into both ChainStats and the
-  /// service's chain counters once per walk.
-  StatePtr Lookup(const std::string& key);
-  void Insert(const std::string& key, StatePtr state);
-  void EvictLruLocked();
 
   ComposeService* const service_;
   const ChainComposerOptions options_;
   mutable std::mutex mu_;
   ChainStats stats_;
-  std::list<std::string> lru_;  ///< most recent first
-  std::unordered_map<std::string, CacheEntry> cache_;
+  /// Owns the evictions, entries and byte counters of stats_.
+  ByteLru<StatePtr> cache_;
 };
 
 /// Cold oracle: composes the chain with no prefix reuse and no service —

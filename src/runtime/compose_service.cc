@@ -113,7 +113,8 @@ std::string ServiceStats::ToString() const {
 }
 
 ComposeService::ComposeService(ComposeServiceOptions options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)),
+      cache_(options_.cache_capacity, options_.cache_bytes_capacity) {}
 
 ComposeService::~ComposeService() {
   std::unique_lock<std::mutex> lock(mu_);
@@ -155,62 +156,34 @@ void ComposeService::ReleaseOutstanding() {
 
 void ComposeService::EvictFailed(const std::string& key, uint64_t id) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(key);
-  if (it == cache_.end() || it->second.id != id) return;
-  stats_.cache_bytes -= it->second.bytes;
-  lru_.erase(it->second.lru_it);
-  cache_.erase(it);
-  stats_.cache_entries = cache_.size();
+  CacheEntry* entry = cache_.Peek(key);
+  if (entry != nullptr && entry->id == id) cache_.Erase(key);
 }
 
 void ComposeService::RecordEntryBytes(const std::string& key, uint64_t id,
                                       size_t bytes) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(key);
-  if (it == cache_.end() || it->second.id != id) return;  // already evicted
-  it->second.bytes = bytes;
-  stats_.cache_bytes += bytes;
-  if (stats_.cache_bytes > stats_.cache_bytes_peak) {
-    stats_.cache_bytes_peak = stats_.cache_bytes;
-  }
-  EnforceCapacityLocked();
-}
-
-void ComposeService::EvictLruLocked() {
-  ++stats_.evictions;
-  auto it = cache_.find(lru_.back());
-  stats_.cache_bytes -= it->second.bytes;
-  cache_.erase(it);
-  lru_.pop_back();
-}
-
-void ComposeService::EnforceCapacityLocked() {
-  while (cache_.size() > options_.cache_capacity) EvictLruLocked();
-  if (options_.cache_bytes_capacity > 0) {
-    // The byte bound may evict the entry whose completion just booked the
-    // bytes — that is fine: its handles stay valid, only the memo is lost.
-    while (stats_.cache_bytes > options_.cache_bytes_capacity &&
-           !cache_.empty()) {
-      EvictLruLocked();
-    }
-  }
-  stats_.cache_entries = cache_.size();
+  CacheEntry* entry = cache_.Peek(key);
+  // The byte bound may evict the entry whose completion just booked the
+  // bytes — that is fine: its handles stay valid, only the memo is lost.
+  if (entry != nullptr && entry->id == id) cache_.Book(key, bytes);
 }
 
 ServedOutcome ComposeService::ProbeKey(const std::string& key, bool raw) {
   if (options_.cache_capacity == 0) return {};
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(key);
-  if (it == cache_.end() || (raw && !it->second.wire_ok)) return {};
-  if (it->second.future.wait_for(std::chrono::seconds(0)) !=
+  // One lookup, and it touches: a found entry the probe cannot serve is
+  // queued and then joined by Submit, which would touch it anyway.
+  CacheEntry* entry = cache_.Get(key);
+  if (entry == nullptr || (raw && !entry->wire_ok)) return {};
+  if (entry->future.wait_for(std::chrono::seconds(0)) !=
       std::future_status::ready) {
     return {};  // in flight: admission must queue (joining is cheap, but
                 // the reply still needs a waiter)
   }
-  ServedOutcome outcome = it->second.future.get();
+  ServedOutcome outcome = entry->future.get();
   if (!outcome.ok()) return {};
   ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // touch
   return outcome;
 }
 
@@ -248,16 +221,14 @@ ComposeService::Handle ComposeService::Submit(serve::ServeRequest request,
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (caching) {
-      auto it = cache_.find(key);
-      if (it != cache_.end()) {
+      if (CacheEntry* entry = cache_.Get(key)) {
         ++stats_.hits;
-        if (request.parsed()) it->second.wire_ok = true;
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // touch
-        handle.future_ = it->second.future;
+        if (request.parsed()) entry->wire_ok = true;
+        handle.future_ = entry->future;
         // Joining attaches interest to the running (or finished)
         // computation: only the atomic joiner count is touched here, so
         // the plumb-mu-before-mu_ lock order is never inverted.
-        handle.joiner_ = std::make_shared<Joiner>(it->second.plumb);
+        handle.joiner_ = std::make_shared<Joiner>(entry->plumb);
         handle.cache_hit_ = true;
         return handle;
       }
@@ -270,16 +241,12 @@ ComposeService::Handle ComposeService::Submit(serve::ServeRequest request,
     handle.future_ = promise->get_future().share();
     handle.joiner_ = std::make_shared<Joiner>(plumb);
     if (caching) {
-      lru_.push_front(key);
-      cache_.emplace(key, CacheEntry{handle.future_, lru_.begin(), plumb,
-                                     entry_id,
-                                     /*bytes=*/0,
-                                     /*wire_ok=*/request.parsed()});
       // Evicting an entry still in flight is allowed (its handles stay
       // valid; only the dedup/memo reference is lost), so a capacity
       // smaller than the concurrent working set degrades to recomputation,
       // never to blocking.
-      EnforceCapacityLocked();
+      cache_.Insert(key, CacheEntry{handle.future_, plumb, entry_id,
+                                    /*wire_ok=*/request.parsed()});
     }
   }
 
@@ -371,7 +338,12 @@ ComposeService::Handle ComposeService::Submit(serve::ServeRequest request,
 
 ServiceStats ComposeService::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  ServiceStats out = stats_;
+  out.evictions = cache_.evictions();
+  out.cache_entries = cache_.size();
+  out.cache_bytes = cache_.bytes();
+  out.cache_bytes_peak = cache_.bytes_peak();
+  return out;
 }
 
 }  // namespace runtime

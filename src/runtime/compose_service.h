@@ -7,14 +7,13 @@
 #include <cstdlib>
 #include <future>
 #include <iostream>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "src/common/cancel.h"
 #include "src/compose/compose.h"
+#include "src/runtime/byte_lru.h"
 #include "src/runtime/served_result.h"
 #include "src/serve/serve_types.h"
 
@@ -43,7 +42,9 @@ struct ServiceStats {
   /// holds even when timed-out requests had joined a shared computation.
   uint64_t cancelled = 0;
   uint64_t cache_entries = 0;  ///< entries currently cached
-  uint64_t cache_bytes = 0;    ///< bytes of completed cached entries
+  /// Bytes of cached entries: every key from insert on, plus ApproxBytes
+  /// and reply bytes once the entry's computation completed.
+  uint64_t cache_bytes = 0;
   uint64_t cache_bytes_peak = 0;  ///< high-water mark of cache_bytes
   uint64_t waves_executed = 0; ///< scheduler waves across completed results
   int max_wave_width = 0;      ///< widest elimination wave observed
@@ -75,8 +76,8 @@ struct ComposeServiceOptions {
   /// Completed results retained, least-recently-submitted evicted first.
   /// 0 disables caching (every Submit computes).
   size_t cache_capacity = 128;
-  /// Byte bound on cached entries (ApproxBytes + reply bytes sum). 0 =
-  /// entries-only bound. When exceeded, least-recently-used entries are
+  /// Byte bound on cached entries (key + ApproxBytes + reply bytes sum).
+  /// 0 = entries-only bound. When exceeded, least-recently-used entries are
   /// evicted until the sum fits — so capacity can be expressed the way a
   /// registry deployment sizes memory, not just as an entry count.
   size_t cache_bytes_capacity = 0;
@@ -251,7 +252,7 @@ class ComposeService {
 
   /// Admission probe: the completed cached outcome under `key`, else an
   /// error outcome. A `raw` key, read off an unparsed body, is served only
-  /// from a wire_ok entry. A hit touches the LRU and counts as a hit.
+  /// from a wire_ok entry. A found entry is touched; a hit counts as a hit.
   /// Never blocks, never computes. TryServeCached probes a request value.
   ServedOutcome ProbeKey(const std::string& key, bool raw);
   ResultPtr TryServeCached(const serve::ServeRequest& request) {
@@ -272,7 +273,6 @@ class ComposeService {
  private:
   struct CacheEntry {
     std::shared_future<ServedOutcome> future;
-    std::list<std::string>::iterator lru_it;
     /// Joining submissions attach their interest here, so dedup joins
     /// share one computation-wide cancel decision.
     std::shared_ptr<CancelPlumb> plumb;
@@ -280,9 +280,6 @@ class ComposeService {
     /// original may be evicted and the key recomputed while the original
     /// computation is still running).
     uint64_t id = 0;
-    /// ApproxBytes plus reply bytes of the completed entry; 0 while still
-    /// in flight (the size is unknown until the result exists).
-    size_t bytes = 0;
     /// A parsed request created or joined this entry. Raw probes need it:
     /// SerializeTo accepts values (max_rounds = 0) that Parse refuses.
     bool wire_ok = false;
@@ -304,10 +301,6 @@ class ComposeService {
   /// Books `bytes` against the entry `key`/`id` once its computation
   /// finished, then enforces the byte bound.
   void RecordEntryBytes(const std::string& key, uint64_t id, size_t bytes);
-  /// Evicts the LRU entry. Requires mu_ held and a non-empty cache.
-  void EvictLruLocked();
-  /// Evicts until both the entry and byte bounds hold. Requires mu_ held.
-  void EnforceCapacityLocked();
 
   const ComposeServiceOptions options_;
   mutable std::mutex mu_;
@@ -315,9 +308,8 @@ class ComposeService {
   ServiceStats stats_;
   int64_t outstanding_ = 0;  ///< tasks submitted to the pool, not finished
   uint64_t next_entry_id_ = 0;
-  /// LRU order, most recent first; `cache_` values point into it.
-  std::list<std::string> lru_;
-  std::unordered_map<std::string, CacheEntry> cache_;
+  /// Keyed by CacheKey; owns the evictions and byte counters of stats_.
+  ByteLru<CacheEntry> cache_;
 };
 
 }  // namespace runtime

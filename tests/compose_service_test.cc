@@ -296,9 +296,11 @@ TEST(ComposeServiceTest, CacheBytesWatermarkTracksCompletedEntries) {
   ComposeService service;
   EXPECT_EQ(service.Stats().cache_bytes, 0u);
 
-  service.Submit(FanoutRequest(3)).Wait();
+  ServedOutcome one = service.Submit(FanoutRequest(3)).Wait();
   uint64_t after_one = service.Stats().cache_bytes;
-  EXPECT_GT(after_one, 0u);
+  // The entry books its key once, plus the slimmed result and its reply.
+  EXPECT_EQ(after_one, service.CacheKey(FanoutRequest(3)).size() +
+                           one->ApproxBytes() + one.reply_bytes().size());
 
   service.Submit(FanoutRequest(5)).Wait();
   ServiceStats stats = service.Stats();

@@ -1,5 +1,5 @@
 // Differential coverage of the columnar tuple kernel: every result must be
-// byte-identical to the nested-loop oracle (EvalOptions::force_nested_loop),
+// byte-identical to the nested-loop oracle (tests/oracles/oracle.h),
 // across the literature suite, adversarial mixed int/string domains that
 // stress ValueId order preservation, and generated hash-join-vs-product
 // property instances. Also pins the join planner's stats, the constraint-
@@ -18,6 +18,7 @@
 #include "src/eval/generator.h"
 #include "src/parser/parser.h"
 #include "src/testdata/literature_suite.h"
+#include "tests/oracles/oracle.h"
 
 namespace mapcomp {
 namespace {
@@ -35,13 +36,9 @@ Tuple T(std::initializer_list<int64_t> vals) {
 /// failing where the oracle succeeds — is always a bug.
 void ExpectKernelMatchesOracle(const ExprPtr& e, const Instance& db,
                                EvalOptions base = {}) {
-  EvalOptions oracle_opts = base;
-  oracle_opts.force_nested_loop = true;
-  oracle_opts.jobs = 1;
-  Result<EvalResult> oracle = EvaluateFull(e, db, oracle_opts);
+  Result<EvalResult> oracle = oracle::EvaluateFull(e, db, base);
   for (int jobs : {1, 8}) {
     EvalOptions kernel_opts = base;
-    kernel_opts.force_nested_loop = false;
     kernel_opts.jobs = jobs;
     kernel_opts.parallel_threshold = 4;
     Result<EvalResult> kernel = EvaluateFull(e, db, kernel_opts);
@@ -177,9 +174,7 @@ TEST(EvalKernelTest, JoinPlannerStatsAndBypassedProduct) {
   // the select itself count as evaluated nodes.
   EXPECT_EQ(kernel.stats.nodes_evaluated, 3);
 
-  EvalOptions force;
-  force.force_nested_loop = true;
-  EvalResult oracle = EvaluateFull(join, db, force).value();
+  EvalResult oracle = oracle::EvaluateFull(join, db).value();
   EXPECT_EQ(oracle.stats.hash_join_nodes, 0);
   EXPECT_EQ(oracle.stats.nested_product_nodes, 1);
   EXPECT_EQ(oracle.stats.nodes_evaluated, 4);  // R, S, product, select
@@ -192,7 +187,7 @@ TEST(EvalKernelTest, JoinPlannerStatsAndBypassedProduct) {
   EXPECT_EQ(fallback.stats.hash_join_nodes, 0);
   EXPECT_EQ(fallback.stats.nested_product_nodes, 1);
   EXPECT_EQ(fallback.Fingerprint(),
-            EvaluateFull(keyless, db, force).value().Fingerprint());
+            oracle::EvaluateFull(keyless, db).value().Fingerprint());
 }
 
 TEST(EvalKernelTest, SelectOverAlreadyMaterializedProductFiltersTheMemo) {
@@ -215,10 +210,8 @@ TEST(EvalKernelTest, SelectOverAlreadyMaterializedProductFiltersTheMemo) {
   EXPECT_EQ(out.stats.nodes_evaluated, 5);
   EXPECT_EQ(out.stats.memo_hits, 1);  // the select's view of the product
   EXPECT_EQ(out.stats.hash_join_nodes, 0);
-  EvalOptions force;
-  force.force_nested_loop = true;
   EXPECT_EQ(out.Fingerprint(),
-            EvaluateFull(e, db, force).value().Fingerprint());
+            oracle::EvaluateFull(e, db).value().Fingerprint());
 }
 
 TEST(EvalKernelTest, RaggedRelationIsACleanError) {
@@ -249,18 +242,13 @@ TEST(EvalKernelTest, DomainSelectEnumeratesOnlyTheBoundSpace) {
   EvalResult pruned = EvaluateFull(sel, db, tight).value();
   EXPECT_EQ(pruned.tuples().size(), 60u);  // (3, v, v) for every domain v
 
-  EvalOptions tight_oracle = tight;
-  tight_oracle.force_nested_loop = true;
-  Result<EvalResult> oracle = EvaluateFull(sel, db, tight_oracle);
+  Result<EvalResult> oracle = oracle::EvaluateFull(sel, db, tight);
   ASSERT_FALSE(oracle.ok());
   EXPECT_EQ(oracle.status().code(), StatusCode::kResourceExhausted);
 
   // With a generous guard both paths agree bit for bit.
-  EvalOptions loose;
-  EvalOptions loose_oracle;
-  loose_oracle.force_nested_loop = true;
-  EXPECT_EQ(EvaluateFull(sel, db, loose).value().Fingerprint(),
-            EvaluateFull(sel, db, loose_oracle).value().Fingerprint());
+  EXPECT_EQ(EvaluateFull(sel, db).value().Fingerprint(),
+            oracle::EvaluateFull(sel, db).value().Fingerprint());
 
   // A coordinate pinned to a constant outside the domain empties the
   // selection without enumerating anything.
@@ -293,9 +281,8 @@ TEST(EvalKernelTest, MemoBytesPeakBelowTotalOnDeepChain) {
                e);
   }
   for (bool force : {false, true}) {
-    EvalOptions opts;
-    opts.force_nested_loop = force;
-    EvalResult out = EvaluateFull(e, db, opts).value();
+    EvalResult out =
+        (force ? oracle::EvaluateFull(e, db) : EvaluateFull(e, db)).value();
     EXPECT_EQ(out.tuples().size(), 200u) << "force=" << force;
     EXPECT_GT(out.stats.memo_bytes_peak, 0) << "force=" << force;
     EXPECT_GT(out.stats.memo_bytes_total, 0) << "force=" << force;
@@ -342,13 +329,9 @@ TEST(EvalKernelTest, ContainmentRunsOnTables) {
   EXPECT_TRUE(
       EvaluateContainment(wide, wide, /*equality=*/true, db, {}).value());
   EXPECT_GT(stats.nodes_evaluated, 0);
-  // Oracle path agrees.
-  EvalOptions force;
-  force.force_nested_loop = true;
-  EXPECT_TRUE(
-      EvaluateContainment(rel, wide, false, db, force).value());
-  EXPECT_FALSE(
-      EvaluateContainment(wide, rel, false, db, force).value());
+  // The oracle agrees.
+  EXPECT_TRUE(oracle::EvaluateContainment(rel, wide, false, db).value());
+  EXPECT_FALSE(oracle::EvaluateContainment(wide, rel, false, db).value());
 }
 
 TEST(EvalKernelTest, MismatchedArityContainmentIsFalseNotUB) {
@@ -359,15 +342,12 @@ TEST(EvalKernelTest, MismatchedArityContainmentIsFalseNotUB) {
   db.Set("R", {T({1, 2, 3})});
   db.Set("S", {T({1, 2})});
   for (bool force : {false, true}) {
-    EvalOptions opts;
-    opts.force_nested_loop = force;
-    EXPECT_FALSE(EvaluateContainment(Rel("R", 3), Rel("S", 2), false, db,
-                                     opts)
-                     .value())
+    auto contain = force ? oracle::EvaluateContainment : EvaluateContainment;
+    EXPECT_FALSE(
+        contain(Rel("R", 3), Rel("S", 2), false, db, {}, nullptr).value())
         << "force=" << force;
-    EXPECT_TRUE(EvaluateContainment(Rel("Empty", 3), Rel("S", 2), false, db,
-                                    opts)
-                    .value())
+    EXPECT_TRUE(
+        contain(Rel("Empty", 3), Rel("S", 2), false, db, {}, nullptr).value())
         << "force=" << force;
   }
 }

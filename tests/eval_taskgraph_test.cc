@@ -18,6 +18,7 @@
 #include "src/eval/generator.h"
 #include "src/parser/parser.h"
 #include "src/testdata/literature_suite.h"
+#include "tests/oracles/oracle.h"
 
 namespace mapcomp {
 namespace {
@@ -218,9 +219,7 @@ TEST(EvalTaskGraphTest, IndexCacheStatsTrackInstanceWarmth) {
 TEST(EvalTaskGraphTest, FingerprintStreamsWithoutDecodingAndMatchesOracle) {
   Instance db = DagSiblingsInstance(4, 30, 16, 5);
   const ExprPtr e = DagSiblings(4);
-  EvalOptions oracle_opts;
-  oracle_opts.force_nested_loop = true;
-  EvalResult oracle = EvaluateFull(e, db, oracle_opts).value();
+  EvalResult oracle = oracle::EvaluateFull(e, db).value();
   EvalResult kernel = EvaluateFull(e, db).value();
   // Fingerprint before any tuples() access (zero-decode streaming), after
   // decode, and from the nested-loop oracle must all be one byte string.
@@ -235,10 +234,8 @@ TEST(EvalTaskGraphTest, FingerprintStreamsWithoutDecodingAndMatchesOracle) {
   EvalOptions sk_opts;
   sk_opts.skolem_mode = SkolemEvalMode::kInjectiveTerms;
   EvalResult sk_kernel = EvaluateFull(sk, db, sk_opts).value();
-  EvalOptions sk_oracle = sk_opts;
-  sk_oracle.force_nested_loop = true;
   EXPECT_EQ(sk_kernel.Fingerprint(),
-            EvaluateFull(sk, db, sk_oracle).value().Fingerprint());
+            oracle::EvaluateFull(sk, db, sk_opts).value().Fingerprint());
 }
 
 TEST(EvalTaskGraphTest, ErrorPrecedenceIsScheduleIndependent) {

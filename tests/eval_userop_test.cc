@@ -1,10 +1,8 @@
 // Columnar user-operator kernel coverage: every extension op's columnar
-// kernel must be fingerprint-identical to the legacy set-based hook (and to
-// the nested-loop oracle) at any lane count, pad-value minting must not
-// perturb determinism, mixed columnar/legacy registries must route per op,
-// a wrong-arity kernel output must surface as a clean InvalidArgument, and
-// an all-columnar evaluation must leave the decode seam closed — pinned via
-// the user_op_columnar / user_op_decode_fallback stats counters.
+// kernel must be fingerprint-identical to its set-based reference body,
+// run through the nested-loop oracle, at any lane count; pad-value minting
+// must not perturb determinism; and a wrong-arity kernel output must
+// surface as a clean InvalidArgument.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +16,7 @@
 #include "src/eval/tuple_table.h"
 #include "src/op/extra_ops.h"
 #include "src/op/registry.h"
+#include "tests/oracles/oracle.h"
 
 namespace mapcomp {
 namespace {
@@ -28,48 +27,31 @@ Tuple T(std::initializer_list<int64_t> vals) {
   return t;
 }
 
-/// The four-op registry with ONLY the set-based hooks (pre-columnar
-/// behavior) — the legacy column every columnar result is gated against.
-const op::Registry& LegacyReg() {
-  static const op::Registry* reg = [] {
-    auto* r = new op::Registry(op::Registry::Empty());
-    op::RegisterExtraOpsSetBased(r);
-    return r;
-  }();
-  return *reg;
-}
-
-EvalResult RunEval(const ExprPtr& e, const Instance& db, const op::Registry& reg,
-               int jobs, bool nested = false) {
+EvalOptions Opts(const op::Registry& reg, int jobs) {
   EvalOptions opts;
   opts.registry = &reg;
   opts.jobs = jobs;
   opts.parallel_threshold = 4;  // exercise sharding even on tiny inputs
   opts.skolem_mode = SkolemEvalMode::kInjectiveTerms;
-  opts.force_nested_loop = nested;
-  return EvaluateFull(e, db, opts).value();
+  return opts;
 }
 
-/// Requires the columnar registry (Registry::Default) to agree with the
-/// legacy set-based registry and the nested-loop oracle at jobs 1/2/8, and
-/// pins the routing counters: every user op columnar on the default
-/// registry, every user op a decode fallback on the legacy one.
-void ExpectColumnarMatchesLegacy(const ExprPtr& e, const Instance& db,
-                                 int64_t user_ops) {
-  EvalResult oracle = RunEval(e, db, LegacyReg(), 1, /*nested=*/true);
-  EvalResult legacy = RunEval(e, db, LegacyReg(), 1);
-  EXPECT_EQ(legacy.Fingerprint(), oracle.Fingerprint());
-  EXPECT_EQ(legacy.stats.user_op_decode_fallback, user_ops);
-  EXPECT_EQ(legacy.stats.user_op_columnar, 0);
+EvalResult RunEval(const ExprPtr& e, const Instance& db,
+                   const op::Registry& reg, int jobs) {
+  return EvaluateFull(e, db, Opts(reg, jobs)).value();
+}
+
+/// Requires the columnar kernels (Registry::Default) to agree with the
+/// set-based reference bodies, run through the nested-loop oracle, at
+/// jobs 1/2/8.
+void ExpectColumnarMatchesOracle(const ExprPtr& e, const Instance& db) {
+  const op::Registry& reg = op::Registry::Default();
+  EvalResult oracle = oracle::EvaluateFull(e, db, Opts(reg, 1)).value();
   for (int jobs : {1, 2, 8}) {
-    EvalResult columnar = RunEval(e, db, op::Registry::Default(), jobs);
+    EvalResult columnar = RunEval(e, db, reg, jobs);
     EXPECT_EQ(columnar.Fingerprint(), oracle.Fingerprint())
         << "jobs=" << jobs;
     EXPECT_EQ(columnar.tuples(), oracle.tuples()) << "jobs=" << jobs;
-    // All-columnar ⇒ the decode cache stayed empty: no child was ever
-    // decoded for a user op (the seam PR 5/6 left open is closed).
-    EXPECT_EQ(columnar.stats.user_op_columnar, user_ops) << "jobs=" << jobs;
-    EXPECT_EQ(columnar.stats.user_op_decode_fallback, 0) << "jobs=" << jobs;
   }
 }
 
@@ -101,7 +83,7 @@ TEST(EvalUserOpTest, SemijoinColumnarMatchesLegacy) {
                  Condition::AttrConst(4, CmpOp::kGe, Value(int64_t{5})))
           .value(),
   };
-  for (const ExprPtr& e : exprs) ExpectColumnarMatchesLegacy(e, db, 1);
+  for (const ExprPtr& e : exprs) ExpectColumnarMatchesOracle(e, db);
 }
 
 TEST(EvalUserOpTest, AntijoinColumnarMatchesLegacy) {
@@ -123,7 +105,7 @@ TEST(EvalUserOpTest, AntijoinColumnarMatchesLegacy) {
                  Condition::AttrCmp(2, CmpOp::kGt, 4))
           .value(),
   };
-  for (const ExprPtr& e : exprs) ExpectColumnarMatchesLegacy(e, db, 1);
+  for (const ExprPtr& e : exprs) ExpectColumnarMatchesOracle(e, db);
   // Sanity beyond differential: semijoin ∪ antijoin partitions the left
   // side under any fixed condition.
   ExprPtr sj = reg.MakeOp("semijoin", {Rel("R", 2), Rel("S", 2)},
@@ -143,14 +125,14 @@ TEST(EvalUserOpTest, LojoinPadMintingOrderIsDeterministic) {
   ExprPtr lj = reg.MakeOp("lojoin", {Rel("R", 2), Rel("S", 2)},
                           Condition::AttrCmp(2, CmpOp::kEq, 3))
                    .value();
-  ExpectColumnarMatchesLegacy(lj, db, 1);
+  ExpectColumnarMatchesOracle(lj, db);
   // The pad value "<null>" and Skolem terms both mint ids mid-evaluation;
   // interleaving them across lanes (lojoin's pad vs. an independent branch
   // minting terms concurrently) must not perturb the canonical result.
   ExprPtr mixed =
       Union(SkolemApp("h", {1}, lj),
             SkolemApp("g", {2}, Product(Rel("R", 2), Rel("S", 2))));
-  ExpectColumnarMatchesLegacy(mixed, db, 1);
+  ExpectColumnarMatchesOracle(mixed, db);
   // Pad rows really appear: (7,1) matches no S row on #2=#3.
   EvalResult out = RunEval(lj, db, reg, 1);
   bool padded = false;
@@ -170,17 +152,17 @@ TEST(EvalUserOpTest, TransitiveClosureShapes) {
   db.Set("E", {T({1, 2}), T({2, 3}), T({3, 1}), T({4, 4}), T({5, 6}),
                T({6, 1})});
   db.Set("Z", std::set<Tuple>{});
-  ExpectColumnarMatchesLegacy(reg.MakeOp("tc", {Rel("E", 2)}).value(), db, 1);
-  ExpectColumnarMatchesLegacy(reg.MakeOp("tc", {Rel("Z", 2)}).value(), db, 1);
+  ExpectColumnarMatchesOracle(reg.MakeOp("tc", {Rel("E", 2)}).value(), db);
+  ExpectColumnarMatchesOracle(reg.MakeOp("tc", {Rel("Z", 2)}).value(), db);
   // Like the set-based oracle, tc ignores the node's condition.
-  ExpectColumnarMatchesLegacy(
+  ExpectColumnarMatchesOracle(
       reg.MakeOp("tc", {Rel("E", 2)}, Condition::AttrCmp(1, CmpOp::kEq, 2))
           .value(),
-      db, 1);
+      db);
   // Composed downstream of the closure: select + join over tc output.
   ExprPtr closure = reg.MakeOp("tc", {Rel("E", 2)}).value();
-  ExpectColumnarMatchesLegacy(
-      Select(Condition::AttrCmp(1, CmpOp::kEq, 2), closure), db, 1);
+  ExpectColumnarMatchesOracle(
+      Select(Condition::AttrCmp(1, CmpOp::kEq, 2), closure), db);
 }
 
 TEST(EvalUserOpTest, AllFourOpsInOneExpression) {
@@ -198,52 +180,12 @@ TEST(EvalUserOpTest, AllFourOpsInOneExpression) {
                    .value();
   ExprPtr tc = reg.MakeOp("tc", {Rel("E", 2)}).value();
   ExprPtr e = Union(Project({1, 2}, lj), tc);
-  ExpectColumnarMatchesLegacy(e, db, 4);
-}
-
-TEST(EvalUserOpTest, MixedColumnarAndLegacyRegistry) {
-  // One registry holding the columnar extension ops PLUS a legacy-only op
-  // (set-based `eval`, no `eval_columnar`): routing is per op, fallback
-  // decode happens exactly once, and the lazily built active_domain is
-  // served to the legacy hook.
-  Instance db = JoinDb();
-  op::Registry reg = op::Registry::Empty();
-  op::RegisterExtraOps(&reg);
-  op::OperatorDef ident;
-  ident.name = "identset";
-  ident.num_args = 1;
-  ident.arity = [](const std::vector<int>& a) -> Result<int> {
-    return a[0];
-  };
-  ident.polarity = {op::Polarity::kMonotone};
-  ident.eval = [](const Expr&, const std::vector<const std::set<Tuple>*>& k,
-                  const op::EvalContext& ctx) -> Result<std::set<Tuple>> {
-    // The satellite fix: active_domain is built lazily for exactly this
-    // path, and must still hold the instance's values.
-    if (ctx.active_domain == nullptr ||
-        ctx.active_domain->count(Value(int64_t{7})) == 0) {
-      return Status::Internal("active_domain missing instance value");
-    }
-    return *k[0];
-  };
-  ASSERT_TRUE(reg.Register(std::move(ident)).ok());
-  ExprPtr sj = reg.MakeOp("semijoin", {Rel("R", 2), Rel("S", 2)},
-                          Condition::AttrCmp(1, CmpOp::kEq, 3))
-                   .value();
-  ExprPtr e = reg.MakeOp("identset", {sj}).value();
-  EvalResult plain = RunEval(sj, db, reg, 1);
-  for (int jobs : {1, 2, 8}) {
-    EvalResult out = RunEval(e, db, reg, jobs);
-    EXPECT_EQ(out.Fingerprint(), plain.Fingerprint()) << "jobs=" << jobs;
-    EXPECT_EQ(out.stats.user_op_columnar, 1) << "jobs=" << jobs;
-    EXPECT_EQ(out.stats.user_op_decode_fallback, 1) << "jobs=" << jobs;
-  }
+  ExpectColumnarMatchesOracle(e, db);
 }
 
 TEST(EvalUserOpTest, WrongArityColumnarOutputIsInvalidArgument) {
-  // A kernel emitting the wrong row width must surface as the same clean
-  // InvalidArgument the set path's FromSet guard produces — never a crash
-  // in a downstream slot.
+  // A kernel emitting the wrong row width must surface as a clean
+  // InvalidArgument — never a crash in a downstream slot.
   Instance db = JoinDb();
   op::Registry reg = op::Registry::Empty();
   op::OperatorDef bad;
@@ -263,9 +205,8 @@ TEST(EvalUserOpTest, WrongArityColumnarOutputIsInvalidArgument) {
   Result<EvalResult> r = EvaluateFull(e, db, opts);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  // A columnar-only op has no set-based hook for the nested-loop oracle.
-  opts.force_nested_loop = true;
-  Result<EvalResult> nested = EvaluateFull(e, db, opts);
+  // The oracle has no reference body for an operator it does not know.
+  Result<EvalResult> nested = oracle::EvaluateFull(e, db, opts);
   ASSERT_FALSE(nested.ok());
   EXPECT_EQ(nested.status().code(), StatusCode::kUnsupported);
 }
@@ -280,8 +221,6 @@ TEST(EvalUserOpTest, StatsDeterministicAcrossLaneCounts) {
           .value(),
       reg.MakeOp("tc", {Rel("E", 2)}).value());
   EvalResult base = RunEval(e, db, reg, 1);
-  EXPECT_EQ(base.stats.user_op_columnar, 2);
-  EXPECT_EQ(base.stats.user_op_decode_fallback, 0);
   for (int jobs : {2, 8}) {
     EvalResult got = RunEval(e, db, reg, jobs);
     EXPECT_EQ(got.stats.ToString(), base.stats.ToString()) << "jobs=" << jobs;

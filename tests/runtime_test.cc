@@ -1,6 +1,7 @@
 // Unit tests for the runtime layer: ThreadPool task execution and
-// draining, ParallelFor coverage/exception semantics, and the inline
-// fallback. Run under ThreadSanitizer in CI.
+// draining, ParallelFor coverage/exception semantics, the inline fallback,
+// and ByteLru, one test per operation. Run under ThreadSanitizer and
+// AddressSanitizer in CI.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "src/runtime/byte_lru.h"
 #include "src/runtime/task_dag.h"
 #include "src/runtime/thread_pool.h"
 
@@ -249,6 +251,85 @@ TEST(TaskDagTest, NestedDagOnSharedPoolDoesNotDeadlock) {
   }
   outer.Run(&pool, 1);
   EXPECT_EQ(inner_total.load(), 12);
+}
+
+TEST(ByteLruTest, InsertThenGetTouchesAndPeekDoesNot) {
+  ByteLru<int> lru(3, 0);
+  EXPECT_TRUE(lru.Insert("a", 1));
+  EXPECT_TRUE(lru.Insert("b", 2));
+  EXPECT_TRUE(lru.Insert("c", 3));
+  EXPECT_FALSE(lru.Insert("a", 9));  // the incumbent stays
+  ASSERT_NE(lru.Get("a"), nullptr);
+  EXPECT_EQ(*lru.Get("a"), 1);
+  ASSERT_NE(lru.Peek("b"), nullptr);  // b stays least recent
+  lru.Insert("d", 4);
+  EXPECT_EQ(lru.Peek("b"), nullptr);
+  EXPECT_NE(lru.Peek("a"), nullptr);
+  EXPECT_EQ(lru.Get("zz"), nullptr);
+}
+
+TEST(ByteLruTest, EntryBoundEvictsLeastRecentFirst) {
+  ByteLru<int> lru(2, 0);
+  lru.Insert("a", 1);
+  lru.Insert("b", 2);
+  lru.Insert("c", 3);  // evicts a
+  EXPECT_EQ(lru.Peek("a"), nullptr);
+  lru.Get("b");
+  lru.Insert("d", 4);  // evicts c, not the touched b
+  EXPECT_EQ(lru.Peek("c"), nullptr);
+  EXPECT_NE(lru.Peek("b"), nullptr);
+  EXPECT_EQ(lru.size(), 2u);
+  EXPECT_EQ(lru.evictions(), 2u);
+}
+
+TEST(ByteLruTest, ByteBoundEvictsTheEntryJustBooked) {
+  ByteLru<int> lru(10, 10);
+  lru.Insert("a", 1, 3);  // 1 key byte + 3
+  lru.Insert("b", 2, 3);
+  EXPECT_EQ(lru.bytes(), 8u);
+  lru.Book("b", 4);  // 12 > 10: the least recent entry goes first
+  EXPECT_EQ(lru.Peek("a"), nullptr);
+  EXPECT_EQ(lru.bytes(), 8u);
+  lru.Book("b", 5);  // alone and over the bound: b evicts itself
+  EXPECT_EQ(lru.Peek("b"), nullptr);
+  EXPECT_EQ(lru.bytes(), 0u);
+  EXPECT_EQ(lru.evictions(), 2u);
+}
+
+TEST(ByteLruTest, LateBookingOnLiveEntryAndNoOpOnErasedKey) {
+  ByteLru<int> lru(10, 0);
+  lru.Insert("key", 1);
+  EXPECT_EQ(lru.bytes(), 3u);  // the key alone
+  EXPECT_TRUE(lru.Book("key", 7));
+  EXPECT_EQ(lru.bytes(), 10u);
+  lru.Erase("key");
+  EXPECT_FALSE(lru.Book("key", 5));
+  EXPECT_EQ(lru.bytes(), 0u);
+  EXPECT_EQ(lru.size(), 0u);
+}
+
+TEST(ByteLruTest, EraseReleasesBytesWithoutCountingAnEviction) {
+  ByteLru<int> lru(10, 0);
+  lru.Insert("a", 1, 4);
+  lru.Insert("bb", 2, 4);
+  EXPECT_TRUE(lru.Erase("a"));
+  EXPECT_FALSE(lru.Erase("a"));
+  EXPECT_EQ(lru.Get("a"), nullptr);
+  EXPECT_EQ(lru.size(), 1u);
+  EXPECT_EQ(lru.bytes(), 6u);
+  EXPECT_EQ(lru.evictions(), 0u);
+}
+
+TEST(ByteLruTest, PeakWatermarkAndEvictionCounter) {
+  ByteLru<int> lru(1, 0);
+  lru.Insert("aa", 1, 8);
+  EXPECT_EQ(lru.bytes_peak(), 10u);
+  lru.Insert("b", 2, 1);  // booked before the entry bound evicts aa
+  EXPECT_EQ(lru.bytes(), 2u);
+  EXPECT_EQ(lru.bytes_peak(), 12u);
+  EXPECT_EQ(lru.evictions(), 1u);
+  lru.Erase("b");
+  EXPECT_EQ(lru.bytes_peak(), 12u);
 }
 
 }  // namespace
