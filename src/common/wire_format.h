@@ -1,5 +1,5 @@
-#ifndef MAPCOMP_SERVE_WIRE_FORMAT_H_
-#define MAPCOMP_SERVE_WIRE_FORMAT_H_
+#ifndef MAPCOMP_COMMON_WIRE_FORMAT_H_
+#define MAPCOMP_COMMON_WIRE_FORMAT_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -7,9 +7,11 @@
 #include <vector>
 
 namespace mapcomp {
-namespace serve {
+namespace common {
 
-/// Byte-level primitives of the wire format. Everything is little-endian,
+/// Byte-level primitives of the wire format, which is also the canonical
+/// encoding behind every request-side Fingerprint() (Signature,
+/// ComposeOptions, CompositionProblem, Mapping). Everything is little-endian,
 /// strings and lists are length-prefixed (u32 count). Writing is
 /// append-only into a std::string; reading is bounds-checked: every Read*
 /// returns false instead of touching a byte past `len`, so a truncated or
@@ -59,6 +61,12 @@ class WireReader {
     if (remaining() < n) return false;
     pos_ += n;
     return true;
+  }
+
+  /// Steps over one length-prefixed string.
+  bool SkipString() {
+    uint32_t n = 0;
+    return ReadU32(&n) && Skip(n);
   }
 
   bool ReadU8(uint8_t* v) {
@@ -123,7 +131,7 @@ class WireReader {
   size_t pos_ = 0;
 };
 
-}  // namespace serve
+}  // namespace common
 }  // namespace mapcomp
 
-#endif  // MAPCOMP_SERVE_WIRE_FORMAT_H_
+#endif  // MAPCOMP_COMMON_WIRE_FORMAT_H_

@@ -5,6 +5,7 @@
 
 #include "src/algebra/interner.h"
 #include "src/common/fault.h"
+#include "src/common/wire_format.h"
 #include "src/compose/schedule.h"
 #include "src/compose/simplify_constraints.h"
 #include "src/runtime/thread_pool.h"
@@ -53,37 +54,32 @@ std::string CompositionResult::Report() const {
   return out;
 }
 
+void ComposeOptions::AppendWireFieldsTo(std::string* out) const {
+  common::PutU8(out, eliminate.enable_unfold ? 1 : 0);
+  common::PutU8(out, eliminate.enable_left_compose ? 1 : 0);
+  common::PutU8(out, eliminate.enable_right_compose ? 1 : 0);
+  common::PutU32(out, static_cast<uint32_t>(eliminate.max_blowup_factor));
+  common::PutU8(out, eliminate.keys != nullptr ? 1 : 0);
+  if (eliminate.keys != nullptr) eliminate.keys->AppendTo(out);
+  common::PutStringList(out, order);
+  common::PutU8(out, simplify_output ? 1 : 0);
+  common::PutU32(out, static_cast<uint32_t>(max_rounds));
+  common::PutU8(out, exact_conflicts ? 1 : 0);
+}
+
+void ComposeOptions::AppendTo(std::string* out) const {
+  AppendWireFieldsTo(out);
+  // A uid, unlike a pointer address, cannot alias a later registry
+  // allocated where a destroyed one lived.
+  common::PutString(out, eliminate.registry == &op::Registry::Default()
+                             ? "default"
+                             : std::to_string(eliminate.registry->uid()));
+  common::PutU64(out, static_cast<uint64_t>(eliminate.blowup_baseline_ops));
+}
+
 std::string ComposeOptions::Fingerprint() const {
-  std::string out = "opts{";
-  out += "unfold=" + std::to_string(eliminate.enable_unfold);
-  out += ",left=" + std::to_string(eliminate.enable_left_compose);
-  out += ",right=" + std::to_string(eliminate.enable_right_compose);
-  out += ",blowup=" + std::to_string(eliminate.max_blowup_factor);
-  out += ",baseline=" + std::to_string(eliminate.blowup_baseline_ops);
-  // A preset key signature is serialized by content (names, arities, key
-  // columns); a non-default registry by its never-reused uid — unlike a
-  // pointer address, an id cannot alias a later registry allocated where a
-  // destroyed one lived.
-  out += ",keys=";
-  out += eliminate.keys == nullptr
-             ? "auto"
-             : "{" + eliminate.keys->Fingerprint() + "}";
-  out += ",registry=";
-  if (eliminate.registry == &op::Registry::Default()) {
-    out += "default";
-  } else {
-    out += std::to_string(eliminate.registry->uid());
-  }
-  out += ",simplify=" + std::to_string(simplify_output);
-  out += ",rounds=" + std::to_string(max_rounds);
-  out += ",exact=" + std::to_string(exact_conflicts);
-  out += ",order=";
-  // Length-prefixed: symbol names are unrestricted, so a bare separator
-  // could make distinct orders serialize identically.
-  for (const std::string& s : order) {
-    out += std::to_string(s.size()) + ":" + s + ",";
-  }
-  out += "}";
+  std::string out;
+  AppendTo(&out);
   return out;
 }
 

@@ -48,16 +48,19 @@ struct ComposeOptions {
   /// without the token firing is byte-identical to an unbounded run.
   common::CancelToken cancel;
 
-  /// Canonical serialization of every option that can change a
-  /// CompositionResult: the eliminate switches and budgets, the order, the
-  /// simplify/rounds/exact_conflicts knobs. `elim_jobs` is excluded by
-  /// design (results are byte-identical at any lane count), and so is
-  /// `cancel` (a token that never fires cannot change the result; a fired
-  /// one yields an interrupted result, which is never cached). A preset
-  /// `eliminate.keys` is serialized by content; a non-default registry by
-  /// its process-unique, never-reused `op::Registry::uid()`.
-  /// ChainComposer folds this into its prefix keys; ComposeService keys
-  /// on the same option set in wire form (serve::ServeRequest::CacheKey).
+  /// Appends the options section of the wire format: the eliminate
+  /// switches and blowup budget, a preset `eliminate.keys` by content, the
+  /// order, and the simplify/rounds/exact_conflicts knobs.
+  void AppendWireFieldsTo(std::string* out) const;
+  /// Appends the key form of every option that can change a
+  /// CompositionResult: the wire fields, then the two that never cross the
+  /// wire — the registry by its never-reused `op::Registry::uid()` and
+  /// `eliminate.blowup_baseline_ops`. `elim_jobs` is excluded by design
+  /// (results are byte-identical at any lane count), and so is `cancel` (a
+  /// fired token yields an interrupted result, which is never cached).
+  void AppendTo(std::string* out) const;
+  /// AppendTo's bytes: the head of ComposeService's cache key and of
+  /// ChainComposer's prefix keys.
   std::string Fingerprint() const;
 };
 

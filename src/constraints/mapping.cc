@@ -1,5 +1,7 @@
 #include "src/constraints/mapping.h"
 
+#include "src/common/wire_format.h"
+
 namespace mapcomp {
 
 namespace {
@@ -62,26 +64,24 @@ Status Mapping::Validate() const {
 
 std::string Mapping::Fingerprint() const {
   std::string out;
-  out += "input{" + input.Fingerprint() + "}\n";
-  out += "output{" + output.Fingerprint() + "}\n";
-  out += "constraints{\n" + ConstraintSetToString(constraints) + "}\n";
+  input.AppendTo(&out);
+  output.AppendTo(&out);
+  common::PutString(&out, ConstraintSetToString(constraints));
   return out;
+}
+
+void CompositionProblem::AppendTo(std::string* out) const {
+  sigma1.AppendTo(out);
+  sigma2.AppendTo(out);
+  sigma3.AppendTo(out);
+  common::PutString(out, ConstraintSetToString(sigma12));
+  common::PutString(out, ConstraintSetToString(sigma23));
+  common::PutStringList(out, elimination_order);
 }
 
 std::string CompositionProblem::Fingerprint() const {
   std::string out;
-  out += "sigma1{" + sigma1.Fingerprint() + "}\n";
-  out += "sigma2{" + sigma2.Fingerprint() + "}\n";
-  out += "sigma3{" + sigma3.Fingerprint() + "}\n";
-  out += "sigma12{\n" + ConstraintSetToString(sigma12) + "}\n";
-  out += "sigma23{\n" + ConstraintSetToString(sigma23) + "}\n";
-  out += "order{";
-  // Length-prefixed: symbol names are unrestricted, so a bare separator
-  // could make distinct orders serialize identically.
-  for (const std::string& s : elimination_order) {
-    out += std::to_string(s.size()) + ":" + s + ",";
-  }
-  out += "}\n";
+  AppendTo(&out);
   return out;
 }
 

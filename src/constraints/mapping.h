@@ -26,13 +26,12 @@ struct Mapping {
   /// every relation mentioned is declared with matching arity.
   Status Validate() const;
 
-  /// Canonical serialization of everything composition reads from one chain
-  /// step: both signatures (with keys, length-prefixed names) and the
-  /// constraint set. Two mappings with equal fingerprints behave
-  /// identically as a link of a composition chain (ChainComposer keys its
-  /// prefix cache by an equivalent — but cheaper, hash-folded — per-link
-  /// digest). Same parser-shaped-name caveat as
-  /// CompositionProblem::Fingerprint().
+  /// Canonical bytes of everything composition reads from one chain step:
+  /// the input and output Signature::AppendTo images, then the
+  /// length-prefixed constraint text. Two mappings with equal fingerprints
+  /// behave identically as a link of a composition chain (ChainComposer
+  /// keys its prefix cache by an equivalent, hash-folded per-link digest).
+  /// Same parser-shaped-name caveat as CompositionProblem::Fingerprint().
   std::string Fingerprint() const;
 };
 
@@ -47,16 +46,16 @@ struct CompositionProblem {
 
   Status Validate() const;
 
-  /// Canonical serialization of everything Compose() reads: the three
-  /// signatures (with keys), both constraint sets, and the elimination
-  /// order — but not `name`, which is display-only. Two problems with
-  /// equal fingerprints are composed identically under equal options
-  /// (ComposeService keys on the wire encoding instead). Signature names and
-  /// the order list are length-prefixed (collision-proof for arbitrary
-  /// names); the constraint sets are rendered in the parser's text syntax,
-  /// which is unambiguous for parser-shaped relation names — programmatic
-  /// callers inventing names that contain expression syntax must key their
-  /// own caches.
+  /// Appends the problem section of the wire format: everything Compose()
+  /// reads — the three signatures (Signature::AppendTo), both constraint
+  /// sets as length-prefixed parser text, and the elimination order — but
+  /// not `name`, which is display-only. Two problems with equal bytes are
+  /// composed identically under equal options. The constraint text is
+  /// unambiguous for parser-shaped relation names; programmatic callers
+  /// inventing names that contain expression syntax must key their own
+  /// caches.
+  void AppendTo(std::string* out) const;
+  /// AppendTo's bytes; ComposeService keys its cache on them.
   std::string Fingerprint() const;
 };
 

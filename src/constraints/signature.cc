@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/algebra/builders.h"
+#include "src/common/wire_format.h"
 
 namespace mapcomp {
 
@@ -103,23 +104,71 @@ std::string Signature::ToString() const {
   return out;
 }
 
+void Signature::AppendTo(std::string* out) const {
+  common::PutU32(out, static_cast<uint32_t>(order_.size()));
+  for (const std::string& name : order_) {
+    common::PutString(out, name);
+    common::PutU32(out, static_cast<uint32_t>(ArityOf(name)));
+    auto key = keys_.find(name);
+    common::PutU8(out, key != keys_.end() ? 1 : 0);
+    if (key != keys_.end()) {
+      common::PutU32(out, static_cast<uint32_t>(key->second.size()));
+      for (int pos : key->second) {
+        common::PutU32(out, static_cast<uint32_t>(pos));
+      }
+    }
+  }
+}
+
 std::string Signature::Fingerprint() const {
   std::string out;
-  for (const std::string& n : order_) {
-    out += std::to_string(n.size()) + ":" + n + "(" +
-           std::to_string(ArityOf(n)) + ")";
-    auto key = KeyOf(n);
-    if (key.has_value()) {
-      out += "key(";
-      for (size_t i = 0; i < key->size(); ++i) {
-        if (i > 0) out += ",";
-        out += std::to_string((*key)[i]);
-      }
-      out += ")";
-    }
-    out += ";";
-  }
+  AppendTo(&out);
   return out;
+}
+
+bool Signature::ReadFrom(common::WireReader* r, Signature* out) {
+  uint32_t count = 0;
+  if (!r->ReadU32(&count)) return false;
+  // Each relation costs at least name-prefix + arity + key flag = 9 bytes.
+  if (static_cast<size_t>(count) > r->remaining() / 9 + 1) return false;
+  *out = Signature();
+  for (uint32_t i = 0; i < count; ++i) {
+    std::string name;
+    uint32_t arity = 0;
+    uint8_t has_key = 0;
+    if (!r->ReadString(&name) || !r->ReadU32(&arity) || !r->ReadU8(&has_key)) {
+      return false;
+    }
+    if (arity > (1u << 16) || has_key > 1) return false;
+    if (!out->AddRelation(name, static_cast<int>(arity)).ok()) return false;
+    if (has_key) {
+      uint32_t n = 0;
+      if (!r->ReadU32(&n)) return false;
+      if (static_cast<size_t>(n) > r->remaining() / 4 + 1) return false;
+      std::vector<int> key;
+      key.reserve(n);
+      for (uint32_t j = 0; j < n; ++j) {
+        uint32_t pos = 0;
+        if (!r->ReadU32(&pos)) return false;
+        key.push_back(static_cast<int>(pos));
+      }
+      if (!out->SetKey(name, std::move(key)).ok()) return false;
+    }
+  }
+  return true;
+}
+
+bool Signature::SkipOver(common::WireReader* r) {
+  uint32_t count = 0, arity = 0, n = 0;
+  uint8_t has_key = 0;
+  if (!r->ReadU32(&count)) return false;
+  for (uint32_t i = 0; i < count; ++i) {
+    if (!r->SkipString() || !r->ReadU32(&arity) || !r->ReadU8(&has_key)) {
+      return false;
+    }
+    if (has_key && (!r->ReadU32(&n) || !r->Skip(size_t{4} * n))) return false;
+  }
+  return true;
 }
 
 ConstraintSet KeyConstraintsFor(const std::string& name, int arity,

@@ -11,6 +11,10 @@
 
 namespace mapcomp {
 
+namespace common {
+class WireReader;
+}  // namespace common
+
 /// A signature (schema): a function from relation symbols to arities, with
 /// optional key information per relation (key = list of 1-based attribute
 /// positions). Relation insertion order is preserved — the composition
@@ -44,11 +48,16 @@ class Signature {
 
   std::string ToString() const;
 
-  /// Canonical serialization for cache keys: like ToString, but every
-  /// relation name is length-prefixed, so unrestricted names can never make
-  /// two different signatures serialize identically (e.g. one relation
-  /// named "A(1); B" vs relations "A" and "B").
-  std::string Fingerprint() const;
+  /// Appends the canonical bytes (src/common/wire_format.h): the relation
+  /// count, then per relation its length-prefixed name, arity and optional
+  /// key positions — the signature section of the wire format and of every
+  /// request-side Fingerprint().
+  void AppendTo(std::string* out) const;
+  std::string Fingerprint() const;  ///< AppendTo's bytes
+  /// Reads one AppendTo image; false on truncated or invalid bytes.
+  static bool ReadFrom(common::WireReader* r, Signature* out);
+  /// Steps over one AppendTo image without building it.
+  static bool SkipOver(common::WireReader* r);
 
  private:
   std::vector<std::string> order_;

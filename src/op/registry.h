@@ -105,7 +105,8 @@ class Registry {
   /// Process-unique, never-reused identity of this registry *state*. Every
   /// construction — including copies, which may diverge afterwards — gets
   /// a fresh id, and every successful Register() bumps it, so caches keyed
-  /// on it (ComposeOptions::Fingerprint) can never alias two different
+  /// on it (through ComposeOptions::AppendTo, the options part of every
+  /// service and chain-prefix key) can never alias two different
   /// operator sets the way a reused pointer address or a mutated-in-place
   /// object can. Assignment refreshes the target's id too. Always the safe
   /// direction: at worst a spurious cache miss, never a stale hit.

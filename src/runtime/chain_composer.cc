@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "src/common/wire_format.h"
 #include "src/compose/eliminate.h"
 #include "src/runtime/approx_bytes.h"
 
@@ -130,39 +131,24 @@ Result<std::shared_ptr<const ChainPrefixState>> ExtendPrefix(
   return std::shared_ptr<const ChainPrefixState>(std::move(next));
 }
 
-/// Canonical serialization of a final chain state — the warm≡cold
-/// comparison surface of ChainResult::fingerprint.
-std::string StateFingerprint(const ChainPrefixState& s) {
-  std::string out;
-  out += "sigma1{" + s.sigma1.Fingerprint() + "}\n";
-  out += "current{" + s.current.Fingerprint() + "}\n";
-  out += "constraints{\n" + ConstraintSetToString(s.constraints) + "}\n";
-  out += "residual{";
-  for (const auto& [name, arity] : s.residual_arity) {
-    out += std::to_string(name.size()) + ":" + name + "/" +
-           std::to_string(arity) + ",";
-  }
-  out += "}\n";
-  out += "warnings{";
-  for (const std::string& w : s.warnings) {
-    out += std::to_string(w.size()) + ":" + w + ",";
-  }
-  out += "}\n";
-  return out;
-}
-
 ChainResult FinishResult(const ChainPrefixState& state, int depth,
                          int prefix_hits, int steps_composed) {
   ChainResult out;
   out.mapping.input = state.sigma1;
   out.mapping.output = state.current;
   out.mapping.constraints = state.constraints;
-  for (const auto& [name, arity] : state.residual_arity) {
-    (void)arity;
-    out.residual_sigma2.push_back(name);
-  }
   out.warnings = state.warnings;
-  out.fingerprint = StateFingerprint(state);
+  // The warm≡cold comparison surface: the composed mapping's canonical
+  // bytes, then the residuals with their arities, then the warnings.
+  std::string& fp = out.fingerprint;
+  fp = out.mapping.Fingerprint();
+  common::PutU32(&fp, static_cast<uint32_t>(state.residual_arity.size()));
+  for (const auto& [name, arity] : state.residual_arity) {
+    out.residual_sigma2.push_back(name);
+    common::PutString(&fp, name);
+    common::PutU32(&fp, static_cast<uint32_t>(arity));
+  }
+  common::PutStringList(&fp, state.warnings);
   out.result_fingerprint = state.step_result_fingerprint;
   out.depth = depth;
   out.prefix_hits = prefix_hits;
@@ -273,8 +259,6 @@ Result<ChainResult> ChainComposer::ComposeChain(
     stats_.prefix_hits += static_cast<uint64_t>(hits);
     stats_.prefix_misses += static_cast<uint64_t>(composed);
   }
-  service_->RecordChainPrefixes(static_cast<uint64_t>(hits),
-                                static_cast<uint64_t>(composed));
   return FinishResult(*state, static_cast<int>(chain.size()), hits,
                       composed);
 }

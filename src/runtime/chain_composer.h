@@ -46,9 +46,10 @@ struct ChainResult {
   /// order.
   std::vector<std::string> residual_sigma2;
   std::vector<std::string> warnings;
-  /// Canonical serialization of the composed mapping + residuals: equal
-  /// between a warm (prefix-cached) and a cold recomposition by
-  /// construction, at any job count. This is what callers should compare.
+  /// Canonical bytes (src/common/wire_format.h) of the composed mapping,
+  /// residuals and warnings: equal between a warm (prefix-cached) and a
+  /// cold recomposition by construction, at any job count. This is what
+  /// callers should compare.
   std::string fingerprint;
   /// The final step's CompositionResult::Fingerprint() (empty for a
   /// depth-1 chain). Also warm/cold-identical.
@@ -93,15 +94,17 @@ struct ChainComposerOptions {
 ///
 /// A chain m1∘m2∘…∘mn is composed prefix by prefix. Each prefix is keyed
 /// by a rolling fingerprint folding ComposeOptions::Fingerprint() and a
-/// per-link digest of every mapping up to it (signature fingerprints plus
-/// the interned structural hash of each constraint — equivalent to
-/// folding Mapping::Fingerprint(), but without re-serializing constraint
-/// expressions) — never the (large) accumulated prefix constraints, so a
-/// warm lookup costs O(link signatures + constraint count), not O(prefix). When link mk changes, the keys of
-/// prefixes 1..k-1 are unchanged (cache hits) and only the suffix from k
-/// recomposes: the hot path of a serving registry drops from
-/// O(chain depth) compositions per edit to O(affected suffix). Appending
-/// a version — the dominant registry edit — costs exactly one composition.
+/// per-link digest of every mapping up to it: the link's
+/// Signature::Fingerprint() bytes plus the interned structural hash of
+/// each constraint, which separates the same links Mapping::Fingerprint()
+/// does without printing constraint expressions. The (large) accumulated
+/// prefix constraints never enter a key, so a warm lookup costs
+/// O(link signatures + constraint count), not O(prefix). When link mk
+/// changes, the keys of prefixes 1..k-1 are unchanged (cache hits) and
+/// only the suffix from k recomposes: the hot path of a serving registry
+/// drops from O(chain depth) compositions per edit to O(affected suffix).
+/// Appending a version — the dominant registry edit — costs exactly one
+/// composition.
 ///
 /// Correctness: prefix states are deterministic functions of
 /// (options, m1..mk), and every step composes through the service (which

@@ -105,10 +105,6 @@ std::string ServiceStats::ToString() const {
          std::to_string(cancelled) + " cancelled\n";
   out += "scheduler: " + std::to_string(waves_executed) +
          " waves executed, max width " + std::to_string(max_wave_width) + "\n";
-  out += "chains: " + std::to_string(chain_prefix_hits) +
-         " prefix hits, " + std::to_string(chain_prefix_misses) +
-         " prefix misses (" +
-         std::to_string(ChainPrefixHitRate() * 100.0) + "% hit rate)\n";
   return out;
 }
 
@@ -140,12 +136,6 @@ void ComposeService::RecordCompletion(const CompositionResult* result,
     // they count in `cancelled`, never in `failed`.
     ++stats_.failed;
   }
-}
-
-void ComposeService::RecordChainPrefixes(uint64_t hits, uint64_t misses) {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_.chain_prefix_hits += hits;
-  stats_.chain_prefix_misses += misses;
 }
 
 void ComposeService::ReleaseOutstanding() {

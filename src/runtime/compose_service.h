@@ -48,20 +48,10 @@ struct ServiceStats {
   uint64_t cache_bytes_peak = 0;  ///< high-water mark of cache_bytes
   uint64_t waves_executed = 0; ///< scheduler waves across completed results
   int max_wave_width = 0;      ///< widest elimination wave observed
-  /// Chain-composition prefix cache traffic (ChainComposer reports here):
-  /// a hit is one cached prefix composition reused during a chain walk, a
-  /// miss is one suffix composition that had to run.
-  uint64_t chain_prefix_hits = 0;
-  uint64_t chain_prefix_misses = 0;
 
   double HitRate() const {
     uint64_t total = hits + misses;
     return total == 0 ? 0.0 : static_cast<double>(hits) / total;
-  }
-  double ChainPrefixHitRate() const {
-    uint64_t total = chain_prefix_hits + chain_prefix_misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(chain_prefix_hits) / total;
   }
   std::string ToString() const;
 };
@@ -262,11 +252,6 @@ class ComposeService {
   /// The service's default ComposeOptions (what an option-less request
   /// composes under).
   const ComposeOptions& default_options() const { return options_.compose; }
-
-  /// Folds one chain walk's prefix-cache outcome into the service stats —
-  /// ChainComposer calls this so `--serve-demo`-style observability covers
-  /// chain traffic too.
-  void RecordChainPrefixes(uint64_t hits, uint64_t misses);
 
   ServiceStats Stats() const;
 

@@ -1,6 +1,6 @@
 #include "src/serve/protocol.h"
 
-#include "src/serve/wire_format.h"
+#include "src/common/wire_format.h"
 
 namespace mapcomp {
 namespace serve {
@@ -11,11 +11,11 @@ void EncodeFrame(FrameType type, const std::string& body, std::string* out) {
 }
 
 void AppendFrameHeader(FrameType type, size_t body_len, std::string* out) {
-  PutU32(out, static_cast<uint32_t>(kFrameHeaderBytes + body_len));
-  PutU8(out, kWireMagic0);
-  PutU8(out, kWireMagic1);
-  PutU8(out, kWireVersion);
-  PutU8(out, static_cast<uint8_t>(type));
+  common::PutU32(out, static_cast<uint32_t>(kFrameHeaderBytes + body_len));
+  common::PutU8(out, kWireMagic0);
+  common::PutU8(out, kWireMagic1);
+  common::PutU8(out, kWireVersion);
+  common::PutU8(out, static_cast<uint8_t>(type));
 }
 
 FrameDecoder::Next FrameDecoder::Poll(FrameType* type, std::string* body) {

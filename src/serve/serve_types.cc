@@ -2,84 +2,19 @@
 
 #include <utility>
 
+#include "src/common/wire_format.h"
 #include "src/parser/parser.h"
 #include "src/serve/protocol.h"
-#include "src/serve/wire_format.h"
 
 namespace mapcomp {
 namespace serve {
 
 namespace {
 
-void PutSignature(std::string* out, const Signature& sig) {
-  PutU32(out, static_cast<uint32_t>(sig.names().size()));
-  for (const std::string& name : sig.names()) {
-    PutString(out, name);
-    PutU32(out, static_cast<uint32_t>(sig.ArityOf(name)));
-    std::optional<std::vector<int>> key = sig.KeyOf(name);
-    PutU8(out, key.has_value() ? 1 : 0);
-    if (key.has_value()) {
-      PutU32(out, static_cast<uint32_t>(key->size()));
-      for (int pos : *key) PutU32(out, static_cast<uint32_t>(pos));
-    }
-  }
-}
-
-bool ReadSignature(WireReader* r, Signature* sig) {
-  uint32_t count = 0;
-  if (!r->ReadU32(&count)) return false;
-  // Each relation costs at least name-prefix + arity + key flag = 9 bytes.
-  if (static_cast<size_t>(count) > r->remaining() / 9 + 1) return false;
-  *sig = Signature();
-  for (uint32_t i = 0; i < count; ++i) {
-    std::string name;
-    uint32_t arity = 0;
-    uint8_t has_key = 0;
-    if (!r->ReadString(&name) || !r->ReadU32(&arity) || !r->ReadU8(&has_key)) {
-      return false;
-    }
-    if (arity > (1u << 16) || has_key > 1) return false;
-    if (!sig->AddRelation(name, static_cast<int>(arity)).ok()) return false;
-    if (has_key) {
-      uint32_t n = 0;
-      if (!r->ReadU32(&n)) return false;
-      if (static_cast<size_t>(n) > r->remaining() / 4 + 1) return false;
-      std::vector<int> key;
-      key.reserve(n);
-      for (uint32_t j = 0; j < n; ++j) {
-        uint32_t pos = 0;
-        if (!r->ReadU32(&pos)) return false;
-        key.push_back(static_cast<int>(pos));
-      }
-      if (!sig->SetKey(name, std::move(key)).ok()) return false;
-    }
-  }
-  return true;
-}
-
-bool ReadBool(WireReader* r, bool* v) {
+bool ReadBool(common::WireReader* r, bool* v) {
   uint8_t b = 0;
   if (!r->ReadU8(&b) || b > 1) return false;
   *v = (b == 1);
-  return true;
-}
-
-bool SkipString(WireReader* r) {
-  uint32_t n = 0;
-  return r->ReadU32(&n) && r->Skip(n);
-}
-
-/// Steps over one signature without building it.
-bool SkipSignature(WireReader* r) {
-  uint32_t count = 0, arity = 0, n = 0;
-  uint8_t has_key = 0;
-  if (!r->ReadU32(&count)) return false;
-  for (uint32_t i = 0; i < count; ++i) {
-    if (!SkipString(r) || !r->ReadU32(&arity) || !r->ReadU8(&has_key)) {
-      return false;
-    }
-    if (has_key && (!r->ReadU32(&n) || !r->Skip(size_t{4} * n))) return false;
-  }
   return true;
 }
 
@@ -87,33 +22,8 @@ Status Invalid(const char* what) {
   return Status::InvalidArgument(std::string("wire parse: ") + what);
 }
 
-void PutOptionFields(const ComposeOptions& options, std::string* out) {
-  PutU8(out, options.eliminate.enable_unfold ? 1 : 0);
-  PutU8(out, options.eliminate.enable_left_compose ? 1 : 0);
-  PutU8(out, options.eliminate.enable_right_compose ? 1 : 0);
-  PutU32(out, static_cast<uint32_t>(options.eliminate.max_blowup_factor));
-  PutU8(out, options.eliminate.keys != nullptr ? 1 : 0);
-  if (options.eliminate.keys != nullptr) {
-    PutSignature(out, *options.eliminate.keys);
-  }
-  PutStringList(out, options.order);
-  PutU8(out, options.simplify_output ? 1 : 0);
-  PutU32(out, static_cast<uint32_t>(options.max_rounds));
-  PutU8(out, options.exact_conflicts ? 1 : 0);
-}
-
-/// The problem section: everything Compose reads, `name` excluded.
-void PutProblem(const CompositionProblem& problem, std::string* out) {
-  PutSignature(out, problem.sigma1);
-  PutSignature(out, problem.sigma2);
-  PutSignature(out, problem.sigma3);
-  PutString(out, ConstraintSetToString(problem.sigma12));
-  PutString(out, ConstraintSetToString(problem.sigma23));
-  PutStringList(out, problem.elimination_order);
-}
-
 /// Reads what precedes the problem section: request_id, options, name.
-Status ReadHead(WireReader* r, ServeRequest* out) {
+Status ReadHead(common::WireReader* r, ServeRequest* out) {
   if (!r->ReadU64(&out->request_id)) return Invalid("truncated request id");
   if (!ReadBool(r, &out->has_options)) return Invalid("bad options flag");
   if (out->has_options) {
@@ -132,7 +42,7 @@ Status ReadHead(WireReader* r, ServeRequest* out) {
     if (!r->ReadU8(&has_keys) || has_keys > 1) return Invalid("bad keys flag");
     if (has_keys) {
       Signature keys;
-      if (!ReadSignature(r, &keys)) return Invalid("bad keys signature");
+      if (!Signature::ReadFrom(r, &keys)) return Invalid("bad keys signature");
       out->owned_keys = std::make_shared<const Signature>(std::move(keys));
       options.eliminate.keys = out->owned_keys.get();
     }
@@ -155,17 +65,6 @@ Status ReadHead(WireReader* r, ServeRequest* out) {
   return Status::OK();
 }
 
-/// The key image of `options`: the wire option fields, then the two
-/// options that never cross the wire (registry, blowup_baseline_ops).
-void AppendOptionsKey(const ComposeOptions& options, std::string* out) {
-  PutOptionFields(options, out);
-  const op::Registry* registry = options.eliminate.registry;
-  PutString(out, registry == &op::Registry::Default()
-                     ? "default"
-                     : std::to_string(registry->uid()));
-  PutU64(out, static_cast<uint64_t>(options.eliminate.blowup_baseline_ops));
-}
-
 }  // namespace
 
 Status ServeRequest::SerializeTo(std::string* out) const {
@@ -181,31 +80,31 @@ Status ServeRequest::SerializeTo(std::string* out) const {
           "a wire option");
     }
   }
-  PutU64(out, request_id);
-  PutU8(out, has_options ? 1 : 0);
-  if (has_options) PutOptionFields(options, out);
-  PutString(out, problem.name);
-  PutProblem(problem, out);
+  common::PutU64(out, request_id);
+  common::PutU8(out, has_options ? 1 : 0);
+  if (has_options) options.AppendWireFieldsTo(out);
+  common::PutString(out, problem.name);
+  problem.AppendTo(out);
   // Optional trailing field (v2): written only when set, so deadline-less
   // requests keep their v1 byte image.
-  if (deadline_ms > 0) PutU32(out, deadline_ms);
+  if (deadline_ms > 0) common::PutU32(out, deadline_ms);
   return Status::OK();
 }
 
 std::string ServeRequest::CacheKey(const ComposeOptions& resolved) const {
   std::string key;
-  AppendOptionsKey(resolved, &key);
-  PutProblem(problem, &key);
+  resolved.AppendTo(&key);
+  problem.AppendTo(&key);
   return key;
 }
 
 Result<ServeRequest> ServeRequest::Parse(const uint8_t* data, size_t len) {
-  WireReader r(data, len);
+  common::WireReader r(data, len);
   ServeRequest out;
   MAPCOMP_RETURN_IF_ERROR(ReadHead(&r, &out));
-  if (!ReadSignature(&r, &out.problem.sigma1) ||
-      !ReadSignature(&r, &out.problem.sigma2) ||
-      !ReadSignature(&r, &out.problem.sigma3)) {
+  if (!Signature::ReadFrom(&r, &out.problem.sigma1) ||
+      !Signature::ReadFrom(&r, &out.problem.sigma2) ||
+      !Signature::ReadFrom(&r, &out.problem.sigma3)) {
     return Invalid("bad signature");
   }
   std::string sigma12_text, sigma23_text;
@@ -252,7 +151,7 @@ Result<ServeRequest> ServeRequest::Parse(const uint8_t* data, size_t len) {
 
 RequestEnvelope RequestEnvelope::Walk(const uint8_t* data, size_t len,
                                       const ComposeOptions& defaults) {
-  WireReader r(data, len);
+  common::WireReader r(data, len);
   ServeRequest head;
   RequestEnvelope out;
   out.status = ReadHead(&r, &head);
@@ -260,9 +159,9 @@ RequestEnvelope RequestEnvelope::Walk(const uint8_t* data, size_t len,
   const size_t begin = r.pos();
   std::vector<std::string> order;
   uint32_t deadline_ms = 0;
-  if (!out.status.ok() || !SkipSignature(&r) || !SkipSignature(&r) ||
-      !SkipSignature(&r) || !SkipString(&r) || !SkipString(&r) ||
-      !r.ReadStringList(&order)) {
+  if (!out.status.ok() || !Signature::SkipOver(&r) ||
+      !Signature::SkipOver(&r) || !Signature::SkipOver(&r) ||
+      !r.SkipString() || !r.SkipString() || !r.ReadStringList(&order)) {
     return out;
   }
   const size_t end = r.pos();
@@ -271,28 +170,28 @@ RequestEnvelope RequestEnvelope::Walk(const uint8_t* data, size_t len,
     return out;  // the deadline as Parse checks it
   }
   out.key.reserve(64 + (end - begin));  // the options key is ~40 bytes
-  AppendOptionsKey(head.has_options ? head.options : defaults, &out.key);
+  (head.has_options ? head.options : defaults).AppendTo(&out.key);
   out.key.append(reinterpret_cast<const char*>(data) + begin, end - begin);
   return out;
 }
 
 void ServeReply::SerializeTo(std::string* out) const {
-  PutU64(out, request_id);
-  PutU8(out, static_cast<uint8_t>(status));
-  PutString(out, message);
-  PutU8(out, cache_hit ? 1 : 0);
+  common::PutU64(out, request_id);
+  common::PutU8(out, static_cast<uint8_t>(status));
+  common::PutString(out, message);
+  common::PutU8(out, cache_hit ? 1 : 0);
   if (status == WireStatus::kOk) SerializeResultTo(result, out);
 }
 
 void ServeReply::SerializeResultTo(const runtime::ServedResult& result,
                                    std::string* out) {
-  PutSignature(out, result.sigma);
-  PutStringList(out, result.residual_sigma2);
-  PutString(out, ConstraintSetToString(result.constraints));
-  PutStringList(out, result.warnings);
-  PutU32(out, static_cast<uint32_t>(result.eliminated_count));
-  PutU32(out, static_cast<uint32_t>(result.total_count));
-  PutString(out, result.fingerprint);
+  result.sigma.AppendTo(out);
+  common::PutStringList(out, result.residual_sigma2);
+  common::PutString(out, ConstraintSetToString(result.constraints));
+  common::PutStringList(out, result.warnings);
+  common::PutU32(out, static_cast<uint32_t>(result.eliminated_count));
+  common::PutU32(out, static_cast<uint32_t>(result.total_count));
+  common::PutString(out, result.fingerprint);
 }
 
 void ServeReply::AppendOkFrame(uint64_t request_id, bool cache_hit,
@@ -301,15 +200,15 @@ void ServeReply::AppendOkFrame(uint64_t request_id, bool cache_hit,
   // request_id, status, empty message, cache_hit — SerializeTo's head.
   constexpr size_t kHeadBytes = 8 + 1 + 4 + 1;
   AppendFrameHeader(FrameType::kReply, kHeadBytes + result_bytes.size(), out);
-  PutU64(out, request_id);
-  PutU8(out, static_cast<uint8_t>(WireStatus::kOk));
-  PutU32(out, 0);
-  PutU8(out, cache_hit ? 1 : 0);
+  common::PutU64(out, request_id);
+  common::PutU8(out, static_cast<uint8_t>(WireStatus::kOk));
+  common::PutU32(out, 0);
+  common::PutU8(out, cache_hit ? 1 : 0);
   out->append(result_bytes);
 }
 
 Result<ServeReply> ServeReply::Parse(const uint8_t* data, size_t len) {
-  WireReader r(data, len);
+  common::WireReader r(data, len);
   ServeReply out;
   if (!r.ReadU64(&out.request_id)) return Invalid("truncated reply id");
   uint8_t raw_status = 0;
@@ -323,7 +222,7 @@ Result<ServeReply> ServeReply::Parse(const uint8_t* data, size_t len) {
     if (!r.AtEnd()) return Invalid("trailing bytes after error reply");
     return out;
   }
-  if (!ReadSignature(&r, &out.result.sigma)) return Invalid("bad sigma");
+  if (!Signature::ReadFrom(&r, &out.result.sigma)) return Invalid("bad sigma");
   if (!r.ReadStringList(&out.result.residual_sigma2)) {
     return Invalid("bad residual list");
   }

@@ -21,12 +21,12 @@ namespace serve {
 /// Serialization (SerializeTo/Parse) is canonical and versioned at the
 /// frame layer: parse(serialize(r)) reproduces r byte-identically
 /// (serialize(parse(bytes)) == bytes), which the ASan-gated property tests
-/// pin. Constraint sets travel in the parser's text syntax (the printer is
-/// canonical — print∘parse is identity, pinned by roundtrip_fuzz_test);
-/// signatures travel structurally (length-prefixed names, arities, keys).
-/// The same parser-shaped-name caveat as CompositionProblem::Fingerprint()
-/// applies: relation names that contain expression syntax don't survive
-/// the text leg and are rejected at parse time.
+/// pin. The options and problem sections are ComposeOptions::
+/// AppendWireFieldsTo and CompositionProblem::AppendTo — the same bytes as
+/// their Fingerprint()s. Constraint sets travel in the parser's text syntax
+/// (the printer is canonical — print∘parse is identity, pinned by
+/// roundtrip_fuzz_test), so relation names that contain expression syntax
+/// don't survive the text leg and are rejected at parse time.
 struct ServeRequest {
   /// Client-chosen correlation id, echoed verbatim in the reply. Replies
   /// on one connection may arrive out of submission order (cache bypass
@@ -41,11 +41,10 @@ struct ServeRequest {
   /// Read only when has_options. On the wire this carries the wire-safe
   /// subset: the eliminate switches and blowup budget, a keys signature by
   /// content, the order, simplify_output, max_rounds and exact_conflicts.
-  /// Not serialized: elim_jobs (a server-side resource decision, excluded
-  /// from ComposeOptions::Fingerprint() for the same reason),
-  /// blowup_baseline_ops (internal to the wave scheduler), and a
-  /// non-default registry (process-local identity; SerializeTo rejects it
-  /// with kUnsupported).
+  /// Not serialized: elim_jobs (a server-side resource decision that no
+  /// fingerprint carries), blowup_baseline_ops (internal to the wave
+  /// scheduler), and a non-default registry (process-local identity;
+  /// SerializeTo rejects it with kUnsupported).
   ComposeOptions options;
 
   /// Backing storage for options.eliminate.keys after Parse (the library
@@ -87,8 +86,8 @@ struct ServeRequest {
   /// for such requests, they just cannot be shipped.
   Status SerializeTo(std::string* out) const;
 
-  /// The result-cache key under `resolved` options: their wire fields and
-  /// off-wire registry/blowup baseline, then the body's problem bytes.
+  /// The result-cache key under `resolved` options:
+  /// resolved.Fingerprint() + problem.Fingerprint().
   std::string CacheKey(const ComposeOptions& resolved) const;
 
   /// Parses one body. Hostile input is safe: every read is bounds-checked,

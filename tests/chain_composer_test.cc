@@ -94,7 +94,7 @@ TEST(ChainComposerTest, EditingLinkKRecomposesExactlyTheSuffix) {
     composer.ComposeChain(tc.chain).value();  // warm the prefix cache
 
     ReviseLink(&tc.chain[static_cast<size_t>(edited)]);
-    ServiceStats before = service.Stats();
+    ChainStats before = composer.Stats();
     ChainResult warm = composer.ComposeChain(tc.chain).value();
 
     // 0-based link `edited` ⇒ prefixes 1..edited-1 unchanged: exactly
@@ -103,11 +103,11 @@ TEST(ChainComposerTest, EditingLinkKRecomposesExactlyTheSuffix) {
     EXPECT_EQ(warm.prefix_hits, expect_hits) << "edited=" << edited;
     EXPECT_EQ(warm.steps_composed, kDepth - 1 - expect_hits);
 
-    // The same split is witnessed on the service's chain counters.
-    ServiceStats after = service.Stats();
-    EXPECT_EQ(after.chain_prefix_hits - before.chain_prefix_hits,
+    // The same split is witnessed on the composer's prefix counters.
+    ChainStats after = composer.Stats();
+    EXPECT_EQ(after.prefix_hits - before.prefix_hits,
               static_cast<uint64_t>(expect_hits));
-    EXPECT_EQ(after.chain_prefix_misses - before.chain_prefix_misses,
+    EXPECT_EQ(after.prefix_misses - before.prefix_misses,
               static_cast<uint64_t>(kDepth - 1 - expect_hits));
 
     // Never a stale suffix: the incremental result equals a cold one.

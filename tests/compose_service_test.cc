@@ -359,16 +359,6 @@ TEST(ComposeServiceTest, ByteCapacityEvictsUntilTheSumFits) {
   EXPECT_FALSE(service.Submit(FanoutRequest(3)).cache_hit());
 }
 
-TEST(ServiceStatsTest, ToStringCoversChainPrefixCounters) {
-  ComposeService service;
-  service.RecordChainPrefixes(/*hits=*/3, /*misses=*/1);
-  ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.chain_prefix_hits, 3u);
-  EXPECT_EQ(stats.chain_prefix_misses, 1u);
-  EXPECT_DOUBLE_EQ(stats.ChainPrefixHitRate(), 0.75);
-  EXPECT_NE(stats.ToString().find("3 prefix hits"), std::string::npos);
-}
-
 TEST(ComposeServiceTest, DestructorWaitsForInFlightWork) {
   // Submit without waiting, then destroy: the service must block until
   // the pool task finished (TSan would flag a use-after-free otherwise).

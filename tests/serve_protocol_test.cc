@@ -5,8 +5,9 @@
 // hostile-body parsing (every violation a clean kInvalidArgument, never an
 // out-of-bounds read), and the raw-byte cache key: the envelope walk's key
 // equals the parsed request's, and a server that probes raw bytes first
-// answers every body exactly as parse-then-probe does. The ASan and TSan
-// CI jobs execute this file.
+// answers every body exactly as parse-then-probe does. The cache key is
+// the options' and problem's Fingerprint() bytes, and a signature reads
+// back from its own. The ASan, TSan and UBSan CI jobs execute this file.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "src/algebra/builders.h"
+#include "src/common/wire_format.h"
 #include "src/parser/parser.h"
 #include "src/runtime/compose_service.h"
 #include "src/serve/compose_client.h"
@@ -396,6 +398,51 @@ TEST(RawCacheKeyTest, WalkedKeyEqualsTheParsedRequestsKey) {
     }
   }
   EXPECT_GE(checked, 4 * 28);
+}
+
+/// `sig` read back from its own Fingerprint() bytes, consuming all of them.
+void ExpectSignatureReadsBack(const Signature& sig) {
+  const std::string bytes = sig.Fingerprint();
+  common::WireReader r(Bytes(bytes), bytes.size());
+  Signature back;
+  ASSERT_TRUE(Signature::ReadFrom(&r, &back)) << sig.ToString();
+  EXPECT_TRUE(r.AtEnd()) << sig.ToString();
+  EXPECT_EQ(back.ToString(), sig.ToString());
+  EXPECT_EQ(back.Fingerprint(), bytes);
+}
+
+TEST(OneEncodingTest, CacheKeyIsTheOptionsThenProblemFingerprint) {
+  ComposeService service;
+  int checked = 0;
+  for (const CompositionProblem& problem : KeyCorpus()) {
+    // Preset keys on the first σ1 relation, and σ2 eliminated in reverse.
+    Signature keys;
+    const std::string& keyed = problem.sigma1.names().front();
+    ASSERT_TRUE(keys.AddRelation(keyed, problem.sigma1.ArityOf(keyed)).ok());
+    ASSERT_TRUE(keys.SetKey(keyed, {1}).ok());
+    ComposeOptions opts;
+    opts.eliminate.keys = &keys;
+    opts.order.assign(problem.sigma2.names().rbegin(),
+                      problem.sigma2.names().rend());
+
+    for (bool with_options : {false, true}) {
+      ServeRequest req = with_options
+                             ? ServeRequest::WithOptions(problem, opts, 3)
+                             : ServeRequest::Of(problem, 3);
+      const ComposeOptions& resolved =
+          with_options ? req.options : service.default_options();
+      EXPECT_EQ(service.CacheKey(req),
+                resolved.Fingerprint() + req.problem.Fingerprint())
+          << problem.name;
+      ++checked;
+    }
+    for (const Signature* sig :
+         {&problem.sigma1, &problem.sigma2, &problem.sigma3,
+          static_cast<const Signature*>(&keys)}) {
+      ExpectSignatureReadsBack(*sig);
+    }
+  }
+  EXPECT_GE(checked, 2 * 28);
 }
 
 TEST(RawCacheKeyTest, OptionlessAndExplicitDefaultsShareOneEntry) {

@@ -35,9 +35,9 @@
 //                          results are identical for any N; default 1)
 //     --serve-demo N       serve every task through a resident
 //                          ComposeService for N passes (pass 2+ hits the
-//                          fingerprint-keyed result cache) and print
-//                          ServiceStats — including cache bytes and chain
-//                          prefix-cache counters — to stderr; --jobs caps
+//                          result cache, keyed on the request's canonical
+//                          wire bytes) and print ServiceStats — including
+//                          cache bytes — to stderr; --jobs caps
 //                          in-flight submissions; served results are the
 //                          service's slim cache entries, so per-symbol
 //                          attempt detail is not reprinted
@@ -68,8 +68,8 @@
 //     --eval-stats         after --check-eval, print the aggregated
 //                          evaluation counters (memo hits, sharded nodes,
 //                          hash-join vs nested-product node counts,
-//                          memo_bytes_peak, columnar vs decode-fallback
-//                          user-operator routing) to stderr
+//                          memo bytes, task and join-index counters) to
+//                          stderr
 //     --intern-stats       print expression-interner statistics to stderr
 //     --quiet              print only the composed constraints
 
@@ -473,9 +473,10 @@ int main(int argc, char** argv) {
     }
   } else if (serve_passes > 0) {
     // Loop mode: a resident ComposeService composes every task once and
-    // serves passes 2..N from its fingerprint-keyed cache — same composed
-    // constraints, and the stats printed at the end show the hit/miss
-    // split plus resident cache bytes.
+    // serves passes 2..N from its cache (keyed on the options' and the
+    // problem's canonical bytes) — same composed constraints, and the
+    // stats printed at the end show the hit/miss split plus resident
+    // cache bytes.
     mapcomp::runtime::ComposeServiceOptions service_options;
     service_options.compose = options;
     mapcomp::runtime::ComposeService service(service_options);
