@@ -128,12 +128,6 @@ Condition Condition::AndAll(std::vector<Condition> cs) {
   return acc;
 }
 
-Condition Condition::OrAll(std::vector<Condition> cs) {
-  Condition acc = False();
-  for (auto& c : cs) acc = Or(std::move(acc), std::move(c));
-  return acc;
-}
-
 namespace {
 Value OperandValue(const CondOperand& o, const Tuple& t, bool* ok) {
   if (!o.is_attr) return o.constant;

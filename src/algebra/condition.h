@@ -66,7 +66,6 @@ class Condition {
   static Condition Or(Condition a, Condition b);
   static Condition Not(Condition a);
   static Condition AndAll(std::vector<Condition> cs);
-  static Condition OrAll(std::vector<Condition> cs);
 
   Condition() : kind_(Kind::kTrue) {}
 

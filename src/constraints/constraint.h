@@ -28,8 +28,6 @@ struct Constraint {
     return Constraint{ConstraintKind::kEquality, std::move(l), std::move(r)};
   }
 
-  bool IsEquality() const { return kind == ConstraintKind::kEquality; }
-
   /// Text syntax: `E1 <= E2` or `E1 = E2`.
   std::string ToString() const;
 };

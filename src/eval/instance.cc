@@ -64,13 +64,6 @@ bool Instance::Has(const std::string& name) const {
   return relations_.count(name) > 0;
 }
 
-std::vector<std::string> Instance::RelationNames() const {
-  std::vector<std::string> out;
-  out.reserve(relations_.size());
-  for (const auto& [name, _] : relations_) out.push_back(name);
-  return out;
-}
-
 int64_t Instance::TotalTuples() const {
   int64_t out = 0;
   for (const auto& [_, tuples] : relations_) {

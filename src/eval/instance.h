@@ -33,7 +33,6 @@ class Instance {
   const std::set<Tuple>& Get(const std::string& name) const;
 
   bool Has(const std::string& name) const;
-  std::vector<std::string> RelationNames() const;
 
   /// Total tuple count across all relations (workload sizing, reports).
   int64_t TotalTuples() const;

@@ -57,11 +57,6 @@ struct ChainResult {
   int depth = 0;           ///< number of mappings in the chain
   int prefix_hits = 0;     ///< cached prefix compositions reused by this call
   int steps_composed = 0;  ///< compositions actually executed by this call
-
-  double ComposeSavings() const {
-    int total = prefix_hits + steps_composed;
-    return total == 0 ? 0.0 : static_cast<double>(prefix_hits) / total;
-  }
 };
 
 /// Counters of one ChainComposer's prefix cache.

@@ -54,6 +54,10 @@ void ComposeClient::Close() {
 
 Result<std::unique_ptr<ComposeClient>> ComposeClient::Connect(
     const std::string& host, int port, int retry_ms) {
+  if (port < 1 || port > 65535) {
+    return Status::InvalidArgument("port out of range [1, 65535]: " +
+                                   std::to_string(port));
+  }
   sockaddr_in addr;
   memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;

@@ -43,7 +43,8 @@ class ComposeClient {
   /// race of a client starting before the server's listen — the CI
   /// loopback smoke depends on this — without hammering a struggling
   /// endpoint at a fixed cadence). host may be a dotted quad or
-  /// "localhost".
+  /// "localhost"; a port outside [1, 65535] is kInvalidArgument before
+  /// any socket is opened.
   static Result<std::unique_ptr<ComposeClient>> Connect(
       const std::string& host, int port, int retry_ms = 2000);
 

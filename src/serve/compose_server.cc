@@ -21,6 +21,17 @@ namespace serve {
 
 namespace {
 
+constexpr int kListenBacklog = 128;
+/// Max requests one dispatcher pops per round; the whole batch is
+/// Submitted before the first Wait, so independent problems overlap in
+/// the pool even with one dispatcher.
+constexpr size_t kBatchSize = 16;
+/// Stop() drain budget: after dispatchers finish answering admitted work,
+/// the I/O thread keeps flushing staged reply bytes for at most this long
+/// before the sockets are torn down. Bounds a stop against a client that
+/// never reads.
+constexpr std::chrono::milliseconds kDrainTimeout{2000};
+
 std::string ErrorFrame(uint64_t request_id, WireStatus status,
                        std::string message) {
   std::string body;
@@ -77,7 +88,7 @@ Status ComposeServer::Start() {
     return Status::Internal("bind(port " + std::to_string(options_.port) +
                             ") failed: " + strerror(errno));
   }
-  if (::listen(listen_fd_, options_.listen_backlog) < 0) {
+  if (::listen(listen_fd_, kListenBacklog) < 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
     return Status::Internal("listen() failed");
@@ -163,9 +174,7 @@ void ComposeServer::Stop() {
   // Phase 2 — flush: wait for every staged reply byte to reach a socket,
   // bounded by the drain budget (a client that never reads must not wedge
   // Stop).
-  auto flush_deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(std::max(0, options_.drain_timeout_ms));
+  auto flush_deadline = std::chrono::steady_clock::now() + kDrainTimeout;
   while (pending_write_bytes_.load(std::memory_order_acquire) > 0 &&
          std::chrono::steady_clock::now() < flush_deadline) {
     char b = 'x';
@@ -529,7 +538,7 @@ void ComposeServer::DispatchLoop() {
     std::vector<Admitted> batch;
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
-      while (!queue_.empty() && batch.size() < options_.batch_size) {
+      while (!queue_.empty() && batch.size() < kBatchSize) {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }

@@ -26,7 +26,6 @@ struct ServerOptions {
   /// TCP port to listen on; 0 picks an ephemeral port (read it back via
   /// port() after Start).
   int port = 0;
-  int listen_backlog = 128;
   /// Per-connection frame size bound (both directions).
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Bounded admission queue: request bodies waiting for a dispatcher.
@@ -38,10 +37,6 @@ struct ServerOptions {
   /// to block), so
   /// they must stay distinct from the GlobalPool that computes.
   int dispatch_threads = 2;
-  /// Max requests one dispatcher pops per round; the whole batch is
-  /// Submitted before the first Wait, so independent problems overlap in
-  /// the pool even with one dispatcher.
-  size_t batch_size = 16;
   /// When > 0, a request that waited in the admission queue longer than
   /// this is answered kTimeout instead of being composed — stale work is
   /// refused, not amplified. The bound keeps following admitted work: a
@@ -50,11 +45,6 @@ struct ServerOptions {
   /// dispatcher lane is freed and the abandoned computation unwinds
   /// cooperatively instead of running as a zombie.
   int queue_timeout_ms = 0;
-  /// Stop() drain budget: after dispatchers finish answering admitted
-  /// work, the I/O thread keeps flushing staged reply bytes for at most
-  /// this long before the sockets are torn down. Bounds a stop against a
-  /// client that never reads.
-  int drain_timeout_ms = 2000;
   /// Test hook: when set, dispatchers refuse to pop while *admission_gate
   /// is false. Lets a test hold the queue provably full (overload
   /// behavior) without racing against dispatch speed.

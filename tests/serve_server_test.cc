@@ -338,6 +338,20 @@ TEST(ComposeServerTest, StopWhileIdleAndDoubleStopAreClean) {
   EXPECT_EQ(reply->status, WireStatus::kOk);
 }
 
+TEST(ComposeClientTest, OutOfRangePortIsRefusedBeforeDialing) {
+  // Cast to uint16_t, 99999 would dial 34463 and -1 would dial 65535; port
+  // 0 would spend the whole ECONNREFUSED retry budget before failing.
+  for (int port : {-1, 0, 65536, 99999}) {
+    auto start = std::chrono::steady_clock::now();
+    Result<std::unique_ptr<ComposeClient>> client =
+        ComposeClient::Connect("127.0.0.1", port, /*retry_ms=*/2000);
+    auto elapsed = std::chrono::steady_clock::now() - start;
+    ASSERT_FALSE(client.ok()) << port;
+    EXPECT_EQ(client.status().code(), StatusCode::kInvalidArgument) << port;
+    EXPECT_LT(elapsed, std::chrono::milliseconds(200)) << port;
+  }
+}
+
 }  // namespace
 }  // namespace serve
 }  // namespace mapcomp

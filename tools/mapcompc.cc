@@ -186,6 +186,7 @@ int main(int argc, char** argv) {
   int serve_port = -1;    // -1 = no --serve; 0 = ephemeral
   int serve_requests = 0; // 0 = serve forever
   std::string client_target;  // empty = no --client
+  int client_port = 0;
   int registry_steps = 0; // 0 = no --registry-demo
   int check_eval = 0;     // 0 = no --check-eval
   uint64_t check_seed = 42;
@@ -246,10 +247,17 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(arg, "--client") == 0 && i + 1 < argc) {
       client_target = argv[++i];
-      if (client_target.find(':') == std::string::npos) {
-        std::fprintf(stderr, "--client expects HOST:PORT\n");
+      size_t colon = client_target.rfind(':');
+      const char* port_text =
+          colon == std::string::npos ? "" : client_target.c_str() + colon + 1;
+      char* end = nullptr;
+      long port = std::strtol(port_text, &end, 10);
+      if (*port_text == '\0' || *end != '\0' || port < 1 || port > 65535) {
+        std::fprintf(stderr,
+                     "--client expects HOST:PORT with PORT in [1, 65535]\n");
         return 2;
       }
+      client_port = static_cast<int>(port);
     } else if (std::strcmp(arg, "--registry-demo") == 0 && i + 1 < argc) {
       registry_steps = std::atoi(argv[++i]);
       if (registry_steps < 1) {
@@ -432,9 +440,8 @@ int main(int argc, char** argv) {
     // ServedResult prints through the same path as --serve-demo.
     size_t colon = client_target.rfind(':');
     std::string host = client_target.substr(0, colon);
-    int port = std::atoi(client_target.c_str() + colon + 1);
     mapcomp::Result<std::unique_ptr<mapcomp::serve::ComposeClient>> client =
-        mapcomp::serve::ComposeClient::Connect(host, port);
+        mapcomp::serve::ComposeClient::Connect(host, client_port);
     if (!client.ok()) {
       std::fprintf(stderr, "--client: %s\n",
                    client.status().ToString().c_str());
