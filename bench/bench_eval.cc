@@ -378,7 +378,6 @@ int main(int argc, char** argv) {
     ExprPtr dag = legs[0];
     int64_t work = static_cast<int64_t>(width) * leg_tuples * leg_tuples;
     int64_t tasks_spawned = 0, max_ready_depth = 0;
-    int64_t index_hits = 0, index_misses = 0;
     auto rows = Sweep(kLanes, reps, [&](int jobs) {
       EvalOptions opts;
       opts.jobs = jobs;
@@ -387,21 +386,16 @@ int main(int argc, char** argv) {
       if (jobs == 1) {
         tasks_spawned = out.stats.tasks_spawned;
         max_ready_depth = out.stats.max_ready_depth;
-        index_hits = out.stats.index_cache_hits;
-        index_misses = out.stats.index_cache_misses;
       }
       return out.Fingerprint();
     });
     std::printf(
         "    {\"name\": \"dag_siblings\", \"sibling_joins\": %d, "
         "\"leg_tuples\": %d, \"work_tuples\": %lld, "
-        "\"tasks_spawned\": %lld, \"max_ready_depth\": %lld, "
-        "\"index_cache_hits\": %lld, \"index_cache_misses\": %lld,\n",
+        "\"tasks_spawned\": %lld, \"max_ready_depth\": %lld,\n",
         width, leg_tuples, static_cast<long long>(work),
         static_cast<long long>(tasks_spawned),
-        static_cast<long long>(max_ready_depth),
-        static_cast<long long>(index_hits),
-        static_cast<long long>(index_misses));
+        static_cast<long long>(max_ready_depth));
     PrintRows(rows, work);
     std::printf("    },\n");
   }

@@ -23,8 +23,8 @@ namespace mapcomp {
 namespace {
 
 using eval_internal::CompiledCond;
+using eval_internal::CompiledJoin;
 using eval_internal::DomainSelectPlan;
-using eval_internal::JoinPlan;
 
 /// Node results are shared, not copied: every parent holds the same table,
 /// treated as immutable everywhere.
@@ -115,14 +115,14 @@ int64_t MorselCount(int64_t n) {
 //      same refcount-driven drop cascade, same guard checks — but instead
 //      of computing tables, record one `Slot` per node to compute and an
 //      event log of what the walk observed (evals, memo hits, memo drops,
-//      index-cache probes, root boundaries). Everything schedule-sensitive
+//      root boundaries). Everything schedule-sensitive
 //      (which nodes run, which products are bypassed, condition
 //      compilation / constant interning, error precedence for guards) is
 //      decided here, on one thread.
 //
 //   2. EXECUTE (parallel): each slot becomes a TaskDag task depending on
 //      its input slots, so sibling subtrees, multiple EvaluateMany roots,
-//      and — via nested sharding inside a slot — hash-join probe morsels
+//      and — via nested sharding inside a slot — join probe morsels
 //      all interleave on the same lanes. A slot's output depends only on
 //      its input tables, so lane count decides who computes a slot, never
 //      what lands in it. A slot's table is dropped the moment its last
@@ -135,7 +135,8 @@ int64_t MorselCount(int64_t n) {
 //      at any lane count, including the memo_bytes_peak watermark.
 // --------------------------------------------------------------------------
 
-/// What a slot computes. kSelect* split the old select dispatch: the
+/// What a slot computes. kJoin is both a bare product and a planned
+/// select(product); kSelect* split the rest of the select dispatch. The
 /// planner resolves the strategy (join vs. domain-prune vs. plain filter)
 /// at plan time, so execution is branch-free on expression structure.
 enum class SlotOp {
@@ -146,9 +147,8 @@ enum class SlotOp {
   kUnion,
   kIntersect,
   kDifference,
-  kProduct,
+  kJoin,
   kSelectFilter,
-  kSelectJoin,
   kSelectDomain,
   kSelectDomainEmpty,
   kProject,
@@ -170,15 +170,9 @@ struct Slot {
   // kUserOp payload: the node's condition compiled at plan time, handed to
   // the operator's kernel via ColumnarContext.
   CompiledCond cond;
-  // kSelectJoin payload (PlanJoin results, compiled at plan time).
-  bool left_filter_true = true;
-  bool right_filter_true = true;
-  CompiledCond left_cc, right_cc, residual_cc;
-  std::vector<std::pair<int, int>> keys;
-  /// Cached build-side index (Instance::JoinIndex) when one join input is a
-  /// bare, unfiltered relation; null means build a hash index per run.
-  std::shared_ptr<const std::vector<int64_t>> build_perm;
-  bool build_perm_left = false;
+  // kJoin payload, compiled at plan time; a bare product keeps the empty
+  // plan (no filters, keys or residual).
+  CompiledJoin join;
   // kSelectDomain payload (bound-class analysis resolved at plan time).
   std::vector<int> class_of;
   std::vector<ValueId> class_id;
@@ -206,7 +200,7 @@ struct Slot {
 /// One observation of the sequential plan walk. Replayed in order against
 /// the slots' measured outputs to reconstruct per-root stats.
 struct PlanEvent {
-  enum Kind { kEval, kHit, kDrop, kIndexHit, kIndexMiss, kRootEnd } kind;
+  enum Kind { kEval, kHit, kDrop, kRootEnd } kind;
   int64_t slot = -1;
 };
 
@@ -286,59 +280,14 @@ Result<int64_t> PlanVisit(const ExprPtr& e, KernelState* ks);
 /// turns cross-side equalities into hash-join keys, and keeps the rest as a
 /// residual filter on joined rows. The product child itself is never
 /// materialized (its memo refcount is released through the bypass cascade).
-/// When one join input is a bare relation with no pushed-down side filter,
-/// the instance's cached build-side index replaces the per-run hash build.
 Result<int64_t> PlanSelectJoin(const ExprPtr& e, KernelState* ks) {
   const ExprPtr& prod = e->child(0);
-  const ExprPtr& left = prod->child(0);
-  const ExprPtr& right = prod->child(1);
-  JoinPlan plan = eval_internal::PlanJoin(e->condition(), left->arity(),
-                                          right->arity());
-  MAPCOMP_ASSIGN_OR_RETURN(int64_t a, PlanVisit(left, ks));
-  MAPCOMP_ASSIGN_OR_RETURN(int64_t b, PlanVisit(right, ks));
-  int64_t slot = NewSlot(e.get(), SlotOp::kSelectJoin, e->arity(), {a, b}, ks);
-  Slot& s = ks->slots[static_cast<size_t>(slot)];
-  s.left_filter_true = plan.left_filter.IsTrue();
-  s.right_filter_true = plan.right_filter.IsTrue();
-  if (!s.left_filter_true) {
-    s.left_cc = CompiledCond::Compile(plan.left_filter, ks->dict.get());
-  }
-  if (!s.right_filter_true) {
-    s.right_cc = CompiledCond::Compile(plan.right_filter, ks->dict.get());
-  }
-  s.residual_cc = CompiledCond::Compile(plan.residual, ks->dict.get());
-  s.keys = plan.keys;
-  if (!s.keys.empty()) {
-    // Index-cache eligibility: the build side must be exactly the relation
-    // encoding in set order (table row i == set element i), i.e. a bare
-    // kRelation input with no pushed-down side filter. Prefer the smaller
-    // relation as the build side (ties go left), like the hash build.
-    bool left_ok =
-        left->kind() == ExprKind::kRelation && s.left_filter_true;
-    bool right_ok =
-        right->kind() == ExprKind::kRelation && s.right_filter_true;
-    if (left_ok && right_ok) {
-      if (ks->instance->Get(right->name()).size() <
-          ks->instance->Get(left->name()).size()) {
-        left_ok = false;
-      } else {
-        right_ok = false;
-      }
-    }
-    if (left_ok || right_ok) {
-      const ExprPtr& rel = left_ok ? left : right;
-      std::vector<int> cols;
-      cols.reserve(s.keys.size());
-      for (const std::pair<int, int>& k : s.keys) {
-        cols.push_back((left_ok ? k.first : k.second) - 1);
-      }
-      bool was_hit = false;
-      s.build_perm = ks->instance->JoinIndex(rel->name(), cols, &was_hit);
-      s.build_perm_left = left_ok;
-      ks->events.push_back(
-          {was_hit ? PlanEvent::kIndexHit : PlanEvent::kIndexMiss, slot});
-    }
-  }
+  MAPCOMP_ASSIGN_OR_RETURN(int64_t a, PlanVisit(prod->child(0), ks));
+  MAPCOMP_ASSIGN_OR_RETURN(int64_t b, PlanVisit(prod->child(1), ks));
+  int64_t slot = NewSlot(e.get(), SlotOp::kJoin, e->arity(), {a, b}, ks);
+  ks->slots[static_cast<size_t>(slot)].join = CompiledJoin::Compile(
+      e->condition(), prod->child(0)->arity(), prod->child(1)->arity(),
+      ks->dict.get());
   FinishSlot(e.get(), slot, ks);
   return slot;
 }
@@ -451,7 +400,7 @@ Result<int64_t> PlanVisit(const ExprPtr& e, KernelState* ks) {
       SlotOp op = SlotOp::kUnion;
       if (e->kind() == ExprKind::kIntersect) op = SlotOp::kIntersect;
       if (e->kind() == ExprKind::kDifference) op = SlotOp::kDifference;
-      if (e->kind() == ExprKind::kProduct) op = SlotOp::kProduct;
+      if (e->kind() == ExprKind::kProduct) op = SlotOp::kJoin;
       int64_t slot = NewSlot(e.get(), op, e->arity(), {a, b}, ks);
       FinishSlot(e.get(), slot, ks);
       return slot;
@@ -636,85 +585,81 @@ Result<TablePtr> EvalSlotDomain(KernelState* ks, Slot* s) {
   return OwnTable(std::move(out));
 }
 
-Result<TablePtr> EvalSlotSelectJoin(KernelState* ks, Slot* s,
-                                    const TablePtr& a, const TablePtr& b) {
-  const int la = a->arity(), ra = b->arity();
+/// Rows of `in` passing `cc`, sharded like any per-row transform. Filtering
+/// preserves sortedness.
+TablePtr FilterTable(KernelState* ks, Slot* s, const TablePtr& in,
+                     const CompiledCond& cc) {
   const ValueDict& dict = *ks->dict;
-  TablePtr fa = a, fb = b;
-  if (!s->left_filter_true) {
-    const CompiledCond& cc = s->left_cc;
-    fa = OwnTable(SlotTransform(
-        ks, s, *a, a->size(), la,
-        [&cc, &dict, la](const ValueId* row, std::vector<ValueId>* out) {
-          if (cc.Eval(row, la, dict)) out->insert(out->end(), row, row + la);
-        }));
-  }
-  if (!s->right_filter_true) {
-    const CompiledCond& cc = s->right_cc;
-    fb = OwnTable(SlotTransform(
-        ks, s, *b, b->size(), ra,
-        [&cc, &dict, ra](const ValueId* row, std::vector<ValueId>* out) {
-          if (cc.Eval(row, ra, dict)) out->insert(out->end(), row, row + ra);
-        }));
-  }
-  const CompiledCond& residual = s->residual_cc;
-  const int out_arity = s->arity;
-  if (!s->keys.empty()) {
-    ++s->d_hash_join;
-    // Probe work drives sharding eligibility (the build is linear anyway).
-    bool eligible = std::max(fa->size(), fb->size()) >=
-                    ks->options->parallel_threshold;
-    if (eligible) ++s->d_sharded;
-    if (s->build_perm != nullptr) {
-      // Cached build side: the probe is the other input. IndexJoin emits
-      // nothing when either side is empty, so morsels only count then.
-      const TupleTable& probe = s->build_perm_left ? *fb : *fa;
-      if (eligible && !fa->empty() && !fb->empty()) {
-        s->d_tasks += MorselCount(probe.size());
-      }
-      return OwnTable(eval_internal::IndexJoin(
-          *fa, *fb, s->keys, residual, dict, *s->build_perm,
-          s->build_perm_left, eligible ? ks->pool : nullptr,
-          ks->max_helpers));
-    }
-    if (eligible && !fa->empty() && !fb->empty()) {
-      s->d_tasks += MorselCount(std::max(fa->size(), fb->size()));
-    }
-    return OwnTable(eval_internal::HashJoin(*fa, *fb, s->keys, residual, dict,
-                                            eligible ? ks->pool : nullptr,
-                                            ks->max_helpers));
-  }
-  // No usable equality keys: nested loop over the *filtered* sides, with
-  // the residual applied during emission (still strictly less work than
-  // materializing the product and selecting afterwards).
-  ++s->d_nested;
-  if (out_arity == 0) {
+  const int arity = in->arity();
+  if (arity == 0) {
     TupleTable out(0);
-    if (!fa->empty() && !fb->empty() &&
-        (residual.IsTrue() || residual.Eval(nullptr, 0, dict))) {
-      out.AppendRow(nullptr);
-    }
+    if (!in->empty() && cc.Eval(nullptr, 0, dict)) out.AppendRow(nullptr);
     return OwnTable(std::move(out));
   }
-  const TupleTable& right = *fb;
-  TupleTable out = SlotTransform(
-      ks, s, *fa, fa->size() * fb->size(), out_arity,
-      [&residual, &dict, &right, la, ra, out_arity](
-          const ValueId* lrow, std::vector<ValueId>* out_data) {
-        std::vector<ValueId> combined(static_cast<size_t>(out_arity));
-        std::copy(lrow, lrow + la, combined.begin());
-        for (int64_t j = 0; j < right.size(); ++j) {
-          const ValueId* rrow = right.Row(j);
-          std::copy(rrow, rrow + ra, combined.begin() + la);
-          if (residual.IsTrue() ||
-              residual.Eval(combined.data(), out_arity, dict)) {
-            out_data->insert(out_data->end(), combined.begin(),
-                             combined.end());
-          }
+  return OwnTable(SlotTransform(
+      ks, s, *in, in->size(), arity,
+      [&cc, &dict, arity](const ValueId* row, std::vector<ValueId>* out) {
+        if (cc.Eval(row, arity, dict)) {
+          out->insert(out->end(), row, row + arity);
         }
+      }));
+}
+
+/// Every product and planned select(product) runs on the one JoinMatcher:
+/// pushed-down filters first, then a build over one filtered side and a
+/// sharded probe of the other. With keys the smaller side is the build
+/// (ties go left); without keys the right side is, so the probe walks left
+/// rows in order and emits a-major rows that are already sorted.
+Result<TablePtr> EvalSlotJoin(KernelState* ks, Slot* s, const TablePtr& a,
+                              const TablePtr& b) {
+  const CompiledJoin& join = s->join;
+  TablePtr fa = join.left_filter.IsTrue()
+                    ? a
+                    : FilterTable(ks, s, a, join.left_filter);
+  TablePtr fb = join.right_filter.IsTrue()
+                    ? b
+                    : FilterTable(ks, s, b, join.right_filter);
+  const bool keyed = !join.keys.empty();
+  if (keyed) {
+    ++s->d_hash_join;
+  } else {
+    ++s->d_nested;
+  }
+  const int out_arity = s->arity;
+  if (out_arity == 0) {  // keys need attributes, so this is a unit product
+    TupleTable out(0);
+    if (!fa->empty() && !fb->empty()) out.AppendRow(nullptr);
+    return OwnTable(std::move(out));
+  }
+  const bool build_left = keyed && fa->size() <= fb->size();
+  const TupleTable& build = build_left ? *fa : *fb;
+  const TupleTable& probe = build_left ? *fb : *fa;
+  // With keys, probe work drives sharding eligibility (the build is
+  // linear); without keys every pair is a candidate.
+  const int64_t work = keyed ? probe.size() : fa->size() * fb->size();
+  if (build.empty()) {
+    if (work >= ks->options->parallel_threshold) ++s->d_sharded;
+    return OwnTable(TupleTable(out_arity));
+  }
+  const eval_internal::JoinMatcher matcher(build, build_left, probe.arity(),
+                                           join.keys, join.residual,
+                                           *ks->dict);
+  const int la = fa->arity(), ra = fb->arity();
+  TupleTable out = SlotTransform(
+      ks, s, probe, work, out_arity,
+      [&matcher, build_left, la, ra](const ValueId* prow,
+                                     std::vector<ValueId>* out_data) {
+        matcher.ForEachMatch(prow, [&](const ValueId* brow) {
+          const ValueId* lrow = build_left ? brow : prow;
+          const ValueId* rrow = build_left ? prow : brow;
+          out_data->insert(out_data->end(), lrow, lrow + la);
+          out_data->insert(out_data->end(), rrow, rrow + ra);
+          return true;
+        });
       });
-  // (sorted a) × (sorted b) emitted a-major is already sorted, and pairs of
-  // unique rows are unique.
+  // Pairs of unique rows are unique; only a left build leaves them out of
+  // order.
+  if (build_left) out.SortRows();
   return OwnTable(std::move(out));
 }
 
@@ -871,49 +816,10 @@ Result<TablePtr> EvalSlot(KernelState* ks, Slot* s,
       if (merged.size() == a->size()) return a;  // disjoint
       return OwnTable(std::move(merged));
     }
-    case SlotOp::kProduct: {
-      TablePtr a = in[0], b = in[1];
-      ++s->d_nested;
-      const int la = a->arity(), ra = b->arity();
-      const int out_arity = s->arity;
-      if (out_arity == 0) {
-        TupleTable out(0);
-        if (!a->empty() && !b->empty()) out.AppendRow(nullptr);
-        return OwnTable(std::move(out));
-      }
-      const TupleTable& right = *b;
-      return OwnTable(SlotTransform(
-          ks, s, *a, a->size() * b->size(), out_arity,
-          [&right, la, ra](const ValueId* lrow, std::vector<ValueId>* out) {
-            for (int64_t j = 0; j < right.size(); ++j) {
-              out->insert(out->end(), lrow, lrow + la);
-              const ValueId* rrow = right.Row(j);
-              out->insert(out->end(), rrow, rrow + ra);
-            }
-          }));
-      // Sorted by construction: a-major over two sorted inputs.
-    }
-    case SlotOp::kSelectFilter: {
-      TablePtr a = in[0];
-      const CompiledCond& cc = s->cond;
-      const ValueDict& dict = *ks->dict;
-      const int arity = a->arity();
-      if (arity == 0) {
-        TupleTable out(0);
-        if (!a->empty() && cc.Eval(nullptr, 0, dict)) out.AppendRow(nullptr);
-        return OwnTable(std::move(out));
-      }
-      return OwnTable(SlotTransform(
-          ks, s, *a, a->size(), arity,
-          [&cc, &dict, arity](const ValueId* row, std::vector<ValueId>* out) {
-            if (cc.Eval(row, arity, dict)) {
-              out->insert(out->end(), row, row + arity);
-            }
-          }));
-      // Filtering preserves sortedness.
-    }
-    case SlotOp::kSelectJoin:
-      return EvalSlotSelectJoin(ks, s, in[0], in[1]);
+    case SlotOp::kJoin:
+      return EvalSlotJoin(ks, s, in[0], in[1]);
+    case SlotOp::kSelectFilter:
+      return FilterTable(ks, s, in[0], s->cond);
     case SlotOp::kSelectDomain:
       return EvalSlotSelectDomain(ks, s);
     case SlotOp::kProject: {
@@ -1084,12 +990,6 @@ void ReplayStats(KernelRun* run) {
       case PlanEvent::kDrop:
         live -= ks.slots[static_cast<size_t>(ev.slot)].bytes;
         break;
-      case PlanEvent::kIndexHit:
-        ++st.index_cache_hits;
-        break;
-      case PlanEvent::kIndexMiss:
-        ++st.index_cache_misses;
-        break;
       case PlanEvent::kRootEnd:
         st.memo_bytes_peak = peak;
         st.max_ready_depth = ks.root_width[bucket];
@@ -1218,8 +1118,6 @@ void EvalStats::MergeFrom(const EvalStats& other) {
   memo_bytes_peak = std::max(memo_bytes_peak, other.memo_bytes_peak);
   tasks_spawned += other.tasks_spawned;
   max_ready_depth = std::max(max_ready_depth, other.max_ready_depth);
-  index_cache_hits += other.index_cache_hits;
-  index_cache_misses += other.index_cache_misses;
 }
 
 EvalStats EvalStats::DiffFrom(const EvalStats& before) const {
@@ -1235,8 +1133,6 @@ EvalStats EvalStats::DiffFrom(const EvalStats& before) const {
   out.memo_bytes_peak = memo_bytes_peak;  // watermark, not a counter
   out.tasks_spawned = tasks_spawned - before.tasks_spawned;
   out.max_ready_depth = max_ready_depth;  // watermark, not a counter
-  out.index_cache_hits = index_cache_hits - before.index_cache_hits;
-  out.index_cache_misses = index_cache_misses - before.index_cache_misses;
   return out;
 }
 
@@ -1250,9 +1146,7 @@ std::string EvalStats::ToString() const {
          std::to_string(memo_bytes_peak) + "B peak / " +
          std::to_string(memo_bytes_total) + "B total, " +
          std::to_string(tasks_spawned) + " tasks, ready width " +
-         std::to_string(max_ready_depth) + ", join index " +
-         std::to_string(index_cache_hits) + " hits / " +
-         std::to_string(index_cache_misses) + " misses";
+         std::to_string(max_ready_depth);
 }
 
 /// Shared decode-on-demand payload: copies of one EvalResult (and the

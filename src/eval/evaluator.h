@@ -97,8 +97,9 @@ struct EvalStats {
   /// ready simultaneously. A watermark like memo_bytes_peak: MergeFrom
   /// takes the max, DiffFrom keeps this side's value.
   int64_t max_ready_depth = 0;
-  /// Per-instance build-side join-index cache (Instance::JoinIndex):
-  /// lookups answered by a cached permutation vs. built fresh.
+  /// Always 0: every join builds its own hash index, nothing is cached on
+  /// the Instance. Kept only because the benchmark harness reads them; they
+  /// go with the next change to the benchmark.
   int64_t index_cache_hits = 0;
   int64_t index_cache_misses = 0;
 

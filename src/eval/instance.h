@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -45,21 +44,6 @@ class Instance {
   /// thread evaluates against it was never supported.
   const std::set<Value>& ActiveDomain() const;
 
-  /// Lazily-built, cached build-side join index: the permutation of
-  /// Get(name)'s set-order row positions sorted by the 0-based `cols`
-  /// values (CompareValues, ties by position). The permutation is id-free —
-  /// it orders *values*, so one cached build serves every evaluation over
-  /// this instance regardless of that evaluation's ValueDict, and repeated
-  /// Satisfies/CheckComposition passes stop rebuilding identical indexes.
-  /// Mirrors the ActiveDomain cache contract: Set/Add/Clear invalidate,
-  /// copies and moves don't carry the cache, assignment clears it, and
-  /// concurrent readers are safe (concurrent first calls build once, under
-  /// the mutex). `*hit` (optional) reports whether the index was already
-  /// cached, for EvalStats::index_cache_hits.
-  std::shared_ptr<const std::vector<int64_t>> JoinIndex(
-      const std::string& name, const std::vector<int>& cols,
-      bool* hit = nullptr) const;
-
   /// Merges `other` into a copy of this (union of relations; shared names
   /// take the union of their tuple sets).
   Instance MergedWith(const Instance& other) const;
@@ -82,16 +66,6 @@ class Instance {
   mutable std::mutex adom_mutex_;
   mutable bool adom_valid_ = false;
   mutable std::set<Value> adom_cache_;
-  // Lazy join-index cache (see JoinIndex). A flat vector-backed map: the
-  // handful of (relation, key columns) shapes one workload probes makes a
-  // linear scan cheaper than a tree or hash map.
-  struct JoinIndexEntry {
-    std::string relation;
-    std::vector<int> cols;
-    std::shared_ptr<const std::vector<int64_t>> perm;
-  };
-  mutable std::mutex jix_mutex_;
-  mutable std::vector<JoinIndexEntry> jix_cache_;
 };
 
 }  // namespace mapcomp

@@ -1,18 +1,13 @@
 #include "src/eval/join.h"
 
 #include <algorithm>
-#include <unordered_map>
-
-#include "src/runtime/sharding.h"
+#include <functional>
+#include <numeric>
 
 namespace mapcomp {
 namespace eval_internal {
 
 namespace {
-
-/// Chunk boundaries are a pure function of the probe size and the shared
-/// runtime::kMaxShardChunks, never of the lane count.
-constexpr int64_t kMaxShards = runtime::kMaxShardChunks;
 
 void FlattenConjuncts(const Condition& c,
                       std::vector<const Condition*>* out) {
@@ -52,12 +47,6 @@ void AttrSpan(const Condition& c, int* min_attr, int* max_attr) {
   }
 }
 
-uint64_t HashKeyCols(const ValueId* row, const std::vector<int>& cols) {
-  size_t seed = cols.size();
-  for (int c : cols) HashCombine(&seed, row[c]);
-  return seed;
-}
-
 }  // namespace
 
 CompiledCond CompiledCond::Compile(const Condition& c, ValueDict* dict) {
@@ -87,7 +76,8 @@ CompiledCond CompiledCond::Compile(const Condition& c, ValueDict* dict) {
   return out;
 }
 
-bool CompiledCond::Eval(const ValueId* row, int arity,
+bool CompiledCond::Eval(const ValueId* left, int left_arity,
+                        const ValueId* right, int right_arity,
                         const ValueDict& dict) const {
   switch (kind_) {
     case Condition::Kind::kTrue:
@@ -95,16 +85,21 @@ bool CompiledCond::Eval(const ValueId* row, int arity,
     case Condition::Kind::kFalse:
       return false;
     case Condition::Kind::kAtom: {
+      const uint32_t la = static_cast<uint32_t>(left_arity);
+      const uint32_t arity = la + static_cast<uint32_t>(right_arity);
+      auto column = [&](uint32_t i) {
+        return i < la ? left[i] : right[i - la];
+      };
       ValueId a, b;
       if (lhs_attr_) {
-        if (lhs_ >= static_cast<uint32_t>(arity)) return false;
-        a = row[lhs_];
+        if (lhs_ >= arity) return false;
+        a = column(lhs_);
       } else {
         a = lhs_;
       }
       if (rhs_attr_) {
-        if (rhs_ >= static_cast<uint32_t>(arity)) return false;
-        b = row[rhs_];
+        if (rhs_ >= arity) return false;
+        b = column(rhs_);
       } else {
         b = rhs_;
       }
@@ -126,52 +121,22 @@ bool CompiledCond::Eval(const ValueId* row, int arity,
     }
     case Condition::Kind::kAnd:
       for (const CompiledCond& child : children_) {
-        if (!child.Eval(row, arity, dict)) return false;
+        if (!child.Eval(left, left_arity, right, right_arity, dict)) {
+          return false;
+        }
       }
       return true;
     case Condition::Kind::kOr:
       for (const CompiledCond& child : children_) {
-        if (child.Eval(row, arity, dict)) return true;
+        if (child.Eval(left, left_arity, right, right_arity, dict)) {
+          return true;
+        }
       }
       return false;
     case Condition::Kind::kNot:
-      return !children_[0].Eval(row, arity, dict);
+      return !children_[0].Eval(left, left_arity, right, right_arity, dict);
   }
   return false;
-}
-
-JoinPlan PlanJoin(const Condition& cond, int left_arity, int right_arity) {
-  JoinPlan plan;
-  std::vector<const Condition*> conjuncts;
-  FlattenConjuncts(cond, &conjuncts);
-  for (const Condition* c : conjuncts) {
-    int min_attr = INT32_MAX, max_attr = 0;
-    AttrSpan(*c, &min_attr, &max_attr);
-    if (max_attr <= left_arity) {
-      // Also takes attribute-free conjuncts (kFalse, const-vs-const atoms):
-      // a constant-false conjunct empties the left side, which empties the
-      // join — same truth value as filtering afterwards.
-      plan.left_filter = Condition::And(std::move(plan.left_filter), *c);
-      continue;
-    }
-    if (min_attr > left_arity) {
-      plan.right_filter = Condition::And(std::move(plan.right_filter),
-                                         c->ShiftAttrs(-left_arity));
-      continue;
-    }
-    if (c->kind() == Condition::Kind::kAtom && c->op() == CmpOp::kEq &&
-        c->lhs().is_attr && c->rhs().is_attr) {
-      int x = c->lhs().attr, y = c->rhs().attr;
-      if (x > y) std::swap(x, y);
-      if (x >= 1 && x <= left_arity && y > left_arity &&
-          y <= left_arity + right_arity) {
-        plan.keys.emplace_back(x, y - left_arity);
-        continue;
-      }
-    }
-    plan.residual = Condition::And(std::move(plan.residual), *c);
-  }
-  return plan;
 }
 
 DomainSelectPlan PlanDomainSelect(const Condition& cond, int r) {
@@ -243,147 +208,106 @@ DomainSelectPlan PlanDomainSelect(const Condition& cond, int r) {
   return plan;
 }
 
-TupleTable HashJoin(const TupleTable& left, const TupleTable& right,
-                    const std::vector<std::pair<int, int>>& keys,
-                    const CompiledCond& residual, const ValueDict& dict,
-                    runtime::ThreadPool* pool, int max_helpers) {
-  const bool build_left = left.size() <= right.size();
-  const TupleTable& build = build_left ? left : right;
-  const TupleTable& probe = build_left ? right : left;
-  std::vector<int> build_cols, probe_cols;
-  build_cols.reserve(keys.size());
-  probe_cols.reserve(keys.size());
-  for (const auto& [l, r] : keys) {
-    build_cols.push_back(build_left ? l - 1 : r - 1);
-    probe_cols.push_back(build_left ? r - 1 : l - 1);
+CompiledJoin CompiledJoin::Compile(const Condition& cond, int left_arity,
+                                   int right_arity, ValueDict* dict) {
+  CompiledJoin out;
+  Condition left = Condition::True(), right = Condition::True(),
+            residual = Condition::True();
+  std::vector<const Condition*> conjuncts;
+  FlattenConjuncts(cond, &conjuncts);
+  for (const Condition* c : conjuncts) {
+    int min_attr = INT32_MAX, max_attr = 0;
+    AttrSpan(*c, &min_attr, &max_attr);
+    if (max_attr <= left_arity) {
+      // Also takes attribute-free conjuncts (kFalse, const-vs-const atoms):
+      // a constant-false conjunct empties the left side, which empties the
+      // join — same truth value as filtering afterwards.
+      left = Condition::And(std::move(left), *c);
+      continue;
+    }
+    if (min_attr > left_arity) {
+      right = Condition::And(std::move(right), c->ShiftAttrs(-left_arity));
+      continue;
+    }
+    if (c->kind() == Condition::Kind::kAtom && c->op() == CmpOp::kEq &&
+        c->lhs().is_attr && c->rhs().is_attr) {
+      int x = c->lhs().attr, y = c->rhs().attr;
+      if (x > y) std::swap(x, y);
+      if (x >= 1 && x <= left_arity && y > left_arity &&
+          y <= left_arity + right_arity) {
+        out.keys.emplace_back(x, y - left_arity);
+        continue;
+      }
+    }
+    residual = Condition::And(std::move(residual), *c);
   }
-
-  const int la = left.arity(), ra = right.arity();
-  const int out_arity = la + ra;
-  TupleTable out(out_arity);
-  int64_t n = probe.size();
-  if (n == 0 || build.size() == 0) return out;
-
-  std::unordered_multimap<uint64_t, int64_t> index;
-  index.reserve(static_cast<size_t>(build.size()));
-  for (int64_t i = 0; i < build.size(); ++i) {
-    index.emplace(HashKeyCols(build.Row(i), build_cols), i);
-  }
-  int64_t chunk = (n + kMaxShards - 1) / kMaxShards;
-  std::vector<std::vector<ValueId>> chunks =
-      runtime::ShardedTransform<std::vector<ValueId>>(
-          pool, n, chunk, max_helpers,
-          [&](int64_t begin, int64_t end) {
-            std::vector<ValueId> local;
-            std::vector<ValueId> combined(static_cast<size_t>(out_arity));
-            for (int64_t i = begin; i < end; ++i) {
-              const ValueId* prow = probe.Row(i);
-              auto [it, last] =
-                  index.equal_range(HashKeyCols(prow, probe_cols));
-              for (; it != last; ++it) {
-                const ValueId* brow = build.Row(it->second);
-                bool match = true;
-                for (size_t k = 0; k < probe_cols.size(); ++k) {
-                  if (prow[probe_cols[k]] != brow[build_cols[k]]) {
-                    match = false;
-                    break;
-                  }
-                }
-                if (!match) continue;
-                const ValueId* lrow = build_left ? brow : prow;
-                const ValueId* rrow = build_left ? prow : brow;
-                std::copy(lrow, lrow + la, combined.begin());
-                std::copy(rrow, rrow + ra, combined.begin() + la);
-                if (!residual.IsTrue() &&
-                    !residual.Eval(combined.data(), out_arity, dict)) {
-                  continue;
-                }
-                local.insert(local.end(), combined.begin(), combined.end());
-              }
-            }
-            return local;
-          });
-  std::vector<ValueId>& data = out.MutableData();
-  for (const std::vector<ValueId>& c : chunks) {
-    data.insert(data.end(), c.begin(), c.end());
-  }
-  out.FinishAppends();
-  // Left rows and right rows are each unique, so joined pairs are unique:
-  // sorting alone canonicalizes.
-  out.SortRows();
+  out.left_filter = CompiledCond::Compile(left, dict);
+  out.right_filter = CompiledCond::Compile(right, dict);
+  out.residual = CompiledCond::Compile(residual, dict);
   return out;
 }
 
-TupleTable IndexJoin(const TupleTable& left, const TupleTable& right,
-                     const std::vector<std::pair<int, int>>& keys,
-                     const CompiledCond& residual, const ValueDict& dict,
-                     const std::vector<int64_t>& build_perm, bool build_left,
-                     runtime::ThreadPool* pool, int max_helpers) {
-  const TupleTable& build = build_left ? left : right;
-  const TupleTable& probe = build_left ? right : left;
-  std::vector<int> build_cols, probe_cols;
-  build_cols.reserve(keys.size());
-  probe_cols.reserve(keys.size());
+JoinMatcher::JoinMatcher(const TupleTable& build, bool build_left,
+                         int probe_arity,
+                         const std::vector<std::pair<int, int>>& keys,
+                         const CompiledCond& residual, const ValueDict& dict,
+                         const CompiledCond& build_filter)
+    : build_(&build),
+      build_left_(build_left),
+      probe_arity_(probe_arity),
+      residual_(&residual),
+      dict_(&dict) {
   for (const auto& [l, r] : keys) {
-    build_cols.push_back(build_left ? l - 1 : r - 1);
-    probe_cols.push_back(build_left ? r - 1 : l - 1);
+    build_cols_.push_back((build_left ? l : r) - 1);
+    probe_cols_.push_back((build_left ? r : l) - 1);
   }
-
-  const int la = left.arity(), ra = right.arity();
-  const int out_arity = la + ra;
-  TupleTable out(out_arity);
-  int64_t n = probe.size();
-  if (n == 0 || build.size() == 0) return out;
-
-  // Three-way comparison of a build row (by permutation entry) against a
-  // probe row on the key columns, in value order — the order build_perm is
-  // sorted by, whatever ids this evaluation assigned.
-  auto cmp = [&](int64_t build_row, const ValueId* prow) {
-    const ValueId* brow = build.Row(build_row);
-    for (size_t k = 0; k < build_cols.size(); ++k) {
-      int c = dict.Compare(brow[build_cols[k]], prow[probe_cols[k]]);
-      if (c != 0) return c;
-    }
-    return 0;
-  };
-
-  int64_t chunk = (n + kMaxShards - 1) / kMaxShards;
-  std::vector<std::vector<ValueId>> chunks =
-      runtime::ShardedTransform<std::vector<ValueId>>(
-          pool, n, chunk, max_helpers,
-          [&](int64_t begin, int64_t end) {
-            std::vector<ValueId> local;
-            std::vector<ValueId> combined(static_cast<size_t>(out_arity));
-            for (int64_t i = begin; i < end; ++i) {
-              const ValueId* prow = probe.Row(i);
-              auto lo = std::lower_bound(
-                  build_perm.begin(), build_perm.end(), prow,
-                  [&](int64_t b, const ValueId* p) { return cmp(b, p) < 0; });
-              auto hi = std::upper_bound(
-                  lo, build_perm.end(), prow,
-                  [&](const ValueId* p, int64_t b) { return cmp(b, p) > 0; });
-              for (auto it = lo; it != hi; ++it) {
-                const ValueId* brow = build.Row(*it);
-                const ValueId* lrow = build_left ? brow : prow;
-                const ValueId* rrow = build_left ? prow : brow;
-                std::copy(lrow, lrow + la, combined.begin());
-                std::copy(rrow, rrow + ra, combined.begin() + la);
-                if (!residual.IsTrue() &&
-                    !residual.Eval(combined.data(), out_arity, dict)) {
-                  continue;
-                }
-                local.insert(local.end(), combined.begin(), combined.end());
-              }
-            }
-            return local;
-          });
-  std::vector<ValueId>& data = out.MutableData();
-  for (const std::vector<ValueId>& c : chunks) {
-    data.insert(data.end(), c.begin(), c.end());
+  std::vector<int64_t> kept;
+  kept.reserve(static_cast<size_t>(build.size()));
+  for (int64_t i = 0; i < build.size(); ++i) {
+    if (build_filter.Eval(build.Row(i), build.arity(), dict)) kept.push_back(i);
   }
-  out.FinishAppends();
-  out.SortRows();
-  return out;
+  // Counting sort into power-of-two buckets (one bucket without keys): rows
+  // stay in ascending position order within each bucket.
+  size_t buckets = 1;
+  if (!keys.empty()) {
+    while (buckets < kept.size()) buckets <<= 1;
+  }
+  mask_ = buckets - 1;
+  std::vector<size_t> bucket_of(kept.size());
+  bucket_begin_.assign(buckets + 1, 0);
+  for (size_t k = 0; k < kept.size(); ++k) {
+    bucket_of[k] = Bucket(build.Row(kept[k]), build_cols_);
+    ++bucket_begin_[bucket_of[k] + 1];
+  }
+  std::partial_sum(bucket_begin_.begin(), bucket_begin_.end(),
+                   bucket_begin_.begin());
+  std::vector<int64_t> fill(bucket_begin_.begin(), bucket_begin_.end() - 1);
+  rows_.resize(kept.size());
+  for (size_t k = 0; k < kept.size(); ++k) {
+    rows_[static_cast<size_t>(fill[bucket_of[k]]++)] = kept[k];
+  }
+}
+
+size_t JoinMatcher::Bucket(const ValueId* row,
+                           const std::vector<int>& cols) const {
+  if (mask_ == 0) return 0;
+  size_t seed = cols.size();
+  for (int c : cols) HashCombine(&seed, row[c]);
+  // Fibonacci mix: the masked low bits must depend on every key bit.
+  uint64_t h = static_cast<uint64_t>(seed) * 0x9e3779b97f4a7c15ULL;
+  return static_cast<size_t>(h ^ (h >> 32)) & mask_;
+}
+
+bool JoinMatcher::Accepts(const ValueId* probe_row,
+                          const ValueId* build_row) const {
+  for (size_t k = 0; k < probe_cols_.size(); ++k) {
+    if (probe_row[probe_cols_[k]] != build_row[build_cols_[k]]) return false;
+  }
+  const int build_arity = build_->arity();
+  return build_left_ ? residual_->Eval(build_row, build_arity, probe_row,
+                                       probe_arity_, *dict_)
+                     : residual_->Eval(probe_row, probe_arity_, build_row,
+                                       build_arity, *dict_);
 }
 
 }  // namespace eval_internal

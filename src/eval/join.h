@@ -9,7 +9,6 @@
 #include "src/algebra/condition.h"
 #include "src/eval/tuple_table.h"
 #include "src/eval/value_dict.h"
-#include "src/runtime/thread_pool.h"
 
 namespace mapcomp {
 namespace eval_internal {
@@ -27,7 +26,14 @@ class CompiledCond {
   /// evaluation thread — never during a sharded emit).
   static CompiledCond Compile(const Condition& c, ValueDict* dict);
 
-  bool Eval(const ValueId* row, int arity, const ValueDict& dict) const;
+  bool Eval(const ValueId* row, int arity, const ValueDict& dict) const {
+    return Eval(row, arity, nullptr, 0, dict);
+  }
+
+  /// Evaluates over the row `left` followed by `right` without copying them
+  /// into one (a join residual tests each candidate pair in place).
+  bool Eval(const ValueId* left, int left_arity, const ValueId* right,
+            int right_arity, const ValueDict& dict) const;
 
   bool IsTrue() const { return kind_ == Condition::Kind::kTrue; }
 
@@ -38,26 +44,6 @@ class CompiledCond {
   uint32_t lhs_ = 0, rhs_ = 0;  // 0-based column index or ValueId
   std::vector<CompiledCond> children_;
 };
-
-/// How a `select(product(a, b))` node will run. Produced by PlanJoin from
-/// the selection condition and the two child arities:
-///   - conjuncts touching only the left (or only the right) side are pushed
-///     below the product as side filters,
-///   - equality conjuncts `#i = #j` spanning both sides become hash-join
-///     keys,
-///   - everything else (mixed non-equalities, disjunctions spanning sides)
-///     stays as a residual filter applied to each joined row.
-struct JoinPlan {
-  Condition left_filter = Condition::True();
-  /// Shifted to the right side's local attribute numbering.
-  Condition right_filter = Condition::True();
-  /// (left attr, right-local attr) pairs, 1-based.
-  std::vector<std::pair<int, int>> keys;
-  /// Evaluated against the combined row (original attribute numbering).
-  Condition residual = Condition::True();
-};
-
-JoinPlan PlanJoin(const Condition& cond, int left_arity, int right_arity);
 
 /// Bound-coordinate analysis of `select(D^r, cond)`: equality conjuncts
 /// partition the r coordinates into classes, some pinned to a constant —
@@ -79,32 +65,83 @@ struct DomainSelectPlan {
 
 DomainSelectPlan PlanDomainSelect(const Condition& cond, int r);
 
-/// Sharded hash join of two sorted tables: builds a hash index over the
-/// smaller side's key columns, probes the larger side in parallel row
-/// chunks (deterministic chunk order), emits combined rows in (left, right)
-/// column order filtered by `residual`, and returns the canonically sorted
-/// result. Row content is independent of lane count and probe order — the
-/// final sort makes the table canonical.
-TupleTable HashJoin(const TupleTable& left, const TupleTable& right,
-                    const std::vector<std::pair<int, int>>& keys,
-                    const CompiledCond& residual, const ValueDict& dict,
-                    runtime::ThreadPool* pool, int max_helpers);
+/// How a join condition over a (left, right) pair will run, compiled
+/// against one ValueDict — what the evaluator's join slot and the
+/// join-family user operators hand to JoinMatcher:
+///   - conjuncts touching only the left (or only the right) side are pushed
+///     below the join as side filters,
+///   - equality conjuncts `#i = #j` spanning both sides become hash keys,
+///   - everything else (mixed non-equalities, disjunctions spanning sides)
+///     stays as a residual tested on each candidate pair.
+struct CompiledJoin {
+  CompiledCond left_filter;
+  /// Over the right side's local attribute numbering.
+  CompiledCond right_filter;
+  /// Over the (left, right) pair in the original attribute numbering.
+  CompiledCond residual;
+  /// (left attr, right-local attr) pairs, 1-based.
+  std::vector<std::pair<int, int>> keys;
 
-/// HashJoin's sibling for a cached build side (Instance::JoinIndex):
-/// `build_perm` lists the build table's row positions sorted by its key
-/// columns in *value* order, so probes binary-search it through
-/// ValueDict::Compare instead of building a per-evaluation hash index.
-/// The permutation is id-free — one cached build serves every evaluation
-/// over the instance — which requires the build table to be a relation
-/// encoding in set order (FromSet of fully seeded values), where table row
-/// i is exactly set element i. `build_left` says which input the
-/// permutation indexes. Emits exactly HashJoin's rows; the final sort
-/// makes the result canonical and lane-count-independent.
-TupleTable IndexJoin(const TupleTable& left, const TupleTable& right,
-                     const std::vector<std::pair<int, int>>& keys,
-                     const CompiledCond& residual, const ValueDict& dict,
-                     const std::vector<int64_t>& build_perm, bool build_left,
-                     runtime::ThreadPool* pool, int max_helpers);
+  /// Splits `cond` over a (left_arity, right_arity) pair and compiles the
+  /// pieces, interning constants into `dict`.
+  static CompiledJoin Compile(const Condition& cond, int left_arity,
+                              int right_arity, ValueDict* dict);
+};
+
+/// The one equi-join matcher. The build step indexes the rows of one side
+/// that pass `build_filter` in a hash table over the key columns; with no
+/// keys every row shares one bucket, so the same code is the nested loop.
+/// ForEachMatch then visits, in build-row order, each indexed row whose key
+/// columns equal the probe row's and whose (left, right) pair passes the
+/// residual. Probing is read-only, so sharded probes share one matcher.
+class JoinMatcher {
+ public:
+  /// `build` is the left input when `build_left`, else the right. `keys`
+  /// are CompiledJoin keys; `build` and `residual` must outlive the
+  /// matcher.
+  JoinMatcher(const TupleTable& build, bool build_left, int probe_arity,
+              const std::vector<std::pair<int, int>>& keys,
+              const CompiledCond& residual, const ValueDict& dict,
+              const CompiledCond& build_filter = CompiledCond());
+
+  /// Calls `visit(build_row)` for every match of `probe_row`; stops early
+  /// when `visit` returns false.
+  template <typename Visit>
+  void ForEachMatch(const ValueId* probe_row, const Visit& visit) const {
+    const size_t b = Bucket(probe_row, probe_cols_);
+    for (int64_t k = bucket_begin_[b]; k < bucket_begin_[b + 1]; ++k) {
+      const ValueId* build_row = build_->Row(rows_[static_cast<size_t>(k)]);
+      if (Accepts(probe_row, build_row) && !visit(build_row)) return;
+    }
+  }
+
+  /// Whether `probe_row` has at least one match.
+  bool Matches(const ValueId* probe_row) const {
+    bool found = false;
+    ForEachMatch(probe_row, [&found](const ValueId*) {
+      found = true;
+      return false;  // one witness suffices
+    });
+    return found;
+  }
+
+ private:
+  size_t Bucket(const ValueId* row, const std::vector<int>& cols) const;
+  /// Key equality plus the residual over the (left, right) pair.
+  bool Accepts(const ValueId* probe_row, const ValueId* build_row) const;
+
+  const TupleTable* build_;
+  bool build_left_;
+  int probe_arity_;
+  /// 0-based key columns on each side, in key order.
+  std::vector<int> build_cols_, probe_cols_;
+  const CompiledCond* residual_;
+  const ValueDict* dict_;
+  size_t mask_ = 0;
+  /// Bucket b holds rows_[bucket_begin_[b], bucket_begin_[b + 1]): indexed
+  /// build-row positions, ascending.
+  std::vector<int64_t> bucket_begin_, rows_;
+};
 
 }  // namespace eval_internal
 }  // namespace mapcomp

@@ -8,6 +8,13 @@ namespace mapcomp {
 
 namespace {
 
+/// Every second generated instance is chase-repaired towards the original
+/// pipeline (see RepairTowards) so the "original satisfied" branch is
+/// exercised.
+constexpr bool kRepairHalf = true;
+/// Counterexample instances recorded verbatim in the report.
+constexpr int kMaxCounterexamples = 3;
+
 bool ConstraintHasSkolem(const Constraint& c) {
   return ContainsSkolem(c.lhs) || ContainsSkolem(c.rhs);
 }
@@ -89,7 +96,7 @@ Result<CompositionCheck> CheckComposition(
     Instance inst = RandomInstanceOver(
         {&problem.sigma1, &problem.sigma2, &problem.sigma3}, &rng,
         options.gen);
-    if (options.repair_half && i % 2 == 1) {
+    if (kRepairHalf && i % 2 == 1) {
       inst = RepairTowards(inst, original, eval);
     }
     ++out.instances;
@@ -141,7 +148,7 @@ Result<CompositionCheck> CheckComposition(
       if (violated) {
         ++out.violations;
         if (static_cast<int>(out.counterexamples.size()) <
-            options.max_counterexamples) {
+            kMaxCounterexamples) {
           out.counterexamples.push_back("violated constraint: " + failing +
                                         "\n" + inst.ToString());
         }

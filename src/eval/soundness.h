@@ -19,17 +19,11 @@ struct CompositionCheckOptions {
   /// satisfaction check. `extra_constants` and `skolem_mode` are managed by
   /// the harness itself.
   EvalOptions eval;
-  /// Of the generated instances, every second one is chase-repaired towards
-  /// the original pipeline (see RepairTowards) so the "original satisfied"
-  /// branch is exercised; set false to test raw random instances only.
-  bool repair_half = true;
   /// Bounded completeness probes: for up to this many instances whose
   /// restriction satisfies the composed mapping, search for an extension of
   /// the eliminated σ2 symbols satisfying the original pipeline
   /// (FindExtension — exponential, keep tiny). 0 disables.
   int completeness_samples = 0;
-  /// Counterexample instances recorded verbatim in the report.
-  int max_counterexamples = 3;
 };
 
 /// Verdict of the semantic soundness check of one composition (paper §2:

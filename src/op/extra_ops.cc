@@ -1,6 +1,5 @@
 #include "src/op/extra_ops.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -24,9 +23,8 @@ const Value& NullValue() {
 
 namespace {
 
-using eval_internal::CompiledCond;
-using eval_internal::JoinPlan;
-using eval_internal::PlanJoin;
+using eval_internal::CompiledJoin;
+using eval_internal::JoinMatcher;
 
 Result<int> SameBinaryArity(const std::vector<int>& arities) {
   if (arities.size() != 2) return Status::InvalidArgument("needs 2 args");
@@ -45,148 +43,36 @@ Result<int> BinaryRelationArity(const std::vector<int>& arities) {
   return 2;
 }
 
-// --------------------------------------------------------------------------
-// Columnar join-family probe. The three binary ops share one build-once
-// structure: the condition is decomposed by the evaluator's join planner
-// (single-side conjuncts become pushed filters, cross-side equalities
-// become keys, the rest a residual on concatenated rows), the right side
-// is filtered once, and — when keys exist — its surviving rows are sorted
-// by key columns so each left row probes a binary-searched equal range
-// instead of scanning. Within one ValueDict id equality ⇔ value equality,
-// so keys compare as raw integers.
-// --------------------------------------------------------------------------
-
-struct JoinProbe {
-  const TupleTable* right = nullptr;
-  const ValueDict* dict = nullptr;
-  int la = 0, ra = 0;
-  bool left_true = true, residual_true = true;
-  CompiledCond left_cc, residual_cc;
-  /// (left attr, right-local attr) pairs, 1-based (JoinPlan::keys).
-  std::vector<std::pair<int, int>> keys;
-  /// Right-row indexes passing the pushed right filter; key-sorted when
-  /// `keys` is non-empty.
-  std::vector<int64_t> rrows;
+/// The join family's shared setup: the node's condition split by
+/// CompiledJoin, and the evaluator's JoinMatcher built over the filtered
+/// right input.
+/// Left rows are probed one at a time; a row failing the pushed-down left
+/// filter matches nothing (the filter is a conjunct of the condition).
+struct RightJoin {
+  RightJoin(const Expr& e, const TupleTable& left, const TupleTable& right,
+            ValueDict* dict)
+      : join(CompiledJoin::Compile(e.condition(), left.arity(), right.arity(),
+                                   dict)),
+        matcher(right, /*build_left=*/false, left.arity(), join.keys,
+                join.residual, *dict, join.right_filter),
+        dict(*dict),
+        la(left.arity()) {}
+  // `matcher` points into `join`.
+  RightJoin(const RightJoin&) = delete;
+  RightJoin& operator=(const RightJoin&) = delete;
 
   bool LeftPasses(const ValueId* lrow) const {
-    return left_true || left_cc.Eval(lrow, la, *dict);
+    return join.left_filter.Eval(lrow, la, dict);
   }
+  bool Matches(const ValueId* lrow) const {
+    return LeftPasses(lrow) && matcher.Matches(lrow);
+  }
+
+  CompiledJoin join;
+  JoinMatcher matcher;
+  const ValueDict& dict;
+  int la;
 };
-
-JoinProbe BuildProbe(const Expr& e, const TupleTable& left,
-                     const TupleTable& right, ValueDict* dict) {
-  JoinProbe p;
-  p.right = &right;
-  p.dict = dict;
-  p.la = left.arity();
-  p.ra = right.arity();
-  JoinPlan plan = PlanJoin(e.condition(), p.la, p.ra);
-  p.left_true = plan.left_filter.IsTrue();
-  if (!p.left_true) p.left_cc = CompiledCond::Compile(plan.left_filter, dict);
-  p.residual_true = plan.residual.IsTrue();
-  if (!p.residual_true) {
-    p.residual_cc = CompiledCond::Compile(plan.residual, dict);
-  }
-  p.keys = plan.keys;
-  CompiledCond right_cc;
-  bool right_true = plan.right_filter.IsTrue();
-  if (!right_true) right_cc = CompiledCond::Compile(plan.right_filter, dict);
-  p.rrows.reserve(static_cast<size_t>(right.size()));
-  for (int64_t i = 0; i < right.size(); ++i) {
-    if (right_true || right_cc.Eval(right.Row(i), p.ra, *dict)) {
-      p.rrows.push_back(i);
-    }
-  }
-  if (!p.keys.empty()) {
-    const TupleTable* r = p.right;
-    const std::vector<std::pair<int, int>>& keys = p.keys;
-    std::sort(p.rrows.begin(), p.rrows.end(),
-              [r, &keys](int64_t x, int64_t y) {
-                const ValueId* rx = r->Row(x);
-                const ValueId* ry = r->Row(y);
-                for (const std::pair<int, int>& k : keys) {
-                  ValueId a = rx[k.second - 1], b = ry[k.second - 1];
-                  if (a != b) return a < b;
-                }
-                return x < y;  // stable on ties (any total order works)
-              });
-  }
-  return p;
-}
-
-/// Three-way compare of right row `idx`'s key columns against the probe key
-/// extracted from `lrow`.
-int CmpKey(const JoinProbe& p, int64_t idx, const ValueId* lrow) {
-  const ValueId* rrow = p.right->Row(idx);
-  for (const std::pair<int, int>& k : p.keys) {
-    ValueId r = rrow[k.second - 1];
-    ValueId l = lrow[k.first - 1];
-    if (r != l) return r < l ? -1 : 1;
-  }
-  return 0;
-}
-
-/// [lo, hi) range of p.rrows whose key columns equal lrow's.
-std::pair<int64_t, int64_t> KeyRange(const JoinProbe& p, const ValueId* lrow) {
-  int64_t n = static_cast<int64_t>(p.rrows.size());
-  int64_t lo = 0, hi = n;
-  while (lo < hi) {
-    int64_t mid = lo + (hi - lo) / 2;
-    if (CmpKey(p, p.rrows[mid], lrow) < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  int64_t lo2 = lo, hi2 = n;
-  while (lo2 < hi2) {
-    int64_t mid = lo2 + (hi2 - lo2) / 2;
-    if (CmpKey(p, p.rrows[mid], lrow) <= 0) {
-      lo2 = mid + 1;
-    } else {
-      hi2 = mid;
-    }
-  }
-  return {lo, lo2};
-}
-
-/// Calls `visit(right_row)` for every filtered right row matching `lrow`
-/// under keys + residual; stops early when visit returns false. `combined`
-/// is a caller-owned scratch row of la+ra ids with lrow already in place.
-template <typename Visit>
-void ForEachMatch(const JoinProbe& p, const ValueId* lrow,
-                  std::vector<ValueId>* combined, const Visit& visit) {
-  auto test_and_visit = [&](int64_t ridx) {
-    const ValueId* rrow = p.right->Row(ridx);
-    if (!p.residual_true) {
-      std::copy(rrow, rrow + p.ra, combined->begin() + p.la);
-      if (!p.residual_cc.Eval(combined->data(), p.la + p.ra, *p.dict)) {
-        return true;  // no match; keep going
-      }
-    }
-    return visit(rrow);
-  };
-  if (!p.keys.empty()) {
-    std::pair<int64_t, int64_t> range = KeyRange(p, lrow);
-    for (int64_t m = range.first; m < range.second; ++m) {
-      if (!test_and_visit(p.rrows[m])) return;
-    }
-    return;
-  }
-  for (int64_t ridx : p.rrows) {
-    if (!test_and_visit(ridx)) return;
-  }
-}
-
-bool HasColumnarMatch(const JoinProbe& p, const ValueId* lrow,
-                      std::vector<ValueId>* combined) {
-  bool found = false;
-  ForEachMatch(p, lrow, combined, [&found](const ValueId*) {
-    found = true;
-    return false;  // one witness suffices
-  });
-  return found;
-}
 
 // --------------------------------------------------------------------------
 // Operator definitions.
@@ -210,29 +96,24 @@ OperatorDef LeftOuterJoinDef() {
          const ColumnarContext& ctx) -> Result<TupleTable> {
     const TupleTable& left = *kids[0];
     const TupleTable& right = *kids[1];
-    JoinProbe p = BuildProbe(e, left, right, ctx.dict);
+    RightJoin j(e, left, right, ctx.dict);
     // The pad value is interned once up front; within the seeded range it
     // reuses the seeded id, otherwise it is minted (id order then differs
     // from value order, which the canonicalizing surfaces absorb).
     const ValueId pad = ctx.dict->Intern(NullValue());
-    const int la = p.la, ra = p.ra;
+    const int la = left.arity(), ra = right.arity();
     TupleTable out(la + ra);
     std::vector<ValueId>& data = out.MutableData();
-    std::vector<ValueId> combined(static_cast<size_t>(la + ra));
     for (int64_t i = 0; i < left.size(); ++i) {
       const ValueId* lrow = left.Row(i);
-      std::copy(lrow, lrow + la, combined.begin());
       bool matched = false;
-      // A row failing its pushed-down filter matches no right row (the
-      // filter is a conjunct of the condition) — it goes straight to pad.
-      if (p.LeftPasses(lrow)) {
-        ForEachMatch(p, lrow, &combined,
-                     [&](const ValueId* rrow) {
-                       data.insert(data.end(), lrow, lrow + la);
-                       data.insert(data.end(), rrow, rrow + ra);
-                       matched = true;
-                       return true;  // emit every match
-                     });
+      if (j.LeftPasses(lrow)) {
+        j.matcher.ForEachMatch(lrow, [&](const ValueId* rrow) {
+          data.insert(data.end(), lrow, lrow + la);
+          data.insert(data.end(), rrow, rrow + ra);
+          matched = true;
+          return true;  // emit every match
+        });
       }
       if (!matched) {
         data.insert(data.end(), lrow, lrow + la);
@@ -262,14 +143,10 @@ OperatorDef SemiJoinDef() {
       [](const Expr& e, const std::vector<const TupleTable*>& kids,
          const ColumnarContext& ctx) -> Result<TupleTable> {
     const TupleTable& left = *kids[0];
-    JoinProbe p = BuildProbe(e, left, *kids[1], ctx.dict);
-    TupleTable out(p.la);
-    std::vector<ValueId> combined(static_cast<size_t>(p.la + p.ra));
+    RightJoin j(e, left, *kids[1], ctx.dict);
+    TupleTable out(left.arity());
     for (int64_t i = 0; i < left.size(); ++i) {
-      const ValueId* lrow = left.Row(i);
-      if (!p.LeftPasses(lrow)) continue;
-      std::copy(lrow, lrow + p.la, combined.begin());
-      if (HasColumnarMatch(p, lrow, &combined)) out.AppendRow(lrow);
+      if (j.Matches(left.Row(i))) out.AppendRow(left.Row(i));
     }
     return out;  // subset of the sorted unique left rows
   };
@@ -294,18 +171,10 @@ OperatorDef AntiJoinDef() {
       [](const Expr& e, const std::vector<const TupleTable*>& kids,
          const ColumnarContext& ctx) -> Result<TupleTable> {
     const TupleTable& left = *kids[0];
-    JoinProbe p = BuildProbe(e, left, *kids[1], ctx.dict);
-    TupleTable out(p.la);
-    std::vector<ValueId> combined(static_cast<size_t>(p.la + p.ra));
+    RightJoin j(e, left, *kids[1], ctx.dict);
+    TupleTable out(left.arity());
     for (int64_t i = 0; i < left.size(); ++i) {
-      const ValueId* lrow = left.Row(i);
-      // A row failing its pushed filter matches nothing, so it survives
-      // the anti-join.
-      if (p.LeftPasses(lrow)) {
-        std::copy(lrow, lrow + p.la, combined.begin());
-        if (HasColumnarMatch(p, lrow, &combined)) continue;
-      }
-      out.AppendRow(lrow);
+      if (!j.Matches(left.Row(i))) out.AppendRow(left.Row(i));
     }
     return out;
   };

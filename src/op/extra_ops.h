@@ -27,9 +27,9 @@ const Value& NullValue();
 /// condition slot, interpreted over the concatenated attributes of E1,E2.
 ///
 /// Every operator evaluates through a columnar kernel (`eval_columnar`):
-/// build-once key probes for the join family, a semi-naive delta fixpoint
-/// over ValueId pairs for tc. The tests gate each kernel against a
-/// set-semantics reference body (tests/oracles/set_ops.cc).
+/// the evaluator's JoinMatcher (src/eval/join.h) for the join family, a
+/// semi-naive delta fixpoint over ValueId pairs for tc. The tests gate each
+/// kernel against a set-semantics reference body (tests/oracles/set_ops.cc).
 void RegisterExtraOps(Registry* registry);
 
 }  // namespace op

@@ -41,7 +41,7 @@ struct ColumnarContext {
   /// The node's condition compiled against `dict` (0-based columns,
   /// interned constants), evaluated over a concatenated child row. Kernels
   /// that decompose the raw condition themselves (e.g. into join keys via
-  /// eval_internal::PlanJoin) read it from the node instead.
+  /// eval_internal::CompiledJoin) read it from the node instead.
   const eval_internal::CompiledCond* cond = nullptr;
   /// Interned active domain (plus the constraint set's constants), as
   /// ascending seeded ids — shared with the evaluator, never copied.

@@ -9,6 +9,11 @@ namespace mapcomp {
 
 namespace {
 
+/// Deepest nesting the parser accepts: expressions plus `not` and
+/// parenthesised conditions. Real inputs stay near 15 levels; the bound
+/// keeps hostile input (a 16 MiB wire frame) from overflowing the stack.
+constexpr int kMaxNestingDepth = 512;
+
 const std::set<std::string>& ReservedWords() {
   static const std::set<std::string>* kWords = new std::set<std::string>{
       "schema", "map", "order", "key",  "pi",    "sel", "D",
@@ -40,6 +45,21 @@ class Impl {
     Next();
     return Status::OK();
   }
+
+  /// One level of nesting, held for the guard's lifetime.
+  class Nesting {
+   public:
+    explicit Nesting(Impl* impl) : impl_(impl) { ++impl_->depth_; }
+    ~Nesting() { --impl_->depth_; }
+    Status Check() const {
+      if (impl_->depth_ <= kMaxNestingDepth) return Status::OK();
+      return impl_->Error("nesting deeper than " +
+                          std::to_string(kMaxNestingDepth) + " levels");
+    }
+
+   private:
+    Impl* impl_;
+  };
 
   // --- grammar productions ---
 
@@ -167,6 +187,8 @@ class Impl {
   }
 
   Result<ExprPtr> Expression(const Signature& env) {
+    Nesting nesting(this);
+    MAPCOMP_RETURN_IF_ERROR(nesting.Check());
     MAPCOMP_ASSIGN_OR_RETURN(ExprPtr lhs, Term(env));
     while (At(TokenKind::kPlus) || At(TokenKind::kMinus)) {
       bool is_union = At(TokenKind::kPlus);
@@ -411,12 +433,14 @@ class Impl {
   }
 
   Result<Condition> NotCond() {
-    if (AtIdent("not")) {
-      Next();
-      MAPCOMP_ASSIGN_OR_RETURN(Condition c, NotCond());
-      return Condition::Not(std::move(c));
-    }
-    if (At(TokenKind::kLParen)) {
+    if (AtIdent("not") || At(TokenKind::kLParen)) {
+      Nesting nesting(this);
+      MAPCOMP_RETURN_IF_ERROR(nesting.Check());
+      if (AtIdent("not")) {
+        Next();
+        MAPCOMP_ASSIGN_OR_RETURN(Condition c, NotCond());
+        return Condition::Not(std::move(c));
+      }
       Next();
       MAPCOMP_ASSIGN_OR_RETURN(Condition c, Cond());
       MAPCOMP_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "')'"));
@@ -481,6 +505,7 @@ class Impl {
  private:
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< live Nesting guards
   const op::Registry* registry_;
 };
 

@@ -33,7 +33,8 @@ namespace mapcomp {
 ///
 /// A problem must declare exactly three schemas (in order: σ1, σ2, σ3) and
 /// exactly two maps (Σ12, Σ23). An optional `order` directive fixes the
-/// elimination order of σ2 symbols.
+/// elimination order of σ2 symbols. Nesting deeper than 512 levels (each
+/// expr, `not` and parenthesised cond is one) is an InvalidArgument error.
 class Parser {
  public:
   explicit Parser(const op::Registry* registry = &op::Registry::Default())

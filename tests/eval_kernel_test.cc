@@ -29,18 +29,20 @@ Tuple T(std::initializer_list<int64_t> vals) {
   return t;
 }
 
-/// Evaluates `e` on the kernel (at jobs 1 and 8) and on the nested-loop
-/// oracle, and requires byte-identical fingerprints. The kernel may succeed
+/// Evaluates `e` on the kernel (at jobs 1 and 8, sharding any node whose
+/// work reaches `parallel_threshold`) and on the nested-loop oracle, and
+/// requires byte-identical fingerprints. The kernel may succeed
 /// where the oracle exhausts max_domain_tuples (constraint-driven σ(D^r)
 /// enumeration guards only the pruned space); the reverse — the kernel
 /// failing where the oracle succeeds — is always a bug.
 void ExpectKernelMatchesOracle(const ExprPtr& e, const Instance& db,
-                               EvalOptions base = {}) {
+                               EvalOptions base = {},
+                               int64_t parallel_threshold = 4) {
   Result<EvalResult> oracle = oracle::EvaluateFull(e, db, base);
   for (int jobs : {1, 8}) {
     EvalOptions kernel_opts = base;
     kernel_opts.jobs = jobs;
-    kernel_opts.parallel_threshold = 4;
+    kernel_opts.parallel_threshold = parallel_threshold;
     Result<EvalResult> kernel = EvaluateFull(e, db, kernel_opts);
     if (!oracle.ok()) {
       if (kernel.ok()) {
@@ -118,7 +120,8 @@ TEST(EvalKernelTest, AdversarialMixedIntStringDomains) {
 TEST(EvalKernelTest, HashJoinVsProductEquivalenceProperty) {
   // Generated instances and join shapes: every select(product) the planner
   // turns into a hash join (or pushed-down nested loop) must equal the
-  // product-then-filter oracle.
+  // product-then-filter oracle, and so must the join-family operators that
+  // share its matcher. Threshold 1 shards every probe.
   std::mt19937_64 rng(20260730);
   Signature sig;
   ASSERT_TRUE(sig.AddRelation("A", 2).ok());
@@ -128,11 +131,11 @@ TEST(EvalKernelTest, HashJoinVsProductEquivalenceProperty) {
   gen.max_tuples_per_rel = 9;
   gen.include_strings = true;
   for (int round = 0; round < 40; ++round) {
-    Instance inst = RandomInstance(sig, &rng);
+    Instance inst = RandomInstance(sig, &rng, gen);
     std::uniform_int_distribution<int> left_attr(1, 2), right_attr(3, 5);
     std::uniform_int_distribution<int> coin(0, 1);
-    // 1-2 cross equalities + optionally a single-side pushdown conjunct and
-    // a cross non-equality residual.
+    // 1-2 cross equalities + optionally a pushdown conjunct on each side
+    // and a cross non-equality residual.
     Condition cond = Condition::AttrCmp(left_attr(rng), CmpOp::kEq,
                                         right_attr(rng));
     if (coin(rng)) {
@@ -146,13 +149,24 @@ TEST(EvalKernelTest, HashJoinVsProductEquivalenceProperty) {
                                      Value(int64_t{2})));
     }
     if (coin(rng)) {
+      cond = Condition::And(
+          cond, Condition::AttrConst(right_attr(rng), CmpOp::kNe,
+                                     Value(int64_t{3})));
+    }
+    if (coin(rng)) {
       cond = Condition::And(cond, Condition::AttrCmp(left_attr(rng),
                                                      CmpOp::kLe,
                                                      right_attr(rng)));
     }
     ExprPtr join = Select(cond, Product(Rel("A", 2), Rel("B", 3)));
-    ExpectKernelMatchesOracle(join, inst);
-    ExpectKernelMatchesOracle(Project({1, 3, 4}, join), inst);
+    ExpectKernelMatchesOracle(join, inst, {}, 1);
+    ExpectKernelMatchesOracle(Project({1, 3, 4}, join), inst, {}, 1);
+    for (const char* op : {"semijoin", "antijoin", "lojoin"}) {
+      ExprPtr user = op::Registry::Default()
+                         .MakeOp(op, {Rel("A", 2), Rel("B", 3)}, cond)
+                         .value();
+      ExpectKernelMatchesOracle(user, inst, {}, 1);
+    }
   }
 }
 

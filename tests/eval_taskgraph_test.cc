@@ -1,8 +1,7 @@
 // Task-graph evaluation coverage: fingerprints and stats must be
 // byte-identical at any lane count (jobs 1/2/4/8) on wide sibling
-// fan-outs, the join-index cache must invalidate exactly like the
-// ActiveDomain cache, lazy results must fingerprint without decoding, and
-// error precedence must not depend on scheduling.
+// fan-outs, lazy results must fingerprint without decoding, and error
+// precedence must not depend on scheduling.
 
 #include <gtest/gtest.h>
 
@@ -73,19 +72,10 @@ Instance DagSiblingsInstance(int width, int tuples, int domain,
 TEST(EvalTaskGraphTest, WideFanoutFingerprintAndStatsInvariantAcrossJobs) {
   const ExprPtr e = DagSiblings(16);
   Instance db = DagSiblingsInstance(16, 40, 24, 7);
-  // Warm the instance's join-index cache so index hit/miss counters are
-  // comparable across the sweep (the first evaluation builds 16 indexes,
-  // every later one reuses them — whatever the lane count).
-  EvalOptions warm;
-  warm.parallel_threshold = 4;
-  ASSERT_TRUE(EvaluateFull(e, db, warm).ok());
-
   EvalOptions base_opts;
   base_opts.parallel_threshold = 4;
   EvalResult base = EvaluateFull(e, db, base_opts).value();
   EXPECT_GT(base.stats.hash_join_nodes, 0);
-  EXPECT_GE(base.stats.index_cache_hits, 16);
-  EXPECT_EQ(base.stats.index_cache_misses, 0);
   // 16 sibling legs ⇒ at least 16 tasks can be structurally ready at once.
   EXPECT_GE(base.stats.max_ready_depth, 16);
   EXPECT_GE(base.stats.tasks_spawned, base.stats.nodes_evaluated);
@@ -94,8 +84,8 @@ TEST(EvalTaskGraphTest, WideFanoutFingerprintAndStatsInvariantAcrossJobs) {
     opts.jobs = jobs;
     EvalResult got = EvaluateFull(e, db, opts).value();
     EXPECT_EQ(got.Fingerprint(), base.Fingerprint()) << "jobs=" << jobs;
-    // Every counter — including tasks_spawned, max_ready_depth and the
-    // index-cache pair — is lane-count-independent by design.
+    // Every counter — including tasks_spawned and max_ready_depth — is
+    // lane-count-independent by design.
     EXPECT_EQ(got.stats.ToString(), base.stats.ToString()) << "jobs=" << jobs;
   }
 }
@@ -159,61 +149,6 @@ TEST(EvalTaskGraphTest, ConcurrentEvaluateManyCallersAgree) {
   }
   for (std::thread& t : threads) t.join();
   for (int i = 0; i < kThreads; ++i) EXPECT_EQ(got[i], baseline) << i;
-}
-
-TEST(EvalTaskGraphTest, JoinIndexCacheInvalidation) {
-  // Mirrors InstanceActiveDomainCacheInvalidation for the join-index cache.
-  Instance db;
-  db.Set("R", {T({1, 2}), T({3, 4})});
-  bool hit = true;
-  auto perm = db.JoinIndex("R", {0}, &hit);
-  EXPECT_FALSE(hit);
-  ASSERT_EQ(perm->size(), 2u);
-  EXPECT_EQ(db.JoinIndex("R", {0}, &hit), perm);
-  EXPECT_TRUE(hit);  // same relation + columns ⇒ cached
-  db.JoinIndex("R", {1}, &hit);
-  EXPECT_FALSE(hit);  // different key columns ⇒ separate entry
-  db.Add("R", T({5, 6}));
-  db.JoinIndex("R", {0}, &hit);
-  EXPECT_FALSE(hit);  // Add invalidates
-  db.Set("S", {T({9, 9})});
-  db.JoinIndex("R", {0}, &hit);
-  EXPECT_FALSE(hit);  // Set invalidates (any relation)
-  db.Clear("S");
-  db.JoinIndex("R", {0}, &hit);
-  EXPECT_FALSE(hit);  // Clear invalidates
-  db.JoinIndex("R", {0}, &hit);
-  EXPECT_TRUE(hit);
-
-  Instance copy = db;
-  copy.JoinIndex("R", {0}, &hit);
-  EXPECT_FALSE(hit);  // copies don't share the cache
-  db.JoinIndex("R", {0}, &hit);
-  EXPECT_TRUE(hit);  // ... and copying doesn't disturb the source's
-
-  Instance assigned;
-  assigned.Set("X", {T({1, 2})});
-  assigned.JoinIndex("X", {0}, &hit);
-  assigned = db;
-  assigned.JoinIndex("R", {0}, &hit);
-  EXPECT_FALSE(hit);  // assignment drops the target's warm cache
-}
-
-TEST(EvalTaskGraphTest, IndexCacheStatsTrackInstanceWarmth) {
-  Instance db = DagSiblingsInstance(4, 20, 12, 3);
-  const ExprPtr e = DagSiblings(4);
-  EvalOptions opts;
-  opts.parallel_threshold = 4;
-  EvalResult first = EvaluateFull(e, db, opts).value();
-  EXPECT_EQ(first.stats.index_cache_misses, 4);  // one build per leg
-  EXPECT_EQ(first.stats.index_cache_hits, 0);
-  EvalResult second = EvaluateFull(e, db, opts).value();
-  EXPECT_EQ(second.stats.index_cache_misses, 0);
-  EXPECT_EQ(second.stats.index_cache_hits, 4);
-  db.Add("R0", T({1, 1}));  // mutation drops every cached index
-  EvalResult third = EvaluateFull(e, db, opts).value();
-  EXPECT_EQ(third.stats.index_cache_misses, 4);
-  EXPECT_EQ(third.stats.index_cache_hits, 0);
 }
 
 TEST(EvalTaskGraphTest, FingerprintStreamsWithoutDecodingAndMatchesOracle) {

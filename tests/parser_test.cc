@@ -127,6 +127,45 @@ TEST_F(ParserTest, Errors) {
   EXPECT_FALSE(parser_.ParseExpr("{}", sig_).ok());  // needs arity
 }
 
+/// `pi[1,2](` wrapped around R until the expression is `depth` levels deep
+/// (R alone is one level).
+std::string NestedProjection(int depth) {
+  std::string out;
+  for (int i = 1; i < depth; ++i) out += "pi[1,2](";
+  out += "R";
+  out.append(static_cast<size_t>(depth - 1), ')');
+  return out;
+}
+
+TEST_F(ParserTest, NestingDepthIsBounded) {
+  ExprPtr deepest = parser_.ParseExpr(NestedProjection(512), sig_).value();
+  EXPECT_EQ(deepest->kind(), ExprKind::kProject);
+  for (int depth : {513, 20000}) {
+    Result<ExprPtr> e = parser_.ParseExpr(NestedProjection(depth), sig_);
+    ASSERT_FALSE(e.ok()) << depth;
+    EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument) << depth;
+    EXPECT_NE(e.status().message().find("line 1"), std::string::npos)
+        << e.status().ToString();
+  }
+  // `not` and parenthesised conditions count as levels too.
+  std::string nots, parens;
+  for (int i = 0; i < 20000; ++i) {
+    nots += "not ";
+    parens += "(";
+  }
+  for (const std::string& cond :
+       {nots + "#1=#2", parens + "#1=#2" + std::string(20000, ')')}) {
+    Result<ExprPtr> e = parser_.ParseExpr("sel[" + cond + "](R)", sig_);
+    ASSERT_FALSE(e.ok());
+    EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument);
+  }
+  // The bound holds in every entry point, constraint lists included.
+  Result<ConstraintSet> cs =
+      parser_.ParseConstraints(NestedProjection(20000) + " <= S;", sig_);
+  ASSERT_FALSE(cs.ok());
+  EXPECT_EQ(cs.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(ParserTest, CommentsAndWhitespace) {
   ExprPtr e = parser_.ParseExpr("R  -- trailing comment\n + S", sig_).value();
   EXPECT_EQ(e->kind(), ExprKind::kUnion);

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/wire_format.h"
 #include "src/runtime/compose_service.h"
 #include "src/serve/compose_client.h"
 #include "src/serve/compose_server.h"
@@ -139,6 +140,49 @@ TEST(ComposeServerTest, MalformedBodyRefusesRequestKeepsConnection) {
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok->status, WireStatus::kOk);
   EXPECT_EQ(ok->request_id, 5u);
+}
+
+TEST(ComposeServerTest, DeeplyNestedConstraintRefusesRequestKeepsConnection) {
+  ComposeService service;
+  ComposeServer server(&service, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  auto client = MustConnect(server.port());
+  ASSERT_NE(client, nullptr);
+
+  // A well-formed request body whose Σ12 text nests `pi[1,2](` 20 000
+  // levels deep: about 180 KB, far below the frame cap, far past the
+  // parser's nesting bound.
+  Signature s1, s2, s3;
+  ASSERT_TRUE(s1.AddRelation("R", 2).ok());
+  ASSERT_TRUE(s2.AddRelation("S", 2).ok());
+  ASSERT_TRUE(s3.AddRelation("T", 2).ok());
+  std::string deep = "R <= ";
+  for (int i = 0; i < 20000; ++i) deep += "pi[1,2](";
+  deep += "S" + std::string(20000, ')');
+  std::string body;
+  common::PutU64(&body, 9);  // request_id
+  common::PutU8(&body, 0);   // no options
+  common::PutString(&body, "deep");
+  s1.AppendTo(&body);
+  s2.AppendTo(&body);
+  s3.AppendTo(&body);
+  common::PutString(&body, deep);
+  common::PutString(&body, "S <= T");
+  common::PutStringList(&body, {});
+  std::string frame;
+  EncodeFrame(FrameType::kRequest, body, &frame);
+  ASSERT_TRUE(client->SendRaw(frame).ok());
+
+  Result<ServeReply> refused = client->Recv();
+  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+  EXPECT_EQ(refused->status, WireStatus::kInvalidArgument);
+  EXPECT_EQ(refused->request_id, 9u);
+
+  Result<ServeReply> ok =
+      client->Call(ServeRequest::Of(sim::BuildFanoutProblem(3), 10));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->status, WireStatus::kOk);
+  EXPECT_EQ(ok->request_id, 10u);
 }
 
 TEST(ComposeServerTest, FullQueueShedsWithOverloadedAdmittedWorkCompletes) {
