@@ -127,7 +127,10 @@ int64_t MorselCount(int64_t n) {
 //      its input tables, so lane count decides who computes a slot, never
 //      what lands in it. A slot's table is dropped the moment its last
 //      consumer retires (atomic refcount), preserving the memo-peak
-//      behavior of the recursive engine.
+//      behavior of the recursive engine. A plan whose row bound (see
+//      PlanRowBound) is below `parallel_threshold` runs the same graph
+//      inline on the caller: no node under that bound could shard, and
+//      handing microsecond slots to pool lanes costs more than the slots.
 //
 //   3. REPLAY (sequential): walk the plan's event log and fold each slot's
 //      measured outputs (row counts, bytes, morsel counts) into per-root
@@ -212,8 +215,9 @@ struct KernelState {
   /// Active domain + extra constants as ascending seeded ids — the only
   /// domain structure the kernel builds.
   std::vector<ValueId> domain_ids;
-  runtime::ThreadPool* pool = nullptr;  ///< null ⇔ jobs <= 1
-  int max_helpers = 0;                  ///< jobs - 1
+  /// Null when jobs <= 1 or the plan runs inline (see PlanRowBound).
+  runtime::ThreadPool* pool = nullptr;
+  int max_helpers = 0;                  ///< jobs - 1 while `pool` is set
 
   // Plan state.
   std::unordered_map<const Expr*, NodeUse> uses;
@@ -948,6 +952,65 @@ void RunSlot(KernelState* ks, int64_t idx) {
   }
 }
 
+/// Plan-time upper bound on the rows all slots together can produce: a
+/// relation's tuple count, |D|^r for D^r, |D|^free_count for a pruned
+/// select over D, a literal's tuple count, a + b for a union, min(a, b) for
+/// an intersection, a for a difference, filter, projection or Skolem, a · b
+/// for a join or product, and unbounded for a user operator. Every node's
+/// sharding work (SlotTransform's `work`, the domain enumerations' size) is
+/// at most its own slot's bound or an input's, so a plan whose sum is below
+/// `parallel_threshold` has no node that could shard. The bound reads only
+/// the plan and the instance, never `jobs`.
+double PlanRowBound(const KernelState& ks) {
+  const double d = static_cast<double>(ks.domain_ids.size());
+  std::vector<double> bound(ks.slots.size(), 0.0);
+  double total = 0.0;
+  for (size_t i = 0; i < ks.slots.size(); ++i) {
+    const Slot& s = ks.slots[i];
+    auto in = [&bound, &s](size_t k) {
+      return bound[static_cast<size_t>(s.args[k])];
+    };
+    double b = 0.0;
+    switch (s.op) {
+      case SlotOp::kRelation:
+        b = static_cast<double>(ks.instance->Get(s.node->name()).size());
+        break;
+      case SlotOp::kDomain:
+        b = std::pow(d, static_cast<double>(s.arity));
+        break;
+      case SlotOp::kSelectDomain:
+        b = std::pow(d, static_cast<double>(s.free_count));
+        break;
+      case SlotOp::kLiteral:
+        b = static_cast<double>(s.node->tuples().size());
+        break;
+      case SlotOp::kEmpty:
+      case SlotOp::kSelectDomainEmpty:
+        break;
+      case SlotOp::kUnion:
+        b = in(0) + in(1);
+        break;
+      case SlotOp::kIntersect:
+        b = std::min(in(0), in(1));
+        break;
+      case SlotOp::kJoin:
+        b = in(0) * in(1);
+        break;
+      case SlotOp::kDifference:
+      case SlotOp::kSelectFilter:
+      case SlotOp::kProject:
+      case SlotOp::kSkolem:
+        b = in(0);
+        break;
+      case SlotOp::kUserOp:
+        return HUGE_VAL;
+    }
+    bound[i] = b;
+    total += b;
+  }
+  return total;
+}
+
 /// A completed kernel evaluation: the state (holding root tables + dict)
 /// plus replayed per-root and total stats.
 struct KernelRun {
@@ -1074,7 +1137,14 @@ Result<std::unique_ptr<KernelRun>> KernelExecute(
         1, std::memory_order_relaxed);
   }
   // Phase 2: run the task graph. Dependencies are the slot's input slots,
-  // indexes are topological by construction (children planned first).
+  // indexes are topological by construction (children planned first). A
+  // plan below the sharding threshold runs inline: the decision reads only
+  // the data, so results and stats stay identical at any `jobs`.
+  if (ks.pool != nullptr &&
+      PlanRowBound(ks) < static_cast<double>(options.parallel_threshold)) {
+    ks.pool = nullptr;
+    ks.max_helpers = 0;
+  }
   runtime::TaskDag dag;
   KernelState* ksp = &ks;
   for (int64_t i = 0; i < static_cast<int64_t>(ks.slots.size()); ++i) {

@@ -47,13 +47,18 @@ struct EvalOptions {
   /// fully sequential on the calling thread; k > 1 runs the evaluation's
   /// node tasks — and, within large nodes, sharded probe/enumeration
   /// morsels — on up to k lanes (k-1 helpers from runtime::GlobalPool()
-  /// plus the caller). Results and Fingerprint() are byte-identical for any
-  /// value: scheduling only decides who computes a slot, never what lands
-  /// in it.
+  /// plus the caller), unless the plan is below `parallel_threshold`, in
+  /// which case it runs on the caller alone. Results and Fingerprint() are
+  /// byte-identical for any value: scheduling only decides who computes a
+  /// slot, never what lands in it.
   int jobs = 1;
-  /// Minimum per-node work (candidate tuples enumerated) before a node is
-  /// sharded across lanes. Eligibility depends only on the data, never on
-  /// `jobs`, so EvalStats is lane-count-independent too.
+  /// Minimum work before lanes are used, at two levels. A node is sharded
+  /// across lanes when its work (candidate tuples enumerated) reaches it.
+  /// A whole plan runs inline on the caller when the sum over its nodes of
+  /// a plan-time bound on their output rows (relation sizes, |D|^r, a · b
+  /// for a join, unbounded for a user operator) stays below it; no node of
+  /// such a plan could shard. Both decisions depend only on the data, never
+  /// on `jobs`, so EvalStats is lane-count-independent too.
   int64_t parallel_threshold = 4096;
   /// Cooperative cancellation/deadline token, polled at task-graph slot
   /// boundaries (both sides of each slot's compute) and at sharded-morsel
@@ -161,7 +166,9 @@ struct EvalResult {
 /// then every planned node becomes a task that fires when its inputs
 /// retire. Sibling subtrees, hash-join probe morsels and multiple
 /// EvaluateMany roots interleave on the same `options.jobs` lanes, while
-/// results and Fingerprint() stay byte-identical at any lane count.
+/// results and Fingerprint() stay byte-identical at any lane count. A plan
+/// whose row bound is below `options.parallel_threshold` runs the same
+/// tasks on the caller, with no pool hand-off.
 Result<EvalResult> EvaluateFull(const ExprPtr& e, const Instance& instance,
                                 const EvalOptions& options = {});
 

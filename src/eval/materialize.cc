@@ -1,6 +1,9 @@
 #include "src/eval/materialize.h"
 
+#include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/eval/checker.h"
 
@@ -28,14 +31,79 @@ std::vector<RelationFeed> CollectFeeds(
   return feeds;
 }
 
+namespace {
+
+/// What a feed depends on, as relation indexes: the relations its source
+/// reads plus its target (another feed's write to it can undo a growth or
+/// an assignment), and whether the source reads the active domain (a D
+/// node, or a user operator, whose kernel is handed the domain).
+struct FeedDeps {
+  std::vector<int> watched;
+  int target = 0;
+  bool domain = false;
+  /// The feed's own write can change what it reads: it reads its target,
+  /// or D (which spans every relation).
+  bool self = false;
+};
+
+void CollectReads(const ExprPtr& e, std::set<const Expr*>* visited,
+                  std::set<std::string>* relations, bool* domain) {
+  if (!visited->insert(e.get()).second) return;
+  if (e->kind() == ExprKind::kRelation) relations->insert(e->name());
+  if (e->kind() == ExprKind::kDomain || e->kind() == ExprKind::kUserOp) {
+    *domain = true;
+  }
+  for (const ExprPtr& c : e->children()) {
+    CollectReads(c, visited, relations, domain);
+  }
+}
+
+}  // namespace
+
 int RunFeedFixpoint(Instance* instance, const std::vector<RelationFeed>& feeds,
                     const EvalOptions& options, int max_iterations,
                     EvalStats* stats) {
+  std::map<std::string, int> ids;
+  auto id_of = [&ids](const std::string& name) {
+    return ids.emplace(name, static_cast<int>(ids.size())).first->second;
+  };
+  std::vector<FeedDeps> deps(feeds.size());
+  for (size_t f = 0; f < feeds.size(); ++f) {
+    std::set<const Expr*> visited;
+    std::set<std::string> relations;
+    CollectReads(feeds[f].source, &visited, &relations, &deps[f].domain);
+    deps[f].target = id_of(feeds[f].target);
+    deps[f].self = deps[f].domain || relations.count(feeds[f].target) > 0;
+    relations.insert(feeds[f].target);
+    for (const std::string& r : relations) {
+      deps[f].watched.push_back(id_of(r));
+    }
+  }
+  // Change clock: every write that changes a relation takes the next tick,
+  // and `seen[f]` is the tick up to which feed f has accounted for every
+  // write. A feed whose inputs and target are all unchanged since then
+  // would reproduce a result its target already holds (or fail the same
+  // way again), so it is skipped — the passes, their writes and the
+  // iteration count are exactly those of re-evaluating every feed.
+  std::vector<int64_t> changed_at(ids.size(), 0);
+  int64_t clock = 0;
+  std::vector<int64_t> seen(feeds.size(), -1);
+  auto stale = [&](size_t f) {
+    const FeedDeps& d = deps[f];
+    if (seen[f] < 0 || (d.domain && clock > seen[f])) return true;
+    for (int r : d.watched) {
+      if (changed_at[static_cast<size_t>(r)] > seen[f]) return true;
+    }
+    return false;
+  };
   int iterations = 0;
   for (int iter = 0; iter < max_iterations; ++iter) {
     iterations = iter + 1;
     bool changed = false;
-    for (const RelationFeed& feed : feeds) {
+    for (size_t f = 0; f < feeds.size(); ++f) {
+      if (!stale(f)) continue;
+      seen[f] = clock;
+      const RelationFeed& feed = feeds[f];
       Result<EvalResult> value = EvaluateFull(feed.source, *instance,
                                               options);
       if (!value.ok()) {
@@ -46,20 +114,26 @@ int RunFeedFixpoint(Instance* instance, const std::vector<RelationFeed>& feeds,
       }
       EvalResult result = std::move(value).value();
       if (stats != nullptr) stats->MergeFrom(result.stats);
+      bool wrote = false;
       if (feed.assign) {
         if (instance->Get(feed.target) != result.tuples()) {
           instance->Set(feed.target, result.TakeTuples());
-          changed = true;
+          wrote = true;
         }
-        continue;
-      }
-      const std::set<Tuple>& current = instance->Get(feed.target);
-      for (const Tuple& t : result.tuples()) {
-        if (current.count(t) == 0) {
-          instance->Add(feed.target, t);
-          changed = true;
+      } else {
+        const std::set<Tuple>& current = instance->Get(feed.target);
+        for (const Tuple& t : result.tuples()) {
+          if (current.count(t) == 0) {
+            instance->Add(feed.target, t);
+            wrote = true;
+          }
         }
       }
+      if (!wrote) continue;
+      changed = true;
+      changed_at[static_cast<size_t>(deps[f].target)] = ++clock;
+      // A feed blind to its own write has already accounted for it.
+      if (!deps[f].self) seen[f] = clock;
     }
     if (!changed) break;
   }

@@ -31,11 +31,16 @@ std::vector<RelationFeed> CollectFeeds(
     bool assign_equalities);
 
 /// Runs the feed loop on `instance` until a fixpoint or `max_iterations`:
-/// each pass evaluates every feed's source against the current instance
-/// and grows (or assigns) its target. Feeds that fail to evaluate (e.g.
-/// Skolem without an interpretation) contribute nothing. Returns the
-/// number of passes used; accumulates evaluation counters into `stats`
-/// when non-null.
+/// each pass walks the feeds in order and grows (or assigns) each target
+/// with its source evaluated against the current instance. The loop is
+/// change-driven: a feed is re-evaluated only when a relation its source
+/// reads, its own target, or — for a source with a D node or a user
+/// operator — any relation changed since its last evaluation, because
+/// otherwise re-running it is a no-op. The instance and the pass count are
+/// exactly those of re-evaluating every feed on every pass. Feeds that fail
+/// to evaluate (e.g. Skolem without an interpretation) contribute nothing.
+/// Returns the number of passes used; accumulates the counters of the
+/// evaluations actually run into `stats` when non-null.
 int RunFeedFixpoint(Instance* instance, const std::vector<RelationFeed>& feeds,
                     const EvalOptions& options, int max_iterations,
                     EvalStats* stats);
@@ -45,7 +50,9 @@ struct MaterializeResult {
   Instance instance;       ///< input plus populated residuals
   bool satisfied = false;  ///< whether the full constraint set now holds
   int iterations = 0;      ///< fixpoint rounds used
-  EvalStats eval_stats;    ///< aggregated over every feed evaluation
+  /// Aggregated over every feed evaluation run (RunFeedFixpoint skips the
+  /// stale-free ones) and the final satisfaction check.
+  EvalStats eval_stats;
 };
 
 /// Implements the paper's §1.3 usage note for best-effort composition: "to

@@ -1,7 +1,8 @@
 // Task-graph evaluation coverage: fingerprints and stats must be
 // byte-identical at any lane count (jobs 1/2/4/8) on wide sibling
-// fan-outs, lazy results must fingerprint without decoding, and error
-// precedence must not depend on scheduling.
+// fan-outs, lazy results must fingerprint without decoding, error
+// precedence must not depend on scheduling, and a plan's switch between the
+// pooled and the inline path at parallel_threshold must change nothing.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "src/algebra/builders.h"
+#include "src/common/cancel.h"
 #include "src/compose/compose.h"
 #include "src/eval/checker.h"
 #include "src/eval/evaluator.h"
@@ -201,6 +203,96 @@ TEST(EvalTaskGraphTest, ErrorPrecedenceIsScheduleIndependent) {
   Result<EvalResult> guard8 = EvaluateFull(Dom(3), db, tight);
   ASSERT_FALSE(guard8.ok());
   EXPECT_EQ(guard1.status().ToString(), guard8.status().ToString());
+}
+
+/// A plan with a hand-computed row bound: the sum over its slots of the
+/// rows each can hold (relation sizes, |D|^r, a + b for union, a · b for a
+/// join, and so on), which decides whether the plan runs inline.
+struct BoundedPlan {
+  std::string name;
+  ExprPtr expr;
+  int64_t bound;
+};
+
+TEST(EvalTaskGraphTest, InlineBoundaryKeepsResultsAndStatsAtAllLaneCounts) {
+  // R has 3 tuples, S has 4, and the active domain is {1..5}.
+  Instance db;
+  db.Set("R", {T({1, 2}), T({2, 3}), T({3, 4})});
+  db.Set("S", {T({2, 5}), T({3, 5}), T({4, 1}), T({5, 5})});
+  const ExprPtr r = Rel("R", 2), s = Rel("S", 2);
+  const std::vector<BoundedPlan> plans = {
+      // 3 + 4 + 7
+      {"union", Union(r, s), 14},
+      // R and R ∩ S (min 3) share R's slot: 3 + 4 + 3 + 3
+      {"difference", Difference(r, Intersect(r, s)), 13},
+      // the planned join takes 3 · 4, the projection as much again
+      {"join", Project({1, 4}, Select(Condition::AttrCmp(2, CmpOp::kEq, 3),
+                                      Product(r, s))),
+       3 + 4 + 12 + 12},
+      // |D|^2
+      {"domain", Dom(2), 25},
+      // one free coordinate class: |D|^1
+      {"select_domain",
+       Select(Condition::AttrConst(1, CmpOp::kEq, Value(int64_t{2})), Dom(2)),
+       5},
+      // 3 + 1 literal tuple + 4 for the union + 4 for the Skolem
+      {"skolem", SkolemApp("f", {1}, Union(r, Lit(2, {T({9, 9})}))), 12},
+  };
+  for (const BoundedPlan& plan : plans) {
+    for (int64_t threshold : {plan.bound - 1, plan.bound, plan.bound + 1}) {
+      EvalOptions opts;
+      opts.skolem_mode = SkolemEvalMode::kInjectiveTerms;
+      opts.parallel_threshold = threshold;
+      Result<EvalResult> base = EvaluateFull(plan.expr, db, opts);
+      ASSERT_TRUE(base.ok()) << plan.name << ": " << base.status().ToString();
+      // Below its bound a plan has no node that could shard.
+      if (plan.bound < threshold) {
+        EXPECT_EQ(base->stats.sharded_nodes, 0) << plan.name;
+      }
+      for (int jobs : {2, 4, 8}) {
+        opts.jobs = jobs;
+        Result<EvalResult> got = EvaluateFull(plan.expr, db, opts);
+        ASSERT_TRUE(got.ok()) << plan.name << " jobs=" << jobs;
+        EXPECT_EQ(got->Fingerprint(), base->Fingerprint())
+            << plan.name << " threshold=" << threshold << " jobs=" << jobs;
+        EXPECT_EQ(got->stats.ToString(), base->stats.ToString())
+            << plan.name << " threshold=" << threshold << " jobs=" << jobs;
+      }
+    }
+  }
+  // D^2's enumeration is its whole bound: at the bound it shards, one
+  // above it the plan runs inline and nothing is eligible.
+  EvalOptions at;
+  at.jobs = 4;
+  at.parallel_threshold = 25;
+  EXPECT_EQ(EvaluateFull(Dom(2), db, at).value().stats.sharded_nodes, 1);
+  at.parallel_threshold = 26;
+  EXPECT_EQ(EvaluateFull(Dom(2), db, at).value().stats.sharded_nodes, 0);
+}
+
+TEST(EvalTaskGraphTest, FiredTokenCancelsInlinePlanAtAnyLaneCount) {
+  // Seven rows against the default threshold of 4096: the plan runs
+  // inline even at jobs = 4, and a token fired before the call still wins.
+  Instance db;
+  db.Set("R", {T({1, 2}), T({2, 3}), T({3, 4})});
+  db.Set("S", {T({2, 5}), T({3, 5}), T({4, 1}), T({5, 5})});
+  const ExprPtr e = Union(Rel("R", 2), Rel("S", 2));
+  common::CancelSource source;
+  source.Cancel();
+  EvalOptions opts;
+  opts.jobs = 4;
+  opts.cancel = source.token();
+  Result<EvalResult> got = EvaluateFull(e, db, opts);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kCancelled);
+  Result<bool> contained =
+      EvaluateContainment(Rel("R", 2), e, false, db, opts);
+  ASSERT_FALSE(contained.ok());
+  EXPECT_EQ(contained.status().code(), StatusCode::kCancelled);
+  opts.cancel = common::CancelToken::WithDeadline(common::Deadline::After(0));
+  Result<EvalResult> late = EvaluateFull(e, db, opts);
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 }  // namespace

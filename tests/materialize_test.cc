@@ -2,9 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "src/algebra/builders.h"
 #include "src/compose/compose.h"
+#include "src/eval/checker.h"
+#include "src/eval/generator.h"
 #include "src/op/registry.h"
+#include "src/parser/parser.h"
+#include "src/simulator/scenarios.h"
+#include "src/testdata/literature_suite.h"
+#include "tests/oracles/oracle.h"
 
 namespace mapcomp {
 namespace {
@@ -105,6 +116,289 @@ TEST(MaterializeTest, NoResidualsIsIdentity) {
   MaterializeResult res = PopulateResiduals(input, cs, {}).value();
   EXPECT_TRUE(res.satisfied);
   EXPECT_TRUE(res.instance == input);
+}
+
+// ---- The change-driven fixpoint against the every-feed-every-pass oracle.
+
+/// The default pass budgets of RepairTowards and PopulateResiduals.
+constexpr int kRepairPasses = 16;
+constexpr int kPopulatePasses = 64;
+
+/// Counters of a differential run, summed over a corpus.
+struct FixpointTally {
+  int64_t runs = 0;
+  int64_t nodes = 0;         ///< nodes the change-driven loop evaluated
+  int64_t oracle_nodes = 0;  ///< nodes the oracle loop evaluated
+};
+
+/// Runs `feeds` from `start` on both loops and expects byte-identical
+/// instances and equal pass counts; the change-driven loop may only skip
+/// evaluations, never add any.
+void ExpectFixpointMatchesOracle(const Instance& start,
+                                 const std::vector<RelationFeed>& feeds,
+                                 const EvalOptions& options,
+                                 int max_iterations, const std::string& label,
+                                 FixpointTally* tally = nullptr) {
+  Instance got = start, want = start;
+  EvalStats got_stats, want_stats;
+  int got_iters =
+      RunFeedFixpoint(&got, feeds, options, max_iterations, &got_stats);
+  int want_iters = oracle::RunFeedFixpoint(&want, feeds, options,
+                                           max_iterations, &want_stats);
+  EXPECT_EQ(got.ToString(), want.ToString()) << label;
+  EXPECT_EQ(got_iters, want_iters) << label;
+  EXPECT_LE(got_stats.nodes_evaluated, want_stats.nodes_evaluated) << label;
+  if (tally != nullptr) {
+    ++tally->runs;
+    tally->nodes += got_stats.nodes_evaluated;
+    tally->oracle_nodes += want_stats.nodes_evaluated;
+  }
+}
+
+/// RepairTowards against the oracle loop on the feeds it collects: the
+/// repaired instance, and (through the shared feed list) the pass count.
+void ExpectRepairMatchesOracle(const Instance& start, const ConstraintSet& cs,
+                               const EvalOptions& options,
+                               const std::string& label,
+                               FixpointTally* tally = nullptr) {
+  std::vector<RelationFeed> feeds =
+      CollectFeeds(cs, /*keep=*/nullptr, /*assign_equalities=*/true);
+  EvalOptions opts = options;
+  std::set<Value> consts = CollectConstants(cs);
+  opts.extra_constants.insert(consts.begin(), consts.end());
+  Instance want = start;
+  oracle::RunFeedFixpoint(&want, feeds, opts, kRepairPasses, nullptr);
+  EXPECT_EQ(RepairTowards(start, cs, options).ToString(), want.ToString())
+      << label;
+  ExpectFixpointMatchesOracle(start, feeds, opts, kRepairPasses,
+                              label + " (feeds)", tally);
+}
+
+/// PopulateResiduals against the oracle loop: instance, pass count and
+/// satisfaction verdict.
+void ExpectPopulateMatchesOracle(const Instance& start,
+                                 const ConstraintSet& cs,
+                                 const std::vector<std::string>& residuals,
+                                 const EvalOptions& options,
+                                 const std::string& label,
+                                 FixpointTally* tally = nullptr) {
+  std::set<std::string> residual_set(residuals.begin(), residuals.end());
+  std::vector<RelationFeed> feeds = CollectFeeds(
+      cs,
+      [&residual_set](const std::string& name) {
+        return residual_set.count(name) > 0;
+      },
+      /*assign_equalities=*/false);
+  EvalOptions opts = options;
+  std::set<Value> consts = CollectConstants(cs);
+  opts.extra_constants.insert(consts.begin(), consts.end());
+  Instance want = start;
+  int want_iters =
+      oracle::RunFeedFixpoint(&want, feeds, opts, kPopulatePasses, nullptr);
+  Result<MaterializeResult> got =
+      PopulateResiduals(start, cs, residuals, options);
+  ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+  EXPECT_EQ(got->instance.ToString(), want.ToString()) << label;
+  EXPECT_EQ(got->iterations, want_iters) << label;
+  Result<bool> want_sat = SatisfiesAll(want, cs, opts);
+  ASSERT_TRUE(want_sat.ok()) << label;
+  EXPECT_EQ(got->satisfied, *want_sat) << label;
+  ExpectFixpointMatchesOracle(start, feeds, opts, kPopulatePasses,
+                              label + " (feeds)", tally);
+}
+
+/// Both fixpoint callers on generated instances of `problem`, repaired
+/// towards Σ12 ∪ Σ23 and populated from σ1 ∪ σ3, the way the soundness
+/// harness generates them.
+void ExpectProblemMatchesOracle(const CompositionProblem& problem,
+                                const GenOptions& gen, int instances,
+                                uint64_t seed, const std::string& label,
+                                FixpointTally* tally) {
+  ConstraintSet original = problem.sigma12;
+  original.insert(original.end(), problem.sigma23.begin(),
+                  problem.sigma23.end());
+  CompositionResult composed = Compose(problem);
+  Result<Signature> outer = Signature::Merge(problem.sigma1, problem.sigma3);
+  ASSERT_TRUE(outer.ok()) << label;
+  std::mt19937_64 rng(seed);
+  for (int i = 0; i < instances; ++i) {
+    std::string at = label + " #" + std::to_string(i);
+    Instance inst = RandomInstanceOver(
+        {&problem.sigma1, &problem.sigma2, &problem.sigma3}, &rng, gen);
+    ExpectRepairMatchesOracle(inst, original, {}, at + " repair", tally);
+    Instance outer_inst = inst.RestrictedTo(*outer);
+    // Every σ2 symbol as a residual: the whole pipeline materialized.
+    ExpectPopulateMatchesOracle(outer_inst, original, problem.sigma2.names(),
+                                {}, at + " populate", tally);
+    if (!composed.residual_sigma2.empty()) {
+      EvalOptions skolem;
+      skolem.skolem_mode = SkolemEvalMode::kInjectiveTerms;
+      ExpectPopulateMatchesOracle(outer_inst, composed.constraints,
+                                  composed.residual_sigma2, skolem,
+                                  at + " residuals", tally);
+    }
+  }
+}
+
+TEST(FeedFixpointOracleTest, LiteratureSuiteMatchesEveryFeedLoop) {
+  Parser parser;
+  FixpointTally tally;
+  for (const testdata::LiteratureProblem& lit : testdata::LiteratureSuite()) {
+    CompositionProblem problem = parser.ParseProblem(lit.text).value();
+    ExpectProblemMatchesOracle(problem, GenOptions{}, 6, lit.name[0] + 17,
+                               lit.name, &tally);
+  }
+  EXPECT_GT(tally.runs, 0);
+  // The skip is not vacuous on the suite.
+  EXPECT_LT(tally.nodes, tally.oracle_nodes);
+}
+
+TEST(FeedFixpointOracleTest, VerifyBatchShapedProblemsMatchEveryFeedLoop) {
+  // The soundness workload's shape: size-10 reconciliation problems with 2
+  // edits per branch and arity at most 5, checked on 8 instances each over
+  // a 2-value domain with at most 3 tuples per relation.
+  GenOptions gen;
+  gen.domain_size = 2;
+  gen.max_tuples_per_rel = 3;
+  FixpointTally tally;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    sim::ReconciliationScenarioOptions opts;
+    opts.schema_size = 10;
+    opts.num_edits = 2;
+    opts.simulator.primitives.max_arity = 5;
+    opts.seed = seed;
+    opts.max_branch_attempts = 2;
+    CompositionProblem problem = sim::BuildReconciliationProblem(opts);
+    ExpectProblemMatchesOracle(problem, gen, 8, seed * 31,
+                               "recon-" + std::to_string(seed), &tally);
+  }
+  EXPECT_GT(tally.runs, 0);
+  EXPECT_LT(tally.nodes, tally.oracle_nodes);
+}
+
+TEST(FeedFixpointOracleTest, SelfFeedingClosureReadsDomain) {
+  // S = tc(S) is a user operator, so the feed reads D and must re-run after
+  // its own write; R ⊆ S seeds it, S ⊆ T is a plain growth.
+  const op::Registry& reg = op::Registry::Default();
+  ExprPtr tc_s = reg.MakeOp("tc", {Rel("S", 2)}).value();
+  ConstraintSet cs{Constraint::Contain(Rel("R", 2), Rel("S", 2)),
+                   Constraint::Equal(Rel("S", 2), tc_s),
+                   Constraint::Contain(Rel("S", 2), Rel("T", 2))};
+  Instance input;
+  input.Set("R", {T({1, 2}), T({2, 3}), T({3, 4}), T({4, 5})});
+  ExpectPopulateMatchesOracle(input, cs, {"S", "T"}, {}, "populate");
+  ExpectRepairMatchesOracle(input, cs, {}, "repair");
+  // With the closure feed first, the seed lands after it on pass 1.
+  std::vector<RelationFeed> feeds{{"S", tc_s, false},
+                                  {"S", Rel("R", 2), false}};
+  ExpectFixpointMatchesOracle(input, feeds, {}, 64, "closure first");
+}
+
+TEST(FeedFixpointOracleTest, SelfFeedingJoinReRunsAfterOwnWrite) {
+  // S ⊇ π1,4 σ#2=#3 (S × S) doubles path lengths once per evaluation, so
+  // unlike the idempotent tc it must see its own write to reach the
+  // closure; R ⊆ S seeds it after it on pass 1.
+  ExprPtr step = Project(
+      {1, 4}, Select(Condition::AttrCmp(2, CmpOp::kEq, 3),
+                     Product(Rel("S", 2), Rel("S", 2))));
+  std::vector<RelationFeed> feeds{{"S", step, false},
+                                  {"S", Rel("R", 2), false}};
+  Instance input;
+  std::set<Tuple> chain;
+  for (int64_t i = 1; i < 10; ++i) chain.insert(T({i, i + 1}));
+  input.Set("R", chain);
+  ExpectFixpointMatchesOracle(input, feeds, {}, 64, "path doubling");
+  Instance got = input;
+  RunFeedFixpoint(&got, feeds, {}, 64, nullptr);
+  EXPECT_EQ(got.Get("S").count(T({1, 10})), 1u);
+}
+
+TEST(FeedFixpointOracleTest, DomainFeedSeesEveryWrite) {
+  // The diagonal of D^2 feeds S before a later feed adds a fresh value to
+  // U: the D feed does not read U, yet its result grows with the active
+  // domain, so it must re-run on the next pass.
+  ExprPtr diag = Select(Condition::AttrCmp(1, CmpOp::kEq, 2), Dom(2));
+  std::vector<RelationFeed> feeds{
+      {"S", diag, false},
+      {"U", Lit(1, {T({9})}), false},
+      {"V", Project({1}, Rel("S", 2)), false}};
+  Instance input;
+  input.Set("R", {T({1})});
+  ExpectFixpointMatchesOracle(input, feeds, {}, 16, "diagonal");
+  Instance got = input;
+  RunFeedFixpoint(&got, feeds, {}, 16, nullptr);
+  EXPECT_EQ(got.Get("S").count(T({9, 9})), 1u);
+  EXPECT_EQ(got.Get("V").count(T({9})), 1u);
+  // A D feed's own write can grow D: D × {9} must see the 9 it wrote.
+  ExpectFixpointMatchesOracle(
+      input, {{"S", Product(Dom(1), Lit(1, {T({9})})), false}}, {}, 16,
+      "own write grows D");
+  // The pruned select over D has the same dependency.
+  ExprPtr pinned =
+      Select(Condition::AttrConst(1, CmpOp::kEq, Value(int64_t{9})), Dom(2));
+  ExpectFixpointMatchesOracle(
+      input, {{"S", pinned, false}, {"U", Lit(1, {T({9})}), false}}, {}, 16,
+      "pinned");
+  // So has any user operator: its kernel is handed the active domain. This
+  // one ignores its argument and returns the domain.
+  op::Registry reg = op::Registry::Empty();
+  op::OperatorDef adom;
+  adom.name = "adom";
+  adom.num_args = 1;
+  adom.arity = [](const std::vector<int>&) -> Result<int> { return 1; };
+  adom.polarity = {op::Polarity::kUnknown};
+  adom.eval_columnar = [](const Expr&, const std::vector<const TupleTable*>&,
+                          const op::ColumnarContext& ctx)
+      -> Result<TupleTable> {
+    TupleTable out(1);
+    for (ValueId id : *ctx.domain_ids) out.AppendRow(&id);
+    return out;
+  };
+  ASSERT_TRUE(reg.Register(std::move(adom)).ok());
+  EvalOptions with_adom;
+  with_adom.registry = &reg;
+  ExprPtr domain_of = reg.MakeOp("adom", {Rel("R", 1)}).value();
+  ExpectFixpointMatchesOracle(
+      input, {{"S", domain_of, false}, {"U", Lit(1, {T({9})}), false}},
+      with_adom, 16, "user op");
+}
+
+TEST(FeedFixpointOracleTest, AssignmentAndGrowthOnOneTarget) {
+  // RepairTowards assigns S = π1(R) while U ⊆ S grows it: each pass the
+  // growth breaks the assignment and the assignment undoes the growth, so
+  // both loops run out of passes with the same instance.
+  ConstraintSet cs{Constraint::Equal(Rel("S", 1), Project({1}, Rel("R", 2))),
+                   Constraint::Contain(Rel("U", 1), Rel("S", 1))};
+  Instance input;
+  input.Set("R", {T({1, 5}), T({2, 6})});
+  input.Set("U", {T({7})});
+  ExpectRepairMatchesOracle(input, cs, {}, "fight");
+  // Neither feed reads S, so only the other's write makes either stale.
+  std::vector<RelationFeed> feeds{{"S", Project({1}, Rel("R", 2)), true},
+                                  {"S", Rel("U", 1), false}};
+  ExpectFixpointMatchesOracle(input, feeds, {}, 5, "fight, 5 passes");
+  // A growth that agrees with the assignment settles after one quiet pass.
+  input.Set("U", {T({1})});
+  ExpectRepairMatchesOracle(input, cs, {}, "agree");
+}
+
+TEST(FeedFixpointOracleTest, FeedThatFailsContributesNothing) {
+  // The Skolem feed fails under SkolemEvalMode::kError on every pass, in
+  // both loops; the feeds around it still reach their fixpoint.
+  ExprPtr skolem = SkolemApp("f", {1}, Rel("R", 1));
+  std::vector<RelationFeed> feeds{{"S", skolem, false},
+                                  {"V", Rel("R", 1), false},
+                                  {"W", Rel("V", 1), false}};
+  Instance input;
+  input.Set("R", {T({1}), T({2})});
+  ExpectFixpointMatchesOracle(input, feeds, {}, 16, "skolem kError");
+  Instance got = input;
+  RunFeedFixpoint(&got, feeds, {}, 16, nullptr);
+  EXPECT_TRUE(got.Get("S").empty());
+  EXPECT_EQ(got.Get("W"), input.Get("R"));
+  EvalOptions injective;
+  injective.skolem_mode = SkolemEvalMode::kInjectiveTerms;
+  ExpectFixpointMatchesOracle(input, feeds, injective, 16, "skolem terms");
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/eval/evaluator.h"
+#include "src/eval/materialize.h"
 
 namespace mapcomp {
 namespace oracle {
@@ -43,6 +44,15 @@ using SetOpBody = std::function<std::set<Tuple>(
 /// The reference body of library operator `name` (lojoin, semijoin,
 /// antijoin, tc), or null.
 const SetOpBody* FindSetOp(const std::string& name);
+
+/// The feed fixpoint's differential oracle: the naive loop that evaluates
+/// every feed on every pass, with the production evaluator. The
+/// change-driven `mapcomp::RunFeedFixpoint` must leave byte-identical
+/// instances and return the same pass count; its stats count only the
+/// evaluations it ran, so they are at most this loop's.
+int RunFeedFixpoint(Instance* instance, const std::vector<RelationFeed>& feeds,
+                    const EvalOptions& options, int max_iterations,
+                    EvalStats* stats);
 
 }  // namespace oracle
 }  // namespace mapcomp
