@@ -55,6 +55,13 @@ Result<bool> Satisfies(const Instance& instance, const Constraint& c,
                              options, stats);
 }
 
+Result<bool> Satisfies(const EncodedInstance& instance, const Constraint& c,
+                       const EvalOptions& options, EvalStats* stats) {
+  return EvaluateContainment(c.lhs, c.rhs,
+                             c.kind == ConstraintKind::kEquality, instance,
+                             options, stats);
+}
+
 Result<bool> SatisfiesAll(const Instance& instance, const ConstraintSet& cs,
                           const EvalOptions& options, EvalStats* stats) {
   EvalOptions opts = options;

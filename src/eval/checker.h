@@ -19,6 +19,11 @@ std::set<Value> CollectConstants(const ConstraintSet& cs);
 Result<bool> Satisfies(const Instance& instance, const Constraint& c,
                        const EvalOptions& options = {},
                        EvalStats* stats = nullptr);
+/// The same against an encoded instance, whose D was fixed when it was
+/// encoded (`options.extra_constants` is not read).
+Result<bool> Satisfies(const EncodedInstance& instance, const Constraint& c,
+                       const EvalOptions& options = {},
+                       EvalStats* stats = nullptr);
 
 /// A ⊨ Σ. Automatically adds CollectConstants(cs) to the options' extra
 /// constants. Accumulates evaluation counters into `stats` when non-null.

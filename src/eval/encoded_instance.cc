@@ -1,0 +1,242 @@
+// EncodedInstance: an instance's dictionary, domain ids and relation tables,
+// built once and shared by every evaluation against it (see evaluator.h).
+
+#include <utility>
+
+#include "src/eval/evaluator.h"
+#include "src/eval/tuple_table.h"
+#include "src/eval/value_dict.h"
+
+namespace mapcomp {
+
+namespace {
+
+void CollectConditionConstants(const Condition& c, std::set<Value>* out) {
+  switch (c.kind()) {
+    case Condition::Kind::kAtom:
+      if (!c.lhs().is_attr) out->insert(c.lhs().constant);
+      if (!c.rhs().is_attr) out->insert(c.rhs().constant);
+      break;
+    case Condition::Kind::kAnd:
+    case Condition::Kind::kOr:
+    case Condition::Kind::kNot:
+      for (const Condition& child : c.children()) {
+        CollectConditionConstants(child, out);
+      }
+      break;
+    default:
+      break;
+  }
+}
+
+/// Every constant a root expression can mention — selection-condition
+/// constants and literal-relation values — goes into the dictionary seed,
+/// so compiled conditions find their constants in the order-preserving
+/// range; and every relation it reads is encoded.
+void CollectRootReads(const ExprPtr& e, std::set<Value>* constants,
+                      std::set<std::string>* relations,
+                      std::set<const Expr*>* visited) {
+  if (e == nullptr || !visited->insert(e.get()).second) return;
+  if (e->kind() == ExprKind::kRelation) relations->insert(e->name());
+  CollectConditionConstants(e->condition(), constants);
+  for (const Tuple& t : e->tuples()) {
+    for (const Value& v : t) constants->insert(v);
+  }
+  for (const ExprPtr& c : e->children()) {
+    CollectRootReads(c, constants, relations, visited);
+  }
+}
+
+/// Encodes one relation: a table when every tuple has the same size, the
+/// tuple set itself otherwise.
+EncodedInstance::Relation EncodeRelation(const std::set<Tuple>& tuples,
+                                         ValueDict* dict) {
+  EncodedInstance::Relation rel;
+  const size_t arity = tuples.empty() ? 0 : tuples.begin()->size();
+  for (const Tuple& t : tuples) {
+    if (t.size() != arity) {
+      rel.ragged = std::make_shared<const std::set<Tuple>>(tuples);
+      return rel;
+    }
+  }
+  rel.table = std::make_shared<const TupleTable>(
+      TupleTable::FromSet(tuples, static_cast<int>(arity), dict).value());
+  return rel;
+}
+
+bool SameRows(const TupleTable& a, const TupleTable& b) {
+  if (a.empty() || b.empty()) return a.empty() && b.empty();
+  return a.arity() == b.arity() && a.size() == b.size() &&
+         a.Data() == b.Data();
+}
+
+}  // namespace
+
+int64_t EncodedInstance::Relation::size() const {
+  return ragged != nullptr ? static_cast<int64_t>(ragged->size())
+                           : table->size();
+}
+
+EncodedInstance::EncodedInstance(const Instance& instance,
+                                 const std::set<Value>& extra_constants)
+    : EncodedInstance(instance, extra_constants, {}, nullptr) {}
+
+EncodedInstance EncodedInstance::ForRoots(
+    const Instance& instance, const std::set<Value>& extra_constants,
+    const std::vector<ExprPtr>& roots) {
+  std::set<Value> constants;
+  std::set<std::string> relations;
+  std::set<const Expr*> visited;
+  for (const ExprPtr& root : roots) {
+    CollectRootReads(root, &constants, &relations, &visited);
+  }
+  return EncodedInstance(instance, extra_constants, constants, &relations);
+}
+
+EncodedInstance::EncodedInstance(const Instance& instance,
+                                 const std::set<Value>& extra_constants,
+                                 const std::set<Value>& seed_constants,
+                                 const std::set<std::string>* only)
+    : dict_(std::make_shared<ValueDict>()) {
+  // Seeded sorted, so the id order over the seed is the value order and
+  // encodes and D^r enumerations arrive sorted.
+  const std::set<Value>& adom = instance.ActiveDomain();
+  std::set<Value> universe = adom;
+  universe.insert(extra_constants.begin(), extra_constants.end());
+  const size_t domain_size = universe.size();
+  universe.insert(seed_constants.begin(), seed_constants.end());
+  dict_->Seed(universe);
+  domain_ids_.reserve(domain_size);
+  ValueId id = 0;
+  for (const Value& v : universe) {
+    if (domain_size == universe.size() || adom.count(v) > 0 ||
+        extra_constants.count(v) > 0) {
+      domain_ids_.push_back(id);
+    }
+    ++id;
+  }
+  for (const Value& v : extra_constants) {
+    extra_ids_.push_back(*dict_->Find(v));
+  }
+  if (only != nullptr) {
+    for (const std::string& name : *only) {
+      if (instance.Has(name)) {
+        relations_.emplace(name,
+                           EncodeRelation(instance.Get(name), dict_.get()));
+      }
+    }
+    return;
+  }
+  for (const auto& [name, tuples] : instance.relations()) {
+    relations_.emplace(name, EncodeRelation(tuples, dict_.get()));
+  }
+}
+
+const EncodedInstance::Relation* EncodedInstance::Find(
+    const std::string& name) const {
+  auto it = relations_.find(name);
+  return it == relations_.end() ? nullptr : &it->second;
+}
+
+Result<std::shared_ptr<const TupleTable>> EncodedInstance::TableOf(
+    const Relation* rel, int arity) const {
+  if (rel == nullptr) return std::make_shared<const TupleTable>(arity);
+  if (rel->table != nullptr) {
+    if (rel->table->arity() == arity) return rel->table;
+    if (rel->table->empty()) return std::make_shared<const TupleTable>(arity);
+  }
+  // A relation that does not fit `arity`: FromSet names the first tuple
+  // that does not, exactly as encoding the instance for this node would.
+  std::set<Tuple> tuples = rel->ragged != nullptr
+                               ? *rel->ragged
+                               : rel->table->ToSet(*dict_);
+  MAPCOMP_ASSIGN_OR_RETURN(TupleTable t,
+                           TupleTable::FromSet(tuples, arity, dict_.get()));
+  return std::make_shared<const TupleTable>(std::move(t));
+}
+
+void EncodedInstance::Count(const Relation& rel, int64_t delta,
+                            bool* crossed) {
+  auto bump = [&](ValueId id) {
+    if (id >= occurrences_.size()) occurrences_.resize(dict_->size(), 0);
+    int64_t& n = occurrences_[id];
+    if ((n == 0) != (n + delta == 0)) *crossed = true;
+    n += delta;
+  };
+  if (rel.ragged != nullptr) {
+    for (const Tuple& t : *rel.ragged) {
+      for (const Value& v : t) bump(dict_->Intern(v));
+    }
+    return;
+  }
+  for (ValueId id : rel.table->Data()) bump(id);
+}
+
+void EncodedInstance::Put(const std::string& name, Relation rel) {
+  bool crossed = false;
+  if (!counted_) {
+    occurrences_.assign(dict_->size(), 0);
+    for (const auto& [_, r] : relations_) Count(r, 1, &crossed);
+    for (ValueId id : extra_ids_) ++occurrences_[id];
+    counted_ = true;
+    crossed = false;
+  }
+  Relation& slot = relations_[name];
+  if (slot.table != nullptr || slot.ragged != nullptr) {
+    Count(slot, -1, &crossed);
+  }
+  Count(rel, 1, &crossed);
+  slot = std::move(rel);
+  if (!crossed) return;
+  domain_ids_.clear();
+  for (size_t i = 0; i < occurrences_.size(); ++i) {
+    if (occurrences_[i] > 0) domain_ids_.push_back(static_cast<ValueId>(i));
+  }
+}
+
+bool EncodedInstance::Assign(const std::string& name,
+                             std::shared_ptr<const TupleTable> table) {
+  const Relation* cur = Find(name);
+  if (cur == nullptr ? table->empty()
+                     : cur->table != nullptr && SameRows(*cur->table, *table)) {
+    return false;
+  }
+  Put(name, Relation{std::move(table), nullptr});
+  return true;
+}
+
+bool EncodedInstance::Grow(const std::string& name,
+                           std::shared_ptr<const TupleTable> table) {
+  if (table->empty()) return false;
+  const Relation* cur = Find(name);
+  if (cur == nullptr || (cur->table != nullptr && cur->table->empty())) {
+    Put(name, Relation{std::move(table), nullptr});
+    return true;
+  }
+  if (cur->table != nullptr && cur->table->arity() == table->arity()) {
+    TupleTable merged = TupleTable::UnionOf(*cur->table, *table);
+    if (merged.size() == cur->table->size()) return false;
+    Put(name,
+        Relation{std::make_shared<const TupleTable>(std::move(merged)),
+                 nullptr});
+    return true;
+  }
+  // Tuples of another size: the relation is (or stays) ragged.
+  std::set<Tuple> tuples = Decode(name);
+  const size_t before = tuples.size();
+  std::set<Tuple> added = table->ToSet(*dict_);
+  tuples.insert(added.begin(), added.end());
+  if (tuples.size() == before) return false;
+  Put(name, Relation{nullptr,
+                     std::make_shared<const std::set<Tuple>>(std::move(tuples))});
+  return true;
+}
+
+std::set<Tuple> EncodedInstance::Decode(const std::string& name) const {
+  const Relation* rel = Find(name);
+  if (rel == nullptr) return {};
+  if (rel->ragged != nullptr) return *rel->ragged;
+  return rel->table->ToSet(*dict_);
+}
+
+}  // namespace mapcomp

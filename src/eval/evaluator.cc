@@ -28,7 +28,7 @@ using eval_internal::DomainSelectPlan;
 
 /// Node results are shared, not copied: every parent holds the same table,
 /// treated as immutable everywhere.
-using TablePtr = std::shared_ptr<TupleTable>;
+using TablePtr = std::shared_ptr<const TupleTable>;
 
 /// Chunk boundaries are a pure function of the work size and the shared
 /// runtime::kMaxShardChunks — never of the lane count — which is what
@@ -46,7 +46,7 @@ struct NodeUse {
 };
 
 TablePtr OwnTable(TupleTable t) {
-  return std::make_shared<TupleTable>(std::move(t));
+  return std::make_shared<const TupleTable>(std::move(t));
 }
 
 /// Parent-edge refcounts for the whole root forest: each static child edge
@@ -58,40 +58,6 @@ void CountUses(const ExprPtr& e, std::unordered_map<const Expr*, NodeUse>* uses,
   for (const ExprPtr& c : e->children()) {
     ++(*uses)[c.get()].remaining;
     CountUses(c, uses, visited);
-  }
-}
-
-void CollectConditionConstants(const Condition& c, std::set<Value>* out) {
-  switch (c.kind()) {
-    case Condition::Kind::kAtom:
-      if (!c.lhs().is_attr) out->insert(c.lhs().constant);
-      if (!c.rhs().is_attr) out->insert(c.rhs().constant);
-      break;
-    case Condition::Kind::kAnd:
-    case Condition::Kind::kOr:
-    case Condition::Kind::kNot:
-      for (const Condition& child : c.children()) {
-        CollectConditionConstants(child, out);
-      }
-      break;
-    default:
-      break;
-  }
-}
-
-/// Every constant a root expression can mention — selection-condition
-/// constants and literal-relation values — goes into the dictionary seed,
-/// so compiled conditions always find their constants interned and the
-/// seeded range stays order-preserving.
-void CollectExprConstants(const ExprPtr& e, std::set<Value>* out,
-                          std::set<const Expr*>* visited) {
-  if (e == nullptr || !visited->insert(e.get()).second) return;
-  CollectConditionConstants(e->condition(), out);
-  for (const Tuple& t : e->tuples()) {
-    for (const Value& v : t) out->insert(v);
-  }
-  for (const ExprPtr& c : e->children()) {
-    CollectExprConstants(c, out, visited);
   }
 }
 
@@ -128,9 +94,10 @@ int64_t MorselCount(int64_t n) {
 //      what lands in it. A slot's table is dropped the moment its last
 //      consumer retires (atomic refcount), preserving the memo-peak
 //      behavior of the recursive engine. A plan whose row bound (see
-//      PlanRowBound) is below `parallel_threshold` runs the same graph
-//      inline on the caller: no node under that bound could shard, and
-//      handing microsecond slots to pool lanes costs more than the slots.
+//      SlotRowBound) is below `parallel_threshold` runs its slots inline on
+//      the caller, in index order: no node under that bound could shard,
+//      and handing microsecond slots to pool lanes costs more than the
+//      slots.
 //
 //   3. REPLAY (sequential): walk the plan's event log and fold each slot's
 //      measured outputs (row counts, bytes, morsel counts) into per-root
@@ -168,6 +135,12 @@ struct Slot {
   int arity = 0;
   /// Input slot indexes in operator order (may repeat, e.g. Union(x, x)).
   std::vector<int64_t> args;
+  /// `args` sorted and deduplicated: the slots this one holds a claim on.
+  std::vector<int64_t> inputs;
+  /// Plan-time bound on the rows this slot can produce (see SlotRowBound).
+  double row_bound = 0.0;
+  /// kRelation: the encoded relation (null when the instance has none).
+  const EncodedInstance::Relation* rel = nullptr;
 
   // kSelectFilter / kSelectDomain: the full compiled condition. Also the
   // kUserOp payload: the node's condition compiled at plan time, handed to
@@ -208,14 +181,14 @@ struct PlanEvent {
 };
 
 struct KernelState {
-  const Instance* instance = nullptr;
+  const EncodedInstance* instance = nullptr;
   const EvalOptions* options = nullptr;
-  /// Shared so results can outlive the evaluation (lazy decode).
+  /// The instance's dictionary, shared so results can outlive the
+  /// evaluation (lazy decode).
   std::shared_ptr<ValueDict> dict;
-  /// Active domain + extra constants as ascending seeded ids — the only
-  /// domain structure the kernel builds.
-  std::vector<ValueId> domain_ids;
-  /// Null when jobs <= 1 or the plan runs inline (see PlanRowBound).
+  /// The instance's domain ids, ascending.
+  const std::vector<ValueId>* domain_ids = nullptr;
+  /// Null when jobs <= 1 or the plan runs inline (see SlotRowBound).
   runtime::ThreadPool* pool = nullptr;
   int max_helpers = 0;                  ///< jobs - 1 while `pool` is set
 
@@ -232,6 +205,8 @@ struct KernelState {
   std::vector<int> slot_depth;  ///< longest input chain per slot
   std::unordered_map<int, int64_t> width_at_depth;
   int64_t max_width = 0;
+  /// Sum of the slots' row bounds, user operators excluded.
+  double row_bound = 0.0;
 };
 
 /// One parent edge (or root occurrence) of `e` is done with its result:
@@ -262,16 +237,74 @@ int64_t NewSlot(const Expr* node, SlotOp op, int arity,
   s.op = op;
   s.arity = arity;
   s.args = std::move(args);
+  // One consumer claim per distinct input slot.
+  s.inputs = s.args;
+  std::sort(s.inputs.begin(), s.inputs.end());
+  s.inputs.erase(std::unique(s.inputs.begin(), s.inputs.end()),
+                 s.inputs.end());
+  for (int64_t a : s.inputs) {
+    ks->slots[static_cast<size_t>(a)].live_consumers.fetch_add(
+        1, std::memory_order_relaxed);
+  }
   ks->slot_depth.push_back(depth);
   int64_t width = ++ks->width_at_depth[depth];
   ks->max_width = std::max(ks->max_width, width);
   return static_cast<int64_t>(ks->slots.size()) - 1;
 }
 
+/// Plan-time upper bound on the rows slot `s` can produce: a relation's
+/// tuple count, |D|^r for D^r, |D|^free_count for a pruned select over D, a
+/// literal's tuple count, a + b for a union, min(a, b) for an intersection,
+/// a for a difference, filter, projection or Skolem, a · b for a join or
+/// product (0 when either side is), and unbounded for a user operator.
+/// Every node's sharding work (SlotTransform's `work`, the domain
+/// enumerations' size) is at most its own slot's bound or an input's. A
+/// user operator's own kernel gets no pool and never shards, so it adds
+/// nothing to the plan's sum, while a node reading its output is unbounded
+/// through the rules above. A plan whose sum is below `parallel_threshold`
+/// therefore has no node that could shard. The bound reads only the plan
+/// and the instance, never `jobs`.
+double SlotRowBound(const KernelState& ks, const Slot& s) {
+  auto in = [&ks, &s](size_t k) {
+    return ks.slots[static_cast<size_t>(s.args[k])].row_bound;
+  };
+  const double d = static_cast<double>(ks.domain_ids->size());
+  switch (s.op) {
+    case SlotOp::kRelation:
+      return s.rel == nullptr ? 0.0 : static_cast<double>(s.rel->size());
+    case SlotOp::kDomain:
+      return std::pow(d, static_cast<double>(s.arity));
+    case SlotOp::kSelectDomain:
+      return std::pow(d, static_cast<double>(s.free_count));
+    case SlotOp::kLiteral:
+      return static_cast<double>(s.node->tuples().size());
+    case SlotOp::kEmpty:
+    case SlotOp::kSelectDomainEmpty:
+      return 0.0;
+    case SlotOp::kUnion:
+      return in(0) + in(1);
+    case SlotOp::kIntersect:
+      return std::min(in(0), in(1));
+    case SlotOp::kJoin:
+      return in(0) == 0.0 || in(1) == 0.0 ? 0.0 : in(0) * in(1);
+    case SlotOp::kDifference:
+    case SlotOp::kSelectFilter:
+    case SlotOp::kProject:
+    case SlotOp::kSkolem:
+      return in(0);
+    case SlotOp::kUserOp:
+      return HUGE_VAL;
+  }
+  return HUGE_VAL;
+}
+
 /// Seals a planned node: marks it evaluated (the plan's memo), logs the
-/// eval event, and releases its static child edges — exactly where the
-/// recursive engine released them.
+/// eval event, adds its row bound to the plan's, and releases its static
+/// child edges — exactly where the recursive engine released them.
 void FinishSlot(const Expr* e, int64_t slot, KernelState* ks) {
+  Slot& s = ks->slots[static_cast<size_t>(slot)];
+  s.row_bound = SlotRowBound(*ks, s);
+  if (s.op != SlotOp::kUserOp) ks->row_bound += s.row_bound;
   ks->slot_of[e] = slot;
   ks->uses[e].evaluated = true;
   ks->events.push_back({PlanEvent::kEval, slot});
@@ -303,7 +336,7 @@ Result<int64_t> PlanSelectJoin(const ExprPtr& e, KernelState* ks) {
 Result<int64_t> PlanSelectDomain(const ExprPtr& e, const DomainSelectPlan& plan,
                                  KernelState* ks) {
   const int r = e->child(0)->arity();
-  const std::vector<ValueId>& ids = ks->domain_ids;
+  const std::vector<ValueId>& ids = *ks->domain_ids;
   int64_t d = static_cast<int64_t>(ids.size());
   std::vector<ValueId> class_id(static_cast<size_t>(plan.num_classes), 0);
   std::vector<char> class_bound(static_cast<size_t>(plan.num_classes), 0);
@@ -367,11 +400,12 @@ Result<int64_t> PlanVisit(const ExprPtr& e, KernelState* ks) {
   switch (e->kind()) {
     case ExprKind::kRelation: {
       int64_t slot = NewSlot(e.get(), SlotOp::kRelation, e->arity(), {}, ks);
+      ks->slots[static_cast<size_t>(slot)].rel = ks->instance->Find(e->name());
       FinishSlot(e.get(), slot, ks);
       return slot;
     }
     case ExprKind::kDomain: {
-      int64_t d = static_cast<int64_t>(ks->domain_ids.size());
+      int64_t d = static_cast<int64_t>(ks->domain_ids->size());
       double size = std::pow(static_cast<double>(d),
                              static_cast<double>(e->arity()));
       // Fails at plan time, before any tuple is enumerated, so an
@@ -550,7 +584,7 @@ void EnumerateDomainIdRange(const std::vector<ValueId>& ids, int r,
 }
 
 Result<TablePtr> EvalSlotDomain(KernelState* ks, Slot* s) {
-  const std::vector<ValueId>& ids = ks->domain_ids;
+  const std::vector<ValueId>& ids = *ks->domain_ids;
   int64_t d = static_cast<int64_t>(ids.size());
   const int arity = s->arity;
   if (arity == 0) {
@@ -669,7 +703,7 @@ Result<TablePtr> EvalSlotJoin(KernelState* ks, Slot* s, const TablePtr& a,
 
 Result<TablePtr> EvalSlotSelectDomain(KernelState* ks, Slot* s) {
   const int r = s->arity;
-  const std::vector<ValueId>& ids = ks->domain_ids;
+  const std::vector<ValueId>& ids = *ks->domain_ids;
   int64_t d = static_cast<int64_t>(ids.size());
   const int free_count = s->free_count;
   if (free_count > 0 && d == 0) return OwnTable(TupleTable(r));
@@ -765,17 +799,11 @@ Result<TablePtr> EvalSlot(KernelState* ks, Slot* s,
                           const std::vector<TablePtr>& in) {
   const Expr* e = s->node;
   switch (s->op) {
-    case SlotOp::kRelation: {
-      // Encoded once per evaluation (one slot per interned node). The
-      // instance's values are all in the dictionary's seeded range, so the
-      // encode is a linear pass and arrives sorted. A ragged relation (the
-      // instance API never validates arity) is a clean error here, not an
+    case SlotOp::kRelation:
+      // The instance's own table, shared. A ragged relation (the instance
+      // API never validates arity) is a clean error here, not an
       // out-of-bounds row read.
-      MAPCOMP_ASSIGN_OR_RETURN(
-          TupleTable t, TupleTable::FromSet(ks->instance->Get(e->name()),
-                                            s->arity, ks->dict.get()));
-      return OwnTable(std::move(t));
-    }
+      return ks->instance->TableOf(s->rel, s->arity);
     case SlotOp::kDomain:
       return EvalSlotDomain(ks, s);
     case SlotOp::kEmpty:
@@ -882,7 +910,7 @@ Result<TablePtr> EvalSlot(KernelState* ks, Slot* s,
       op::ColumnarContext ctx;
       ctx.dict = ks->dict.get();
       ctx.cond = &s->cond;
-      ctx.domain_ids = &ks->domain_ids;
+      ctx.domain_ids = ks->domain_ids;
       MAPCOMP_ASSIGN_OR_RETURN(TupleTable out,
                                s->def->eval_columnar(*e, kids, ctx));
       if (out.arity() != s->arity) {
@@ -938,11 +966,7 @@ void RunSlot(KernelState* ks, int64_t idx) {
     s.status = child_err;
   }
   in.clear();  // drop borrowed refs before releasing consumer claims
-  std::vector<int64_t> distinct = s.args;
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-  for (int64_t a : distinct) {
+  for (int64_t a : s.inputs) {
     Slot& c = ks->slots[static_cast<size_t>(a)];
     // acq_rel: our read of c.result happened-before this decrement, and the
     // zero-observing consumer's reset happens-after every other decrement.
@@ -950,65 +974,6 @@ void RunSlot(KernelState* ks, int64_t idx) {
       c.result.reset();
     }
   }
-}
-
-/// Plan-time upper bound on the rows all slots together can produce: a
-/// relation's tuple count, |D|^r for D^r, |D|^free_count for a pruned
-/// select over D, a literal's tuple count, a + b for a union, min(a, b) for
-/// an intersection, a for a difference, filter, projection or Skolem, a · b
-/// for a join or product, and unbounded for a user operator. Every node's
-/// sharding work (SlotTransform's `work`, the domain enumerations' size) is
-/// at most its own slot's bound or an input's, so a plan whose sum is below
-/// `parallel_threshold` has no node that could shard. The bound reads only
-/// the plan and the instance, never `jobs`.
-double PlanRowBound(const KernelState& ks) {
-  const double d = static_cast<double>(ks.domain_ids.size());
-  std::vector<double> bound(ks.slots.size(), 0.0);
-  double total = 0.0;
-  for (size_t i = 0; i < ks.slots.size(); ++i) {
-    const Slot& s = ks.slots[i];
-    auto in = [&bound, &s](size_t k) {
-      return bound[static_cast<size_t>(s.args[k])];
-    };
-    double b = 0.0;
-    switch (s.op) {
-      case SlotOp::kRelation:
-        b = static_cast<double>(ks.instance->Get(s.node->name()).size());
-        break;
-      case SlotOp::kDomain:
-        b = std::pow(d, static_cast<double>(s.arity));
-        break;
-      case SlotOp::kSelectDomain:
-        b = std::pow(d, static_cast<double>(s.free_count));
-        break;
-      case SlotOp::kLiteral:
-        b = static_cast<double>(s.node->tuples().size());
-        break;
-      case SlotOp::kEmpty:
-      case SlotOp::kSelectDomainEmpty:
-        break;
-      case SlotOp::kUnion:
-        b = in(0) + in(1);
-        break;
-      case SlotOp::kIntersect:
-        b = std::min(in(0), in(1));
-        break;
-      case SlotOp::kJoin:
-        b = in(0) * in(1);
-        break;
-      case SlotOp::kDifference:
-      case SlotOp::kSelectFilter:
-      case SlotOp::kProject:
-      case SlotOp::kSkolem:
-        b = in(0);
-        break;
-      case SlotOp::kUserOp:
-        return HUGE_VAL;
-    }
-    bound[i] = b;
-    total += b;
-  }
-  return total;
 }
 
 /// A completed kernel evaluation: the state (holding root tables + dict)
@@ -1067,7 +1032,7 @@ void ReplayStats(KernelRun* run) {
 /// returned run holds every root's result table (pinned — non-root slot
 /// tables were dropped as their consumers retired) and replayed stats.
 Result<std::unique_ptr<KernelRun>> KernelExecute(
-    const std::vector<ExprPtr>& roots, const Instance& instance,
+    const std::vector<ExprPtr>& roots, const EncodedInstance& instance,
     const EvalOptions& options) {
   for (const ExprPtr& root : roots) {
     if (root == nullptr) return Status::InvalidArgument("null expression");
@@ -1077,32 +1042,8 @@ Result<std::unique_ptr<KernelRun>> KernelExecute(
   KernelState& ks = run->ks;
   ks.instance = &instance;
   ks.options = &options;
-  // Seed the dictionary with everything the evaluation can see up front
-  // (domain + every expression constant), sorted — so the id order over
-  // this range is the value order and encodes/enumerations arrive sorted.
-  // This is the evaluation's single value-set copy: the domain is kept as
-  // ids from here on.
-  std::set<Value> universe = instance.ActiveDomain();
-  universe.insert(options.extra_constants.begin(),
-                  options.extra_constants.end());
-  size_t domain_size = universe.size();
-  std::set<const Expr*> visited;
-  for (const ExprPtr& root : roots) {
-    CollectExprConstants(root, &universe, &visited);
-  }
-  ks.dict = std::make_shared<ValueDict>();
-  ks.dict->Seed(universe);
-  ks.domain_ids.reserve(domain_size);
-  for (const Value& v : instance.ActiveDomain()) {
-    ks.domain_ids.push_back(*ks.dict->Find(v));
-  }
-  for (const Value& v : options.extra_constants) {
-    ks.domain_ids.push_back(*ks.dict->Find(v));
-  }
-  std::sort(ks.domain_ids.begin(), ks.domain_ids.end());
-  ks.domain_ids.erase(
-      std::unique(ks.domain_ids.begin(), ks.domain_ids.end()),
-      ks.domain_ids.end());
+  ks.dict = instance.dict();
+  ks.domain_ids = &instance.domain_ids();
   if (options.jobs > 1) {
     ks.pool = runtime::GlobalPool();
     ks.max_helpers = options.jobs - 1;
@@ -1112,7 +1053,9 @@ Result<std::unique_ptr<KernelRun>> KernelExecute(
     ++ks.uses[root.get()].remaining;
     CountUses(root, &ks.uses, &counted);
   }
-  // Phase 1: sequential plan.
+  // Phase 1: sequential plan. NewSlot takes each slot's consumer claims on
+  // its inputs; each root occurrence adds a never-released pin (the caller
+  // takes those tables).
   for (const ExprPtr& root : roots) {
     MAPCOMP_ASSIGN_OR_RETURN(int64_t slot, PlanVisit(root, &ks));
     ks.root_slots.push_back(slot);
@@ -1120,38 +1063,33 @@ Result<std::unique_ptr<KernelRun>> KernelExecute(
     ks.events.push_back({PlanEvent::kRootEnd, slot});
     ks.root_width.push_back(ks.max_width);
   }
-  // Consumer refcounts: one claim per distinct dependent slot, plus a
-  // never-released pin per root occurrence (the caller takes those tables).
-  for (const Slot& s : ks.slots) {
-    std::vector<int64_t> distinct = s.args;
-    std::sort(distinct.begin(), distinct.end());
-    distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                   distinct.end());
-    for (int64_t a : distinct) {
-      ks.slots[static_cast<size_t>(a)].live_consumers.fetch_add(
-          1, std::memory_order_relaxed);
-    }
-  }
   for (int64_t root_slot : ks.root_slots) {
     ks.slots[static_cast<size_t>(root_slot)].live_consumers.fetch_add(
         1, std::memory_order_relaxed);
   }
-  // Phase 2: run the task graph. Dependencies are the slot's input slots,
-  // indexes are topological by construction (children planned first). A
-  // plan below the sharding threshold runs inline: the decision reads only
-  // the data, so results and stats stay identical at any `jobs`.
-  if (ks.pool != nullptr &&
-      PlanRowBound(ks) < static_cast<double>(options.parallel_threshold)) {
+  // Phase 2: run the slots. Indexes are topological by construction
+  // (children planned first). A plan below the sharding threshold runs
+  // inline in index order, stopping at a fired token like TaskDag's inline
+  // path; the decision reads only the data, so results and stats stay
+  // identical at any `jobs`. Otherwise each slot becomes a task depending
+  // on its input slots.
+  const int64_t n = static_cast<int64_t>(ks.slots.size());
+  if (ks.pool == nullptr ||
+      ks.row_bound < static_cast<double>(options.parallel_threshold)) {
     ks.pool = nullptr;
     ks.max_helpers = 0;
+    for (int64_t i = 0; i < n && !options.cancel.Fired(); ++i) {
+      RunSlot(&ks, i);
+    }
+  } else {
+    runtime::TaskDag dag;
+    KernelState* ksp = &ks;
+    for (int64_t i = 0; i < n; ++i) {
+      dag.AddTask([ksp, i] { RunSlot(ksp, i); },
+                  ks.slots[static_cast<size_t>(i)].inputs);
+    }
+    dag.Run(ks.pool, ks.max_helpers, &options.cancel);
   }
-  runtime::TaskDag dag;
-  KernelState* ksp = &ks;
-  for (int64_t i = 0; i < static_cast<int64_t>(ks.slots.size()); ++i) {
-    dag.AddTask([ksp, i] { RunSlot(ksp, i); },
-                ks.slots[static_cast<size_t>(i)].args);
-  }
-  dag.Run(ks.pool, ks.max_helpers, &options.cancel);
   // Error precedence: every slot ran (failed inputs propagate), so the
   // first non-OK slot in plan order is the same error the recursive engine
   // would have hit first — independent of scheduling. (A fired token
@@ -1255,6 +1193,12 @@ std::set<Tuple> EvalResult::TakeTuples() {
   return out;
 }
 
+std::shared_ptr<const TupleTable> EvalResult::table() const {
+  if (lazy_ == nullptr) return nullptr;
+  std::lock_guard<std::mutex> lock(lazy_->mu);
+  return lazy_->table;
+}
+
 void EvalResult::SetDecoded(std::set<Tuple> tuples) {
   if (lazy_ == nullptr) lazy_ = std::make_shared<Lazy>();
   std::lock_guard<std::mutex> lock(lazy_->mu);
@@ -1342,6 +1286,14 @@ std::string EvalResult::Fingerprint() const {
 Result<std::vector<EvalResult>> EvaluateMany(const std::vector<ExprPtr>& roots,
                                              const Instance& instance,
                                              const EvalOptions& options) {
+  return EvaluateMany(
+      roots, EncodedInstance::ForRoots(instance, options.extra_constants, roots),
+      options);
+}
+
+Result<std::vector<EvalResult>> EvaluateMany(const std::vector<ExprPtr>& roots,
+                                             const EncodedInstance& instance,
+                                             const EvalOptions& options) {
   MAPCOMP_ASSIGN_OR_RETURN(std::unique_ptr<KernelRun> run,
                            KernelExecute(roots, instance, options));
   std::vector<EvalResult> results(roots.size());
@@ -1361,6 +1313,17 @@ Result<bool> EvaluateContainment(const ExprPtr& lhs, const ExprPtr& rhs,
                                  bool equality, const Instance& instance,
                                  const EvalOptions& options,
                                  EvalStats* stats) {
+  return EvaluateContainment(
+      lhs, rhs, equality,
+      EncodedInstance::ForRoots(instance, options.extra_constants, {lhs, rhs}),
+      options, stats);
+}
+
+Result<bool> EvaluateContainment(const ExprPtr& lhs, const ExprPtr& rhs,
+                                 bool equality,
+                                 const EncodedInstance& instance,
+                                 const EvalOptions& options,
+                                 EvalStats* stats) {
   // Both sides run under one plan: shared subtrees evaluate once, and the
   // two roots' independent subtrees interleave on the task graph. The
   // subset check is a linear merge walk over the columnar tables — nothing
@@ -1378,6 +1341,14 @@ Result<bool> EvaluateContainment(const ExprPtr& lhs, const ExprPtr& rhs,
 }
 
 Result<EvalResult> EvaluateFull(const ExprPtr& e, const Instance& instance,
+                                const EvalOptions& options) {
+  MAPCOMP_ASSIGN_OR_RETURN(std::vector<EvalResult> results,
+                           EvaluateMany({e}, instance, options));
+  return std::move(results[0]);
+}
+
+Result<EvalResult> EvaluateFull(const ExprPtr& e,
+                                const EncodedInstance& instance,
                                 const EvalOptions& options) {
   MAPCOMP_ASSIGN_OR_RETURN(std::vector<EvalResult> results,
                            EvaluateMany({e}, instance, options));

@@ -2,6 +2,7 @@
 #define MAPCOMP_EVAL_EVALUATOR_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -11,12 +12,12 @@
 #include "src/common/cancel.h"
 #include "src/common/status.h"
 #include "src/eval/instance.h"
+#include "src/eval/value_dict.h"
 #include "src/op/registry.h"
 
 namespace mapcomp {
 
 class TupleTable;
-class ValueDict;
 
 /// How the evaluator treats Skolem operator nodes.
 enum class SkolemEvalMode {
@@ -56,9 +57,11 @@ struct EvalOptions {
   /// across lanes when its work (candidate tuples enumerated) reaches it.
   /// A whole plan runs inline on the caller when the sum over its nodes of
   /// a plan-time bound on their output rows (relation sizes, |D|^r, a · b
-  /// for a join, unbounded for a user operator) stays below it; no node of
-  /// such a plan could shard. Both decisions depend only on the data, never
-  /// on `jobs`, so EvalStats is lane-count-independent too.
+  /// for a join) stays below it; no node of such a plan could shard. A
+  /// user operator adds nothing to that sum, because its kernel gets no
+  /// pool and never shards, but its output is unbounded, so any node that
+  /// reads it makes the sum unbounded. Both decisions depend only on the
+  /// data, never on `jobs`, so EvalStats is lane-count-independent too.
   int64_t parallel_threshold = 4096;
   /// Cooperative cancellation/deadline token, polled at task-graph slot
   /// boundaries (both sides of each slot's compute) and at sharded-morsel
@@ -137,8 +140,13 @@ struct EvalResult {
   const std::set<Tuple>& tuples() const;
 
   /// Moves the decoded tuple set out, leaving this result (and its copies)
-  /// empty. For callers that consume the set — the feed-fixpoint loop.
+  /// empty. For callers that consume the set.
   std::set<Tuple> TakeTuples();
+
+  /// The columnar result, over the dictionary of the instance it was
+  /// evaluated against; null once decoded. The feed fixpoint writes it
+  /// into its encoded instance without a decode.
+  std::shared_ptr<const TupleTable> table() const;
 
   /// Canonical serialization of the *semantic* result (arity + tuples in
   /// set order). Stats are excluded: two evaluations of the same expression
@@ -153,6 +161,86 @@ struct EvalResult {
  private:
   struct Lazy;
   std::shared_ptr<Lazy> lazy_;
+};
+
+/// An instance encoded once for many evaluations: one seeded ValueDict, the
+/// domain D as ascending ids (the active domain plus the extra constants)
+/// and one sorted TupleTable per relation. Evaluations against it copy no
+/// domain, seed no dictionary and encode no relation; their relation nodes
+/// share its tables. Values an evaluation mints (Skolem terms, user-operator
+/// outputs, constants outside the seed) accumulate in the shared
+/// dictionary. Id equality is still value equality there, and every result
+/// surface re-canonicalizes by value, so results, Fingerprint() and
+/// EvalStats equal those of the Instance overloads, which encode a fresh
+/// one per call.
+///
+/// Nothing in it changes while evaluations run, so it needs no lock of its
+/// own; the dictionary's minting is already thread-safe. Assign and Grow
+/// are for the one thread that owns the instance between evaluations (the
+/// feed fixpoint): they replace a relation's table and keep D in step
+/// through per-id occurrence counts.
+class EncodedInstance {
+ public:
+  /// One relation: its sorted table, or — for a ragged relation, whose
+  /// tuples differ in size and so have no row stride — its tuple set.
+  struct Relation {
+    std::shared_ptr<const TupleTable> table;
+    std::shared_ptr<const std::set<Tuple>> ragged;
+    int64_t size() const;
+  };
+
+  /// Encodes every relation of `instance` with D = its active domain plus
+  /// `extra_constants`; the dictionary's seed is D.
+  EncodedInstance(const Instance& instance,
+                  const std::set<Value>& extra_constants);
+
+  /// What the Instance overloads evaluate against: D as above, the seed
+  /// also holding every constant `roots` mention, and only the relations
+  /// they read encoded. Read-only: Assign and Grow need every relation.
+  static EncodedInstance ForRoots(const Instance& instance,
+                                  const std::set<Value>& extra_constants,
+                                  const std::vector<ExprPtr>& roots);
+
+  const std::shared_ptr<ValueDict>& dict() const { return dict_; }
+  const std::vector<ValueId>& domain_ids() const { return domain_ids_; }
+
+  /// Relation `name`, or null when the instance has none.
+  const Relation* Find(const std::string& name) const;
+
+  /// `rel` (null for an absent relation) as a table of `arity`. A relation
+  /// whose tuples do not all have `arity` values is the same
+  /// InvalidArgument TupleTable::FromSet reports for it.
+  Result<std::shared_ptr<const TupleTable>> TableOf(const Relation* rel,
+                                                    int arity) const;
+
+  /// Replaces relation `name` with `table` unless it already holds the
+  /// same tuples. Returns whether it changed.
+  bool Assign(const std::string& name,
+              std::shared_ptr<const TupleTable> table);
+  /// Grows relation `name` by the rows of `table`. Returns whether it
+  /// changed.
+  bool Grow(const std::string& name, std::shared_ptr<const TupleTable> table);
+
+  /// Relation `name` decoded (empty if absent).
+  std::set<Tuple> Decode(const std::string& name) const;
+
+ private:
+  EncodedInstance(const Instance& instance,
+                  const std::set<Value>& extra_constants,
+                  const std::set<Value>& seed_constants,
+                  const std::set<std::string>* only);
+
+  void Put(const std::string& name, Relation rel);
+  void Count(const Relation& rel, int64_t delta, bool* crossed);
+
+  std::shared_ptr<ValueDict> dict_;
+  std::vector<ValueId> domain_ids_;
+  std::map<std::string, Relation> relations_;
+  /// Occurrences of each id across every relation, plus one for each extra
+  /// constant; D is the ids counted above zero. Built by the first write.
+  std::vector<int64_t> occurrences_;
+  bool counted_ = false;
+  std::vector<ValueId> extra_ids_;
 };
 
 /// Evaluates a relational expression against an instance under standard set
@@ -171,6 +259,11 @@ struct EvalResult {
 /// tasks on the caller, with no pool hand-off.
 Result<EvalResult> EvaluateFull(const ExprPtr& e, const Instance& instance,
                                 const EvalOptions& options = {});
+/// The same against an encoded instance. D is the one fixed when it was
+/// encoded; `options.extra_constants` is not read.
+Result<EvalResult> EvaluateFull(const ExprPtr& e,
+                                const EncodedInstance& instance,
+                                const EvalOptions& options = {});
 
 /// Evaluates several roots against one instance under ONE shared memo
 /// table, so subtrees shared *across* roots — e.g. the two sides of a
@@ -181,6 +274,9 @@ Result<EvalResult> EvaluateFull(const ExprPtr& e, const Instance& instance,
 /// root found memoized counts as that root's memo hit).
 Result<std::vector<EvalResult>> EvaluateMany(const std::vector<ExprPtr>& roots,
                                              const Instance& instance,
+                                             const EvalOptions& options = {});
+Result<std::vector<EvalResult>> EvaluateMany(const std::vector<ExprPtr>& roots,
+                                             const EncodedInstance& instance,
                                              const EvalOptions& options = {});
 
 /// Convenience wrapper returning only the tuple set.
@@ -194,6 +290,11 @@ Result<std::set<Tuple>> Evaluate(const ExprPtr& e, const Instance& instance,
 /// Accumulates evaluation counters into `stats` when non-null.
 Result<bool> EvaluateContainment(const ExprPtr& lhs, const ExprPtr& rhs,
                                  bool equality, const Instance& instance,
+                                 const EvalOptions& options = {},
+                                 EvalStats* stats = nullptr);
+Result<bool> EvaluateContainment(const ExprPtr& lhs, const ExprPtr& rhs,
+                                 bool equality,
+                                 const EncodedInstance& instance,
                                  const EvalOptions& options = {},
                                  EvalStats* stats = nullptr);
 

@@ -33,6 +33,11 @@ class Instance {
 
   bool Has(const std::string& name) const;
 
+  /// Every relation, by name.
+  const std::map<std::string, std::set<Tuple>>& relations() const {
+    return relations_;
+  }
+
   /// Total tuple count across all relations (workload sizing, reports).
   int64_t TotalTuples() const;
 

@@ -96,6 +96,12 @@ int RunFeedFixpoint(Instance* instance, const std::vector<RelationFeed>& feeds,
     }
     return false;
   };
+  // The loop runs on one encoded instance: each feed's result table grows
+  // or replaces its target, change is detected on ids, D follows the
+  // writes through occurrence counts, and the relations written are
+  // decoded back into `instance` once, at the end.
+  EncodedInstance encoded(*instance, options.extra_constants);
+  std::set<std::string> written;
   int iterations = 0;
   for (int iter = 0; iter < max_iterations; ++iter) {
     iterations = iter + 1;
@@ -104,38 +110,28 @@ int RunFeedFixpoint(Instance* instance, const std::vector<RelationFeed>& feeds,
       if (!stale(f)) continue;
       seen[f] = clock;
       const RelationFeed& feed = feeds[f];
-      Result<EvalResult> value = EvaluateFull(feed.source, *instance,
-                                              options);
+      Result<EvalResult> value = EvaluateFull(feed.source, encoded, options);
       if (!value.ok()) {
         // A feed we cannot evaluate (e.g. Skolem without interpretation)
         // simply contributes nothing; the caller's satisfaction check
         // reports the truth.
         continue;
       }
-      EvalResult result = std::move(value).value();
-      if (stats != nullptr) stats->MergeFrom(result.stats);
-      bool wrote = false;
-      if (feed.assign) {
-        if (instance->Get(feed.target) != result.tuples()) {
-          instance->Set(feed.target, result.TakeTuples());
-          wrote = true;
-        }
-      } else {
-        const std::set<Tuple>& current = instance->Get(feed.target);
-        for (const Tuple& t : result.tuples()) {
-          if (current.count(t) == 0) {
-            instance->Add(feed.target, t);
-            wrote = true;
-          }
-        }
-      }
+      if (stats != nullptr) stats->MergeFrom(value->stats);
+      const bool wrote = feed.assign
+                             ? encoded.Assign(feed.target, value->table())
+                             : encoded.Grow(feed.target, value->table());
       if (!wrote) continue;
       changed = true;
+      written.insert(feed.target);
       changed_at[static_cast<size_t>(deps[f].target)] = ++clock;
       // A feed blind to its own write has already accounted for it.
       if (!deps[f].self) seen[f] = clock;
     }
     if (!changed) break;
+  }
+  for (const std::string& name : written) {
+    instance->Set(name, encoded.Decode(name));
   }
   return iterations;
 }

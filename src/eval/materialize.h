@@ -39,6 +39,14 @@ std::vector<RelationFeed> CollectFeeds(
 /// otherwise re-running it is a no-op. The instance and the pass count are
 /// exactly those of re-evaluating every feed on every pass. Feeds that fail
 /// to evaluate (e.g. Skolem without an interpretation) contribute nothing.
+///
+/// The loop is columnar: `instance` is encoded once (an EncodedInstance
+/// with D = its active domain plus `options.extra_constants`), each feed's
+/// result table grows its target by a sorted-merge union or replaces it
+/// for an assignment, change is detected on ids, D is kept up to date from
+/// per-id occurrence counts, and the relations written are decoded back
+/// into `instance` once, at the end.
+///
 /// Returns the number of passes used; accumulates the counters of the
 /// evaluations actually run into `stats` when non-null.
 int RunFeedFixpoint(Instance* instance, const std::vector<RelationFeed>& feeds,

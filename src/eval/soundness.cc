@@ -86,6 +86,15 @@ Result<CompositionCheck> CheckComposition(
       }
     }
   }
+  // The two option sets every satisfaction check picks from: Skolem terms
+  // get the injective interpretation, everything else runs as configured.
+  EvalOptions skolem_eval = eval;
+  skolem_eval.skolem_mode = SkolemEvalMode::kInjectiveTerms;
+  auto options_for = [&eval, &skolem_eval](const Constraint& c)
+      -> const EvalOptions& {
+    return ConstraintHasSkolem(c) ? skolem_eval : eval;
+  };
+
   // Completeness probes need both sides Skolem-free: FindExtension's
   // internal satisfaction checks run under the default (erroring) mode.
   const bool composed_has_skolem = AnySkolem(composed);
@@ -100,6 +109,8 @@ Result<CompositionCheck> CheckComposition(
       inst = RepairTowards(inst, original, eval);
     }
     ++out.instances;
+    // Encoded once: every satisfaction check below runs against it.
+    const EncodedInstance encoded(inst, eval.extra_constants);
 
     // Original-side Skolem terms get the injective interpretation too: a
     // constraint satisfied under it is satisfied under ∃f, so counting the
@@ -107,12 +118,8 @@ Result<CompositionCheck> CheckComposition(
     // just leaves the instance untested (conservative), never an error.
     bool orig_sat = true;
     for (const Constraint& c : original) {
-      EvalOptions copts = eval;
-      if (ConstraintHasSkolem(c)) {
-        copts.skolem_mode = SkolemEvalMode::kInjectiveTerms;
-      }
-      MAPCOMP_ASSIGN_OR_RETURN(bool sat,
-                               Satisfies(inst, c, copts, &out.eval_stats));
+      MAPCOMP_ASSIGN_OR_RETURN(
+          bool sat, Satisfies(encoded, c, options_for(c), &out.eval_stats));
       if (!sat) {
         orig_sat = false;
         break;
@@ -130,13 +137,10 @@ Result<CompositionCheck> CheckComposition(
       bool inconclusive = false;
       std::string failing;
       for (const Constraint& c : composed) {
-        EvalOptions copts = eval;
-        bool has_skolem = ConstraintHasSkolem(c);
-        if (has_skolem) copts.skolem_mode = SkolemEvalMode::kInjectiveTerms;
-        MAPCOMP_ASSIGN_OR_RETURN(bool sat,
-                                 Satisfies(inst, c, copts, &out.eval_stats));
+        MAPCOMP_ASSIGN_OR_RETURN(
+            bool sat, Satisfies(encoded, c, options_for(c), &out.eval_stats));
         if (!sat) {
-          if (has_skolem) {
+          if (ConstraintHasSkolem(c)) {
             inconclusive = true;
           } else {
             violated = true;
@@ -166,10 +170,13 @@ Result<CompositionCheck> CheckComposition(
     if (out.completeness_checked < options.completeness_samples &&
         !composed_has_skolem && !original_has_skolem) {
       Instance restricted = inst.RestrictedTo(result.sigma);
+      const EncodedInstance restricted_encoded(restricted,
+                                               eval.extra_constants);
       bool restricted_sat = true;
       for (const Constraint& c : composed) {
         MAPCOMP_ASSIGN_OR_RETURN(
-            bool sat, Satisfies(restricted, c, eval, &out.eval_stats));
+            bool sat,
+            Satisfies(restricted_encoded, c, eval, &out.eval_stats));
         if (!sat) {
           restricted_sat = false;
           break;

@@ -60,7 +60,9 @@ struct CompositionCheck {
 /// CompositionCheckOptions::completeness_samples).
 ///
 /// Both satisfaction checks run under one domain: the instance's active
-/// domain plus the constants of *both* constraint sets.
+/// domain plus the constants of *both* constraint sets. Each instance is
+/// encoded once (EncodedInstance), and every satisfaction check on it runs
+/// against that encoding.
 ///
 /// Errors (e.g. max_domain_tuples exhausted) abort the check; a finished
 /// check with violations == 0 reports sound = true.

@@ -84,6 +84,69 @@ TEST(EvalKernelTest, LiteratureSuiteMatchesNestedLoopOracle) {
   }
 }
 
+TEST(EvalKernelTest, SharedEncodedInstanceMatchesInstanceOverload) {
+  // One EncodedInstance per problem serves every constraint at every lane
+  // count, the way CheckComposition uses it. Skolem terms minted by one
+  // evaluation stay in the shared dictionary for the next; results and
+  // stats must still equal a fresh encode per call.
+  Parser parser;
+  bool minted = false;
+  for (const testdata::LiteratureProblem& lit : testdata::LiteratureSuite()) {
+    CompositionProblem problem = parser.ParseProblem(lit.text).value();
+    CompositionResult composed = Compose(problem);
+    ConstraintSet all = problem.sigma12;
+    all.insert(all.end(), problem.sigma23.begin(), problem.sigma23.end());
+    all.insert(all.end(), composed.constraints.begin(),
+               composed.constraints.end());
+    std::mt19937_64 rng(lit.name[0] + 4242);
+    Instance inst = RepairTowards(
+        RandomInstanceOver(
+            {&problem.sigma1, &problem.sigma2, &problem.sigma3}, &rng),
+        all);
+    EvalOptions base;
+    base.skolem_mode = SkolemEvalMode::kInjectiveTerms;
+    base.extra_constants = CollectConstants(all);
+    base.parallel_threshold = 4;
+    const EncodedInstance encoded(inst, base.extra_constants);
+    for (int jobs : {1, 2, 4, 8}) {
+      base.jobs = jobs;
+      for (const Constraint& c : all) {
+        const std::string at =
+            std::string(lit.name) + " jobs=" + std::to_string(jobs) + " " + c.ToString();
+        Result<std::vector<EvalResult>> want =
+            EvaluateMany({c.lhs, c.rhs}, inst, base);
+        Result<std::vector<EvalResult>> got =
+            EvaluateMany({c.lhs, c.rhs}, encoded, base);
+        ASSERT_EQ(got.ok(), want.ok()) << at;
+        if (!want.ok()) {
+          EXPECT_EQ(got.status().ToString(), want.status().ToString()) << at;
+          continue;
+        }
+        for (size_t side = 0; side < 2; ++side) {
+          EXPECT_EQ((*got)[side].Fingerprint(), (*want)[side].Fingerprint())
+              << at;
+          EXPECT_EQ((*got)[side].stats.ToString(),
+                    (*want)[side].stats.ToString())
+              << at;
+        }
+        EvalStats want_stats, got_stats;
+        const bool equality = c.kind == ConstraintKind::kEquality;
+        Result<bool> want_sat = EvaluateContainment(c.lhs, c.rhs, equality,
+                                                    inst, base, &want_stats);
+        Result<bool> got_sat = EvaluateContainment(c.lhs, c.rhs, equality,
+                                                   encoded, base, &got_stats);
+        ASSERT_TRUE(want_sat.ok() && got_sat.ok()) << at;
+        EXPECT_EQ(*got_sat, *want_sat) << at;
+        EXPECT_EQ(got_stats.ToString(), want_stats.ToString()) << at;
+      }
+    }
+    minted = minted ||
+             encoded.dict()->size() > encoded.dict()->ordered_limit();
+  }
+  // Some Skolem constraint minted terms into a shared dictionary.
+  EXPECT_TRUE(minted);
+}
+
 TEST(EvalKernelTest, AdversarialMixedIntStringDomains) {
   // Values chosen to punish a dictionary that is not order-preserving:
   // negative/huge ints, the empty string, strings that *look* numeric, and
@@ -236,6 +299,27 @@ TEST(EvalKernelTest, RaggedRelationIsACleanError) {
   Result<std::set<Tuple>> out = Evaluate(Rel("R", 2), db);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+  // Encoded once, the ragged relation stays a tuple set: a node reading it
+  // at either arity fails with the same error, and the rest of the
+  // instance evaluates normally.
+  db.Set("S", {T({3, 4})});
+  const EncodedInstance encoded(db, {});
+  for (int arity : {1, 2}) {
+    Result<EvalResult> want = EvaluateFull(Rel("R", arity), db);
+    Result<EvalResult> got = EvaluateFull(Rel("R", arity), encoded);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(got.status().ToString(), want.status().ToString());
+  }
+  Result<EvalResult> s = EvaluateFull(Union(Rel("S", 2), Rel("S", 2)),
+                                      encoded);
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  EXPECT_EQ(s->tuples(), db.Get("S"));
+  // A uniform relation read at the wrong arity is the same clean error.
+  Result<EvalResult> wide = EvaluateFull(Rel("S", 3), encoded);
+  ASSERT_FALSE(wide.ok());
+  EXPECT_EQ(wide.status().ToString(),
+            EvaluateFull(Rel("S", 3), db).status().ToString());
 }
 
 TEST(EvalKernelTest, DomainSelectEnumeratesOnlyTheBoundSpace) {
@@ -356,7 +440,11 @@ TEST(EvalKernelTest, MismatchedArityContainmentIsFalseNotUB) {
   db.Set("R", {T({1, 2, 3})});
   db.Set("S", {T({1, 2})});
   for (bool force : {false, true}) {
-    auto contain = force ? oracle::EvaluateContainment : EvaluateContainment;
+    using ContainFn =
+        Result<bool> (*)(const ExprPtr&, const ExprPtr&, bool,
+                         const Instance&, const EvalOptions&, EvalStats*);
+    ContainFn contain = force ? ContainFn{oracle::EvaluateContainment}
+                              : ContainFn{EvaluateContainment};
     EXPECT_FALSE(
         contain(Rel("R", 3), Rel("S", 2), false, db, {}, nullptr).value())
         << "force=" << force;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -17,6 +18,7 @@
 #include "src/eval/checker.h"
 #include "src/eval/evaluator.h"
 #include "src/eval/generator.h"
+#include "src/op/registry.h"
 #include "src/parser/parser.h"
 #include "src/testdata/literature_suite.h"
 #include "tests/oracles/oracle.h"
@@ -268,6 +270,54 @@ TEST(EvalTaskGraphTest, InlineBoundaryKeepsResultsAndStatsAtAllLaneCounts) {
   EXPECT_EQ(EvaluateFull(Dom(2), db, at).value().stats.sharded_nodes, 1);
   at.parallel_threshold = 26;
   EXPECT_EQ(EvaluateFull(Dom(2), db, at).value().stats.sharded_nodes, 0);
+}
+
+TEST(EvalTaskGraphTest, TinyUserOperatorPlanRunsOnTheCaller) {
+  // A user operator's kernel gets no pool, so it adds nothing to the row
+  // bound: a plan rooted at one over tiny inputs runs inline even at
+  // jobs = 4. The test operator returns its input and records the thread
+  // its kernel ran on.
+  std::mutex mu;
+  std::vector<std::thread::id> ran_on;
+  op::Registry reg = op::Registry::Empty();
+  op::OperatorDef def;
+  def.name = "where";
+  def.num_args = 1;
+  def.arity = [](const std::vector<int>& a) -> Result<int> { return a[0]; };
+  def.polarity = {op::Polarity::kMonotone};
+  def.eval_columnar = [&mu, &ran_on](const Expr&,
+                                     const std::vector<const TupleTable*>& kids,
+                                     const op::ColumnarContext&)
+      -> Result<TupleTable> {
+    std::lock_guard<std::mutex> lock(mu);
+    ran_on.push_back(std::this_thread::get_id());
+    return *kids[0];
+  };
+  ASSERT_TRUE(reg.Register(std::move(def)).ok());
+  Instance db;
+  db.Set("R", {T({1, 2}), T({2, 3})});
+  db.Set("S", {T({2, 5}), T({3, 5})});
+  const ExprPtr e =
+      reg.MakeOp("where", {Union(Rel("R", 2), Rel("S", 2))}).value();
+  EvalOptions opts;
+  opts.registry = &reg;
+  Result<EvalResult> base = EvaluateFull(e, db, opts);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  for (int jobs : {1, 2, 4, 8}) {
+    opts.jobs = jobs;
+    for (int rep = 0; rep < 20; ++rep) {
+      Result<EvalResult> got = EvaluateFull(e, db, opts);
+      ASSERT_TRUE(got.ok()) << "jobs=" << jobs;
+      EXPECT_EQ(got->Fingerprint(), base->Fingerprint()) << "jobs=" << jobs;
+      EXPECT_EQ(got->stats.ToString(), base->stats.ToString())
+          << "jobs=" << jobs;
+    }
+  }
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(ran_on.size(), 81u);
+  for (const std::thread::id& id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
 }
 
 TEST(EvalTaskGraphTest, FiredTokenCancelsInlinePlanAtAnyLaneCount) {

@@ -11,6 +11,7 @@
 #include "src/compose/compose.h"
 #include "src/eval/checker.h"
 #include "src/eval/generator.h"
+#include "src/op/extra_ops.h"
 #include "src/op/registry.h"
 #include "src/parser/parser.h"
 #include "src/simulator/scenarios.h"
@@ -399,6 +400,87 @@ TEST(FeedFixpointOracleTest, FeedThatFailsContributesNothing) {
   EvalOptions injective;
   injective.skolem_mode = SkolemEvalMode::kInjectiveTerms;
   ExpectFixpointMatchesOracle(input, feeds, injective, 16, "skolem terms");
+}
+
+TEST(FeedFixpointOracleTest, AssignmentThatShrinksTheDomain) {
+  // S := R drops 5, whose only occurrence was in S; the D feed after it
+  // must enumerate the smaller domain.
+  Instance input;
+  input.Set("R", {T({1}), T({2})});
+  input.Set("S", {T({5})});
+  std::vector<RelationFeed> feeds{{"S", Rel("R", 1), true},
+                                  {"V", Dom(1), false}};
+  ExpectFixpointMatchesOracle(input, feeds, {}, 16, "shrink");
+  Instance got = input;
+  RunFeedFixpoint(&got, feeds, {}, 16, nullptr);
+  EXPECT_EQ(got.Get("V"), (std::set<Tuple>{T({1}), T({2})}));
+  // An extra constant stays in D without any occurrence.
+  EvalOptions pinned;
+  pinned.extra_constants = {Value(int64_t{5})};
+  ExpectFixpointMatchesOracle(input, feeds, pinned, 16, "shrink, pinned");
+}
+
+TEST(FeedFixpointOracleTest, GrowthThroughAMintingUserOperator) {
+  // lojoin pads R's unmatched row with a null value that is in neither the
+  // instance nor the constants: the fixpoint mints it, writes it into P,
+  // and the D feed after it must see it.
+  const op::Registry& reg = op::Registry::Default();
+  ExprPtr pad = reg.MakeOp("lojoin", {Rel("R", 1), Rel("S", 1)},
+                           Condition::AttrCmp(1, CmpOp::kEq, 2))
+                    .value();
+  Instance input;
+  input.Set("R", {T({1}), T({2})});
+  input.Set("S", {T({1})});
+  std::vector<RelationFeed> feeds{{"P", pad, false},
+                                  {"W", Dom(1), false},
+                                  {"Q", Project({2}, Rel("P", 2)), false}};
+  ExpectFixpointMatchesOracle(input, feeds, {}, 16, "lojoin pad");
+  Instance got = input;
+  RunFeedFixpoint(&got, feeds, {}, 16, nullptr);
+  EXPECT_EQ(got.Get("W").count(Tuple{op::NullValue()}), 1u);
+  EXPECT_EQ(got.Get("Q"), (std::set<Tuple>{T({1}), Tuple{op::NullValue()}}));
+}
+
+TEST(FeedFixpointOracleTest, SharedResultTableIsNeverAliased) {
+  // S := R and U ⊇ R take R's own table; the growths of S and of R after
+  // them must each leave the other relation as it was.
+  Instance input;
+  input.Set("R", {T({1}), T({2})});
+  std::vector<RelationFeed> feeds{{"S", Rel("R", 1), true},
+                                  {"U", Rel("R", 1), false},
+                                  {"S", Lit(1, {T({7})}), false},
+                                  {"R", Lit(1, {T({9})}), false}};
+  Instance got = input;
+  EXPECT_EQ(RunFeedFixpoint(&got, feeds, {}, 1, nullptr), 1);
+  EXPECT_EQ(got.Get("S"), (std::set<Tuple>{T({1}), T({2}), T({7})}));
+  EXPECT_EQ(got.Get("U"), (std::set<Tuple>{T({1}), T({2})}));
+  EXPECT_EQ(got.Get("R"), (std::set<Tuple>{T({1}), T({2}), T({9})}));
+  for (int passes : {1, 2, 5}) {
+    ExpectFixpointMatchesOracle(input, feeds, {}, passes,
+                                "shared, " + std::to_string(passes));
+  }
+}
+
+TEST(FeedFixpointOracleTest, RaggedRelationsMatchEveryFeedLoop) {
+  // A growth of another width makes S ragged, a ragged R is assigned a
+  // clean table, and the feed reading ragged S fails every time; D, read
+  // by the last feed, spans every tuple either way.
+  Instance input;
+  input.Set("R", {T({1, 2}), T({7})});
+  input.Set("S", {T({1, 2})});
+  input.Set("T", {T({3})});
+  std::vector<RelationFeed> feeds{{"S", Rel("T", 1), false},
+                                  {"U", Rel("S", 2), false},
+                                  {"S", Lit(1, {T({4})}), false},
+                                  {"R", Rel("T", 1), true},
+                                  {"V", Dom(1), false}};
+  ExpectFixpointMatchesOracle(input, feeds, {}, 16, "ragged");
+  Instance got = input;
+  RunFeedFixpoint(&got, feeds, {}, 16, nullptr);
+  EXPECT_EQ(got.Get("S"), (std::set<Tuple>{T({1, 2}), T({3}), T({4})}));
+  EXPECT_FALSE(got.Has("U"));
+  EXPECT_EQ(got.Get("R"), input.Get("T"));
+  EXPECT_EQ(got.Get("V").size(), 4u);  // 1, 2, 3, 4; 7 left with R
 }
 
 }  // namespace
