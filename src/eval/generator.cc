@@ -70,14 +70,11 @@ Instance RepairTowards(const Instance& instance, const ConstraintSet& cs,
   // Every bare receiving side is a feed; an equality with a bare side
   // *defines* that relation, so the repair assigns it (random extra tuples
   // would break S ⊆ E forever) while containments only grow their target.
-  std::vector<RelationFeed> feeds =
-      CollectFeeds(cs, /*keep=*/nullptr, /*assign_equalities=*/true);
-  EvalOptions opts = options;
-  std::set<Value> consts = CollectConstants(cs);
-  opts.extra_constants.insert(consts.begin(), consts.end());
-
   Instance out = instance;
-  RunFeedFixpoint(&out, feeds, opts, max_iterations, /*stats=*/nullptr);
+  RunFeedFixpoint(&out,
+                  FeedPlan::ForConstraints(cs, /*keep=*/nullptr,
+                                           /*assign_equalities=*/true),
+                  options, max_iterations, /*stats=*/nullptr);
   return out;
 }
 

@@ -37,6 +37,9 @@ Result<Instance> RandomInstanceSatisfying(const Signature& sig,
                                           std::mt19937_64* rng, int attempts,
                                           const GenOptions& options = {});
 
+/// RepairTowards's default pass budget.
+inline constexpr int kRepairPasses = 16;
+
 /// Chase-style repair: starting from `instance`, repeatedly grows every
 /// relation that appears bare on the receiving side of a constraint
 /// (E ⊆ R, or either side of an equality with a bare relation) with the
@@ -45,13 +48,16 @@ Result<Instance> RandomInstanceSatisfying(const Signature& sig,
 /// simulator emits — this turns an arbitrary instance into one satisfying
 /// far more of `cs` than rejection sampling ever hits, which is what makes
 /// the soundness harness's "original pipeline satisfied" branch non-vacuous.
-/// Feed evaluations run under `options` (jobs, guards; the constraint
-/// set's constants are added automatically). Returns the repaired
+/// Feed evaluations run under `options` (jobs, guards). D is the
+/// instance's active domain plus `options.extra_constants` plus the
+/// constants of `cs` (see FeedPlan::ForConstraints). Returns the repaired
 /// instance; feeds that fail to evaluate (e.g. Skolem without an
-/// interpretation) contribute nothing.
+/// interpretation) contribute nothing. CheckComposition runs the same
+/// repair in place on an encoded instance (RunFeedFixpoint), with one
+/// FeedPlan for all of its instances.
 Instance RepairTowards(const Instance& instance, const ConstraintSet& cs,
                        const EvalOptions& options = {},
-                       int max_iterations = 16);
+                       int max_iterations = kRepairPasses);
 
 }  // namespace mapcomp
 

@@ -3,6 +3,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/eval/checker.h"
@@ -33,19 +34,6 @@ std::vector<RelationFeed> CollectFeeds(
 
 namespace {
 
-/// What a feed depends on, as relation indexes: the relations its source
-/// reads plus its target (another feed's write to it can undo a growth or
-/// an assignment), and whether the source reads the active domain (a D
-/// node, or a user operator, whose kernel is handed the domain).
-struct FeedDeps {
-  std::vector<int> watched;
-  int target = 0;
-  bool domain = false;
-  /// The feed's own write can change what it reads: it reads its target,
-  /// or D (which spans every relation).
-  bool self = false;
-};
-
 void CollectReads(const ExprPtr& e, std::set<const Expr*>* visited,
                   std::set<std::string>* relations, bool* domain) {
   if (!visited->insert(e.get()).second) return;
@@ -58,59 +46,86 @@ void CollectReads(const ExprPtr& e, std::set<const Expr*>* visited,
   }
 }
 
+/// `instance` encoded for a run of `plan`: D is its active domain plus
+/// the caller's extra constants and the plan's.
+EncodedInstance EncodeForPlan(const Instance& instance, const FeedPlan& plan,
+                              const EvalOptions& options) {
+  std::set<Value> constants = options.extra_constants;
+  constants.insert(plan.constants().begin(), plan.constants().end());
+  return EncodedInstance(instance, constants);
+}
+
+/// Copies the relations a run wrote from `encoded` into `instance`.
+void DecodeWritten(const EncodedInstance& encoded,
+                   const std::set<std::string>& written, Instance* instance) {
+  for (const std::string& name : written) {
+    instance->Set(name, encoded.Decode(name));
+  }
+}
+
 }  // namespace
 
-int RunFeedFixpoint(Instance* instance, const std::vector<RelationFeed>& feeds,
-                    const EvalOptions& options, int max_iterations,
-                    EvalStats* stats) {
+FeedPlan::FeedPlan(std::vector<RelationFeed> feeds, std::set<Value> constants)
+    : constants_(std::move(constants)) {
   std::map<std::string, int> ids;
-  auto id_of = [&ids](const std::string& name) {
-    return ids.emplace(name, static_cast<int>(ids.size())).first->second;
+  auto id_of = [&](const std::string& name) {
+    auto [it, added] = ids.emplace(name, static_cast<int>(relations_.size()));
+    if (added) relations_.push_back(name);
+    return it->second;
   };
-  std::vector<FeedDeps> deps(feeds.size());
-  for (size_t f = 0; f < feeds.size(); ++f) {
+  steps_.reserve(feeds.size());
+  for (RelationFeed& feed : feeds) {
+    Step step;
     std::set<const Expr*> visited;
-    std::set<std::string> relations;
-    CollectReads(feeds[f].source, &visited, &relations, &deps[f].domain);
-    deps[f].target = id_of(feeds[f].target);
-    deps[f].self = deps[f].domain || relations.count(feeds[f].target) > 0;
-    relations.insert(feeds[f].target);
-    for (const std::string& r : relations) {
-      deps[f].watched.push_back(id_of(r));
-    }
+    std::set<std::string> reads;
+    CollectReads(feed.source, &visited, &reads, &step.domain);
+    step.target = id_of(feed.target);
+    step.self = step.domain || reads.count(feed.target) > 0;
+    reads.insert(feed.target);
+    for (const std::string& r : reads) step.watched.push_back(id_of(r));
+    step.feed = std::move(feed);
+    steps_.push_back(std::move(step));
   }
+}
+
+FeedPlan FeedPlan::ForConstraints(
+    const ConstraintSet& cs,
+    const std::function<bool(const std::string&)>& keep,
+    bool assign_equalities) {
+  return FeedPlan(CollectFeeds(cs, keep, assign_equalities),
+                  CollectConstants(cs));
+}
+
+int RunFeedFixpoint(EncodedInstance* instance, const FeedPlan& plan,
+                    const EvalOptions& options, int max_iterations,
+                    EvalStats* stats, std::set<std::string>* written) {
+  const std::vector<FeedPlan::Step>& steps = plan.steps();
   // Change clock: every write that changes a relation takes the next tick,
   // and `seen[f]` is the tick up to which feed f has accounted for every
   // write. A feed whose inputs and target are all unchanged since then
   // would reproduce a result its target already holds (or fail the same
   // way again), so it is skipped — the passes, their writes and the
   // iteration count are exactly those of re-evaluating every feed.
-  std::vector<int64_t> changed_at(ids.size(), 0);
+  std::vector<int64_t> changed_at(plan.relations().size(), 0);
   int64_t clock = 0;
-  std::vector<int64_t> seen(feeds.size(), -1);
+  std::vector<int64_t> seen(steps.size(), -1);
   auto stale = [&](size_t f) {
-    const FeedDeps& d = deps[f];
-    if (seen[f] < 0 || (d.domain && clock > seen[f])) return true;
-    for (int r : d.watched) {
+    const FeedPlan::Step& s = steps[f];
+    if (seen[f] < 0 || (s.domain && clock > seen[f])) return true;
+    for (int r : s.watched) {
       if (changed_at[static_cast<size_t>(r)] > seen[f]) return true;
     }
     return false;
   };
-  // The loop runs on one encoded instance: each feed's result table grows
-  // or replaces its target, change is detected on ids, D follows the
-  // writes through occurrence counts, and the relations written are
-  // decoded back into `instance` once, at the end.
-  EncodedInstance encoded(*instance, options.extra_constants);
-  std::set<std::string> written;
   int iterations = 0;
   for (int iter = 0; iter < max_iterations; ++iter) {
     iterations = iter + 1;
     bool changed = false;
-    for (size_t f = 0; f < feeds.size(); ++f) {
+    for (size_t f = 0; f < steps.size(); ++f) {
       if (!stale(f)) continue;
       seen[f] = clock;
-      const RelationFeed& feed = feeds[f];
-      Result<EvalResult> value = EvaluateFull(feed.source, encoded, options);
+      const RelationFeed& feed = steps[f].feed;
+      Result<EvalResult> value = EvaluateFull(feed.source, *instance, options);
       if (!value.ok()) {
         // A feed we cannot evaluate (e.g. Skolem without interpretation)
         // simply contributes nothing; the caller's satisfaction check
@@ -119,48 +134,69 @@ int RunFeedFixpoint(Instance* instance, const std::vector<RelationFeed>& feeds,
       }
       if (stats != nullptr) stats->MergeFrom(value->stats);
       const bool wrote = feed.assign
-                             ? encoded.Assign(feed.target, value->table())
-                             : encoded.Grow(feed.target, value->table());
+                             ? instance->Assign(feed.target, value->table())
+                             : instance->Grow(feed.target, value->table());
       if (!wrote) continue;
       changed = true;
-      written.insert(feed.target);
-      changed_at[static_cast<size_t>(deps[f].target)] = ++clock;
+      if (written != nullptr) written->insert(feed.target);
+      changed_at[static_cast<size_t>(steps[f].target)] = ++clock;
       // A feed blind to its own write has already accounted for it.
-      if (!deps[f].self) seen[f] = clock;
+      if (!steps[f].self) seen[f] = clock;
     }
     if (!changed) break;
   }
-  for (const std::string& name : written) {
-    instance->Set(name, encoded.Decode(name));
-  }
   return iterations;
+}
+
+int RunFeedFixpoint(Instance* instance, const FeedPlan& plan,
+                    const EvalOptions& options, int max_iterations,
+                    EvalStats* stats) {
+  EncodedInstance encoded = EncodeForPlan(*instance, plan, options);
+  std::set<std::string> written;
+  const int iterations = RunFeedFixpoint(&encoded, plan, options,
+                                         max_iterations, stats, &written);
+  DecodeWritten(encoded, written, instance);
+  return iterations;
+}
+
+int RunFeedFixpoint(Instance* instance, const std::vector<RelationFeed>& feeds,
+                    const EvalOptions& options, int max_iterations,
+                    EvalStats* stats) {
+  return RunFeedFixpoint(instance, FeedPlan(feeds), options, max_iterations,
+                         stats);
 }
 
 Result<MaterializeResult> PopulateResiduals(
     const Instance& input, const ConstraintSet& constraints,
     const std::vector<std::string>& residuals, const EvalOptions& options,
     int max_iterations) {
-  MaterializeResult out;
-  out.instance = input;
   std::set<std::string> residual_set(residuals.begin(), residuals.end());
   // Grow-only even for equalities: starting from empty residuals this
   // computes the least population for constraints monotone in them.
-  std::vector<RelationFeed> feeds = CollectFeeds(
+  const FeedPlan plan = FeedPlan::ForConstraints(
       constraints,
       [&residual_set](const std::string& name) {
         return residual_set.count(name) > 0;
       },
       /*assign_equalities=*/false);
 
-  EvalOptions opts = options;
-  std::set<Value> consts = CollectConstants(constraints);
-  opts.extra_constants.insert(consts.begin(), consts.end());
-
-  out.iterations = RunFeedFixpoint(&out.instance, feeds, opts,
-                                   max_iterations, &out.eval_stats);
-  MAPCOMP_ASSIGN_OR_RETURN(out.satisfied,
-                           SatisfiesAll(out.instance, constraints, opts,
-                                        &out.eval_stats));
+  // One encoding for the fixpoint and the satisfaction check after it.
+  EncodedInstance encoded = EncodeForPlan(input, plan, options);
+  MaterializeResult out;
+  std::set<std::string> written;
+  out.iterations = RunFeedFixpoint(&encoded, plan, options, max_iterations,
+                                   &out.eval_stats, &written);
+  out.satisfied = true;
+  for (const Constraint& c : constraints) {
+    MAPCOMP_ASSIGN_OR_RETURN(bool sat,
+                             Satisfies(encoded, c, options, &out.eval_stats));
+    if (!sat) {
+      out.satisfied = false;
+      break;
+    }
+  }
+  out.instance = input;
+  DecodeWritten(encoded, written, &out.instance);
   return out;
 }
 

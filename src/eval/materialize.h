@@ -2,6 +2,7 @@
 #define MAPCOMP_EVAL_MATERIALIZE_H_
 
 #include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -30,25 +31,78 @@ std::vector<RelationFeed> CollectFeeds(
     const std::function<bool(const std::string&)>& keep,
     bool assign_equalities);
 
-/// Runs the feed loop on `instance` until a fixpoint or `max_iterations`:
-/// each pass walks the feeds in order and grows (or assigns) each target
-/// with its source evaluated against the current instance. The loop is
-/// change-driven: a feed is re-evaluated only when a relation its source
-/// reads, its own target, or — for a source with a D node or a user
-/// operator — any relation changed since its last evaluation, because
+/// The feeds of one fixpoint, analysed once and reused for every instance
+/// it runs on: the feeds in order, each feed's dependencies as relation
+/// ids, and the constants D must hold. Immutable, so one plan serves every
+/// instance of a soundness check, on any thread.
+class FeedPlan {
+ public:
+  /// A feed and what it depends on: the relations its source reads plus
+  /// its target (another feed's write to it can undo a growth or an
+  /// assignment), and whether the source reads the active domain (a D
+  /// node, or a user operator, whose kernel is handed the domain).
+  struct Step {
+    RelationFeed feed;
+    int target = 0;
+    std::vector<int> watched;
+    bool domain = false;
+    /// The feed's own write can change what it reads: it reads its target,
+    /// or D (which spans every relation).
+    bool self = false;
+  };
+
+  /// Analyses `feeds`, which run in order; `constants` are the values every
+  /// run's D must hold besides the instance's active domain.
+  explicit FeedPlan(std::vector<RelationFeed> feeds,
+                    std::set<Value> constants = {});
+
+  /// The feeds CollectFeeds(cs, keep, assign_equalities) collects, with
+  /// the constants of `cs` (CollectConstants).
+  static FeedPlan ForConstraints(
+      const ConstraintSet& cs,
+      const std::function<bool(const std::string&)>& keep,
+      bool assign_equalities);
+
+  const std::vector<Step>& steps() const { return steps_; }
+  /// Relation names by id: every feed's target and every relation a source
+  /// reads.
+  const std::vector<std::string>& relations() const { return relations_; }
+  const std::set<Value>& constants() const { return constants_; }
+
+ private:
+  std::vector<Step> steps_;
+  std::vector<std::string> relations_;
+  std::set<Value> constants_;
+};
+
+/// Runs the feed loop on `instance`, in place, until a fixpoint or
+/// `max_iterations`: each pass walks the plan's feeds in order and grows
+/// (EncodedInstance::Grow) or assigns (EncodedInstance::Assign) each
+/// target with its source evaluated against the current instance. D was
+/// fixed when `instance` was encoded and must hold `plan.constants()`;
+/// after a write it follows the relations (see EncodedInstance).
+///
+/// The loop is change-driven: a feed is re-evaluated only when a relation
+/// its source reads, its own target, or — for a source with a D node or a
+/// user operator — any relation changed since its last evaluation, because
 /// otherwise re-running it is a no-op. The instance and the pass count are
 /// exactly those of re-evaluating every feed on every pass. Feeds that fail
 /// to evaluate (e.g. Skolem without an interpretation) contribute nothing.
 ///
-/// The loop is columnar: `instance` is encoded once (an EncodedInstance
-/// with D = its active domain plus `options.extra_constants`), each feed's
-/// result table grows its target by a sorted-merge union or replaces it
-/// for an assignment, change is detected on ids, D is kept up to date from
-/// per-id occurrence counts, and the relations written are decoded back
-/// into `instance` once, at the end.
-///
 /// Returns the number of passes used; accumulates the counters of the
-/// evaluations actually run into `stats` when non-null.
+/// evaluations actually run into `stats` and adds the names of the
+/// relations it changed to `written`, each when non-null.
+int RunFeedFixpoint(EncodedInstance* instance, const FeedPlan& plan,
+                    const EvalOptions& options, int max_iterations,
+                    EvalStats* stats, std::set<std::string>* written);
+
+/// The same on an Instance: encodes it with D = its active domain plus
+/// `options.extra_constants` and `plan.constants()`, runs the loop above
+/// and decodes the relations it wrote back into `instance`.
+int RunFeedFixpoint(Instance* instance, const FeedPlan& plan,
+                    const EvalOptions& options, int max_iterations,
+                    EvalStats* stats);
+/// The same for a one-off feed list (no constants of its own).
 int RunFeedFixpoint(Instance* instance, const std::vector<RelationFeed>& feeds,
                     const EvalOptions& options, int max_iterations,
                     EvalStats* stats);

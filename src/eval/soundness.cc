@@ -1,8 +1,11 @@
 #include "src/eval/soundness.h"
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/eval/checker.h"
+#include "src/eval/materialize.h"
 
 namespace mapcomp {
 
@@ -17,13 +20,6 @@ constexpr int kMaxCounterexamples = 3;
 
 bool ConstraintHasSkolem(const Constraint& c) {
   return ContainsSkolem(c.lhs) || ContainsSkolem(c.rhs);
-}
-
-bool AnySkolem(const ConstraintSet& cs) {
-  for (const Constraint& c : cs) {
-    if (ConstraintHasSkolem(c)) return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -88,38 +84,64 @@ Result<CompositionCheck> CheckComposition(
   }
   // The two option sets every satisfaction check picks from: Skolem terms
   // get the injective interpretation, everything else runs as configured.
+  // Each constraint's pick is made once, here.
   EvalOptions skolem_eval = eval;
   skolem_eval.skolem_mode = SkolemEvalMode::kInjectiveTerms;
-  auto options_for = [&eval, &skolem_eval](const Constraint& c)
-      -> const EvalOptions& {
-    return ConstraintHasSkolem(c) ? skolem_eval : eval;
+  auto options_of = [&eval, &skolem_eval](const ConstraintSet& cs) {
+    std::vector<const EvalOptions*> picked;
+    picked.reserve(cs.size());
+    for (const Constraint& c : cs) {
+      picked.push_back(ConstraintHasSkolem(c) ? &skolem_eval : &eval);
+    }
+    return picked;
   };
+  const std::vector<const EvalOptions*> original_options =
+      options_of(original);
+  const std::vector<const EvalOptions*> composed_options =
+      options_of(composed);
+
+  // The repair's feeds, analysed once for every repaired instance. Its
+  // constants are already in `eval.extra_constants`, so every instance
+  // below is encoded with the D the repair needs.
+  const FeedPlan repair_plan = FeedPlan::ForConstraints(
+      original, /*keep=*/nullptr, /*assign_equalities=*/true);
 
   // Completeness probes need both sides Skolem-free: FindExtension's
   // internal satisfaction checks run under the default (erroring) mode.
-  const bool composed_has_skolem = AnySkolem(composed);
-  const bool original_has_skolem = AnySkolem(original);
+  const bool composed_has_skolem = ContainsSkolem(composed);
+  const bool original_has_skolem = ContainsSkolem(original);
 
   std::mt19937_64 rng(generator_seed);
   for (int i = 0; i < n_instances; ++i) {
     Instance inst = RandomInstanceOver(
         {&problem.sigma1, &problem.sigma2, &problem.sigma3}, &rng,
         options.gen);
+    // Encoded once: the repair runs in place on it and every satisfaction
+    // check below runs against it. The repaired relations are decoded back
+    // into `inst` only when a counterexample or a probe needs the values.
+    EncodedInstance encoded(inst, eval.extra_constants);
+    std::set<std::string> repaired;
     if (kRepairHalf && i % 2 == 1) {
-      inst = RepairTowards(inst, original, eval);
+      RunFeedFixpoint(&encoded, repair_plan, eval, kRepairPasses,
+                      /*stats=*/nullptr, &repaired);
     }
+    auto decode_repaired = [&] {
+      for (const std::string& name : repaired) {
+        inst.Set(name, encoded.Decode(name));
+      }
+      repaired.clear();
+    };
     ++out.instances;
-    // Encoded once: every satisfaction check below runs against it.
-    const EncodedInstance encoded(inst, eval.extra_constants);
 
     // Original-side Skolem terms get the injective interpretation too: a
     // constraint satisfied under it is satisfied under ∃f, so counting the
     // instance as pipeline-satisfying stays sound; one that fails under it
     // just leaves the instance untested (conservative), never an error.
     bool orig_sat = true;
-    for (const Constraint& c : original) {
+    for (size_t c = 0; c < original.size(); ++c) {
       MAPCOMP_ASSIGN_OR_RETURN(
-          bool sat, Satisfies(encoded, c, options_for(c), &out.eval_stats));
+          bool sat, Satisfies(encoded, original[c], *original_options[c],
+                              &out.eval_stats));
       if (!sat) {
         orig_sat = false;
         break;
@@ -136,15 +158,16 @@ Result<CompositionCheck> CheckComposition(
       bool violated = false;
       bool inconclusive = false;
       std::string failing;
-      for (const Constraint& c : composed) {
+      for (size_t c = 0; c < composed.size(); ++c) {
         MAPCOMP_ASSIGN_OR_RETURN(
-            bool sat, Satisfies(encoded, c, options_for(c), &out.eval_stats));
+            bool sat, Satisfies(encoded, composed[c], *composed_options[c],
+                                &out.eval_stats));
         if (!sat) {
-          if (ConstraintHasSkolem(c)) {
+          if (composed_options[c] == &skolem_eval) {
             inconclusive = true;
           } else {
             violated = true;
-            failing = c.ToString();
+            failing = composed[c].ToString();
             break;
           }
         }
@@ -153,6 +176,7 @@ Result<CompositionCheck> CheckComposition(
         ++out.violations;
         if (static_cast<int>(out.counterexamples.size()) <
             kMaxCounterexamples) {
+          decode_repaired();
           out.counterexamples.push_back("violated constraint: " + failing +
                                         "\n" + inst.ToString());
         }
@@ -169,6 +193,7 @@ Result<CompositionCheck> CheckComposition(
     // original pipeline — search for one. Exponential; gated to tiny cases.
     if (out.completeness_checked < options.completeness_samples &&
         !composed_has_skolem && !original_has_skolem) {
+      decode_repaired();
       Instance restricted = inst.RestrictedTo(result.sigma);
       const EncodedInstance restricted_encoded(restricted,
                                                eval.extra_constants);

@@ -60,9 +60,14 @@ struct CompositionCheck {
 /// CompositionCheckOptions::completeness_samples).
 ///
 /// Both satisfaction checks run under one domain: the instance's active
-/// domain plus the constants of *both* constraint sets. Each instance is
-/// encoded once (EncodedInstance), and every satisfaction check on it runs
-/// against that encoding.
+/// domain plus the constants of *both* constraint sets. Each generated
+/// instance is encoded once (EncodedInstance): a repaired one is repaired
+/// in place on that encoding (RunFeedFixpoint, with one FeedPlan of the
+/// original pipeline built per check), and every satisfaction check runs
+/// against it, with each constraint's Skolem mode picked once per check.
+/// An Instance is decoded back only for a counterexample's text or a
+/// completeness probe. The counts, counterexamples and EvalStats are those
+/// of repairing with RepairTowards and checking a fresh encoding.
 ///
 /// Errors (e.g. max_domain_tuples exhausted) abort the check; a finished
 /// check with violations == 0 reports sound = true.

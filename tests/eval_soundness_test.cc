@@ -5,7 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "src/algebra/builders.h"
+#include "src/eval/checker.h"
+#include "src/eval/generator.h"
 #include "src/eval/soundness.h"
 #include "src/parser/parser.h"
 #include "src/simulator/scenarios.h"
@@ -130,6 +137,211 @@ TEST(CompositionSoundnessTest, ReportMentionsVerdict) {
   Result<CompositionCheck> check = CheckComposition(problem, composed, 3, 6);
   ASSERT_TRUE(check.ok());
   EXPECT_NE(check->Report().find("verdict: SOUND"), std::string::npos);
+}
+
+// ---- CheckComposition against a reference loop over the Instance APIs.
+
+/// The check spelled out with one Instance per generated instance: every
+/// second one repaired by RepairTowards, then a fresh EncodedInstance for
+/// its satisfaction checks. CheckComposition repairs and checks on one
+/// encoding instead; its report must be byte-identical to this one's.
+CompositionCheck ReferenceCheck(const CompositionProblem& problem,
+                                const CompositionResult& result,
+                                uint64_t seed, int n_instances,
+                                const CompositionCheckOptions& options) {
+  CompositionCheck out;
+  ConstraintSet original = problem.sigma12;
+  original.insert(original.end(), problem.sigma23.begin(),
+                  problem.sigma23.end());
+  const ConstraintSet& composed = result.constraints;
+  EvalOptions eval = options.eval;
+  for (const std::set<Value>& consts :
+       {CollectConstants(original), CollectConstants(composed)}) {
+    eval.extra_constants.insert(consts.begin(), consts.end());
+  }
+  EvalOptions skolem_eval = eval;
+  skolem_eval.skolem_mode = SkolemEvalMode::kInjectiveTerms;
+  auto has_skolem = [](const Constraint& c) {
+    return ContainsSkolem(c.lhs) || ContainsSkolem(c.rhs);
+  };
+  auto options_for = [&](const Constraint& c) -> const EvalOptions& {
+    return has_skolem(c) ? skolem_eval : eval;
+  };
+  Signature eliminated;
+  std::set<std::string> residual(result.residual_sigma2.begin(),
+                                 result.residual_sigma2.end());
+  for (const std::string& name : problem.sigma2.names()) {
+    if (residual.count(name) == 0) {
+      EXPECT_TRUE(
+          eliminated.AddRelation(name, problem.sigma2.ArityOf(name)).ok());
+    }
+  }
+  const bool probe = !ContainsSkolem(composed) && !ContainsSkolem(original);
+  std::mt19937_64 rng(seed);
+  for (int i = 0; i < n_instances; ++i) {
+    Instance inst = RandomInstanceOver(
+        {&problem.sigma1, &problem.sigma2, &problem.sigma3}, &rng,
+        options.gen);
+    if (i % 2 == 1) inst = RepairTowards(inst, original, eval);
+    ++out.instances;
+    const EncodedInstance encoded(inst, eval.extra_constants);
+    bool orig_sat = true;
+    for (const Constraint& c : original) {
+      if (!Satisfies(encoded, c, options_for(c), &out.eval_stats).value()) {
+        orig_sat = false;
+        break;
+      }
+    }
+    if (orig_sat) {
+      ++out.original_satisfied;
+      bool violated = false, inconclusive = false;
+      std::string failing;
+      for (const Constraint& c : composed) {
+        if (Satisfies(encoded, c, options_for(c), &out.eval_stats).value()) {
+          continue;
+        }
+        if (has_skolem(c)) {
+          inconclusive = true;
+        } else {
+          violated = true;
+          failing = c.ToString();
+          break;
+        }
+      }
+      if (violated) {
+        ++out.violations;
+        if (out.counterexamples.size() < 3) {
+          out.counterexamples.push_back("violated constraint: " + failing +
+                                        "\n" + inst.ToString());
+        }
+      } else if (inconclusive) {
+        ++out.inconclusive_skolem;
+      } else {
+        ++out.composed_satisfied;
+      }
+    }
+    if (out.completeness_checked < options.completeness_samples && probe) {
+      Instance restricted = inst.RestrictedTo(result.sigma);
+      const EncodedInstance restricted_encoded(restricted,
+                                               eval.extra_constants);
+      bool restricted_sat = true;
+      for (const Constraint& c : composed) {
+        if (!Satisfies(restricted_encoded, c, eval, &out.eval_stats)
+                 .value()) {
+          restricted_sat = false;
+          break;
+        }
+      }
+      if (!restricted_sat) continue;
+      Result<Instance> witness =
+          FindExtension(restricted, eliminated, original);
+      if (witness.ok()) {
+        ++out.completeness_checked;
+        ++out.completeness_witnessed;
+      } else if (witness.status().code() == StatusCode::kNotFound) {
+        ++out.completeness_checked;
+      }
+    }
+  }
+  out.sound = out.violations == 0;
+  return out;
+}
+
+/// Expects CheckComposition's report to equal the reference loop's at
+/// jobs 1, 2, 4 and 8 (threshold 4 at 8, so plans pool); returns the
+/// report.
+std::string ExpectMatchesReference(const CompositionProblem& problem,
+                                   const CompositionResult& result,
+                                   uint64_t seed, int n_instances,
+                                   CompositionCheckOptions options,
+                                   const std::string& label) {
+  std::string report;
+  for (int jobs : {1, 2, 4, 8}) {
+    options.eval.jobs = jobs;
+    options.eval.parallel_threshold = jobs == 8 ? 4 : 4096;
+    Result<CompositionCheck> got =
+        CheckComposition(problem, result, seed, n_instances, options);
+    if (!got.ok()) {
+      ADD_FAILURE() << label << " at jobs " << jobs << ": "
+                    << got.status().ToString();
+      continue;
+    }
+    report = got->Report();
+    EXPECT_EQ(report,
+              ReferenceCheck(problem, result, seed, n_instances, options)
+                  .Report())
+        << label << " at jobs " << jobs;
+  }
+  return report;
+}
+
+TEST(CompositionSoundnessTest, ReportMatchesInstanceReferenceLoop) {
+  Parser parser;
+  for (const testdata::LiteratureProblem& lit : testdata::LiteratureSuite()) {
+    CompositionProblem problem = parser.ParseProblem(lit.text).value();
+    ExpectMatchesReference(problem, Compose(problem), 1234, 10, {}, lit.name);
+  }
+  // The soundness workload's shape: size-10 reconciliation problems with 2
+  // edits per branch and arity at most 5, over a 2-value domain.
+  CompositionCheckOptions small;
+  small.gen.domain_size = 2;
+  small.gen.max_tuples_per_rel = 3;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    sim::ReconciliationScenarioOptions opts;
+    opts.schema_size = 10;
+    opts.num_edits = 2;
+    opts.simulator.primitives.max_arity = 5;
+    opts.seed = seed;
+    opts.max_branch_attempts = 2;
+    CompositionProblem problem = sim::BuildReconciliationProblem(opts);
+    ExpectMatchesReference(problem, Compose(problem), seed * 7, 8, small,
+                           "recon-" + std::to_string(seed));
+  }
+}
+
+TEST(CompositionSoundnessTest, CounterexampleTextMatchesReferenceLoop) {
+  // The repair assigns S := R and grows T ⊇ S; the bogus "composition"
+  // T ⊆ R fails wherever T kept a random tuple, so repaired instances'
+  // counterexample text is decoded from the repaired encoding.
+  Parser parser;
+  CompositionProblem problem = parser
+                                   .ParseProblem(R"(
+      schema s1 { R(2) key(1); }
+      schema s2 { S(2); }
+      schema s3 { T(2); }
+      map m12 { S = R; }
+      map m23 { S <= T; })")
+                                   .value();
+  CompositionResult bogus;
+  bogus.sigma = *Signature::Merge(problem.sigma1, problem.sigma3);
+  bogus.constraints = {Constraint::Contain(Rel("T", 2), Rel("R", 2))};
+  CompositionCheckOptions options;
+  options.gen.domain_size = 3;
+  std::string report =
+      ExpectMatchesReference(problem, bogus, 5, 40, options, "bogus");
+  EXPECT_NE(report.find("verdict: UNSOUND"), std::string::npos) << report;
+  EXPECT_NE(report.find("counterexample:"), std::string::npos) << report;
+}
+
+TEST(CompositionSoundnessTest, CompletenessProbesMatchReferenceLoop) {
+  Parser parser;
+  CompositionProblem problem = parser
+                                   .ParseProblem(R"(
+      schema s1 { R(2); }
+      schema s2 { S(2); }
+      schema s3 { T(2); }
+      map m12 { R <= S; }
+      map m23 { S <= T; })")
+                                   .value();
+  CompositionCheckOptions options;
+  options.gen.domain_size = 2;
+  options.gen.max_tuples_per_rel = 2;
+  options.completeness_samples = 2;
+  std::string report = ExpectMatchesReference(problem, Compose(problem), 21,
+                                              24, options, "probes");
+  EXPECT_NE(report.find("completeness probes: 2/2 witnessed"),
+            std::string::npos)
+      << report;
 }
 
 }  // namespace
