@@ -60,7 +60,7 @@ class Deadline {
 
 /// Cheap cooperative-cancellation poll object, copied by value into
 /// ComposeOptions / EvalOptions and observed at plan-defined points (round
-/// boundaries, wave lanes, task-graph slots, shard chunks). A token fires
+/// boundaries, wave lanes, eval slots). A token fires
 /// for one of two reasons, which surface as distinct StatusCodes:
 ///
 ///   - its CancelSource was cancelled      -> StatusCode::kCancelled

@@ -1,7 +1,6 @@
 #include "src/eval/evaluator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <deque>
 #include <memory>
@@ -14,9 +13,6 @@
 #include "src/eval/join.h"
 #include "src/eval/tuple_table.h"
 #include "src/eval/value_dict.h"
-#include "src/runtime/sharding.h"
-#include "src/runtime/task_dag.h"
-#include "src/runtime/thread_pool.h"
 
 namespace mapcomp {
 
@@ -29,11 +25,6 @@ using eval_internal::DomainSelectPlan;
 /// Node results are shared, not copied: every parent holds the same table,
 /// treated as immutable everywhere.
 using TablePtr = std::shared_ptr<const TupleTable>;
-
-/// Chunk boundaries are a pure function of the work size and the shared
-/// runtime::kMaxShardChunks — never of the lane count — which is what
-/// keeps results and stats identical at any `jobs`.
-constexpr int64_t kMaxShards = runtime::kMaxShardChunks;
 
 /// Per-node DAG bookkeeping for memo dropping: `remaining` counts the
 /// parent edges (plus root occurrences) that have not consumed this node's
@@ -61,48 +52,30 @@ void CountUses(const ExprPtr& e, std::unordered_map<const Expr*, NodeUse>* uses,
   }
 }
 
-/// Deterministic morsel count of an eligible sharded enumeration over `n`
-/// work items: the number of contiguous chunks ShardedTransform splits it
-/// into. A pure function of n and kMaxShards — never of the lane count —
-/// so EvalStats::tasks_spawned is identical at any `jobs`.
-int64_t MorselCount(int64_t n) {
-  if (n <= 0) return 0;
-  int64_t chunk = (n + kMaxShards - 1) / kMaxShards;
-  return (n + chunk - 1) / chunk;
-}
-
 // --------------------------------------------------------------------------
-// The columnar kernel — a morsel-driven task graph over the interned DAG.
+// The columnar kernel over the interned DAG.
 //
-// Evaluation runs in three phases:
+// Evaluation runs in three phases, all on the calling thread:
 //
-//   1. PLAN (sequential): walk the DAG exactly like the old recursive
-//      evaluator walked it — same memoization, same join/domain planning,
-//      same refcount-driven drop cascade, same guard checks — but instead
-//      of computing tables, record one `Slot` per node to compute and an
+//   1. PLAN: walk the DAG exactly like the old recursive evaluator walked
+//      it — same memoization, same join/domain planning, same
+//      refcount-driven drop cascade, same guard checks — but instead of
+//      computing tables, record one `Slot` per node to compute and an
 //      event log of what the walk observed (evals, memo hits, memo drops,
-//      root boundaries). Everything schedule-sensitive
-//      (which nodes run, which products are bypassed, condition
-//      compilation / constant interning, error precedence for guards) is
-//      decided here, on one thread.
+//      root boundaries). Which nodes run, which products are bypassed,
+//      condition compilation / constant interning and the error precedence
+//      of guards are decided here.
 //
-//   2. EXECUTE (parallel): each slot becomes a TaskDag task depending on
-//      its input slots, so sibling subtrees, multiple EvaluateMany roots,
-//      and — via nested sharding inside a slot — join probe morsels
-//      all interleave on the same lanes. A slot's output depends only on
-//      its input tables, so lane count decides who computes a slot, never
-//      what lands in it. A slot's table is dropped the moment its last
-//      consumer retires (atomic refcount), preserving the memo-peak
-//      behavior of the recursive engine. A plan whose row bound (see
-//      SlotRowBound) is below `parallel_threshold` runs its slots inline on
-//      the caller, in index order: no node under that bound could shard,
-//      and handing microsecond slots to pool lanes costs more than the
-//      slots.
+//   2. EXECUTE: run the slots in index order (children before parents). A
+//      slot's table is dropped the moment its last consumer has run,
+//      preserving the memo-peak behavior of the recursive engine.
 //
-//   3. REPLAY (sequential): walk the plan's event log and fold each slot's
-//      measured outputs (row counts, bytes, morsel counts) into per-root
-//      EvalStats buckets in plan order. Stats are therefore byte-identical
-//      at any lane count, including the memo_bytes_peak watermark.
+//   3. REPLAY: walk the plan's event log and fold each slot's measured
+//      outputs (row counts, bytes) into per-root EvalStats buckets in plan
+//      order, including the memo_bytes_peak watermark.
+//
+// Parallelism lives one level up: CheckComposition runs whole instances
+// on its lanes, each with its own EncodedInstance.
 // --------------------------------------------------------------------------
 
 /// What a slot computes. kJoin is both a bare product and a planned
@@ -126,9 +99,9 @@ enum class SlotOp {
   kUserOp,
 };
 
-/// One task-graph node. Plan-time fields are written by the planner and
-/// read-only during execution; execution fields are written only by the
-/// slot's own task (its inputs' fields are complete via the dag edge).
+/// One planned node. Plan-time fields are written by the planner and
+/// read-only during execution; execution fields are written when the slot
+/// runs, after all of its inputs.
 struct Slot {
   const Expr* node = nullptr;
   SlotOp op = SlotOp::kEmpty;
@@ -137,8 +110,6 @@ struct Slot {
   std::vector<int64_t> args;
   /// `args` sorted and deduplicated: the slots this one holds a claim on.
   std::vector<int64_t> inputs;
-  /// Plan-time bound on the rows this slot can produce (see SlotRowBound).
-  double row_bound = 0.0;
   /// kRelation: the encoded relation (null when the instance has none).
   const EncodedInstance::Relation* rel = nullptr;
 
@@ -161,16 +132,14 @@ struct Slot {
   TablePtr result;
   Status status = Status::OK();
   /// Consumers (distinct dependent slots, +1 pin per root occurrence) that
-  /// have not retired yet; the decrement to zero drops `result`.
-  std::atomic<int64_t> live_consumers{0};
+  /// have not run yet; the decrement to zero drops `result`.
+  int64_t live_consumers = 0;
   // Measured replay payload: the stats deltas this slot's evaluation
   // contributes, folded into per-root buckets in plan order afterwards.
   int64_t bytes = 0;
   int64_t d_tuples = 0;
-  int64_t d_sharded = 0;
   int64_t d_hash_join = 0;
   int64_t d_nested = 0;
-  int64_t d_tasks = 0;  ///< morsel tasks beyond the node task itself
 };
 
 /// One observation of the sequential plan walk. Replayed in order against
@@ -188,25 +157,14 @@ struct KernelState {
   std::shared_ptr<ValueDict> dict;
   /// The instance's domain ids, ascending.
   const std::vector<ValueId>* domain_ids = nullptr;
-  /// Null when jobs <= 1 or the plan runs inline (see SlotRowBound).
-  runtime::ThreadPool* pool = nullptr;
-  int max_helpers = 0;                  ///< jobs - 1 while `pool` is set
 
   // Plan state.
   std::unordered_map<const Expr*, NodeUse> uses;
   std::unordered_map<const Expr*, int64_t> slot_of;
-  /// deque: slots hold atomics/compiled conditions and must never move.
+  /// deque: a planner holding a Slot& may add slots behind it.
   std::deque<Slot> slots;
   std::vector<PlanEvent> events;
   std::vector<int64_t> root_slots;
-  /// max_ready_depth watermark at each root boundary (cumulative, like
-  /// memo_bytes_peak).
-  std::vector<int64_t> root_width;
-  std::vector<int> slot_depth;  ///< longest input chain per slot
-  std::unordered_map<int, int64_t> width_at_depth;
-  int64_t max_width = 0;
-  /// Sum of the slots' row bounds, user operators excluded.
-  double row_bound = 0.0;
 };
 
 /// One parent edge (or root occurrence) of `e` is done with its result:
@@ -227,10 +185,6 @@ void SimConsume(const Expr* e, KernelState* ks) {
 
 int64_t NewSlot(const Expr* node, SlotOp op, int arity,
                 std::vector<int64_t> args, KernelState* ks) {
-  int depth = 0;
-  for (int64_t a : args) {
-    depth = std::max(depth, ks->slot_depth[static_cast<size_t>(a)] + 1);
-  }
   ks->slots.emplace_back();
   Slot& s = ks->slots.back();
   s.node = node;
@@ -242,69 +196,14 @@ int64_t NewSlot(const Expr* node, SlotOp op, int arity,
   std::sort(s.inputs.begin(), s.inputs.end());
   s.inputs.erase(std::unique(s.inputs.begin(), s.inputs.end()),
                  s.inputs.end());
-  for (int64_t a : s.inputs) {
-    ks->slots[static_cast<size_t>(a)].live_consumers.fetch_add(
-        1, std::memory_order_relaxed);
-  }
-  ks->slot_depth.push_back(depth);
-  int64_t width = ++ks->width_at_depth[depth];
-  ks->max_width = std::max(ks->max_width, width);
+  for (int64_t a : s.inputs) ++ks->slots[static_cast<size_t>(a)].live_consumers;
   return static_cast<int64_t>(ks->slots.size()) - 1;
 }
 
-/// Plan-time upper bound on the rows slot `s` can produce: a relation's
-/// tuple count, |D|^r for D^r, |D|^free_count for a pruned select over D, a
-/// literal's tuple count, a + b for a union, min(a, b) for an intersection,
-/// a for a difference, filter, projection or Skolem, a · b for a join or
-/// product (0 when either side is), and unbounded for a user operator.
-/// Every node's sharding work (SlotTransform's `work`, the domain
-/// enumerations' size) is at most its own slot's bound or an input's. A
-/// user operator's own kernel gets no pool and never shards, so it adds
-/// nothing to the plan's sum, while a node reading its output is unbounded
-/// through the rules above. A plan whose sum is below `parallel_threshold`
-/// therefore has no node that could shard. The bound reads only the plan
-/// and the instance, never `jobs`.
-double SlotRowBound(const KernelState& ks, const Slot& s) {
-  auto in = [&ks, &s](size_t k) {
-    return ks.slots[static_cast<size_t>(s.args[k])].row_bound;
-  };
-  const double d = static_cast<double>(ks.domain_ids->size());
-  switch (s.op) {
-    case SlotOp::kRelation:
-      return s.rel == nullptr ? 0.0 : static_cast<double>(s.rel->size());
-    case SlotOp::kDomain:
-      return std::pow(d, static_cast<double>(s.arity));
-    case SlotOp::kSelectDomain:
-      return std::pow(d, static_cast<double>(s.free_count));
-    case SlotOp::kLiteral:
-      return static_cast<double>(s.node->tuples().size());
-    case SlotOp::kEmpty:
-    case SlotOp::kSelectDomainEmpty:
-      return 0.0;
-    case SlotOp::kUnion:
-      return in(0) + in(1);
-    case SlotOp::kIntersect:
-      return std::min(in(0), in(1));
-    case SlotOp::kJoin:
-      return in(0) == 0.0 || in(1) == 0.0 ? 0.0 : in(0) * in(1);
-    case SlotOp::kDifference:
-    case SlotOp::kSelectFilter:
-    case SlotOp::kProject:
-    case SlotOp::kSkolem:
-      return in(0);
-    case SlotOp::kUserOp:
-      return HUGE_VAL;
-  }
-  return HUGE_VAL;
-}
-
 /// Seals a planned node: marks it evaluated (the plan's memo), logs the
-/// eval event, adds its row bound to the plan's, and releases its static
-/// child edges — exactly where the recursive engine released them.
+/// eval event, and releases its static child edges — exactly where the
+/// recursive engine released them.
 void FinishSlot(const Expr* e, int64_t slot, KernelState* ks) {
-  Slot& s = ks->slots[static_cast<size_t>(slot)];
-  s.row_bound = SlotRowBound(*ks, s);
-  if (s.op != SlotOp::kUserOp) ks->row_bound += s.row_bound;
   ks->slot_of[e] = slot;
   ks->uses[e].evaluated = true;
   ks->events.push_back({PlanEvent::kEval, slot});
@@ -507,9 +406,8 @@ Result<int64_t> PlanVisit(const ExprPtr& e, KernelState* ks) {
           NewSlot(e.get(), SlotOp::kUserOp, e->arity(), std::move(args), ks);
       Slot& s = ks->slots[static_cast<size_t>(slot)];
       s.def = def;
-      // The node's condition is compiled here (sequential phase — constants
-      // intern into the still-warm dictionary) so every lane shares one
-      // compiled form.
+      // The node's condition is compiled here, with the plan's other
+      // constants, and handed to the kernel at execution.
       s.cond = CompiledCond::Compile(e->condition(), ks->dict.get());
       FinishSlot(e.get(), slot, ks);
       return slot;
@@ -519,113 +417,46 @@ Result<int64_t> PlanVisit(const ExprPtr& e, KernelState* ks) {
 }
 
 /// Execution sibling of TransformSet: applies `emit(row, out_data)` — which
-/// appends whole rows of `out_arity` ids — to every row of `in`, sharded
-/// into ≤ kMaxShards contiguous row chunks when `work` crosses the
-/// threshold, concatenated in chunk order. Counters (sharded eligibility,
-/// morsel count) go to the slot and depend only on the data. Requires
-/// out_arity > 0 (callers special-case the degenerate arity-0 shapes).
+/// appends whole rows of `out_arity` ids — to every row of `in`, in order.
+/// Requires out_arity > 0 (callers special-case the degenerate arity-0
+/// shapes).
 template <typename Emit>
-TupleTable SlotTransform(KernelState* ks, Slot* s, const TupleTable& in,
-                         int64_t work, int out_arity, const Emit& emit) {
-  int64_t n = in.size();
-  bool eligible = work >= ks->options->parallel_threshold;
-  if (eligible) {
-    ++s->d_sharded;
-    s->d_tasks += MorselCount(n);
-  }
+TupleTable TransformRows(const TupleTable& in, int out_arity,
+                         const Emit& emit) {
   TupleTable out(out_arity);
-  if (!eligible || ks->pool == nullptr || n <= 1) {
-    for (int64_t i = 0; i < n; ++i) emit(in.Row(i), &out.MutableData());
-    out.FinishAppends();
-    return out;
-  }
-  int64_t chunk = (n + kMaxShards - 1) / kMaxShards;
-  std::vector<std::vector<ValueId>> chunks =
-      runtime::ShardedTransform<std::vector<ValueId>>(
-          ks->pool, n, chunk, ks->max_helpers,
-          [ks, &in, &emit](int64_t begin, int64_t end) {
-            std::vector<ValueId> local;
-            // Chunk-boundary cancellation point: an empty early-out is safe
-            // because RunSlot's exit poll discards the whole slot.
-            if (ks->options->cancel.Fired()) return local;
-            for (int64_t i = begin; i < end; ++i) emit(in.Row(i), &local);
-            return local;
-          });
-  std::vector<ValueId>& data = out.MutableData();
-  for (const std::vector<ValueId>& c : chunks) {
-    data.insert(data.end(), c.begin(), c.end());
-  }
+  for (int64_t i = 0; i < in.size(); ++i) emit(in.Row(i), &out.MutableData());
   out.FinishAppends();
   return out;
 }
 
-/// Enumerates domain_ids^r with the first coordinate position restricted to
-/// [first_begin, first_end), in lexicographic id order (domain_ids is
-/// ascending, so the output rows are sorted).
-void EnumerateDomainIdRange(const std::vector<ValueId>& ids, int r,
-                            int64_t first_begin, int64_t first_end,
-                            std::vector<ValueId>* out) {
-  if (first_begin >= first_end) return;
-  std::vector<int64_t> idx(static_cast<size_t>(r), 0);
-  idx[0] = first_begin;
-  int64_t d = static_cast<int64_t>(ids.size());
-  for (;;) {
-    for (int i = 0; i < r; ++i) out->push_back(ids[idx[i]]);
-    int pos = r - 1;
-    while (pos >= 0) {
-      ++idx[pos];
-      int64_t limit = pos == 0 ? first_end : d;
-      if (idx[pos] < limit) break;
-      if (pos == 0) return;
-      idx[pos] = 0;
-      --pos;
-    }
-  }
-}
-
 Result<TablePtr> EvalSlotDomain(KernelState* ks, Slot* s) {
   const std::vector<ValueId>& ids = *ks->domain_ids;
-  int64_t d = static_cast<int64_t>(ids.size());
   const int arity = s->arity;
   if (arity == 0) {
     TupleTable unit(0);
     unit.AppendRow(nullptr);
     return OwnTable(std::move(unit));
   }
-  if (d == 0) return OwnTable(TupleTable(arity));
-  double size = std::pow(static_cast<double>(d), static_cast<double>(arity));
-  bool eligible = size >= static_cast<double>(ks->options->parallel_threshold);
-  if (eligible) {
-    ++s->d_sharded;
-    s->d_tasks += MorselCount(d);
-  }
   TupleTable out(arity);
-  if (!eligible || ks->pool == nullptr || d <= 1) {
-    EnumerateDomainIdRange(ids, arity, 0, d, &out.MutableData());
-    out.FinishAppends();
-    return OwnTable(std::move(out));
-  }
-  int64_t chunk = (d + kMaxShards - 1) / kMaxShards;
-  std::vector<std::vector<ValueId>> chunks =
-      runtime::ShardedTransform<std::vector<ValueId>>(
-          ks->pool, d, chunk, ks->max_helpers,
-          [ks, &ids, arity](int64_t begin, int64_t end) {
-            std::vector<ValueId> local;
-            if (ks->options->cancel.Fired()) return local;  // see RunSlot
-            EnumerateDomainIdRange(ids, arity, begin, end, &local);
-            return local;
-          });
+  if (ids.empty()) return OwnTable(std::move(out));
+  // Odometer over D^arity in lexicographic id order; ids is ascending, so
+  // the rows come out sorted.
   std::vector<ValueId>& data = out.MutableData();
-  for (const std::vector<ValueId>& c : chunks) {
-    data.insert(data.end(), c.begin(), c.end());
+  std::vector<size_t> idx(static_cast<size_t>(arity), 0);
+  for (;;) {
+    for (size_t i : idx) data.push_back(ids[i]);
+    int pos = arity - 1;
+    while (pos >= 0 && ++idx[static_cast<size_t>(pos)] == ids.size()) {
+      idx[static_cast<size_t>(pos--)] = 0;
+    }
+    if (pos < 0) break;
   }
   out.FinishAppends();
   return OwnTable(std::move(out));
 }
 
-/// Rows of `in` passing `cc`, sharded like any per-row transform. Filtering
-/// preserves sortedness.
-TablePtr FilterTable(KernelState* ks, Slot* s, const TablePtr& in,
+/// Rows of `in` passing `cc`. Filtering preserves sortedness.
+TablePtr FilterTable(KernelState* ks, const TablePtr& in,
                      const CompiledCond& cc) {
   const ValueDict& dict = *ks->dict;
   const int arity = in->arity();
@@ -634,8 +465,8 @@ TablePtr FilterTable(KernelState* ks, Slot* s, const TablePtr& in,
     if (!in->empty() && cc.Eval(nullptr, 0, dict)) out.AppendRow(nullptr);
     return OwnTable(std::move(out));
   }
-  return OwnTable(SlotTransform(
-      ks, s, *in, in->size(), arity,
+  return OwnTable(TransformRows(
+      *in, arity,
       [&cc, &dict, arity](const ValueId* row, std::vector<ValueId>* out) {
         if (cc.Eval(row, arity, dict)) {
           out->insert(out->end(), row, row + arity);
@@ -645,18 +476,18 @@ TablePtr FilterTable(KernelState* ks, Slot* s, const TablePtr& in,
 
 /// Every product and planned select(product) runs on the one JoinMatcher:
 /// pushed-down filters first, then a build over one filtered side and a
-/// sharded probe of the other. With keys the smaller side is the build
-/// (ties go left); without keys the right side is, so the probe walks left
-/// rows in order and emits a-major rows that are already sorted.
+/// probe of the other. With keys the smaller side is the build (ties go
+/// left); without keys the right side is, so the probe walks left rows in
+/// order and emits a-major rows that are already sorted.
 Result<TablePtr> EvalSlotJoin(KernelState* ks, Slot* s, const TablePtr& a,
                               const TablePtr& b) {
   const CompiledJoin& join = s->join;
   TablePtr fa = join.left_filter.IsTrue()
                     ? a
-                    : FilterTable(ks, s, a, join.left_filter);
+                    : FilterTable(ks, a, join.left_filter);
   TablePtr fb = join.right_filter.IsTrue()
                     ? b
-                    : FilterTable(ks, s, b, join.right_filter);
+                    : FilterTable(ks, b, join.right_filter);
   const bool keyed = !join.keys.empty();
   if (keyed) {
     ++s->d_hash_join;
@@ -672,19 +503,13 @@ Result<TablePtr> EvalSlotJoin(KernelState* ks, Slot* s, const TablePtr& a,
   const bool build_left = keyed && fa->size() <= fb->size();
   const TupleTable& build = build_left ? *fa : *fb;
   const TupleTable& probe = build_left ? *fb : *fa;
-  // With keys, probe work drives sharding eligibility (the build is
-  // linear); without keys every pair is a candidate.
-  const int64_t work = keyed ? probe.size() : fa->size() * fb->size();
-  if (build.empty()) {
-    if (work >= ks->options->parallel_threshold) ++s->d_sharded;
-    return OwnTable(TupleTable(out_arity));
-  }
+  if (build.empty()) return OwnTable(TupleTable(out_arity));
   const eval_internal::JoinMatcher matcher(build, build_left, probe.arity(),
                                            join.keys, join.residual,
                                            *ks->dict);
   const int la = fa->arity(), ra = fb->arity();
-  TupleTable out = SlotTransform(
-      ks, s, probe, work, out_arity,
+  TupleTable out = TransformRows(
+      probe, out_arity,
       [&matcher, build_left, la, ra](const ValueId* prow,
                                      std::vector<ValueId>* out_data) {
         matcher.ForEachMatch(prow, [&](const ValueId* brow) {
@@ -701,88 +526,32 @@ Result<TablePtr> EvalSlotJoin(KernelState* ks, Slot* s, const TablePtr& a,
   return OwnTable(std::move(out));
 }
 
+/// select(D^r) with bound coordinates: an odometer over the free classes'
+/// domain ids, each bound class holding its pinned id.
 Result<TablePtr> EvalSlotSelectDomain(KernelState* ks, Slot* s) {
   const int r = s->arity;
   const std::vector<ValueId>& ids = *ks->domain_ids;
-  int64_t d = static_cast<int64_t>(ids.size());
   const int free_count = s->free_count;
-  if (free_count > 0 && d == 0) return OwnTable(TupleTable(r));
-  const CompiledCond& cc = s->cond;
-  const ValueDict& dict = *ks->dict;
-  const std::vector<int>& class_of = s->class_of;
-  const std::vector<ValueId>& class_id = s->class_id;
-  const std::vector<char>& class_bound = s->class_bound;
-  const std::vector<int>& free_slot = s->free_slot;
-
-  // Enumerates assignments whose *first free class* takes ids[begin..end),
-  // odometer over the remaining free classes.
-  auto enumerate = [&](int64_t begin, int64_t end) {
-    std::vector<ValueId> local;
-    std::vector<int64_t> odo(static_cast<size_t>(std::max(free_count, 1)), 0);
-    std::vector<ValueId> row(static_cast<size_t>(r));
-    if (free_count == 0) {
-      for (int k = 0; k < r; ++k) {
-        row[static_cast<size_t>(k)] =
-            class_id[static_cast<size_t>(class_of[static_cast<size_t>(k)])];
-      }
-      if (cc.Eval(row.data(), r, dict)) {
-        local.insert(local.end(), row.begin(), row.end());
-      }
-      return local;
-    }
-    if (begin >= end) return local;
-    odo[0] = begin;
-    for (;;) {
-      for (int k = 0; k < r; ++k) {
-        int c = class_of[static_cast<size_t>(k)];
-        row[static_cast<size_t>(k)] =
-            class_bound[static_cast<size_t>(c)]
-                ? class_id[static_cast<size_t>(c)]
-                : ids[static_cast<size_t>(
-                      odo[static_cast<size_t>(
-                          free_slot[static_cast<size_t>(c)])])];
-      }
-      if (cc.Eval(row.data(), r, dict)) {
-        local.insert(local.end(), row.begin(), row.end());
-      }
-      int pos = free_count - 1;
-      while (pos >= 0) {
-        ++odo[static_cast<size_t>(pos)];
-        int64_t limit = pos == 0 ? end : d;
-        if (odo[static_cast<size_t>(pos)] < limit) break;
-        if (pos == 0) return local;
-        odo[static_cast<size_t>(pos)] = 0;
-        --pos;
-      }
-    }
-  };
-
-  double size = std::pow(static_cast<double>(d),
-                         static_cast<double>(free_count));
-  bool eligible = size >= static_cast<double>(ks->options->parallel_threshold);
-  if (eligible) {
-    ++s->d_sharded;
-    if (free_count > 0) s->d_tasks += MorselCount(d);
-  }
   TupleTable out(r);
-  if (free_count == 0 || !eligible || ks->pool == nullptr || d <= 1) {
-    std::vector<ValueId> rows = enumerate(0, std::max<int64_t>(d, 1));
-    out.MutableData() = std::move(rows);
-  } else {
-    int64_t chunk = (d + kMaxShards - 1) / kMaxShards;
-    std::vector<std::vector<ValueId>> chunks =
-        runtime::ShardedTransform<std::vector<ValueId>>(
-            ks->pool, d, chunk, ks->max_helpers,
-            [ks, &enumerate](int64_t begin, int64_t end) {
-              if (ks->options->cancel.Fired()) {  // see RunSlot
-                return std::vector<ValueId>{};
-              }
-              return enumerate(begin, end);
-            });
-    std::vector<ValueId>& data = out.MutableData();
-    for (const std::vector<ValueId>& c : chunks) {
-      data.insert(data.end(), c.begin(), c.end());
+  if (free_count > 0 && ids.empty()) return OwnTable(std::move(out));
+  std::vector<ValueId>& data = out.MutableData();
+  std::vector<size_t> odo(static_cast<size_t>(free_count), 0);
+  std::vector<ValueId> row(static_cast<size_t>(r));
+  for (;;) {
+    for (size_t k = 0; k < row.size(); ++k) {
+      const size_t c = static_cast<size_t>(s->class_of[k]);
+      row[k] = s->class_bound[c]
+                   ? s->class_id[c]
+                   : ids[odo[static_cast<size_t>(s->free_slot[c])]];
     }
+    if (s->cond.Eval(row.data(), r, *ks->dict)) {
+      data.insert(data.end(), row.begin(), row.end());
+    }
+    int pos = free_count - 1;
+    while (pos >= 0 && ++odo[static_cast<size_t>(pos)] == ids.size()) {
+      odo[static_cast<size_t>(pos--)] = 0;
+    }
+    if (pos < 0) break;
   }
   out.FinishAppends();
   // Class-major enumeration is not coordinate-lexicographic; assignments
@@ -793,8 +562,7 @@ Result<TablePtr> EvalSlotSelectDomain(KernelState* ks, Slot* s) {
 
 /// Computes one slot's table from its input tables. Pure modulo the slot's
 /// own measured counters: every branch taken here was decided at plan time
-/// or depends only on the input tables, so the output is identical at any
-/// lane count.
+/// or depends only on the input tables.
 Result<TablePtr> EvalSlot(KernelState* ks, Slot* s,
                           const std::vector<TablePtr>& in) {
   const Expr* e = s->node;
@@ -851,7 +619,7 @@ Result<TablePtr> EvalSlot(KernelState* ks, Slot* s,
     case SlotOp::kJoin:
       return EvalSlotJoin(ks, s, in[0], in[1]);
     case SlotOp::kSelectFilter:
-      return FilterTable(ks, s, in[0], s->cond);
+      return FilterTable(ks, in[0], s->cond);
     case SlotOp::kSelectDomain:
       return EvalSlotSelectDomain(ks, s);
     case SlotOp::kProject: {
@@ -863,8 +631,8 @@ Result<TablePtr> EvalSlot(KernelState* ks, Slot* s,
         return OwnTable(std::move(out));
       }
       const int out_arity = static_cast<int>(indexes.size());
-      TupleTable out = SlotTransform(
-          ks, s, *a, a->size(), out_arity,
+      TupleTable out = TransformRows(
+          *a, out_arity,
           [&indexes](const ValueId* row, std::vector<ValueId>* out_data) {
             for (int i : indexes) out_data->push_back(row[i - 1]);
           });
@@ -873,10 +641,10 @@ Result<TablePtr> EvalSlot(KernelState* ks, Slot* s,
     }
     case SlotOp::kSkolem: {
       TablePtr a = in[0];
-      // Minted term ids may differ run to run under concurrency (Intern is
-      // thread-safe but arrival order is schedule-dependent) — harmless: id
-      // equality still means value equality, and the result surfaces
-      // (ToSet, Fingerprint) re-canonicalize by value.
+      // Minted term ids depend on what the dictionary already holds (other
+      // evaluations on the same encoded instance mint into it too) —
+      // harmless: id equality still means value equality, and the result
+      // surfaces (ToSet, Fingerprint) re-canonicalize by value.
       const std::vector<int>& indexes = e->indexes();
       const int in_arity = a->arity();
       TupleTable out(in_arity + 1);
@@ -928,11 +696,10 @@ Result<TablePtr> EvalSlot(KernelState* ks, Slot* s,
   return Status::Internal("unknown slot op");
 }
 
-/// The task body for one slot: gather inputs, compute (or propagate the
-/// first failed input's status — every slot runs, so the error surfaced by
-/// the whole evaluation is the lowest-slot one regardless of scheduling),
-/// then retire this slot's claim on each distinct input, dropping tables
-/// whose last consumer this was.
+/// Runs one slot: gather inputs, compute (or propagate the first failed
+/// input's status, so the error surfaced by the whole evaluation is the
+/// lowest-slot one), then release this slot's claim on each distinct
+/// input, dropping tables whose last consumer this was.
 void RunSlot(KernelState* ks, int64_t idx) {
   Slot& s = ks->slots[static_cast<size_t>(idx)];
   common::fault::MaybeSleep(common::fault::FaultPoint::kSlowEvalSlot);
@@ -945,10 +712,7 @@ void RunSlot(KernelState* ks, int64_t idx) {
     in.push_back(c.result);
   }
   // Slot-boundary cancellation points. The entry poll skips the compute;
-  // the exit poll discards a table whose sharded chunks may have early-outed
-  // mid-slot (the token is monotonic, so a truncated table implies the exit
-  // poll sees it fired — a truncated result can never be mistaken for a
-  // completed one).
+  // the exit poll fails a slot during whose compute the token fired.
   if (child_err.ok()) child_err = ks->options->cancel.StatusAt("eval slot");
   if (child_err.ok()) {
     Result<TablePtr> r = EvalSlot(ks, &s, in);
@@ -968,11 +732,7 @@ void RunSlot(KernelState* ks, int64_t idx) {
   in.clear();  // drop borrowed refs before releasing consumer claims
   for (int64_t a : s.inputs) {
     Slot& c = ks->slots[static_cast<size_t>(a)];
-    // acq_rel: our read of c.result happened-before this decrement, and the
-    // zero-observing consumer's reset happens-after every other decrement.
-    if (c.live_consumers.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      c.result.reset();
-    }
+    if (--c.live_consumers == 0) c.result.reset();
   }
 }
 
@@ -987,8 +747,7 @@ struct KernelRun {
 /// Folds the slots' measured outputs into per-root stats buckets by
 /// replaying the plan's event log in order. Plan order equals the old
 /// recursive engine's execution order, so every counter — including the
-/// live-bytes watermark — lands in the same bucket with the same value,
-/// at any lane count.
+/// live-bytes watermark — lands in the same bucket with the same value.
 void ReplayStats(KernelRun* run) {
   KernelState& ks = run->ks;
   run->root_stats.assign(ks.root_slots.size(), EvalStats{});
@@ -1003,10 +762,9 @@ void ReplayStats(KernelRun* run) {
         const Slot& s = ks.slots[static_cast<size_t>(ev.slot)];
         ++st.nodes_evaluated;
         st.tuples_produced += s.d_tuples;
-        st.sharded_nodes += s.d_sharded;
         st.hash_join_nodes += s.d_hash_join;
         st.nested_product_nodes += s.d_nested;
-        st.tasks_spawned += 1 + s.d_tasks;
+        ++st.tasks_spawned;
         st.memo_bytes_total += s.bytes;
         live += s.bytes;
         peak = std::max(peak, live);
@@ -1020,7 +778,6 @@ void ReplayStats(KernelRun* run) {
         break;
       case PlanEvent::kRootEnd:
         st.memo_bytes_peak = peak;
-        st.max_ready_depth = ks.root_width[bucket];
         ++bucket;
         break;
     }
@@ -1028,9 +785,9 @@ void ReplayStats(KernelRun* run) {
   for (const EvalStats& st : run->root_stats) run->total.MergeFrom(st);
 }
 
-/// Plans and runs the kernel task graph for a root forest. On success the
-/// returned run holds every root's result table (pinned — non-root slot
-/// tables were dropped as their consumers retired) and replayed stats.
+/// Plans and runs the kernel for a root forest. On success the returned run
+/// holds every root's result table (pinned — non-root slot tables were
+/// dropped as their consumers ran) and replayed stats.
 Result<std::unique_ptr<KernelRun>> KernelExecute(
     const std::vector<ExprPtr>& roots, const EncodedInstance& instance,
     const EvalOptions& options) {
@@ -1044,10 +801,6 @@ Result<std::unique_ptr<KernelRun>> KernelExecute(
   ks.options = &options;
   ks.dict = instance.dict();
   ks.domain_ids = &instance.domain_ids();
-  if (options.jobs > 1) {
-    ks.pool = runtime::GlobalPool();
-    ks.max_helpers = options.jobs - 1;
-  }
   std::set<const Expr*> counted;
   for (const ExprPtr& root : roots) {
     ++ks.uses[root.get()].remaining;
@@ -1061,40 +814,21 @@ Result<std::unique_ptr<KernelRun>> KernelExecute(
     ks.root_slots.push_back(slot);
     SimConsume(root.get(), &ks);
     ks.events.push_back({PlanEvent::kRootEnd, slot});
-    ks.root_width.push_back(ks.max_width);
   }
   for (int64_t root_slot : ks.root_slots) {
-    ks.slots[static_cast<size_t>(root_slot)].live_consumers.fetch_add(
-        1, std::memory_order_relaxed);
+    ++ks.slots[static_cast<size_t>(root_slot)].live_consumers;
   }
-  // Phase 2: run the slots. Indexes are topological by construction
-  // (children planned first). A plan below the sharding threshold runs
-  // inline in index order, stopping at a fired token like TaskDag's inline
-  // path; the decision reads only the data, so results and stats stay
-  // identical at any `jobs`. Otherwise each slot becomes a task depending
-  // on its input slots.
+  // Phase 2: run the slots in index order, which is topological by
+  // construction (children planned first), stopping at a fired token.
   const int64_t n = static_cast<int64_t>(ks.slots.size());
-  if (ks.pool == nullptr ||
-      ks.row_bound < static_cast<double>(options.parallel_threshold)) {
-    ks.pool = nullptr;
-    ks.max_helpers = 0;
-    for (int64_t i = 0; i < n && !options.cancel.Fired(); ++i) {
-      RunSlot(&ks, i);
-    }
-  } else {
-    runtime::TaskDag dag;
-    KernelState* ksp = &ks;
-    for (int64_t i = 0; i < n; ++i) {
-      dag.AddTask([ksp, i] { RunSlot(ksp, i); },
-                  ks.slots[static_cast<size_t>(i)].inputs);
-    }
-    dag.Run(ks.pool, ks.max_helpers, &options.cancel);
+  for (int64_t i = 0; i < n && !options.cancel.Fired(); ++i) {
+    RunSlot(&ks, i);
   }
   // Error precedence: every slot ran (failed inputs propagate), so the
   // first non-OK slot in plan order is the same error the recursive engine
-  // would have hit first — independent of scheduling. (A fired token
-  // weakens this: slots the dag retired unexecuted carry OK statuses, so
-  // the scan may find nothing — the root check below catches that case.)
+  // would have hit first. (A fired token weakens this: slots after it never
+  // ran and carry OK statuses, so the scan may find nothing — the root
+  // check below catches that case.)
   for (const Slot& s : ks.slots) {
     if (!s.status.ok()) return s.status;
   }
@@ -1118,21 +852,18 @@ Result<std::unique_ptr<KernelRun>> KernelExecute(
 void EvalStats::MergeFrom(const EvalStats& other) {
   nodes_evaluated += other.nodes_evaluated;
   memo_hits += other.memo_hits;
-  sharded_nodes += other.sharded_nodes;
   tuples_produced += other.tuples_produced;
   hash_join_nodes += other.hash_join_nodes;
   nested_product_nodes += other.nested_product_nodes;
   memo_bytes_total += other.memo_bytes_total;
   memo_bytes_peak = std::max(memo_bytes_peak, other.memo_bytes_peak);
   tasks_spawned += other.tasks_spawned;
-  max_ready_depth = std::max(max_ready_depth, other.max_ready_depth);
 }
 
 EvalStats EvalStats::DiffFrom(const EvalStats& before) const {
   EvalStats out;
   out.nodes_evaluated = nodes_evaluated - before.nodes_evaluated;
   out.memo_hits = memo_hits - before.memo_hits;
-  out.sharded_nodes = sharded_nodes - before.sharded_nodes;
   out.tuples_produced = tuples_produced - before.tuples_produced;
   out.hash_join_nodes = hash_join_nodes - before.hash_join_nodes;
   out.nested_product_nodes =
@@ -1140,21 +871,18 @@ EvalStats EvalStats::DiffFrom(const EvalStats& before) const {
   out.memo_bytes_total = memo_bytes_total - before.memo_bytes_total;
   out.memo_bytes_peak = memo_bytes_peak;  // watermark, not a counter
   out.tasks_spawned = tasks_spawned - before.tasks_spawned;
-  out.max_ready_depth = max_ready_depth;  // watermark, not a counter
   return out;
 }
 
 std::string EvalStats::ToString() const {
   return "eval: " + std::to_string(nodes_evaluated) + " nodes, " +
          std::to_string(memo_hits) + " memo hits, " +
-         std::to_string(sharded_nodes) + " sharded, " +
          std::to_string(tuples_produced) + " tuples, " +
          std::to_string(hash_join_nodes) + " hash joins, " +
          std::to_string(nested_product_nodes) + " nested products, memo " +
          std::to_string(memo_bytes_peak) + "B peak / " +
          std::to_string(memo_bytes_total) + "B total, " +
-         std::to_string(tasks_spawned) + " tasks, ready width " +
-         std::to_string(max_ready_depth);
+         std::to_string(tasks_spawned) + " tasks";
 }
 
 /// Shared decode-on-demand payload: copies of one EvalResult (and the
@@ -1324,8 +1052,7 @@ Result<bool> EvaluateContainment(const ExprPtr& lhs, const ExprPtr& rhs,
                                  const EncodedInstance& instance,
                                  const EvalOptions& options,
                                  EvalStats* stats) {
-  // Both sides run under one plan: shared subtrees evaluate once, and the
-  // two roots' independent subtrees interleave on the task graph. The
+  // Both sides run under one plan, so shared subtrees evaluate once. The
   // subset check is a linear merge walk over the columnar tables — nothing
   // is decoded back to std::set.
   MAPCOMP_ASSIGN_OR_RETURN(std::unique_ptr<KernelRun> run,

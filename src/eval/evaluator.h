@@ -41,49 +41,31 @@ struct EvalOptions {
   const op::Registry* registry = &op::Registry::Default();
   /// Guard on enumerating D^r: evaluation fails with ResourceExhausted when
   /// |adom|^r would exceed this. Checked before any tuple is enumerated, so
-  /// an oversized domain surfaces as an error, never as a hang — also under
-  /// parallel lanes.
+  /// an oversized domain surfaces as an error, never as a hang.
   long long max_domain_tuples = 2'000'000;
-  /// Parallel lanes for the task-graph scheduler. 1 (the default) runs
-  /// fully sequential on the calling thread; k > 1 runs the evaluation's
-  /// node tasks — and, within large nodes, sharded probe/enumeration
-  /// morsels — on up to k lanes (k-1 helpers from runtime::GlobalPool()
-  /// plus the caller), unless the plan is below `parallel_threshold`, in
-  /// which case it runs on the caller alone. Results and Fingerprint() are
-  /// byte-identical for any value: scheduling only decides who computes a
-  /// slot, never what lands in it.
+  /// Lanes of a soundness check: CheckComposition runs its instances on up
+  /// to this many lanes (jobs - 1 helpers from runtime::GlobalPool() plus
+  /// the caller; values below 1 mean 1). One evaluation always runs on its
+  /// calling thread and does not read this.
   int jobs = 1;
-  /// Minimum work before lanes are used, at two levels. A node is sharded
-  /// across lanes when its work (candidate tuples enumerated) reaches it.
-  /// A whole plan runs inline on the caller when the sum over its nodes of
-  /// a plan-time bound on their output rows (relation sizes, |D|^r, a · b
-  /// for a join) stays below it; no node of such a plan could shard. A
-  /// user operator adds nothing to that sum, because its kernel gets no
-  /// pool and never shards, but its output is unbounded, so any node that
-  /// reads it makes the sum unbounded. Both decisions depend only on the
-  /// data, never on `jobs`, so EvalStats is lane-count-independent too.
-  int64_t parallel_threshold = 4096;
-  /// Cooperative cancellation/deadline token, polled at task-graph slot
-  /// boundaries (both sides of each slot's compute) and at sharded-morsel
-  /// chunk boundaries. A fired token makes the evaluation return
-  /// kDeadlineExceeded / kCancelled; a run that completes without it firing
-  /// is byte-identical — results, Fingerprint() and EvalStats — to a run
-  /// with no token, because every check site only reads the token. If the
-  /// token fires after every root table is already materialized, the
-  /// completed result wins the race and is returned as a success.
+  /// Cooperative cancellation/deadline token, polled when an evaluation
+  /// starts and on both sides of each node's compute. A fired token makes
+  /// the evaluation return kDeadlineExceeded / kCancelled; a run that
+  /// completes without it firing is byte-identical — results,
+  /// Fingerprint() and EvalStats — to a run with no token, because every
+  /// check site only reads the token. If the token fires after every root
+  /// table is already materialized, the completed result wins the race and
+  /// is returned as a success.
   common::CancelToken cancel;
 };
 
 /// Counters of one evaluation. Deterministic for a fixed expression,
-/// instance and options — including `jobs` (sharding eligibility and task
-/// decomposition are counted, not actual lane usage), so stats can be
-/// compared across lane counts.
+/// instance and options.
 struct EvalStats {
   int64_t nodes_evaluated = 0;  ///< distinct DAG nodes computed
   int64_t memo_hits = 0;        ///< node visits answered by the memo table
-  int64_t sharded_nodes = 0;    ///< nodes whose work crossed parallel_threshold
   int64_t tuples_produced = 0;  ///< sum of output sizes over computed nodes
-  /// `select(product)` nodes the kernel ran as sharded hash joins, vs.
+  /// `select(product)` nodes the kernel ran as hash joins, vs.
   /// products it had to materialize as nested loops (bare `kProduct` nodes
   /// and keyless select-over-product fallbacks). The join-vs-product split
   /// is the planner's effectiveness metric.
@@ -95,16 +77,10 @@ struct EvalStats {
   /// last DAG parent has consumed it, so on deep chains peak ≪ total.
   int64_t memo_bytes_total = 0;
   int64_t memo_bytes_peak = 0;
-  /// Task-graph decomposition: node tasks plus the sharded morsel chunks
-  /// of every eligible intra-node enumeration — the units a free lane can
-  /// claim. Derived from work sizes and the fixed chunking constant only,
-  /// never from `jobs`.
+  /// Always equal to nodes_evaluated: every computed node is one task. Kept
+  /// only because the benchmark harness reads it; it goes with the next
+  /// change to the benchmark.
   int64_t tasks_spawned = 0;
-  /// Widest structural layer of the task graph (nodes whose longest input
-  /// chain has equal length) — an upper bound on sibling tasks that can be
-  /// ready simultaneously. A watermark like memo_bytes_peak: MergeFrom
-  /// takes the max, DiffFrom keeps this side's value.
-  int64_t max_ready_depth = 0;
   /// Always 0: every join builds its own hash index, nothing is cached on
   /// the Instance. Kept only because the benchmark harness reads them; they
   /// go with the next change to the benchmark.
@@ -114,8 +90,8 @@ struct EvalStats {
   void MergeFrom(const EvalStats& other);
   /// Counter-wise `this - before` (the work added since the `before`
   /// snapshot); inverse of MergeFrom so the field list lives in one place.
-  /// `memo_bytes_peak` and `max_ready_depth` are watermarks, not counters:
-  /// MergeFrom takes the max, DiffFrom keeps this side's value.
+  /// `memo_bytes_peak` is a watermark, not a counter: MergeFrom takes the
+  /// max, DiffFrom keeps this side's value.
   EvalStats DiffFrom(const EvalStats& before) const;
   std::string ToString() const;
 };
@@ -150,7 +126,7 @@ struct EvalResult {
 
   /// Canonical serialization of the *semantic* result (arity + tuples in
   /// set order). Stats are excluded: two evaluations of the same expression
-  /// over the same instance produce equal fingerprints at any job count.
+  /// over the same instance produce equal fingerprints.
   std::string Fingerprint() const;
 
   /// Installers used by the evaluator (and tests building fixed results).
@@ -247,16 +223,11 @@ class EncodedInstance {
 /// semantics (paper §2). `D` denotes the instance's active domain plus
 /// `options.extra_constants`.
 ///
-/// The engine is DAG-aware and morsel-driven: a sequential plan phase walks
-/// the interned DAG exactly like the old recursive evaluator (memoization,
-/// join planning, refcount-driven memo dropping and every guard check are
-/// decided there, so stats and error precedence are schedule-independent),
-/// then every planned node becomes a task that fires when its inputs
-/// retire. Sibling subtrees, hash-join probe morsels and multiple
-/// EvaluateMany roots interleave on the same `options.jobs` lanes, while
-/// results and Fingerprint() stay byte-identical at any lane count. A plan
-/// whose row bound is below `options.parallel_threshold` runs the same
-/// tasks on the caller, with no pool hand-off.
+/// The engine is DAG-aware: a plan phase walks the interned DAG exactly
+/// like the old recursive evaluator (memoization, join planning,
+/// refcount-driven memo dropping and every guard check are decided there),
+/// then the planned nodes run in order on the calling thread, each table
+/// dropped once its last consumer has run.
 Result<EvalResult> EvaluateFull(const ExprPtr& e, const Instance& instance,
                                 const EvalOptions& options = {});
 /// The same against an encoded instance. D is the one fixed when it was
@@ -268,8 +239,7 @@ Result<EvalResult> EvaluateFull(const ExprPtr& e,
 /// Evaluates several roots against one instance under ONE shared memo
 /// table, so subtrees shared *across* roots — e.g. the two sides of a
 /// constraint emitted by the composer, which frequently reuse the same
-/// join — also evaluate exactly once, and independent roots' subtrees run
-/// concurrently on the task graph. Results come back in root order; each
+/// join — also evaluate exactly once. Results come back in root order; each
 /// root's stats cover the work its evaluation added (a subtree a later
 /// root found memoized counts as that root's memo hit).
 Result<std::vector<EvalResult>> EvaluateMany(const std::vector<ExprPtr>& roots,

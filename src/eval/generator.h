@@ -48,7 +48,7 @@ inline constexpr int kRepairPasses = 16;
 /// simulator emits — this turns an arbitrary instance into one satisfying
 /// far more of `cs` than rejection sampling ever hits, which is what makes
 /// the soundness harness's "original pipeline satisfied" branch non-vacuous.
-/// Feed evaluations run under `options` (jobs, guards). D is the
+/// Feed evaluations run under `options` (guards, cancel token). D is the
 /// instance's active domain plus `options.extra_constants` plus the
 /// constants of `cs` (see FeedPlan::ForConstraints). Returns the repaired
 /// instance; feeds that fail to evaluate (e.g. Skolem without an

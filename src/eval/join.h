@@ -22,8 +22,8 @@ namespace eval_internal {
 /// an out-of-range attribute is false".
 class CompiledCond {
  public:
-  /// Compiles `c`, interning its constants into `dict` (must run on the
-  /// evaluation thread — never during a sharded emit).
+  /// Compiles `c`, interning its constants into `dict` (at plan time,
+  /// before any row is emitted).
   static CompiledCond Compile(const Condition& c, ValueDict* dict);
 
   bool Eval(const ValueId* row, int arity, const ValueDict& dict) const {
@@ -93,7 +93,7 @@ struct CompiledJoin {
 /// keys every row shares one bucket, so the same code is the nested loop.
 /// ForEachMatch then visits, in build-row order, each indexed row whose key
 /// columns equal the probe row's and whose (left, right) pair passes the
-/// residual. Probing is read-only, so sharded probes share one matcher.
+/// residual. Probing is read-only.
 class JoinMatcher {
  public:
   /// `build` is the left input when `build_left`, else the right. `keys`

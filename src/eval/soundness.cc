@@ -1,11 +1,14 @@
 #include "src/eval/soundness.h"
 
+#include <algorithm>
+#include <atomic>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/eval/checker.h"
 #include "src/eval/materialize.h"
+#include "src/runtime/thread_pool.h"
 
 namespace mapcomp {
 
@@ -21,6 +24,17 @@ constexpr int kMaxCounterexamples = 3;
 bool ConstraintHasSkolem(const Constraint& c) {
   return ContainsSkolem(c.lhs) || ContainsSkolem(c.rhs);
 }
+
+/// What checking one instance found. Each lane writes only the outcomes of
+/// the instances it checks; CheckComposition folds them in index order.
+struct InstanceOutcome {
+  Status status = Status::OK();
+  bool original_satisfied = false;
+  bool violated = false;
+  bool inconclusive = false;
+  std::string counterexample;  ///< set when violated
+  EvalStats stats;
+};
 
 }  // namespace
 
@@ -108,14 +122,24 @@ Result<CompositionCheck> CheckComposition(
 
   // Completeness probes need both sides Skolem-free: FindExtension's
   // internal satisfaction checks run under the default (erroring) mode.
-  const bool composed_has_skolem = ContainsSkolem(composed);
-  const bool original_has_skolem = ContainsSkolem(original);
+  const bool probes = options.completeness_samples > 0 &&
+                      !ContainsSkolem(composed) && !ContainsSkolem(original);
 
+  // Every instance is drawn first, in index order, from the one generator,
+  // so instance i is the same at any lane count.
+  std::vector<Instance> instances;
+  instances.reserve(static_cast<size_t>(n_instances));
   std::mt19937_64 rng(generator_seed);
   for (int i = 0; i < n_instances; ++i) {
-    Instance inst = RandomInstanceOver(
+    instances.push_back(RandomInstanceOver(
         {&problem.sigma1, &problem.sigma2, &problem.sigma3}, &rng,
-        options.gen);
+        options.gen));
+  }
+
+  // One instance's check, run on some lane. Only the constraint sets, the
+  // option picks and the feed plan are shared, read-only.
+  auto check_instance = [&](int i, InstanceOutcome* o) -> Status {
+    Instance& inst = instances[static_cast<size_t>(i)];
     // Encoded once: the repair runs in place on it and every satisfaction
     // check below runs against it. The repaired relations are decoded back
     // into `inst` only when a counterexample or a probe needs the values.
@@ -131,56 +155,85 @@ Result<CompositionCheck> CheckComposition(
       }
       repaired.clear();
     };
-    ++out.instances;
-
     // Original-side Skolem terms get the injective interpretation too: a
     // constraint satisfied under it is satisfied under ∃f, so counting the
     // instance as pipeline-satisfying stays sound; one that fails under it
     // just leaves the instance untested (conservative), never an error.
-    bool orig_sat = true;
+    o->original_satisfied = true;
     for (size_t c = 0; c < original.size(); ++c) {
       MAPCOMP_ASSIGN_OR_RETURN(
-          bool sat, Satisfies(encoded, original[c], *original_options[c],
-                              &out.eval_stats));
+          bool sat,
+          Satisfies(encoded, original[c], *original_options[c], &o->stats));
       if (!sat) {
-        orig_sat = false;
+        o->original_satisfied = false;
         break;
       }
     }
-
-    if (orig_sat) {
-      ++out.original_satisfied;
+    if (o->original_satisfied) {
       // Soundness direction: the generated instance itself interprets the
       // eliminated symbols, so I ⊨ Σ12 ∪ Σ23 forces I ⊨ Σ13. A failing
       // Skolem-free constraint is a hard counterexample; a failing Skolem
       // constraint under the injective interpretation is inconclusive
       // (some other interpretation might satisfy it).
-      bool violated = false;
-      bool inconclusive = false;
-      std::string failing;
       for (size_t c = 0; c < composed.size(); ++c) {
         MAPCOMP_ASSIGN_OR_RETURN(
-            bool sat, Satisfies(encoded, composed[c], *composed_options[c],
-                                &out.eval_stats));
+            bool sat,
+            Satisfies(encoded, composed[c], *composed_options[c], &o->stats));
         if (!sat) {
           if (composed_options[c] == &skolem_eval) {
-            inconclusive = true;
+            o->inconclusive = true;
           } else {
-            violated = true;
-            failing = composed[c].ToString();
+            o->violated = true;
+            decode_repaired();
+            o->counterexample = "violated constraint: " +
+                                composed[c].ToString() + "\n" +
+                                inst.ToString();
             break;
           }
         }
       }
-      if (violated) {
+    }
+    if (probes) decode_repaired();
+    return Status::OK();
+  };
+
+  // Each instance is one task on up to `jobs` lanes. An instance above the
+  // lowest failed one so far is skipped: the fold below stops at the lowest
+  // failure, so its outcome is never read.
+  std::vector<InstanceOutcome> outcomes(static_cast<size_t>(n_instances));
+  std::atomic<int> first_failure{n_instances};
+  runtime::ParallelFor(
+      runtime::GlobalPool(), n_instances,
+      [&](int64_t k) {
+        const int i = static_cast<int>(k);
+        if (i > first_failure.load()) return;
+        InstanceOutcome& o = outcomes[static_cast<size_t>(i)];
+        o.status = check_instance(i, &o);
+        if (o.status.ok()) return;
+        int seen = first_failure.load();
+        while (i < seen && !first_failure.compare_exchange_weak(seen, i)) {
+        }
+      },
+      std::max(1, options.eval.jobs) - 1);
+
+  // Fold in index order, so the counts, the counterexamples (the three
+  // lowest violating instances), the error (the lowest failed instance)
+  // and the completeness probes' cut are those of checking the instances
+  // one after another.
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    InstanceOutcome& o = outcomes[i];
+    MAPCOMP_RETURN_IF_ERROR(o.status);
+    ++out.instances;
+    out.eval_stats.MergeFrom(o.stats);
+    if (o.original_satisfied) {
+      ++out.original_satisfied;
+      if (o.violated) {
         ++out.violations;
         if (static_cast<int>(out.counterexamples.size()) <
             kMaxCounterexamples) {
-          decode_repaired();
-          out.counterexamples.push_back("violated constraint: " + failing +
-                                        "\n" + inst.ToString());
+          out.counterexamples.push_back(std::move(o.counterexample));
         }
-      } else if (inconclusive) {
+      } else if (o.inconclusive) {
         ++out.inconclusive_skolem;
       } else {
         ++out.composed_satisfied;
@@ -191,10 +244,8 @@ Result<CompositionCheck> CheckComposition(
     // σ1 ∪ residual σ2 ∪ σ3 satisfies the composition, an equivalent Σ13
     // promises an extension of the eliminated symbols satisfying the
     // original pipeline — search for one. Exponential; gated to tiny cases.
-    if (out.completeness_checked < options.completeness_samples &&
-        !composed_has_skolem && !original_has_skolem) {
-      decode_repaired();
-      Instance restricted = inst.RestrictedTo(result.sigma);
+    if (probes && out.completeness_checked < options.completeness_samples) {
+      Instance restricted = instances[i].RestrictedTo(result.sigma);
       const EncodedInstance restricted_encoded(restricted,
                                                eval.extra_constants);
       bool restricted_sat = true;

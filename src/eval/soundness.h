@@ -15,9 +15,10 @@ namespace mapcomp {
 struct CompositionCheckOptions {
   /// Shape of the generated instances.
   GenOptions gen;
-  /// Evaluation options (jobs, thresholds, domain guard) applied to every
-  /// satisfaction check. `extra_constants` and `skolem_mode` are managed by
-  /// the harness itself.
+  /// Evaluation options (domain guard, cancel token) applied to every
+  /// satisfaction check; `jobs` is the number of lanes the instances are
+  /// checked on. `extra_constants` and `skolem_mode` are managed by the
+  /// harness itself.
   EvalOptions eval;
   /// Bounded completeness probes: for up to this many instances whose
   /// restriction satisfies the composed mapping, search for an extension of
@@ -69,8 +70,19 @@ struct CompositionCheck {
 /// completeness probe. The counts, counterexamples and EvalStats are those
 /// of repairing with RepairTowards and checking a fresh encoding.
 ///
-/// Errors (e.g. max_domain_tuples exhausted) abort the check; a finished
-/// check with violations == 0 reports sound = true.
+/// Lanes: every instance is drawn first, in index order, from the one
+/// generator; then each instance's encoding, repair and satisfaction checks
+/// run as one task on up to `options.eval.jobs` lanes (values below 1 mean
+/// one lane). Only the feed plan, the option picks and the constraint sets
+/// are shared between tasks, read-only. The outcomes are folded in index
+/// order, and the completeness probes run during that fold, one after
+/// another, so the report — counts, the three lowest-index
+/// counterexamples, EvalStats and the completeness cut — is byte-identical
+/// at any lane count.
+///
+/// Errors (e.g. max_domain_tuples exhausted) abort the check with the
+/// lowest-index instance's error; a finished check with violations == 0
+/// reports sound = true.
 Result<CompositionCheck> CheckComposition(
     const CompositionProblem& problem, const CompositionResult& result,
     uint64_t generator_seed, int n_instances,

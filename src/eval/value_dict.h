@@ -36,9 +36,9 @@ using ValueId = uint32_t;
 /// Concurrency: the seeded tier is immutable after Seed and read lock-free.
 /// Minting is serialized by a mutex, and minted values live in fixed-size
 /// chunks whose pointers are published with release stores — so ValueOf and
-/// Compare are safe from any task that learned the id through a scheduler
-/// happens-before edge (a task-graph dependency or ParallelFor join), which
-/// is the only way ids travel between lanes. Under concurrent minting the
+/// Compare are safe from any thread that learned the id through a
+/// happens-before edge (a thread or ParallelFor join), which is the only
+/// way ids travel between threads. Under concurrent minting the
 /// *assignment* of minted ids is schedule-dependent, but harmless: within
 /// one dictionary id equality still means value equality, and every result
 /// surface (ToSet, Fingerprint, sorted tables) re-canonicalizes by value.

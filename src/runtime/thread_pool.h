@@ -1,6 +1,7 @@
 #ifndef MAPCOMP_RUNTIME_THREAD_POOL_H_
 #define MAPCOMP_RUNTIME_THREAD_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -17,6 +18,14 @@ namespace runtime {
 /// Status-based — see ParallelFor for how exceptions from task bodies are
 /// surfaced). The destructor drains nothing: it waits for already-submitted
 /// tasks to finish, then joins the workers.
+///
+/// A worker that has just finished a task polls the queue for a short
+/// while (kSpinBeforeParking in thread_pool.cc, yielding its CPU on every
+/// poll) before it parks on the condition variable; one worker at a time
+/// does so. Back-to-back fork-join calls — a soundness check's instances,
+/// one check after another — then find a helper already awake instead of
+/// paying a futex wake-up (and, on a virtual machine, the host's wake-up
+/// of an idle vCPU) each time, whose cost varies far more than the work.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (clamped to >= 1).
@@ -49,7 +58,9 @@ class ThreadPool {
   std::condition_variable all_done_;
   std::deque<std::function<void()>> queue_;
   int64_t in_flight_ = 0;  ///< queued + currently executing tasks
-  bool shutdown_ = false;
+  std::atomic<int64_t> queued_{0};  ///< queue_.size(), for lock-free polls
+  std::atomic<int> spinning_{0};    ///< workers polling instead of parked
+  std::atomic<bool> shutdown_{false};
   std::vector<std::thread> workers_;
 };
 
@@ -70,8 +81,9 @@ ThreadPool* GlobalPool();
 /// scheduling is dynamic but the set of executed iterations is exactly
 /// [0, n) regardless of thread count — callers that write only to
 /// per-index state get thread-count-independent results. Blocks until all
-/// iterations finish. With a null pool iterations run inline, in order, on
-/// the calling thread; with k helpers there are up to k+1 lanes.
+/// iterations finish, polling for a while first like a worker between
+/// tasks. With a null pool iterations run inline, in order, on the calling
+/// thread; with k helpers there are up to k+1 lanes.
 ///
 /// Completion is tracked per call (not via ThreadPool::Wait), so nesting a
 /// ParallelFor inside a pool task — e.g. per-wave elimination inside a

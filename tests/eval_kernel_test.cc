@@ -29,35 +29,27 @@ Tuple T(std::initializer_list<int64_t> vals) {
   return t;
 }
 
-/// Evaluates `e` on the kernel (at jobs 1 and 8, sharding any node whose
-/// work reaches `parallel_threshold`) and on the nested-loop oracle, and
+/// Evaluates `e` on the kernel and on the nested-loop oracle, and
 /// requires byte-identical fingerprints. The kernel may succeed
 /// where the oracle exhausts max_domain_tuples (constraint-driven σ(D^r)
 /// enumeration guards only the pruned space); the reverse — the kernel
 /// failing where the oracle succeeds — is always a bug.
 void ExpectKernelMatchesOracle(const ExprPtr& e, const Instance& db,
-                               EvalOptions base = {},
-                               int64_t parallel_threshold = 4) {
-  Result<EvalResult> oracle = oracle::EvaluateFull(e, db, base);
-  for (int jobs : {1, 8}) {
-    EvalOptions kernel_opts = base;
-    kernel_opts.jobs = jobs;
-    kernel_opts.parallel_threshold = parallel_threshold;
-    Result<EvalResult> kernel = EvaluateFull(e, db, kernel_opts);
-    if (!oracle.ok()) {
-      if (kernel.ok()) {
-        EXPECT_EQ(oracle.status().code(), StatusCode::kResourceExhausted)
-            << "kernel succeeded where the oracle failed with a "
-               "non-guard error";
-      }
-      continue;
+                               const EvalOptions& options = {}) {
+  Result<EvalResult> oracle = oracle::EvaluateFull(e, db, options);
+  Result<EvalResult> kernel = EvaluateFull(e, db, options);
+  if (!oracle.ok()) {
+    if (kernel.ok()) {
+      EXPECT_EQ(oracle.status().code(), StatusCode::kResourceExhausted)
+          << "kernel succeeded where the oracle failed with a "
+             "non-guard error";
     }
-    ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
-    EXPECT_EQ(kernel->Fingerprint(), oracle->Fingerprint())
-        << "jobs=" << jobs;
-    EXPECT_EQ(kernel->tuples(), oracle->tuples());
-    EXPECT_EQ(kernel->arity, oracle->arity);
+    return;
   }
+  ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+  EXPECT_EQ(kernel->Fingerprint(), oracle->Fingerprint());
+  EXPECT_EQ(kernel->tuples(), oracle->tuples());
+  EXPECT_EQ(kernel->arity, oracle->arity);
 }
 
 TEST(EvalKernelTest, LiteratureSuiteMatchesNestedLoopOracle) {
@@ -106,7 +98,6 @@ TEST(EvalKernelTest, SharedEncodedInstanceMatchesInstanceOverload) {
     EvalOptions base;
     base.skolem_mode = SkolemEvalMode::kInjectiveTerms;
     base.extra_constants = CollectConstants(all);
-    base.parallel_threshold = 4;
     const EncodedInstance encoded(inst, base.extra_constants);
     for (int jobs : {1, 2, 4, 8}) {
       base.jobs = jobs;
@@ -222,13 +213,13 @@ TEST(EvalKernelTest, HashJoinVsProductEquivalenceProperty) {
                                                      right_attr(rng)));
     }
     ExprPtr join = Select(cond, Product(Rel("A", 2), Rel("B", 3)));
-    ExpectKernelMatchesOracle(join, inst, {}, 1);
-    ExpectKernelMatchesOracle(Project({1, 3, 4}, join), inst, {}, 1);
+    ExpectKernelMatchesOracle(join, inst);
+    ExpectKernelMatchesOracle(Project({1, 3, 4}, join), inst);
     for (const char* op : {"semijoin", "antijoin", "lojoin"}) {
       ExprPtr user = op::Registry::Default()
                          .MakeOp(op, {Rel("A", 2), Rel("B", 3)}, cond)
                          .value();
-      ExpectKernelMatchesOracle(user, inst, {}, 1);
+      ExpectKernelMatchesOracle(user, inst);
     }
   }
 }

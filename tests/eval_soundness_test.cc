@@ -47,8 +47,7 @@ TEST(CompositionSoundnessTest, FanoutShapesAreSound) {
     CompositionProblem problem = sim::BuildFanoutProblem(5, overlap);
     CompositionResult composed = Compose(problem);
     CompositionCheckOptions options;
-    options.eval.jobs = 4;  // shard satisfaction checks across lanes
-    options.eval.parallel_threshold = 8;
+    options.eval.jobs = 4;  // check the instances on four lanes
     Result<CompositionCheck> check =
         CheckComposition(problem, composed, 99, 8, options);
     ASSERT_TRUE(check.ok()) << check.status().ToString();
@@ -65,7 +64,6 @@ TEST(CompositionSoundnessTest, CheckResultsIdenticalAcrossEvalJobs) {
   CompositionCheckOptions a, b;
   a.eval.jobs = 1;
   b.eval.jobs = 8;
-  b.eval.parallel_threshold = 2;
   Result<CompositionCheck> ca = CheckComposition(problem, composed, 7, 12, a);
   Result<CompositionCheck> cb = CheckComposition(problem, composed, 7, 12, b);
   ASSERT_TRUE(ca.ok());
@@ -248,31 +246,49 @@ CompositionCheck ReferenceCheck(const CompositionProblem& problem,
 }
 
 /// Expects CheckComposition's report to equal the reference loop's at
-/// jobs 1, 2, 4 and 8 (threshold 4 at 8, so plans pool); returns the
-/// report.
+/// jobs 1, 2, 4 and 8, and at jobs 0 and -3 (one lane), `reps` times at
+/// each lane count; returns the report.
 std::string ExpectMatchesReference(const CompositionProblem& problem,
                                    const CompositionResult& result,
                                    uint64_t seed, int n_instances,
                                    CompositionCheckOptions options,
-                                   const std::string& label) {
-  std::string report;
-  for (int jobs : {1, 2, 4, 8}) {
+                                   const std::string& label, int reps = 1) {
+  const std::string want =
+      ReferenceCheck(problem, result, seed, n_instances, options).Report();
+  for (int jobs : {-3, 0, 1, 2, 4, 8}) {
     options.eval.jobs = jobs;
-    options.eval.parallel_threshold = jobs == 8 ? 4 : 4096;
-    Result<CompositionCheck> got =
-        CheckComposition(problem, result, seed, n_instances, options);
-    if (!got.ok()) {
-      ADD_FAILURE() << label << " at jobs " << jobs << ": "
-                    << got.status().ToString();
-      continue;
+    for (int rep = 0; rep < reps; ++rep) {
+      Result<CompositionCheck> got =
+          CheckComposition(problem, result, seed, n_instances, options);
+      if (!got.ok()) {
+        ADD_FAILURE() << label << " at jobs " << jobs << ": "
+                      << got.status().ToString();
+        continue;
+      }
+      EXPECT_EQ(got->Report(), want) << label << " at jobs " << jobs;
     }
-    report = got->Report();
-    EXPECT_EQ(report,
-              ReferenceCheck(problem, result, seed, n_instances, options)
-                  .Report())
-        << label << " at jobs " << jobs;
   }
-  return report;
+  return want;
+}
+
+/// R ⊆ S, S ⊆ T composes to R ⊆ T; the reverse T ⊆ R is wrong wherever T
+/// holds a tuple R lacks.
+CompositionProblem ChainProblem() {
+  return Parser()
+      .ParseProblem(R"(
+      schema s1 { R(2); }
+      schema s2 { S(2); }
+      schema s3 { T(2); }
+      map m12 { R <= S; }
+      map m23 { S <= T; })")
+      .value();
+}
+
+CompositionResult ReversedChain(const CompositionProblem& problem) {
+  CompositionResult bogus;
+  bogus.sigma = *Signature::Merge(problem.sigma1, problem.sigma3);
+  bogus.constraints = {Constraint::Contain(Rel("T", 2), Rel("R", 2))};
+  return bogus;
 }
 
 TEST(CompositionSoundnessTest, ReportMatchesInstanceReferenceLoop) {
@@ -321,6 +337,69 @@ TEST(CompositionSoundnessTest, CounterexampleTextMatchesReferenceLoop) {
       ExpectMatchesReference(problem, bogus, 5, 40, options, "bogus");
   EXPECT_NE(report.find("verdict: UNSOUND"), std::string::npos) << report;
   EXPECT_NE(report.find("counterexample:"), std::string::npos) << report;
+}
+
+TEST(CompositionSoundnessTest, CounterexamplesAreTheLowestViolatingInstances) {
+  // Most of the 40 instances violate the reversed chain. At every lane
+  // count, repeated, the report must be the reference loop's, whose three
+  // counterexamples are the three lowest violating instances.
+  const CompositionProblem problem = ChainProblem();
+  const CompositionResult bogus = ReversedChain(problem);
+  CompositionCheckOptions options;
+  options.gen.domain_size = 3;
+  ExpectMatchesReference(problem, bogus, 5, 40, options, "reversed",
+                         /*reps=*/10);
+  Result<CompositionCheck> check = CheckComposition(problem, bogus, 5, 40,
+                                                    options);
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  EXPECT_GE(check->violations, 5);
+  ASSERT_EQ(check->counterexamples.size(), 3u);
+  // Instance i is drawn the same way whatever the instance count, so the
+  // check of the instances up to the third violation holds the same three.
+  int n = 1;
+  while (CheckComposition(problem, bogus, 5, n, options)->violations < 3) ++n;
+  EXPECT_EQ(CheckComposition(problem, bogus, 5, n, options)->counterexamples,
+            check->counterexamples);
+}
+
+TEST(CompositionSoundnessTest, LowestFailingInstanceNamesTheError) {
+  // R ⊆ D^2 always holds, but checking it enumerates D^2, which the guard
+  // refuses once an instance's active domain has more than 5 values. The
+  // message names the domain size: the lowest failing instance has 7
+  // values, later ones 6.
+  CompositionProblem problem = ChainProblem();
+  problem.sigma12.insert(problem.sigma12.begin(),
+                         Constraint::Contain(Rel("R", 2), Dom(2)));
+  const CompositionResult composed = Compose(problem);
+  CompositionCheckOptions options;
+  options.gen.domain_size = 8;
+  options.gen.max_tuples_per_rel = 2;
+  options.eval.max_domain_tuples = 25;
+  constexpr uint64_t kSeed = 15;
+  constexpr int kInstances = 24;
+  // The lowest failing instance, found by growing the instance count.
+  int first_failure = 0;
+  while (CheckComposition(problem, composed, kSeed, first_failure + 1,
+                          options)
+             .ok()) {
+    ++first_failure;
+    ASSERT_LT(first_failure, kInstances) << "no instance fails";
+  }
+  ASSERT_GT(first_failure, 0) << "the first instance already fails";
+  const Status want =
+      CheckComposition(problem, composed, kSeed, first_failure + 1, options)
+          .status();
+  EXPECT_NE(want.ToString().find("over 7 values"), std::string::npos)
+      << want.ToString();
+  for (int jobs : {1, 2, 4, 8}) {
+    options.eval.jobs = jobs;
+    for (int rep = 0; rep < 10; ++rep) {
+      Result<CompositionCheck> got =
+          CheckComposition(problem, composed, kSeed, kInstances, options);
+      ASSERT_FALSE(got.ok()) << "jobs " << jobs;
+      EXPECT_EQ(got.status().ToString(), want.ToString()) << "jobs " << jobs;
+    }
+  }
 }
 
 TEST(CompositionSoundnessTest, CompletenessProbesMatchReferenceLoop) {

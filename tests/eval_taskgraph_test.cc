@@ -1,12 +1,11 @@
-// Task-graph evaluation coverage: fingerprints and stats must be
-// byte-identical at any lane count (jobs 1/2/4/8) on wide sibling
-// fan-outs, lazy results must fingerprint without decoding, error
-// precedence must not depend on scheduling, and a plan's switch between the
-// pooled and the inline path at parallel_threshold must change nothing.
+// Plan-and-run evaluation coverage on wide sibling fan-outs: fingerprints
+// and stats must not depend on `jobs` (which one evaluation never reads),
+// lazy results must fingerprint without decoding, concurrent callers must
+// agree, the first failing node in plan order names the error, and a fired
+// token cancels the evaluation.
 
 #include <gtest/gtest.h>
 
-#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -18,7 +17,6 @@
 #include "src/eval/checker.h"
 #include "src/eval/evaluator.h"
 #include "src/eval/generator.h"
-#include "src/op/registry.h"
 #include "src/parser/parser.h"
 #include "src/testdata/literature_suite.h"
 #include "tests/oracles/oracle.h"
@@ -34,8 +32,7 @@ Tuple T(std::initializer_list<int64_t> vals) {
 
 /// The bench's dag_siblings shape: a balanced union tree over `width`
 /// independent join subtrees, each over its own relation pair — so the
-/// task graph has `width` sibling chains with no shared nodes below the
-/// unions.
+/// plan has `width` sibling chains with no shared nodes below the unions.
 ExprPtr DagSiblings(int width) {
   std::vector<ExprPtr> legs;
   for (int i = 0; i < width; ++i) {
@@ -76,20 +73,14 @@ Instance DagSiblingsInstance(int width, int tuples, int domain,
 TEST(EvalTaskGraphTest, WideFanoutFingerprintAndStatsInvariantAcrossJobs) {
   const ExprPtr e = DagSiblings(16);
   Instance db = DagSiblingsInstance(16, 40, 24, 7);
-  EvalOptions base_opts;
-  base_opts.parallel_threshold = 4;
-  EvalResult base = EvaluateFull(e, db, base_opts).value();
-  EXPECT_GT(base.stats.hash_join_nodes, 0);
-  // 16 sibling legs ⇒ at least 16 tasks can be structurally ready at once.
-  EXPECT_GE(base.stats.max_ready_depth, 16);
-  EXPECT_GE(base.stats.tasks_spawned, base.stats.nodes_evaluated);
+  EvalResult base = EvaluateFull(e, db).value();
+  EXPECT_EQ(base.stats.hash_join_nodes, 16);
+  EXPECT_EQ(base.stats.tasks_spawned, base.stats.nodes_evaluated);
   for (int jobs : {2, 4, 8}) {
-    EvalOptions opts = base_opts;
+    EvalOptions opts;
     opts.jobs = jobs;
     EvalResult got = EvaluateFull(e, db, opts).value();
     EXPECT_EQ(got.Fingerprint(), base.Fingerprint()) << "jobs=" << jobs;
-    // Every counter — including tasks_spawned and max_ready_depth — is
-    // lane-count-independent by design.
     EXPECT_EQ(got.stats.ToString(), base.stats.ToString()) << "jobs=" << jobs;
   }
 }
@@ -113,7 +104,6 @@ TEST(EvalTaskGraphTest, LiteratureSuiteFingerprintsInvariantAtAllLaneCounts) {
         EvalOptions opts;
         opts.skolem_mode = SkolemEvalMode::kInjectiveTerms;
         opts.extra_constants = CollectConstants(all);
-        opts.parallel_threshold = 2;
         Result<EvalResult> base = EvaluateFull(side, inst, opts);
         for (int jobs : {2, 4, 8}) {
           opts.jobs = jobs;
@@ -134,15 +124,14 @@ TEST(EvalTaskGraphTest, ConcurrentEvaluateManyCallersAgree) {
   std::vector<ExprPtr> roots;
   for (int w : {2, 4, 8}) roots.push_back(DagSiblings(w));
   EvalOptions opts;
-  opts.parallel_threshold = 4;
   opts.jobs = 4;
   std::vector<std::string> baseline;
   {
     std::vector<EvalResult> out = EvaluateMany(roots, db, opts).value();
     for (const EvalResult& r : out) baseline.push_back(r.Fingerprint());
   }
-  // Many whole evaluations sharing the global pool concurrently: each must
-  // still produce the baseline fingerprints.
+  // Many whole evaluations running concurrently: each must still produce
+  // the baseline fingerprints.
   std::vector<std::vector<std::string>> got(kThreads);
   std::vector<std::thread> threads;
   for (int i = 0; i < kThreads; ++i) {
@@ -186,7 +175,6 @@ TEST(EvalTaskGraphTest, ErrorPrecedenceIsScheduleIndependent) {
   db.Set("R3", std::move(ragged));
   const ExprPtr e = DagSiblings(8);
   EvalOptions opts;
-  opts.parallel_threshold = 4;
   Result<EvalResult> base = EvaluateFull(e, db, opts);
   ASSERT_FALSE(base.ok());
   for (int jobs : {2, 8}) {
@@ -207,122 +195,8 @@ TEST(EvalTaskGraphTest, ErrorPrecedenceIsScheduleIndependent) {
   EXPECT_EQ(guard1.status().ToString(), guard8.status().ToString());
 }
 
-/// A plan with a hand-computed row bound: the sum over its slots of the
-/// rows each can hold (relation sizes, |D|^r, a + b for union, a · b for a
-/// join, and so on), which decides whether the plan runs inline.
-struct BoundedPlan {
-  std::string name;
-  ExprPtr expr;
-  int64_t bound;
-};
-
-TEST(EvalTaskGraphTest, InlineBoundaryKeepsResultsAndStatsAtAllLaneCounts) {
-  // R has 3 tuples, S has 4, and the active domain is {1..5}.
-  Instance db;
-  db.Set("R", {T({1, 2}), T({2, 3}), T({3, 4})});
-  db.Set("S", {T({2, 5}), T({3, 5}), T({4, 1}), T({5, 5})});
-  const ExprPtr r = Rel("R", 2), s = Rel("S", 2);
-  const std::vector<BoundedPlan> plans = {
-      // 3 + 4 + 7
-      {"union", Union(r, s), 14},
-      // R and R ∩ S (min 3) share R's slot: 3 + 4 + 3 + 3
-      {"difference", Difference(r, Intersect(r, s)), 13},
-      // the planned join takes 3 · 4, the projection as much again
-      {"join", Project({1, 4}, Select(Condition::AttrCmp(2, CmpOp::kEq, 3),
-                                      Product(r, s))),
-       3 + 4 + 12 + 12},
-      // |D|^2
-      {"domain", Dom(2), 25},
-      // one free coordinate class: |D|^1
-      {"select_domain",
-       Select(Condition::AttrConst(1, CmpOp::kEq, Value(int64_t{2})), Dom(2)),
-       5},
-      // 3 + 1 literal tuple + 4 for the union + 4 for the Skolem
-      {"skolem", SkolemApp("f", {1}, Union(r, Lit(2, {T({9, 9})}))), 12},
-  };
-  for (const BoundedPlan& plan : plans) {
-    for (int64_t threshold : {plan.bound - 1, plan.bound, plan.bound + 1}) {
-      EvalOptions opts;
-      opts.skolem_mode = SkolemEvalMode::kInjectiveTerms;
-      opts.parallel_threshold = threshold;
-      Result<EvalResult> base = EvaluateFull(plan.expr, db, opts);
-      ASSERT_TRUE(base.ok()) << plan.name << ": " << base.status().ToString();
-      // Below its bound a plan has no node that could shard.
-      if (plan.bound < threshold) {
-        EXPECT_EQ(base->stats.sharded_nodes, 0) << plan.name;
-      }
-      for (int jobs : {2, 4, 8}) {
-        opts.jobs = jobs;
-        Result<EvalResult> got = EvaluateFull(plan.expr, db, opts);
-        ASSERT_TRUE(got.ok()) << plan.name << " jobs=" << jobs;
-        EXPECT_EQ(got->Fingerprint(), base->Fingerprint())
-            << plan.name << " threshold=" << threshold << " jobs=" << jobs;
-        EXPECT_EQ(got->stats.ToString(), base->stats.ToString())
-            << plan.name << " threshold=" << threshold << " jobs=" << jobs;
-      }
-    }
-  }
-  // D^2's enumeration is its whole bound: at the bound it shards, one
-  // above it the plan runs inline and nothing is eligible.
-  EvalOptions at;
-  at.jobs = 4;
-  at.parallel_threshold = 25;
-  EXPECT_EQ(EvaluateFull(Dom(2), db, at).value().stats.sharded_nodes, 1);
-  at.parallel_threshold = 26;
-  EXPECT_EQ(EvaluateFull(Dom(2), db, at).value().stats.sharded_nodes, 0);
-}
-
-TEST(EvalTaskGraphTest, TinyUserOperatorPlanRunsOnTheCaller) {
-  // A user operator's kernel gets no pool, so it adds nothing to the row
-  // bound: a plan rooted at one over tiny inputs runs inline even at
-  // jobs = 4. The test operator returns its input and records the thread
-  // its kernel ran on.
-  std::mutex mu;
-  std::vector<std::thread::id> ran_on;
-  op::Registry reg = op::Registry::Empty();
-  op::OperatorDef def;
-  def.name = "where";
-  def.num_args = 1;
-  def.arity = [](const std::vector<int>& a) -> Result<int> { return a[0]; };
-  def.polarity = {op::Polarity::kMonotone};
-  def.eval_columnar = [&mu, &ran_on](const Expr&,
-                                     const std::vector<const TupleTable*>& kids,
-                                     const op::ColumnarContext&)
-      -> Result<TupleTable> {
-    std::lock_guard<std::mutex> lock(mu);
-    ran_on.push_back(std::this_thread::get_id());
-    return *kids[0];
-  };
-  ASSERT_TRUE(reg.Register(std::move(def)).ok());
-  Instance db;
-  db.Set("R", {T({1, 2}), T({2, 3})});
-  db.Set("S", {T({2, 5}), T({3, 5})});
-  const ExprPtr e =
-      reg.MakeOp("where", {Union(Rel("R", 2), Rel("S", 2))}).value();
-  EvalOptions opts;
-  opts.registry = &reg;
-  Result<EvalResult> base = EvaluateFull(e, db, opts);
-  ASSERT_TRUE(base.ok()) << base.status().ToString();
-  for (int jobs : {1, 2, 4, 8}) {
-    opts.jobs = jobs;
-    for (int rep = 0; rep < 20; ++rep) {
-      Result<EvalResult> got = EvaluateFull(e, db, opts);
-      ASSERT_TRUE(got.ok()) << "jobs=" << jobs;
-      EXPECT_EQ(got->Fingerprint(), base->Fingerprint()) << "jobs=" << jobs;
-      EXPECT_EQ(got->stats.ToString(), base->stats.ToString())
-          << "jobs=" << jobs;
-    }
-  }
-  std::lock_guard<std::mutex> lock(mu);
-  ASSERT_EQ(ran_on.size(), 81u);
-  for (const std::thread::id& id : ran_on) {
-    EXPECT_EQ(id, std::this_thread::get_id());
-  }
-}
-
 TEST(EvalTaskGraphTest, FiredTokenCancelsInlinePlanAtAnyLaneCount) {
-  // Seven rows against the default threshold of 4096: the plan runs
-  // inline even at jobs = 4, and a token fired before the call still wins.
+  // A token fired before the call wins, whatever `jobs` says.
   Instance db;
   db.Set("R", {T({1, 2}), T({2, 3}), T({3, 4})});
   db.Set("S", {T({2, 5}), T({3, 5}), T({4, 1}), T({5, 5})});

@@ -31,7 +31,6 @@ EvalOptions Opts(const op::Registry& reg, int jobs) {
   EvalOptions opts;
   opts.registry = &reg;
   opts.jobs = jobs;
-  opts.parallel_threshold = 4;  // exercise sharding even on tiny inputs
   opts.skolem_mode = SkolemEvalMode::kInjectiveTerms;
   return opts;
 }

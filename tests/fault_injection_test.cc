@@ -201,19 +201,23 @@ TEST(FaultInjectionTest, SlowEvalSlotDeadlineInterruptsSoundnessCheck) {
   SKIP_WITHOUT_FAULT_POINTS();
   // The eval tier polls the same token family at slot boundaries: a
   // stalled slot under a tight deadline aborts the check with
-  // kDeadlineExceeded instead of hanging.
+  // kDeadlineExceeded instead of hanging, on one lane and on four.
   CompositionProblem problem = sim::BuildFanoutProblem(4);
   CompositionResult composed = Compose(problem, ComposeOptions{});
   ASSERT_TRUE(composed.interrupt.ok());
 
   ScopedFault slow(FaultPoint::kSlowEvalSlot, /*arg=*/30);
-  CompositionCheckOptions check_options;
-  check_options.eval.cancel = CancelToken::WithDeadline(Deadline::After(20));
-  Result<CompositionCheck> check =
-      CheckComposition(problem, composed, /*generator_seed=*/42,
-                       /*n_instances=*/4, check_options);
-  ASSERT_FALSE(check.ok());
-  EXPECT_EQ(check.status().code(), StatusCode::kDeadlineExceeded);
+  for (int jobs : {1, 4}) {
+    CompositionCheckOptions check_options;
+    check_options.eval.jobs = jobs;
+    check_options.eval.cancel = CancelToken::WithDeadline(Deadline::After(20));
+    Result<CompositionCheck> check =
+        CheckComposition(problem, composed, /*generator_seed=*/42,
+                         /*n_instances=*/4, check_options);
+    ASSERT_FALSE(check.ok()) << "jobs " << jobs;
+    EXPECT_EQ(check.status().code(), StatusCode::kDeadlineExceeded)
+        << "jobs " << jobs;
+  }
 }
 
 TEST(FaultInjectionTest, SocketResetMidReplyIsClientTransportError) {

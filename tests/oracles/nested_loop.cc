@@ -82,14 +82,9 @@ void Consume(const Expr* e, EvalState* st) {
   }
 }
 
-/// Applies `emit(t, out)` to every tuple of `in`. `work` is the number of
-/// candidate tuples the node enumerates (|in| for unary transforms,
-/// |in|·|other| for products); crossing the threshold counts the node as
-/// sharded, as the kernel counts it.
+/// Applies `emit(t, out)` to every tuple of `in`.
 template <typename Emit>
-TupleSetPtr TransformSet(EvalState* st, const std::set<Tuple>& in,
-                         int64_t work, const Emit& emit) {
-  if (work >= st->options->parallel_threshold) ++st->stats.sharded_nodes;
+TupleSetPtr TransformSet(const std::set<Tuple>& in, const Emit& emit) {
   std::set<Tuple> out;
   for (const Tuple& t : in) emit(t, &out);
   return Own(std::move(out));
@@ -106,9 +101,6 @@ Result<TupleSetPtr> EvalDomain(int arity, EvalState* st) {
   }
   if (arity == 0) return Own(std::set<Tuple>{Tuple{}});
   if (d == 0) return Own(std::set<Tuple>{});
-  if (size >= static_cast<double>(st->options->parallel_threshold)) {
-    ++st->stats.sharded_nodes;
-  }
   std::set<Tuple> out;
   std::vector<int64_t> idx(static_cast<size_t>(arity), 0);
   for (;;) {
@@ -152,10 +144,9 @@ Result<TupleSetPtr> EvalNode(const ExprPtr& e, EvalState* st) {
       if (a->empty()) return b;
       if (b->empty() || a == b) return a;
       TupleSetPtr extra =
-          TransformSet(st, *b, static_cast<int64_t>(b->size()),
-                       [&a](const Tuple& t, std::set<Tuple>* out) {
-                         if (a->count(t) == 0) out->insert(t);
-                       });
+          TransformSet(*b, [&a](const Tuple& t, std::set<Tuple>* out) {
+            if (a->count(t) == 0) out->insert(t);
+          });
       if (extra->empty()) return a;  // b ⊆ a
       std::set<Tuple> out = *a;
       out.merge(*extra);
@@ -164,52 +155,46 @@ Result<TupleSetPtr> EvalNode(const ExprPtr& e, EvalState* st) {
     case ExprKind::kIntersect: {
       MAPCOMP_ASSIGN_OR_RETURN(TupleSetPtr a, Rec(e->child(0), st));
       MAPCOMP_ASSIGN_OR_RETURN(TupleSetPtr b, Rec(e->child(1), st));
-      return TransformSet(st, *a, static_cast<int64_t>(a->size()),
-                          [&b](const Tuple& t, std::set<Tuple>* out) {
-                            if (b->count(t) > 0) out->insert(t);
-                          });
+      return TransformSet(*a, [&b](const Tuple& t, std::set<Tuple>* out) {
+        if (b->count(t) > 0) out->insert(t);
+      });
     }
     case ExprKind::kDifference: {
       MAPCOMP_ASSIGN_OR_RETURN(TupleSetPtr a, Rec(e->child(0), st));
       MAPCOMP_ASSIGN_OR_RETURN(TupleSetPtr b, Rec(e->child(1), st));
-      return TransformSet(st, *a, static_cast<int64_t>(a->size()),
-                          [&b](const Tuple& t, std::set<Tuple>* out) {
-                            if (b->count(t) == 0) out->insert(t);
-                          });
+      return TransformSet(*a, [&b](const Tuple& t, std::set<Tuple>* out) {
+        if (b->count(t) == 0) out->insert(t);
+      });
     }
     case ExprKind::kProduct: {
       MAPCOMP_ASSIGN_OR_RETURN(TupleSetPtr a, Rec(e->child(0), st));
       MAPCOMP_ASSIGN_OR_RETURN(TupleSetPtr b, Rec(e->child(1), st));
       ++st->stats.nested_product_nodes;
-      int64_t work = static_cast<int64_t>(a->size()) *
-                     static_cast<int64_t>(b->size());
-      return TransformSet(st, *a, work,
-                          [&b](const Tuple& ta, std::set<Tuple>* out) {
-                            for (const Tuple& tb : *b) {
-                              Tuple t = ta;
-                              t.insert(t.end(), tb.begin(), tb.end());
-                              out->insert(std::move(t));
-                            }
-                          });
+      return TransformSet(*a, [&b](const Tuple& ta, std::set<Tuple>* out) {
+        for (const Tuple& tb : *b) {
+          Tuple t = ta;
+          t.insert(t.end(), tb.begin(), tb.end());
+          out->insert(std::move(t));
+        }
+      });
     }
     case ExprKind::kSelect: {
       MAPCOMP_ASSIGN_OR_RETURN(TupleSetPtr a, Rec(e->child(0), st));
       const Condition& cond = e->condition();
-      return TransformSet(st, *a, static_cast<int64_t>(a->size()),
-                          [&cond](const Tuple& t, std::set<Tuple>* out) {
-                            if (cond.Eval(t)) out->insert(t);
-                          });
+      return TransformSet(*a, [&cond](const Tuple& t, std::set<Tuple>* out) {
+        if (cond.Eval(t)) out->insert(t);
+      });
     }
     case ExprKind::kProject: {
       MAPCOMP_ASSIGN_OR_RETURN(TupleSetPtr a, Rec(e->child(0), st));
       const std::vector<int>& indexes = e->indexes();
-      return TransformSet(st, *a, static_cast<int64_t>(a->size()),
-                          [&indexes](const Tuple& t, std::set<Tuple>* out) {
-                            Tuple p;
-                            p.reserve(indexes.size());
-                            for (int i : indexes) p.push_back(t[i - 1]);
-                            out->insert(std::move(p));
-                          });
+      return TransformSet(*a, [&indexes](const Tuple& t,
+                                         std::set<Tuple>* out) {
+        Tuple p;
+        p.reserve(indexes.size());
+        for (int i : indexes) p.push_back(t[i - 1]);
+        out->insert(std::move(p));
+      });
     }
     case ExprKind::kSkolem: {
       if (st->options->skolem_mode == SkolemEvalMode::kError) {
@@ -220,19 +205,18 @@ Result<TupleSetPtr> EvalNode(const ExprPtr& e, EvalState* st) {
       MAPCOMP_ASSIGN_OR_RETURN(TupleSetPtr a, Rec(e->child(0), st));
       const std::string& name = e->name();
       const std::vector<int>& indexes = e->indexes();
-      return TransformSet(
-          st, *a, static_cast<int64_t>(a->size()),
-          [&name, &indexes](const Tuple& t, std::set<Tuple>* out) {
-            std::string term = name + "(";
-            for (size_t i = 0; i < indexes.size(); ++i) {
-              if (i > 0) term += ",";
-              term += ValueToString(t[indexes[i] - 1]);
-            }
-            term += ")";
-            Tuple extended = t;
-            extended.push_back(Value(std::move(term)));
-            out->insert(std::move(extended));
-          });
+      return TransformSet(*a, [&name, &indexes](const Tuple& t,
+                                                std::set<Tuple>* out) {
+        std::string term = name + "(";
+        for (size_t i = 0; i < indexes.size(); ++i) {
+          if (i > 0) term += ",";
+          term += ValueToString(t[indexes[i] - 1]);
+        }
+        term += ")";
+        Tuple extended = t;
+        extended.push_back(Value(std::move(term)));
+        out->insert(std::move(extended));
+      });
     }
     case ExprKind::kUserOp: {
       const SetOpBody* body = FindSetOp(e->name());

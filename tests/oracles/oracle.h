@@ -22,7 +22,7 @@ namespace oracle {
 //
 // The oracle runs on the calling thread whatever `options.jobs` says. Its
 // stats follow the kernel's conventions (memo hits, memo-byte refcount
-// dropping, sharding eligibility), with every product a nested one. User
+// dropping), with every product a nested one. User
 // operators evaluate through the set-based reference bodies below, looked
 // up by name; an operator without one is kUnsupported.
 

@@ -1,17 +1,18 @@
-// Unit tests for the runtime layer: ThreadPool task execution and
-// draining, ParallelFor coverage/exception semantics, the inline fallback,
-// and ByteLru, one test per operation. Run under ThreadSanitizer and
-// AddressSanitizer in CI.
+// Unit tests for the runtime layer: ThreadPool task execution, draining
+// and hand-off around a worker's polling window, ParallelFor
+// coverage/exception semantics, the inline fallback, and ByteLru, one test
+// per operation. Run under ThreadSanitizer and AddressSanitizer in CI.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "src/runtime/byte_lru.h"
-#include "src/runtime/task_dag.h"
 #include "src/runtime/thread_pool.h"
 
 namespace mapcomp {
@@ -42,6 +43,33 @@ TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
     }
   }
   EXPECT_EQ(counter.load(), 50);
+}
+
+TEST(ThreadPoolTest, WorkSubmittedAroundThePollingWindowAllRuns) {
+  // A worker polls the queue for a while after each task, then parks. Work
+  // must reach a worker whichever side of that window it arrives on: right
+  // away (a poller takes it), later (a parked worker is woken), or just as
+  // the poller gives up.
+  ThreadPool pool(3);
+  const std::chrono::microseconds pauses[] = {
+      std::chrono::microseconds(0), std::chrono::microseconds(1900),
+      std::chrono::microseconds(2100), std::chrono::microseconds(4000)};
+  std::atomic<int> counter{0};
+  int expected = 0;
+  for (int round = 0; round < 80; ++round) {
+    const int tasks = 1 + round % 3;
+    for (int t = 0; t < tasks; ++t) {
+      pool.Submit([&counter] { counter.fetch_add(1); });
+    }
+    pool.Wait();
+    expected += tasks;
+    ASSERT_EQ(counter.load(), expected) << "round " << round;
+    std::atomic<int> hits{0};
+    ParallelFor(&pool, 6, [&hits](int64_t) { hits.fetch_add(1); },
+                /*max_helpers=*/1 + round % 2);
+    ASSERT_EQ(hits.load(), 6) << "round " << round;
+    std::this_thread::sleep_for(pauses[round % 4]);
+  }
 }
 
 TEST(ThreadPoolTest, ThreadCountIsClampedToAtLeastOne) {
@@ -162,95 +190,6 @@ TEST(ParallelForTest, PerIndexWritesAreThreadCountIndependent) {
     return out;
   };
   EXPECT_EQ(run(1), run(7));
-}
-
-TEST(TaskDagTest, InlineModeRunsInIndexOrder) {
-  TaskDag dag;
-  std::vector<int64_t> order;
-  int64_t a = dag.AddTask([&order] { order.push_back(0); }, {});
-  int64_t b = dag.AddTask([&order] { order.push_back(1); }, {a});
-  dag.AddTask([&order] { order.push_back(2); }, {a, b});
-  dag.Run(nullptr, 0);
-  EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2}));
-  EXPECT_EQ(dag.size(), 0);  // single-shot: Run leaves the dag empty
-}
-
-TEST(TaskDagTest, DiamondDependenciesCompleteBeforeDependents) {
-  // a → {b, c} → d, repeated many times on a real pool: d must observe
-  // both b's and c's writes every time.
-  ThreadPool pool(4);
-  for (int round = 0; round < 50; ++round) {
-    TaskDag dag;
-    std::atomic<int> x{0};
-    int bc_sum_at_d = -1;
-    int64_t a = dag.AddTask([&x] { x.fetch_add(1); }, {});
-    int64_t b = dag.AddTask([&x] { x.fetch_add(10); }, {a});
-    int64_t c = dag.AddTask([&x] { x.fetch_add(100); }, {a});
-    dag.AddTask([&x, &bc_sum_at_d] { bc_sum_at_d = x.load(); }, {b, c});
-    dag.Run(&pool, 3);
-    EXPECT_EQ(bc_sum_at_d, 111);
-  }
-}
-
-TEST(TaskDagTest, WideFanoutRunsEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
-  TaskDag dag;
-  constexpr int kN = 200;
-  std::vector<std::atomic<int>> runs(kN);
-  int64_t root = dag.AddTask([] {}, {});
-  for (int i = 0; i < kN; ++i) {
-    dag.AddTask([&runs, i] { runs[static_cast<size_t>(i)].fetch_add(1); },
-                {root});
-  }
-  dag.Run(&pool, 3);
-  for (int i = 0; i < kN; ++i) {
-    EXPECT_EQ(runs[static_cast<size_t>(i)].load(), 1) << i;
-  }
-}
-
-TEST(TaskDagTest, AddTaskRejectsForwardDependencies) {
-  TaskDag dag;
-  dag.AddTask([] {}, {});
-  EXPECT_THROW(dag.AddTask([] {}, {5}), std::invalid_argument);
-  EXPECT_THROW(dag.AddTask([] {}, {-1}), std::invalid_argument);
-}
-
-TEST(TaskDagTest, ExceptionAbortsDownstreamAndRethrowsLowestIndex) {
-  ThreadPool pool(4);
-  TaskDag dag;
-  std::atomic<int> late_runs{0};
-  int64_t a = dag.AddTask([] { throw std::runtime_error("first"); }, {});
-  int64_t b = dag.AddTask([] { throw std::logic_error("second"); }, {});
-  dag.AddTask([&late_runs] { late_runs.fetch_add(1); }, {a, b});
-  try {
-    dag.Run(&pool, 3);
-    FAIL() << "expected the lowest-index exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "first");
-  }
-  // Tasks downstream of a failed task never run.
-  EXPECT_EQ(late_runs.load(), 0);
-}
-
-TEST(TaskDagTest, NestedDagOnSharedPoolDoesNotDeadlock) {
-  // A dag task that itself runs a child dag on the same pool: the ready
-  // queue must never block a lane on ThreadPool::Wait.
-  ThreadPool pool(2);
-  TaskDag outer;
-  std::atomic<int> inner_total{0};
-  for (int i = 0; i < 6; ++i) {
-    outer.AddTask(
-        [&pool, &inner_total] {
-          TaskDag inner;
-          int64_t a = inner.AddTask([&inner_total] { inner_total.fetch_add(1); },
-                                    {});
-          inner.AddTask([&inner_total] { inner_total.fetch_add(1); }, {a});
-          inner.Run(&pool, 1);
-        },
-        {});
-  }
-  outer.Run(&pool, 1);
-  EXPECT_EQ(inner_total.load(), 12);
 }
 
 TEST(ByteLruTest, InsertThenGetTouchesAndPeekDoesNot) {

@@ -61,15 +61,16 @@
 //                          when any result carries one
 //     --check-eval N       semantic soundness harness: evaluate the composed
 //                          vs. original mapping over N generated finite
-//                          instances per task (paper §2 set semantics;
-//                          evaluation shards across --jobs lanes) and print
-//                          the verdict to stderr; exit 5 on any violation
+//                          instances per task (paper §2 set semantics; the
+//                          instances are checked on up to --jobs lanes,
+//                          with identical output at any lane count) and
+//                          print the verdict to stderr; exit 5 on any
+//                          violation
 //     --check-seed S       RNG seed for --check-eval instances (default 42)
 //     --eval-stats         after --check-eval, print the aggregated
-//                          evaluation counters (memo hits, sharded nodes,
-//                          hash-join vs nested-product node counts,
-//                          memo bytes, task and join-index counters) to
-//                          stderr
+//                          evaluation counters (nodes, memo hits, tuples,
+//                          hash-join vs nested-product node counts, memo
+//                          bytes and tasks) to stderr
 //     --intern-stats       print expression-interner statistics to stderr
 //     --quiet              print only the composed constraints
 
