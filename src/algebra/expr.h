@@ -71,6 +71,10 @@ class Expr {
   /// 1 each) — the paper's mapping-size metric. Stored wide because interned
   /// DAGs can denote trees far larger than physical node count.
   int64_t op_count() const { return op_count_; }
+  /// Longest root-to-leaf path, counted in nodes (a leaf is 1). Every
+  /// recursive pass over an expression nests this deep; the parser refuses
+  /// inputs past its bound by reading it.
+  int depth() const { return depth_; }
   /// True iff a Skolem operator occurs in the subtree.
   bool contains_skolem() const { return contains_skolem_; }
   /// True iff the active-domain relation D occurs in the subtree.
@@ -105,6 +109,7 @@ class Expr {
   // Memoized analyses, filled in by the interner before publication.
   size_t hash_ = 0;
   int64_t op_count_ = 1;
+  int depth_ = 1;
   bool contains_skolem_ = false;
   bool contains_domain_ = false;
   uint64_t relation_mask_ = 0;

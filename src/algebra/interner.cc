@@ -249,6 +249,7 @@ ExprPtr ExprInterner::InternWithHash(size_t hash, ExprKind kind,
   e->tuples_ = std::move(tuples);
   e->hash_ = hash;
   e->op_count_ = 1;
+  e->depth_ = 1;
   e->contains_skolem_ = kind == ExprKind::kSkolem;
   e->contains_domain_ = kind == ExprKind::kDomain;
   e->relation_mask_ = kind == ExprKind::kRelation ? Expr::NameBit(e->name_) : 0;
@@ -259,6 +260,7 @@ ExprPtr ExprInterner::InternWithHash(size_t hash, ExprKind kind,
     e->op_count_ = c->op_count() >= kOpCountCap - e->op_count_
                        ? kOpCountCap
                        : e->op_count_ + c->op_count();
+    e->depth_ = std::max(e->depth_, c->depth() + 1);
     e->contains_skolem_ = e->contains_skolem_ || c->contains_skolem();
     e->contains_domain_ = e->contains_domain_ || c->contains_domain();
     e->relation_mask_ |= c->relation_mask();

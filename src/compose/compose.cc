@@ -8,7 +8,6 @@
 #include "src/common/wire_format.h"
 #include "src/compose/schedule.h"
 #include "src/compose/simplify_constraints.h"
-#include "src/runtime/thread_pool.h"
 
 namespace mapcomp {
 
@@ -156,10 +155,6 @@ CompositionResult Compose(const CompositionProblem& problem,
                                                 : problem.sigma2.names());
   result.total_count = static_cast<int>(order.size());
 
-  int elim_jobs = std::max(1, options.elim_jobs);
-  runtime::ThreadPool* pool =
-      elim_jobs > 1 ? runtime::GlobalPool() : nullptr;
-
   // Multi-round fixpoint over a wave scheduler. Each round repeatedly
   // plans one wave of constraint-disjoint pending symbols against the
   // *current* Σ and executes it; a symbol that fails stays pending for the
@@ -288,27 +283,25 @@ CompositionResult Compose(const CompositionProblem& problem,
 
       // --- Wider wave: partition Σ into per-symbol groups (the exact
       // occurrence sets, pairwise disjoint by construction) plus the
-      // untouched remainder, eliminate every group concurrently against
-      // the wave snapshot, then merge deterministically in symbol order.
+      // untouched remainder, eliminate each group against the wave
+      // snapshot in wave (= user) order, then merge.
       const size_t width = wave.size();
       const int size_before_wave = OperatorCount(sigma);
       const int snapshot_version = sigma_version;
-      std::vector<std::string> wave_names;
-      wave_names.reserve(width);
-      for (const PendingSymbol& p : wave) wave_names.push_back(p.symbol);
       // Execution always partitions by exact occurrence; the planning rows
       // already are exact unless Bloom-only planning was requested, in
       // which case they are recomputed (an exact subset of disjoint Bloom
       // sets is still disjoint).
-      std::vector<std::vector<int>> exec_occ =
-          options.exact_conflicts
-              ? std::move(wave_occ)
-              : OccurrenceSets(sigma, wave_names, /*exact=*/true);
+      if (!options.exact_conflicts) {
+        std::vector<std::string> wave_names;
+        for (const PendingSymbol& p : wave) wave_names.push_back(p.symbol);
+        wave_occ = OccurrenceSets(sigma, wave_names, /*exact=*/true);
+      }
 
       std::vector<int> owner(sigma.size(), -1);
       std::vector<ConstraintSet> groups(width);
       for (size_t wi = 0; wi < width; ++wi) {
-        for (int c : exec_occ[wi]) {
+        for (int c : wave_occ[wi]) {
           owner[static_cast<size_t>(c)] = static_cast<int>(wi);
           groups[wi].push_back(sigma[static_cast<size_t>(c)]);
         }
@@ -320,72 +313,60 @@ CompositionResult Compose(const CompositionProblem& problem,
       wave_opts.blowup_baseline_ops = std::max(1, size_before_wave);
 
       std::vector<EliminateOutcome> outcomes(width);
-      std::vector<double> member_millis(width, 0.0);
-      runtime::ParallelFor(
-          pool, static_cast<int64_t>(width),
-          [&](int64_t wi) {
-            // Per-lane cancellation point: a fired token skips the
-            // elimination entirely (interrupted, not failed). Lanes that
-            // already started run to completion — a step is never torn.
-            if (cancel.Fired()) {
-              outcomes[wi].constraints = groups[wi];
-              outcomes[wi].interrupted = true;
-              outcomes[wi].failure_reason = "interrupted";
-              return;
-            }
-            // Pool workers have no batch scope open; one per elimination
-            // keeps their node churn off the shared shards (nests fine on
-            // the calling thread's lane).
-            ExprBuilder wave_batch;
-            auto start = std::chrono::steady_clock::now();
-            common::fault::MaybeSleep(
-                common::fault::FaultPoint::kSlowEliminationWave);
-            outcomes[wi] = Eliminate(
-                groups[wi], wave_names[static_cast<size_t>(wi)],
-                problem.sigma2.ArityOf(wave_names[static_cast<size_t>(wi)]),
-                wave_opts);
-            member_millis[wi] = MillisSince(start);
-          },
-          elim_jobs - 1);
-
-      // Merge: untouched constraints and failed groups keep their
-      // positions; each success's rewritten group is appended in wave
-      // (= user) order. Group contents can only mention names that already
-      // occurred in the group, so a success never re-introduces another
-      // wave symbol and the merged occurrence structure of a failed symbol
-      // is unchanged — which is what makes failed_at below sound.
-      ConstraintSet merged;
-      merged.reserve(sigma.size());
-      for (size_t c = 0; c < sigma.size(); ++c) {
-        if (owner[c] < 0 || !outcomes[static_cast<size_t>(owner[c])].success) {
-          merged.push_back(std::move(sigma[c]));
-        }
-      }
+      ConstraintSet rewritten;  // each success's group, in wave order
       int running = size_before_wave;
       for (size_t wi = 0; wi < width; ++wi) {
-        PendingSymbol& p = wave[wi];
         EliminateOutcome& outcome = outcomes[wi];
         SymbolStat stat;
-        stat.symbol = p.symbol;
+        stat.symbol = wave[wi].symbol;
         stat.round = round;
+        stat.size_before = running;
+        // Per-member cancellation point: a fired token skips the rest of
+        // the wave (interrupted, not failed). ELIMINATE polls the token
+        // only between its steps, so a step is never torn.
+        if (cancel.Fired()) {
+          outcome.interrupted = true;
+          outcome.failure_reason = "interrupted";
+        } else {
+          auto start = std::chrono::steady_clock::now();
+          common::fault::MaybeSleep(
+              common::fault::FaultPoint::kSlowEliminationWave);
+          outcome = Eliminate(groups[wi], stat.symbol,
+                              problem.sigma2.ArityOf(stat.symbol), wave_opts);
+          stat.millis = MillisSince(start);
+        }
         stat.eliminated = outcome.success;
         stat.step = outcome.step;
         stat.failure_reason = outcome.failure_reason;
-        stat.size_before = running;
         if (outcome.success) {
           running += OperatorCount(outcome.constraints) -
                      OperatorCount(groups[wi]);
-          merged.insert(merged.end(),
-                        std::make_move_iterator(outcome.constraints.begin()),
-                        std::make_move_iterator(outcome.constraints.end()));
+          rewritten.insert(rewritten.end(),
+                           std::make_move_iterator(outcome.constraints.begin()),
+                           std::make_move_iterator(outcome.constraints.end()));
           ++sigma_version;
           ++result.eliminated_count;
           ++round_stat.eliminated;
         }
         stat.size_after = running;
-        stat.millis = member_millis[wi];
         result.stats.push_back(std::move(stat));
       }
+
+      // Merge: untouched constraints and failed groups keep their
+      // positions; the successes' rewritten groups follow in wave order.
+      // Group contents can only mention names that already occurred in the
+      // group, so a success never re-introduces another wave symbol and
+      // the merged occurrence structure of a failed symbol is unchanged —
+      // which is what makes failed_at below sound.
+      ConstraintSet merged;
+      merged.reserve(sigma.size() + rewritten.size());
+      for (size_t c = 0; c < sigma.size(); ++c) {
+        if (owner[c] < 0 || !outcomes[static_cast<size_t>(owner[c])].success) {
+          merged.push_back(std::move(sigma[c]));
+        }
+      }
+      merged.insert(merged.end(), std::make_move_iterator(rewritten.begin()),
+                    std::make_move_iterator(rewritten.end()));
       sigma = std::move(merged);
       // A failure in this wave saw only its own group, which no other wave
       // member touched, so it would fail identically against the merged Σ

@@ -25,14 +25,6 @@ struct ComposeOptions {
   /// stops early as soon as a round eliminates nothing, so raising this is
   /// cheap on inputs where one pass already suffices. Must be >= 1.
   int max_rounds = 4;
-  /// Intra-problem parallelism: each elimination round is partitioned into
-  /// waves of symbols whose occurrence sets share no constraint (see
-  /// src/compose/schedule.h), and a wave's symbols are eliminated
-  /// concurrently on up to `elim_jobs` lanes of the process-wide pool.
-  /// Wave planning and the merge order never depend on this value, only
-  /// the execution does, so results — including Fingerprint() — are
-  /// byte-identical for any elim_jobs. 1 = run waves sequentially.
-  int elim_jobs = 1;
   /// Confirm Bloom-mask occurrence candidates with an exact walk during
   /// wave planning. When false, planning trusts the mask alone: false
   /// positives add spurious conflict edges, which can only merge waves
@@ -44,8 +36,8 @@ struct ComposeOptions {
   /// it fires, the driver stops attempting, keeps every un-attempted
   /// symbol as a residual, and reports via CompositionResult::interrupt —
   /// the partial composition is still a valid best-effort answer (§3.1).
-  /// Excluded from Fingerprint() like elim_jobs: a run that completes
-  /// without the token firing is byte-identical to an unbounded run.
+  /// Excluded from Fingerprint(): a run that completes without the token
+  /// firing is byte-identical to an unbounded run.
   common::CancelToken cancel;
 
   /// Appends the options section of the wire format: the eliminate
@@ -55,8 +47,7 @@ struct ComposeOptions {
   /// Appends the key form of every option that can change a
   /// CompositionResult: the wire fields, then the two that never cross the
   /// wire — the registry by its never-reused `op::Registry::uid()` and
-  /// `eliminate.blowup_baseline_ops`. `elim_jobs` is excluded by design
-  /// (results are byte-identical at any lane count), and so is `cancel` (a
+  /// `eliminate.blowup_baseline_ops`. `cancel` is excluded by design (a
   /// fired token yields an interrupted result, which is never cached).
   void AppendTo(std::string* out) const;
   /// AppendTo's bytes: the head of ComposeService's cache key and of
@@ -136,13 +127,13 @@ struct CompositionResult {
 /// occurrence sets, src/compose/schedule.h). A singleton wave eliminates
 /// from the full Σ exactly like the original one-at-a-time driver; a wider
 /// wave hands each symbol only the constraints that mention it, runs the
-/// eliminations concurrently (options.elim_jobs lanes) against the same
-/// snapshot, and merges outcomes in the user-specified order — untouched
-/// constraints keep their positions, each success's rewritten group is
-/// appended in order, failures leave their group in place. Failures are
-/// retried for up to options.max_rounds rounds while Σ keeps changing,
-/// keeping whatever still cannot be eliminated. Key information from all
-/// three schemas feeds Skolem-argument minimization automatically unless
+/// eliminations one after another against the same snapshot, and merges
+/// outcomes in the user-specified order — untouched constraints keep their
+/// positions, each success's rewritten group is appended in order,
+/// failures leave their group in place. Failures are retried for up to
+/// options.max_rounds rounds while Σ keeps changing, keeping whatever
+/// still cannot be eliminated. Key information from all three schemas
+/// feeds Skolem-argument minimization automatically unless
 /// options.eliminate.keys is preset.
 CompositionResult Compose(const CompositionProblem& problem,
                           const ComposeOptions& options = {});

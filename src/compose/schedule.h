@@ -9,13 +9,13 @@
 
 namespace mapcomp {
 
-/// Conflict-graph planning for intra-problem parallel elimination. Two σ2
-/// symbols are independent within one elimination round exactly when their
-/// occurrence sets — the constraints of Σ that mention them — are disjoint:
-/// ELIMINATE only rewrites constraints mentioning its symbol, so disjoint
-/// symbols read and write disjoint parts of Σ and can be eliminated against
-/// the same snapshot and merged in a fixed order with a deterministic,
-/// schedule-independent outcome.
+/// Conflict-graph planning for wave elimination. Two σ2 symbols are
+/// independent within one elimination round exactly when their occurrence
+/// sets — the constraints of Σ that mention them — are disjoint: ELIMINATE
+/// only rewrites constraints mentioning its symbol, so disjoint symbols
+/// read and write disjoint parts of Σ and can be eliminated against the
+/// same snapshot, each from its own small group rather than the full Σ,
+/// and merged in a fixed order with a deterministic outcome.
 ///
 /// Occurrence tests run in two tiers: each constraint's interned Bloom
 /// relation-name mask rejects most non-occurrences in O(1) (a clear bit

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -30,9 +31,13 @@ bool ConstraintHasSkolem(const Constraint& c) {
 struct InstanceOutcome {
   Status status = Status::OK();
   bool original_satisfied = false;
-  bool violated = false;
   bool inconclusive = false;
-  std::string counterexample;  ///< set when violated
+  int violated = -1;  ///< the composition's violated constraint, or -1
+  /// The relations the repair changed, still encoded in `encoded`. Kept
+  /// only when the fold may print or probe the instance, and decoded only
+  /// if it does.
+  std::set<std::string> repaired;
+  std::optional<EncodedInstance> encoded;
   EvalStats stats;
 };
 
@@ -139,22 +144,15 @@ Result<CompositionCheck> CheckComposition(
   // One instance's check, run on some lane. Only the constraint sets, the
   // option picks and the feed plan are shared, read-only.
   auto check_instance = [&](int i, InstanceOutcome* o) -> Status {
-    Instance& inst = instances[static_cast<size_t>(i)];
     // Encoded once: the repair runs in place on it and every satisfaction
-    // check below runs against it. The repaired relations are decoded back
-    // into `inst` only when a counterexample or a probe needs the values.
-    EncodedInstance encoded(inst, eval.extra_constants);
+    // check below runs against it.
+    EncodedInstance encoded(instances[static_cast<size_t>(i)],
+                            eval.extra_constants);
     std::set<std::string> repaired;
     if (kRepairHalf && i % 2 == 1) {
       RunFeedFixpoint(&encoded, repair_plan, eval, kRepairPasses,
                       /*stats=*/nullptr, &repaired);
     }
-    auto decode_repaired = [&] {
-      for (const std::string& name : repaired) {
-        inst.Set(name, encoded.Decode(name));
-      }
-      repaired.clear();
-    };
     // Original-side Skolem terms get the injective interpretation too: a
     // constraint satisfied under it is satisfied under ∃f, so counting the
     // instance as pipeline-satisfying stays sound; one that fails under it
@@ -183,17 +181,16 @@ Result<CompositionCheck> CheckComposition(
           if (composed_options[c] == &skolem_eval) {
             o->inconclusive = true;
           } else {
-            o->violated = true;
-            decode_repaired();
-            o->counterexample = "violated constraint: " +
-                                composed[c].ToString() + "\n" +
-                                inst.ToString();
+            o->violated = static_cast<int>(c);
             break;
           }
         }
       }
     }
-    if (probes) decode_repaired();
+    if (!repaired.empty() && (o->violated >= 0 || probes)) {
+      o->repaired = std::move(repaired);
+      o->encoded.emplace(std::move(encoded));
+    }
     return Status::OK();
   };
 
@@ -216,6 +213,18 @@ Result<CompositionCheck> CheckComposition(
       },
       std::max(1, options.eval.jobs) - 1);
 
+  // Instance i with the repair's writes decoded into it: only the
+  // counterexamples the fold keeps and the instances it probes are.
+  auto repaired_instance = [&](size_t i) -> const Instance& {
+    InstanceOutcome& o = outcomes[i];
+    for (const std::string& name : o.repaired) {
+      instances[i].Set(name, o.encoded->Decode(name));
+    }
+    o.repaired.clear();
+    o.encoded.reset();
+    return instances[i];
+  };
+
   // Fold in index order, so the counts, the counterexamples (the three
   // lowest violating instances), the error (the lowest failed instance)
   // and the completeness probes' cut are those of checking the instances
@@ -227,11 +236,14 @@ Result<CompositionCheck> CheckComposition(
     out.eval_stats.MergeFrom(o.stats);
     if (o.original_satisfied) {
       ++out.original_satisfied;
-      if (o.violated) {
+      if (o.violated >= 0) {
         ++out.violations;
         if (static_cast<int>(out.counterexamples.size()) <
             kMaxCounterexamples) {
-          out.counterexamples.push_back(std::move(o.counterexample));
+          out.counterexamples.push_back(
+              "violated constraint: " +
+              composed[static_cast<size_t>(o.violated)].ToString() + "\n" +
+              repaired_instance(i).ToString());
         }
       } else if (o.inconclusive) {
         ++out.inconclusive_skolem;
@@ -245,7 +257,7 @@ Result<CompositionCheck> CheckComposition(
     // promises an extension of the eliminated symbols satisfying the
     // original pipeline — search for one. Exponential; gated to tiny cases.
     if (probes && out.completeness_checked < options.completeness_samples) {
-      Instance restricted = instances[i].RestrictedTo(result.sigma);
+      Instance restricted = repaired_instance(i).RestrictedTo(result.sigma);
       const EncodedInstance restricted_encoded(restricted,
                                                eval.extra_constants);
       bool restricted_sat = true;

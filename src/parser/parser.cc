@@ -10,8 +10,10 @@ namespace mapcomp {
 namespace {
 
 /// Deepest nesting the parser accepts: expressions plus `not` and
-/// parenthesised conditions. Real inputs stay near 15 levels; the bound
-/// keeps hostile input (a 16 MiB wire frame) from overflowing the stack.
+/// parenthesised conditions, and the depth of every expression it builds
+/// (Expr::depth). Real inputs stay near 15 levels; the bound keeps hostile
+/// input (a 16 MiB wire frame) from overflowing the stack, in the parser
+/// and in the recursive passes that start on what it built.
 constexpr int kMaxNestingDepth = 512;
 
 const std::set<std::string>& ReservedWords() {
@@ -60,6 +62,15 @@ class Impl {
    private:
     Impl* impl_;
   };
+
+  /// The parser recurses only into parentheses and operator arguments, so
+  /// Nesting does not see a chain like `R + R + … + R`, which it builds in
+  /// a loop; this bounds the depth of the expression itself.
+  Status CheckDepth(const Expr& e) const {
+    if (e.depth() <= kMaxNestingDepth) return Status::OK();
+    return Error("expression deeper than " +
+                 std::to_string(kMaxNestingDepth) + " levels");
+  }
 
   // --- grammar productions ---
 
@@ -199,12 +210,14 @@ class Impl {
       }
       lhs = is_union ? Union(std::move(lhs), std::move(rhs))
                      : Difference(std::move(lhs), std::move(rhs));
+      MAPCOMP_RETURN_IF_ERROR(CheckDepth(*lhs));
     }
     return lhs;
   }
 
   Result<ExprPtr> Term(const Signature& env) {
     MAPCOMP_ASSIGN_OR_RETURN(ExprPtr lhs, Unary(env));
+    MAPCOMP_RETURN_IF_ERROR(CheckDepth(*lhs));
     while (At(TokenKind::kStar) || At(TokenKind::kAmp)) {
       bool is_product = At(TokenKind::kStar);
       Next();
@@ -214,6 +227,7 @@ class Impl {
       }
       lhs = is_product ? Product(std::move(lhs), std::move(rhs))
                        : Intersect(std::move(lhs), std::move(rhs));
+      MAPCOMP_RETURN_IF_ERROR(CheckDepth(*lhs));
     }
     return lhs;
   }

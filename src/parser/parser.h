@@ -34,7 +34,9 @@ namespace mapcomp {
 /// A problem must declare exactly three schemas (in order: σ1, σ2, σ3) and
 /// exactly two maps (Σ12, Σ23). An optional `order` directive fixes the
 /// elimination order of σ2 symbols. Nesting deeper than 512 levels (each
-/// expr, `not` and parenthesised cond is one) is an InvalidArgument error.
+/// expr, `not` and parenthesised cond is one) is an InvalidArgument error,
+/// and so is any expression deeper than 512 (Expr::depth), such as a
+/// chain `R + R + … + R` of 513 terms.
 class Parser {
  public:
   explicit Parser(const op::Registry* registry = &op::Registry::Default())

@@ -106,11 +106,11 @@ struct ChainComposerOptions {
 /// is itself fingerprint-deterministic at any job count), so a warm
 /// recomposition is byte-identical — ChainResult::fingerprint and every
 /// step_result_fingerprint — to a cold one (pinned in
-/// tests/chain_composer_test.cc at elim_jobs 1 and 8). A changed prefix
-/// link changes every downstream rolling key, so a stale suffix can never
-/// be served. Rolling keys are 128-bit mixes; two distinct prefixes
-/// colliding is a ~2^-64 birthday event at registry scale, the standard
-/// content-hash-cache tradeoff.
+/// tests/chain_composer_test.cc). A changed prefix link changes every
+/// downstream rolling key, so a stale suffix can never be served. Rolling
+/// keys are 128-bit mixes; two distinct prefixes colliding is a ~2^-64
+/// birthday event at registry scale, the standard content-hash-cache
+/// tradeoff.
 ///
 /// Thread-safe: concurrent ComposeChain calls on one composer share the
 /// cache; racing extenders of the same prefix may both compose (the

@@ -22,25 +22,19 @@ std::vector<CompositionResult> ComposeMany(
   }
   ExprInterner::Global().Reserve(expected_nodes);
 
-  auto compose_one = [&](int64_t i) {
-    results[static_cast<size_t>(i)] = Compose(problems[static_cast<size_t>(i)],
-                                              options);
-  };
-
-  if (jobs <= 1 || problems.size() == 1) {
-    for (int64_t i = 0; i < static_cast<int64_t>(problems.size()); ++i) {
-      compose_one(i);
-    }
-    return results;
-  }
-
-  // The calling thread participates in ParallelFor, so jobs lanes total.
-  // Workers come from the shared process-wide pool — constructing and
-  // joining a pool per batch cost a thread spawn/join round-trip on every
-  // call and over-subscribed the machine when batches overlapped; `jobs`
-  // still caps this call's parallelism via max_helpers.
-  ParallelFor(GlobalPool(), static_cast<int64_t>(problems.size()),
-              compose_one, jobs - 1);
+  // The calling thread is one of the `jobs` lanes, and composes every
+  // problem itself, in order, when there is one lane or one problem.
+  // Helpers come from the shared process-wide pool (a pool per batch cost
+  // a thread spawn/join per call and over-subscribed the machine when
+  // batches overlapped); a one-lane batch never creates it.
+  ParallelFor(
+      jobs > 1 ? GlobalPool() : nullptr,
+      static_cast<int64_t>(problems.size()),
+      [&](int64_t i) {
+        results[static_cast<size_t>(i)] =
+            Compose(problems[static_cast<size_t>(i)], options);
+      },
+      jobs - 1);
   return results;
 }
 

@@ -9,13 +9,14 @@ namespace mapcomp {
 namespace runtime {
 
 /// Composes a batch of independent composition problems, fanning them
-/// across `jobs` worker threads (plus the calling thread). Results come
-/// back in input order, and every field except the wall-clock timings is
-/// identical whatever `jobs` is: each problem is composed by the
-/// deterministic single-problem driver, problems share no mutable state
-/// beyond the thread-safe expression interner, and worker assignment only
-/// decides *who* computes a slot, never *what* lands in it (compare
-/// CompositionResult::Fingerprint across runs to check).
+/// across `jobs` lanes (the calling thread plus up to jobs - 1 workers of
+/// GlobalPool()). Results come back in input order, and every field
+/// except the wall-clock timings is identical whatever `jobs` is: each
+/// problem is composed by the deterministic single-problem driver,
+/// problems share no mutable state beyond the thread-safe expression
+/// interner, and worker assignment only decides *who* computes a slot,
+/// never *what* lands in it (compare CompositionResult::Fingerprint across
+/// runs to check).
 ///
 /// jobs <= 1 composes sequentially on the calling thread; jobs == 0 is
 /// treated as 1. Pass ThreadPool::HardwareThreads() to use every core.

@@ -67,12 +67,11 @@ class ThreadPool {
 /// The lazily-created process-wide pool, sized so that one helper per
 /// remaining hardware thread is available to whoever asks first
 /// (HardwareThreads() - 1 workers, floor 1). Shared by ComposeMany, the
-/// intra-problem elimination scheduler and ComposeService — per-call
-/// parallelism is capped by each caller's `jobs` via ParallelFor's
-/// `max_helpers`, so sharing one pool never over-subscribes the machine
-/// the way one pool per batch did. Never destroyed before exit; safe to
-/// call from any thread, including the pool's own workers (nested
-/// ParallelFor is supported, see below).
+/// soundness check and ComposeService — per-call parallelism is capped by
+/// each caller's `jobs` via ParallelFor's `max_helpers`, so sharing one
+/// pool never over-subscribes the machine the way one pool per batch did.
+/// Never destroyed before exit; safe to call from any thread, including
+/// the pool's own workers (nested ParallelFor is supported, see below).
 ThreadPool* GlobalPool();
 
 /// Runs `body(i)` for every i in [0, n), spreading iterations across up to
@@ -86,10 +85,9 @@ ThreadPool* GlobalPool();
 /// thread; with k helpers there are up to k+1 lanes.
 ///
 /// Completion is tracked per call (not via ThreadPool::Wait), so nesting a
-/// ParallelFor inside a pool task — e.g. per-wave elimination inside a
-/// batch-compose worker on the shared GlobalPool() — cannot deadlock: the
-/// inner call's helpers are opportunistic, and its calling lane drains
-/// every iteration itself if no helper is free.
+/// ParallelFor inside a task of the same pool cannot deadlock: the inner
+/// call's helpers are opportunistic, and its calling lane drains every
+/// iteration itself if no helper is free.
 ///
 /// If any iteration throws, the lowest-index exception is rethrown on the
 /// calling thread after all lanes stop claiming new iterations; remaining

@@ -41,10 +41,9 @@ struct ServeRequest {
   /// Read only when has_options. On the wire this carries the wire-safe
   /// subset: the eliminate switches and blowup budget, a keys signature by
   /// content, the order, simplify_output, max_rounds and exact_conflicts.
-  /// Not serialized: elim_jobs (a server-side resource decision that no
-  /// fingerprint carries), blowup_baseline_ops (internal to the wave
-  /// scheduler), and a non-default registry (process-local identity;
-  /// SerializeTo rejects it with kUnsupported).
+  /// Not serialized: blowup_baseline_ops (internal to the wave scheduler)
+  /// and a non-default registry (process-local identity; SerializeTo
+  /// rejects it with kUnsupported).
   ComposeOptions options;
 
   /// Backing storage for options.eliminate.keys after Parse (the library

@@ -1,5 +1,5 @@
 // Tests for incremental chain recomposition: warm (prefix-cached) results
-// byte-identical to cold recomposition at any job count, exact suffix
+// byte-identical to cold recomposition, exact suffix
 // recompute counts after editing link k, invalidation when a prefix link
 // changes, byte-capacity eviction of prefix states, and a concurrent
 // editors-plus-readers stress run (executed under ThreadSanitizer in CI).
@@ -57,32 +57,28 @@ void ReviseLink(Mapping* m) {
   }
 }
 
-TEST(ChainComposerTest, WarmEqualsColdByteForByteAtJobs1And8) {
+TEST(ChainComposerTest, WarmEqualsColdByteForByte) {
   TestChain tc = BuildChain(/*depth=*/6, /*seed=*/11);
   ChainResult cold = ComposeChainCold(tc.chain).value();
   ASSERT_FALSE(cold.fingerprint.empty());
   ASSERT_FALSE(cold.result_fingerprint.empty());
 
-  for (int jobs : {1, 8}) {
-    ComposeServiceOptions service_options;
-    service_options.compose.elim_jobs = jobs;
-    ComposeService service(service_options);
-    ChainComposer composer(&service);
+  ComposeService service;
+  ChainComposer composer(&service);
 
-    // Cold walk, then a fully warm walk: both must match the no-service
-    // oracle byte for byte — fingerprint, final step result fingerprint,
-    // residuals and warnings included (the fingerprint serializes them).
-    ChainResult first = composer.ComposeChain(tc.chain).value();
-    ChainResult second = composer.ComposeChain(tc.chain).value();
-    EXPECT_EQ(first.fingerprint, cold.fingerprint) << "jobs=" << jobs;
-    EXPECT_EQ(first.result_fingerprint, cold.result_fingerprint);
-    EXPECT_EQ(second.fingerprint, cold.fingerprint);
-    EXPECT_EQ(second.result_fingerprint, cold.result_fingerprint);
-    EXPECT_EQ(first.steps_composed, 5);
-    EXPECT_EQ(first.prefix_hits, 0);
-    EXPECT_EQ(second.steps_composed, 0);  // every prefix served
-    EXPECT_EQ(second.prefix_hits, 5);
-  }
+  // Cold walk, then a fully warm walk: both must match the no-service
+  // oracle byte for byte — fingerprint, final step result fingerprint,
+  // residuals and warnings included (the fingerprint serializes them).
+  ChainResult first = composer.ComposeChain(tc.chain).value();
+  ChainResult second = composer.ComposeChain(tc.chain).value();
+  EXPECT_EQ(first.fingerprint, cold.fingerprint);
+  EXPECT_EQ(first.result_fingerprint, cold.result_fingerprint);
+  EXPECT_EQ(second.fingerprint, cold.fingerprint);
+  EXPECT_EQ(second.result_fingerprint, cold.result_fingerprint);
+  EXPECT_EQ(first.steps_composed, 5);
+  EXPECT_EQ(first.prefix_hits, 0);
+  EXPECT_EQ(second.steps_composed, 0);  // every prefix served
+  EXPECT_EQ(second.prefix_hits, 5);
 }
 
 TEST(ChainComposerTest, EditingLinkKRecomposesExactlyTheSuffix) {
@@ -265,9 +261,7 @@ TEST(ChainComposerTest, ConcurrentEditorsAndReadersStayDeterministic) {
     generations.push_back(std::move(next));
   }
 
-  ComposeServiceOptions service_options;
-  service_options.compose.elim_jobs = 2;
-  ComposeService service(service_options);
+  ComposeService service;
   ChainComposer composer(&service);
 
   constexpr int kThreads = 6;

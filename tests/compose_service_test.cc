@@ -123,9 +123,6 @@ TEST(ComposeOptionsFingerprintTest, SeparatesResultChangingKnobs) {
   ComposeOptions a;
   ComposeOptions b;
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
-  // elim_jobs never changes results, so it must not split the cache.
-  b.elim_jobs = 8;
-  EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
   b.simplify_output = false;
   EXPECT_NE(a.Fingerprint(), b.Fingerprint());
   ComposeOptions c;
@@ -200,7 +197,6 @@ TEST(ComposeServiceTest, MixedOptionsTrafficNeverServesStaleVariants) {
 
 TEST(ComposeServiceTest, ResultsMatchDirectComposition) {
   ComposeServiceOptions options;
-  options.compose.elim_jobs = 4;
   ComposeService service(options);
   for (const CompositionProblem& p : ParsedLiteratureSuite()) {
     CompositionResult direct = Compose(p, options.compose);
@@ -212,7 +208,6 @@ TEST(ComposeServiceTest, ResultsMatchDirectComposition) {
 
 TEST(ComposeServiceTest, AggregatesSchedulerWaveStats) {
   ComposeServiceOptions options;
-  options.compose.elim_jobs = 4;
   ComposeService service(options);
   service.Submit(FanoutRequest(8)).Wait();
   ServiceStats stats = service.Stats();
@@ -230,7 +225,6 @@ TEST(ComposeServiceTest, ConcurrentClientsMixedHitsAndMisses) {
   problems.push_back(sim::BuildFanoutProblem(8, /*chain_overlap=*/true));
 
   ComposeServiceOptions options;
-  options.compose.elim_jobs = 2;
   options.cache_capacity = 1024;  // no eviction: misses == distinct problems
   ComposeService service(options);
 

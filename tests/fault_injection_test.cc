@@ -5,7 +5,7 @@
 // a poisoned cache), a mid-reply socket reset is a client-side transport
 // error with clean server stats, cancellation is counted exactly, and a
 // run that completes under an unexpired token is byte-identical to an
-// unbounded run at any lane count.
+// unbounded run.
 //
 // Every test skips on builds without fault points compiled in
 // (Release without -DMAPCOMP_FAULT_INJECTION=ON); the CI TSan job runs
@@ -100,25 +100,22 @@ TEST(FaultInjectionTest, PreCancelledTokenYieldsAllResidualInterrupt) {
             result.total_count);
 }
 
-TEST(FaultInjectionTest, CompletedRunMatchesUnboundedRunAtJobs1And8) {
+TEST(FaultInjectionTest, CompletedRunMatchesUnboundedRun) {
   SKIP_WITHOUT_FAULT_POINTS();
   // Determinism contract: a run that completes without its token firing
   // is byte-identical to an unbounded run — the token carries no schedule
-  // state — and lane count never changes results.
+  // state.
   CompositionProblem problem = sim::BuildFanoutProblem(7,
                                                        /*chain_overlap=*/true);
   ComposeOptions unbounded;
   const std::string baseline = Compose(problem, unbounded).Fingerprint();
 
   CancelSource source;  // never cancelled
-  for (int jobs : {1, 8}) {
-    ComposeOptions bounded;
-    bounded.elim_jobs = jobs;
-    bounded.cancel = source.token(Deadline::After(60000));
-    CompositionResult result = Compose(problem, bounded);
-    ASSERT_TRUE(result.interrupt.ok()) << "token must not fire";
-    EXPECT_EQ(result.Fingerprint(), baseline) << "jobs=" << jobs;
-  }
+  ComposeOptions bounded;
+  bounded.cancel = source.token(Deadline::After(60000));
+  CompositionResult result = Compose(problem, bounded);
+  ASSERT_TRUE(result.interrupt.ok()) << "token must not fire";
+  EXPECT_EQ(result.Fingerprint(), baseline);
 }
 
 TEST(FaultInjectionTest, InternerAllocFailureSurfacesAsStatusNotCrash) {

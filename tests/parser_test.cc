@@ -137,6 +137,13 @@ std::string NestedProjection(int depth) {
   return out;
 }
 
+/// `R op R op … op R` with `terms` terms.
+std::string FlatChain(int terms, const std::string& op) {
+  std::string out = "R";
+  for (int i = 1; i < terms; ++i) out += op + "R";
+  return out;
+}
+
 TEST_F(ParserTest, NestingDepthIsBounded) {
   ExprPtr deepest = parser_.ParseExpr(NestedProjection(512), sig_).value();
   EXPECT_EQ(deepest->kind(), ExprKind::kProject);
@@ -164,6 +171,20 @@ TEST_F(ParserTest, NestingDepthIsBounded) {
       parser_.ParseConstraints(NestedProjection(20000) + " <= S;", sig_);
   ASSERT_FALSE(cs.ok());
   EXPECT_EQ(cs.status().code(), StatusCode::kInvalidArgument);
+  // A flat chain nests no parenthesis, but the expression the parser
+  // builds from it is as deep as it has terms.
+  for (const char* op : {" + ", " * "}) {
+    ExprPtr longest = parser_.ParseExpr(FlatChain(512, op), sig_).value();
+    EXPECT_EQ(longest->depth(), 512) << op;
+    for (int terms : {513, 20000}) {
+      Result<ExprPtr> e = parser_.ParseExpr(FlatChain(terms, op), sig_);
+      ASSERT_FALSE(e.ok()) << op << terms;
+      EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(e.status().message().find("line 1, column"),
+                std::string::npos)
+          << e.status().ToString();
+    }
+  }
 }
 
 TEST_F(ParserTest, CommentsAndWhitespace) {

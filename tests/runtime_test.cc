@@ -142,8 +142,7 @@ TEST(ParallelForTest, MaxHelpersCapsLanesButCoversRange) {
 }
 
 TEST(ParallelForTest, NestedOnTheSamePoolDoesNotDeadlock) {
-  // The intra-problem elimination scheduler runs ParallelFor inside
-  // ComposeMany workers, all on the shared global pool — completion must
+  // A ParallelFor inside a task of the same shared pool: completion must
   // be tracked per call, not per pool, or the inner call waits forever
   // for its own enclosing task to retire.
   ThreadPool pool(2);

@@ -1,8 +1,7 @@
 // Tests for the conflict-graph elimination scheduler: occurrence-set
 // computation (Bloom fast path + exact confirmation), wave planning
 // (disjoint symbols share a wave, overlapping symbols serialize, Bloom
-// false positives only ever over-serialize), and the determinism pin —
-// Compose produces byte-identical fingerprints at any elim-jobs count.
+// false positives only ever over-serialize).
 
 #include <gtest/gtest.h>
 
@@ -157,22 +156,6 @@ TEST(ScheduleTest, WaveWidthsAreRecordedAndSumToAttempts) {
   // The chain forces at least one multi-wave round.
   ASSERT_FALSE(chained.rounds.empty());
   EXPECT_GE(chained.rounds[0].wave_widths.size(), 2u);
-}
-
-TEST(ScheduleTest, FingerprintsIdenticalAcrossElimJobs) {
-  std::vector<CompositionProblem> problems = ParsedLiteratureSuite();
-  problems.push_back(sim::BuildFanoutProblem(8));
-  problems.push_back(sim::BuildFanoutProblem(8, /*chain_overlap=*/true));
-
-  ComposeOptions jobs1;
-  jobs1.elim_jobs = 1;
-  ComposeOptions jobs8;
-  jobs8.elim_jobs = 8;
-  for (const CompositionProblem& p : problems) {
-    CompositionResult a = Compose(p, jobs1);
-    CompositionResult b = Compose(p, jobs8);
-    EXPECT_EQ(a.Fingerprint(), b.Fingerprint()) << p.name;
-  }
 }
 
 TEST(ScheduleTest, BloomOnlyPlanningComposesTheSameSymbols) {

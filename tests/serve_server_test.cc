@@ -35,6 +35,28 @@ std::unique_ptr<ComposeClient> MustConnect(int port) {
   return client.ok() ? std::move(*client) : nullptr;
 }
 
+/// A well-formed request frame over σ1 {R(2)}, σ2 {S(2)}, σ3 {T(2)} whose
+/// Σ12 is `sigma12` and whose Σ23 is `S <= T`.
+std::string RequestFrame(uint64_t request_id, const std::string& sigma12) {
+  Signature s1, s2, s3;
+  EXPECT_TRUE(s1.AddRelation("R", 2).ok());
+  EXPECT_TRUE(s2.AddRelation("S", 2).ok());
+  EXPECT_TRUE(s3.AddRelation("T", 2).ok());
+  std::string body;
+  common::PutU64(&body, request_id);
+  common::PutU8(&body, 0);  // no options
+  common::PutString(&body, "hostile");
+  s1.AppendTo(&body);
+  s2.AppendTo(&body);
+  s3.AppendTo(&body);
+  common::PutString(&body, sigma12);
+  common::PutString(&body, "S <= T");
+  common::PutStringList(&body, {});
+  std::string frame;
+  EncodeFrame(FrameType::kRequest, body, &frame);
+  return frame;
+}
+
 TEST(ComposeServerTest, LoopbackComposeMatchesDirectCompose) {
   ComposeService service;
   ComposeServer server(&service, ServerOptions{});
@@ -152,26 +174,10 @@ TEST(ComposeServerTest, DeeplyNestedConstraintRefusesRequestKeepsConnection) {
   // A well-formed request body whose Σ12 text nests `pi[1,2](` 20 000
   // levels deep: about 180 KB, far below the frame cap, far past the
   // parser's nesting bound.
-  Signature s1, s2, s3;
-  ASSERT_TRUE(s1.AddRelation("R", 2).ok());
-  ASSERT_TRUE(s2.AddRelation("S", 2).ok());
-  ASSERT_TRUE(s3.AddRelation("T", 2).ok());
   std::string deep = "R <= ";
   for (int i = 0; i < 20000; ++i) deep += "pi[1,2](";
   deep += "S" + std::string(20000, ')');
-  std::string body;
-  common::PutU64(&body, 9);  // request_id
-  common::PutU8(&body, 0);   // no options
-  common::PutString(&body, "deep");
-  s1.AppendTo(&body);
-  s2.AppendTo(&body);
-  s3.AppendTo(&body);
-  common::PutString(&body, deep);
-  common::PutString(&body, "S <= T");
-  common::PutStringList(&body, {});
-  std::string frame;
-  EncodeFrame(FrameType::kRequest, body, &frame);
-  ASSERT_TRUE(client->SendRaw(frame).ok());
+  ASSERT_TRUE(client->SendRaw(RequestFrame(9, deep)).ok());
 
   Result<ServeReply> refused = client->Recv();
   ASSERT_TRUE(refused.ok()) << refused.status().ToString();
@@ -183,6 +189,31 @@ TEST(ComposeServerTest, DeeplyNestedConstraintRefusesRequestKeepsConnection) {
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok->status, WireStatus::kOk);
   EXPECT_EQ(ok->request_id, 10u);
+}
+
+TEST(ComposeServerTest, FlatChainRefusesRequestKeepsConnection) {
+  ComposeService service;
+  ComposeServer server(&service, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  auto client = MustConnect(server.port());
+  ASSERT_NE(client, nullptr);
+
+  // `R + R + … + R` with 20 000 terms (80 KB): no parenthesis nests, but
+  // the parser builds a union chain 20 000 levels deep, past its bound.
+  std::string chain = "R";
+  for (int i = 1; i < 20000; ++i) chain += " + R";
+  ASSERT_TRUE(client->SendRaw(RequestFrame(11, chain + " <= S")).ok());
+
+  Result<ServeReply> refused = client->Recv();
+  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+  EXPECT_EQ(refused->status, WireStatus::kInvalidArgument);
+  EXPECT_EQ(refused->request_id, 11u);
+
+  Result<ServeReply> ok =
+      client->Call(ServeRequest::Of(sim::BuildFanoutProblem(3), 12));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->status, WireStatus::kOk);
+  EXPECT_EQ(ok->request_id, 12u);
 }
 
 TEST(ComposeServerTest, FullQueueShedsWithOverloadedAdmittedWorkCompletes) {

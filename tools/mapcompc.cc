@@ -30,9 +30,6 @@
 //                          A fired deadline exits 6 — partial results are
 //                          still printed, with their residuals
 //     --jobs N             compose N tasks concurrently (default 1)
-//     --elim-jobs N        within each task, eliminate independent sigma2
-//                          symbols on up to N lanes (conflict-graph waves;
-//                          results are identical for any N; default 1)
 //     --serve-demo N       serve every task through a resident
 //                          ComposeService for N passes (pass 2+ hits the
 //                          result cache, keyed on the request's canonical
@@ -220,12 +217,6 @@ int main(int argc, char** argv) {
       jobs = std::atoi(argv[++i]);
       if (jobs < 1) {
         std::fprintf(stderr, "--jobs expects an integer >= 1\n");
-        return 2;
-      }
-    } else if (std::strcmp(arg, "--elim-jobs") == 0 && i + 1 < argc) {
-      options.elim_jobs = std::atoi(argv[++i]);
-      if (options.elim_jobs < 1) {
-        std::fprintf(stderr, "--elim-jobs expects an integer >= 1\n");
         return 2;
       }
     } else if (std::strcmp(arg, "--serve-demo") == 0 && i + 1 < argc) {
