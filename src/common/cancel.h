@@ -60,14 +60,14 @@ class Deadline {
 
 /// Cheap cooperative-cancellation poll object, copied by value into
 /// ComposeOptions / EvalOptions and observed at plan-defined points (round
-/// boundaries, wave lanes, eval slots). A token fires
+/// boundaries, wave lanes, eval nodes). A token fires
 /// for one of two reasons, which surface as distinct StatusCodes:
 ///
 ///   - its CancelSource was cancelled      -> StatusCode::kCancelled
 ///   - its Deadline passed                 -> StatusCode::kDeadlineExceeded
 ///
 /// A default-constructed token never fires; polling it is a null check
-/// plus a bool test, cheap enough for per-slot / per-chunk granularity.
+/// plus a bool test, cheap enough for per-node / per-chunk granularity.
 /// Determinism contract: the token carries no schedule state — a run that
 /// completes without the token firing is byte-identical to a run with no
 /// token at all, because every check site only *reads* the token.

@@ -6,7 +6,7 @@
 
 // Deterministic fault-injection points. Tests arm a point with ScopedFault
 // and the wired-in production sites (elimination waves, the interner's
-// allocation path, the server's socket write path, eval slots) then fail or
+// allocation path, the server's socket write path, eval nodes) then fail or
 // stall in a reproducible way — trigger counts and arguments, never
 // randomness, decide when a fault fires, so a failing run replays exactly.
 //
@@ -27,7 +27,7 @@ enum class FaultPoint : int {
   kSlowEliminationWave = 0,   // arg = sleep ms before each elimination
   kAllocFailInterner,         // throws std::bad_alloc on the Nth intern
   kSocketResetAfterNBytes,    // arg = server-side reply bytes before reset
-  kSlowEvalSlot,              // arg = sleep ms at each eval slot start
+  kSlowEvalSlot,              // arg = sleep ms before each computed eval node
   kCount,
 };
 

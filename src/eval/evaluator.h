@@ -223,11 +223,10 @@ class EncodedInstance {
 /// semantics (paper §2). `D` denotes the instance's active domain plus
 /// `options.extra_constants`.
 ///
-/// The engine is DAG-aware: a plan phase walks the interned DAG exactly
-/// like the old recursive evaluator (memoization, join planning,
-/// refcount-driven memo dropping and every guard check are decided there),
-/// then the planned nodes run in order on the calling thread, each table
-/// dropped once its last consumer has run.
+/// The engine is one memoized walk over the interned DAG on the calling
+/// thread: each node's table is computed when the walk first reaches it
+/// and dropped once its last parent has consumed it. The first failing
+/// node in visit order names the error.
 Result<EvalResult> EvaluateFull(const ExprPtr& e, const Instance& instance,
                                 const EvalOptions& options = {});
 /// The same against an encoded instance. D is the one fixed when it was

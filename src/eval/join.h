@@ -66,7 +66,7 @@ struct DomainSelectPlan {
 DomainSelectPlan PlanDomainSelect(const Condition& cond, int r);
 
 /// How a join condition over a (left, right) pair will run, compiled
-/// against one ValueDict — what the evaluator's join slot and the
+/// against one ValueDict — what the evaluator's join node and the
 /// join-family user operators hand to JoinMatcher:
 ///   - conjuncts touching only the left (or only the right) side are pushed
 ///     below the join as side filters,

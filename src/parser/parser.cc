@@ -9,13 +9,6 @@ namespace mapcomp {
 
 namespace {
 
-/// Deepest nesting the parser accepts: expressions plus `not` and
-/// parenthesised conditions, and the depth of every expression it builds
-/// (Expr::depth). Real inputs stay near 15 levels; the bound keeps hostile
-/// input (a 16 MiB wire frame) from overflowing the stack, in the parser
-/// and in the recursive passes that start on what it built.
-constexpr int kMaxNestingDepth = 512;
-
 const std::set<std::string>& ReservedWords() {
   static const std::set<std::string>* kWords = new std::set<std::string>{
       "schema", "map", "order", "key",  "pi",    "sel", "D",

@@ -9,6 +9,14 @@
 
 namespace mapcomp {
 
+/// Deepest nesting the parser accepts: expressions plus `not` and
+/// parenthesised conditions, and the depth of every expression it builds
+/// (Expr::depth). Real inputs stay near 15 levels; the bound keeps hostile
+/// input (a 16 MiB wire frame) from overflowing the stack, in the parser
+/// and in the recursive passes that start on what it built. The compose
+/// service refuses a result deeper than this, which no reply could carry.
+inline constexpr int kMaxNestingDepth = 512;
+
 /// Parser for the composition-task text format (the paper built an
 /// equivalent one, §4). Grammar sketch:
 ///

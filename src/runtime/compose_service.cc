@@ -1,8 +1,11 @@
 #include "src/runtime/compose_service.h"
 
+#include <algorithm>
 #include <exception>
+#include <string>
 #include <utility>
 
+#include "src/parser/parser.h"
 #include "src/runtime/thread_pool.h"
 
 namespace mapcomp {
@@ -263,21 +266,39 @@ ComposeService::Handle ComposeService::Submit(serve::ServeRequest request,
       [this, promise, plumb, caching, entry_id, key, keys_copy,
        options = std::move(task_options),
        problem = std::move(request.problem)]() mutable {
+        // An outcome that is not a servable result reaches every handle
+        // already joined to this computation, but is never cached and never
+        // served to future submitters. Finish() is the liveness fence — it
+        // must run before ReleaseOutstanding on every path.
+        auto refuse = [&](Status status, bool interrupted) {
+          if (caching) EvictFailed(key, entry_id);
+          uint64_t extra = plumb->Finish(interrupted);
+          RecordCompletion(nullptr, interrupted, extra);
+          promise->set_value(ServedOutcome(std::move(status)));
+          ReleaseOutstanding();
+        };
         ResultPtr result;
         std::shared_ptr<std::string> reply;
         try {
           CompositionResult full = Compose(problem, options);
           if (!full.interrupt.ok()) {
             // The run unwound on a fired token: partial residuals are not
-            // a servable result and must never be cached. Finish() is the
-            // liveness fence — it must run before ReleaseOutstanding on
-            // every path.
-            if (caching) EvictFailed(key, entry_id);
-            Status interrupt = full.interrupt;
-            uint64_t extra = plumb->Finish(/*interrupted=*/true);
-            RecordCompletion(nullptr, /*interrupted=*/true, extra);
-            promise->set_value(ServedOutcome(std::move(interrupt)));
-            ReleaseOutstanding();
+            // a servable result.
+            refuse(full.interrupt, /*interrupted=*/true);
+            return;
+          }
+          // Compose can nest deeper than it was given. A reply is read back
+          // by the parser, so a result past its bound could never be read.
+          int depth = 0;
+          for (const Constraint& c : full.constraints) {
+            depth = std::max({depth, c.lhs->depth(), c.rhs->depth()});
+          }
+          if (depth > kMaxNestingDepth) {
+            refuse(Status::ResourceExhausted(
+                       "composed constraints nest " + std::to_string(depth) +
+                       " levels deep, past the reply bound of " +
+                       std::to_string(kMaxNestingDepth)),
+                   /*interrupted=*/false);
             return;
           }
           // Slim before caching: constraints + residuals + warnings and
@@ -292,9 +313,7 @@ ComposeService::Handle ComposeService::Submit(serve::ServeRequest request,
           reply = std::make_shared<std::string>();
           serve::ServeReply::SerializeResultTo(*result, reply.get());
         } catch (...) {
-          // A failure is a Status, not a rethrow: it reaches every handle
-          // already joined to this computation as an error outcome, but
-          // must not be served to future submitters.
+          // A failure is a Status, not a rethrow.
           Status failure = Status::Internal("composition failed");
           try {
             std::rethrow_exception(std::current_exception());
@@ -303,11 +322,7 @@ ComposeService::Handle ComposeService::Submit(serve::ServeRequest request,
                                        e.what());
           } catch (...) {
           }
-          if (caching) EvictFailed(key, entry_id);
-          uint64_t extra = plumb->Finish(/*interrupted=*/false);
-          RecordCompletion(nullptr, /*interrupted=*/false, extra);
-          promise->set_value(ServedOutcome(std::move(failure)));
-          ReleaseOutstanding();
+          refuse(std::move(failure), /*interrupted=*/false);
           return;
         }
         // Ordering matters twice: stats — completion counters AND entry

@@ -215,7 +215,10 @@ class ComposeService {
   /// preset options.eliminate.keys signature is copied into the
   /// computation, so it may die the moment Submit returns; a non-default
   /// options.eliminate.registry is borrowed and must outlive the
-  /// computation (registries are long-lived by design).
+  /// computation (registries are long-lived by design). A composition
+  /// whose constraints nest deeper than kMaxNestingDepth, which no reply
+  /// could carry back through the parser, fails with kResourceExhausted
+  /// and is not cached.
   Handle Submit(serve::ServeRequest request);
 
   /// Submit with an end-to-end deadline: the computation runs under a

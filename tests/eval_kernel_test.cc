@@ -400,6 +400,62 @@ TEST(EvalKernelTest, SharedSubtreeSurvivesUntilLastParent) {
   EXPECT_EQ(out[1].tuples(), (std::set<Tuple>{T({1}), T({2}), T({3})}));
 }
 
+TEST(EvalKernelTest, PerRootStatsAreExact) {
+  // Every memo path in one forest, each root's counters pinned exactly:
+  // a duplicated subtree, a product planned around (its children cascade
+  // when the join consumes it), a select over a product another parent
+  // already evaluated, a shared subtree that is also a root, one root given
+  // twice, a pruned σ(D^r) and a transitive closure.
+  Instance db;
+  db.Set("R", {T({1, 2}), T({2, 3}), T({3, 4}), T({4, 1})});
+  db.Set("S", {T({2, 5}), T({3, 5}), T({4, 1}), T({5, 5})});
+  db.Set("E", {T({1, 2}), T({2, 3}), T({3, 1}), T({5, 6})});
+  const ExprPtr dup = Project({1}, Rel("R", 2));
+  const ExprPtr twice = Intersect(dup, Union(dup, Project({2}, Rel("S", 2))));
+  const ExprPtr bypassed = Select(Condition::AttrCmp(2, CmpOp::kEq, 3),
+                                  Product(Rel("R", 2), Rel("S", 2)));
+  const ExprPtr prod = Product(Rel("S", 2), Rel("R", 2));
+  const ExprPtr filtered =
+      Union(prod, Select(Condition::AttrCmp(2, CmpOp::kEq, 3), prod));
+  const ExprPtr pruned = Select(
+      Condition::And(Condition::AttrConst(1, CmpOp::kEq, Value(int64_t{3})),
+                     Condition::AttrCmp(2, CmpOp::kEq, 3)),
+      Dom(3));
+  const ExprPtr closure =
+      op::Registry::Default().MakeOp("tc", {Rel("E", 2)}).value();
+  const std::vector<ExprPtr> roots = {twice,  bypassed, filtered, twice,
+                                      pruned, closure,  dup};
+  std::vector<EvalResult> out = EvaluateMany(roots, db).value();
+  const std::vector<std::string> want = {
+      "eval: 6 nodes, 1 memo hits, 23 tuples, 0 hash joins, 0 nested "
+      "products, memo 316B peak / 364B total, 6 tasks",
+      "eval: 1 nodes, 2 memo hits, 3 tuples, 1 hash joins, 0 nested "
+      "products, memo 344B peak / 88B total, 1 tasks",
+      "eval: 3 nodes, 3 memo hits, 33 tuples, 0 hash joins, 1 nested "
+      "products, memo 760B peak / 648B total, 3 tasks",
+      "eval: 0 nodes, 1 memo hits, 0 tuples, 0 hash joins, 0 nested "
+      "products, memo 760B peak / 0B total, 0 tasks",
+      "eval: 1 nodes, 0 memo hits, 6 tuples, 0 hash joins, 0 nested "
+      "products, memo 760B peak / 112B total, 1 tasks",
+      "eval: 2 nodes, 0 memo hits, 14 tuples, 0 hash joins, 0 nested "
+      "products, memo 760B peak / 192B total, 2 tasks",
+      "eval: 0 nodes, 1 memo hits, 0 tuples, 0 hash joins, 0 nested "
+      "products, memo 760B peak / 0B total, 0 tasks",
+  };
+  ASSERT_EQ(out.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(out[i].stats.ToString(), want[i]) << "root " << i;
+  }
+  // Containment sums its two roots' counters and keeps the watermark.
+  EvalStats both;
+  ASSERT_TRUE(EvaluateContainment(bypassed, filtered, /*equality=*/false, db,
+                                  {}, &both)
+                  .ok());
+  EXPECT_EQ(both.ToString(),
+            "eval: 6 nodes, 3 memo hits, 44 tuples, 1 hash joins, 1 nested "
+            "products, memo 648B peak / 880B total, 6 tasks");
+}
+
 TEST(EvalKernelTest, ContainmentRunsOnTables) {
   Instance db;
   std::set<Tuple> r;

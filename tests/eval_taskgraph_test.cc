@@ -1,8 +1,8 @@
-// Plan-and-run evaluation coverage on wide sibling fan-outs: fingerprints
-// and stats must not depend on `jobs` (which one evaluation never reads),
-// lazy results must fingerprint without decoding, concurrent callers must
-// agree, the first failing node in plan order names the error, and a fired
-// token cancels the evaluation.
+// One-pass evaluation coverage on wide sibling fan-outs: fingerprints and
+// stats must not depend on `jobs` (which one evaluation never reads), lazy
+// results must fingerprint without decoding, concurrent callers must agree,
+// the first failing node in visit order names the error, and a fired token
+// cancels the evaluation.
 
 #include <gtest/gtest.h>
 
@@ -193,6 +193,28 @@ TEST(EvalTaskGraphTest, ErrorPrecedenceIsScheduleIndependent) {
   Result<EvalResult> guard8 = EvaluateFull(Dom(3), db, tight);
   ASSERT_FALSE(guard8.ok());
   EXPECT_EQ(guard1.status().ToString(), guard8.status().ToString());
+}
+
+TEST(EvalTaskGraphTest, FirstFailingNodeInVisitOrderNamesTheError) {
+  // A ragged relation fails when its table is read, the D^3 guard before
+  // anything is enumerated; whichever leg the walk reaches first names the
+  // error, as in the nested-loop oracle's recursion.
+  Instance db;
+  db.Set("R", {T({1, 2}), T({7})});
+  const ExprPtr ragged = Rel("R", 2);
+  const ExprPtr oversized = Project({1, 2}, Dom(3));
+  EvalOptions tight;
+  tight.max_domain_tuples = 10;
+  Result<EvalResult> ragged_first =
+      EvaluateFull(Union(ragged, oversized), db, tight);
+  ASSERT_FALSE(ragged_first.ok());
+  EXPECT_EQ(ragged_first.status().code(), StatusCode::kInvalidArgument)
+      << ragged_first.status().ToString();
+  Result<EvalResult> guard_first =
+      EvaluateFull(Union(oversized, ragged), db, tight);
+  ASSERT_FALSE(guard_first.ok());
+  EXPECT_EQ(guard_first.status().code(), StatusCode::kResourceExhausted)
+      << guard_first.status().ToString();
 }
 
 TEST(EvalTaskGraphTest, FiredTokenCancelsInlinePlanAtAnyLaneCount) {

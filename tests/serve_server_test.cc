@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/common/wire_format.h"
+#include "src/parser/parser.h"
 #include "src/runtime/compose_service.h"
 #include "src/serve/compose_client.h"
 #include "src/serve/compose_server.h"
@@ -214,6 +215,50 @@ TEST(ComposeServerTest, FlatChainRefusesRequestKeepsConnection) {
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok->status, WireStatus::kOk);
   EXPECT_EQ(ok->request_id, 12u);
+}
+
+TEST(ComposeServerTest, ResultDeeperThanParserBoundIsRefusedNotCached) {
+  ComposeService service;
+  ComposeServer server(&service, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  auto client = MustConnect(server.port());
+  ASSERT_NE(client, nullptr);
+
+  // Each side is a 300-term union chain, within the parser's bound, but
+  // unfolding V nests one chain inside the other: about 600 levels.
+  std::string s1, s3 = "U(1); ", v = "R0", u = "V";
+  for (int i = 0; i < 300; ++i) s1 += "R" + std::to_string(i) + "(1); ";
+  for (int i = 1; i < 300; ++i) v += " + R" + std::to_string(i);
+  for (int i = 0; i < 299; ++i) {
+    s3 += "T" + std::to_string(i) + "(1); ";
+    u += " + T" + std::to_string(i);
+  }
+  Result<CompositionProblem> problem = Parser().ParseProblem(
+      "schema s1 { " + s1 + "}\nschema s2 { V(1); }\nschema s3 { " + s3 +
+      "}\nmap m12 { V = " + v + "; }\nmap m23 { U <= " + u + "; }\n");
+  ASSERT_TRUE(problem.ok()) << problem.status().ToString();
+
+  for (uint64_t id : {13, 14}) {
+    Result<ServeReply> refused =
+        client->Call(ServeRequest::Of(*problem, id));
+    ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+    EXPECT_EQ(refused->status, WireStatus::kResourceExhausted);
+    EXPECT_NE(refused->message.find("levels deep"), std::string::npos)
+        << refused->message;
+    EXPECT_EQ(refused->request_id, id);
+  }
+  // Not cached: the second request composed again.
+  runtime::ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.failed, 2u);
+  EXPECT_EQ(stats.cache_entries, 0u);
+
+  Result<ServeReply> ok =
+      client->Call(ServeRequest::Of(sim::BuildFanoutProblem(3), 15));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->status, WireStatus::kOk);
+  EXPECT_EQ(ok->request_id, 15u);
 }
 
 TEST(ComposeServerTest, FullQueueShedsWithOverloadedAdmittedWorkCompletes) {
