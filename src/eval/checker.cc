@@ -24,22 +24,33 @@ void CollectConstantsFromCondition(const Condition& c, std::set<Value>* out) {
   }
 }
 
-void CollectConstantsFromExpr(const ExprPtr& e, std::set<Value>* out) {
-  if (e == nullptr) return;
-  CollectConstantsFromCondition(e->condition(), out);
-  for (const Tuple& t : e->tuples()) {
-    for (const Value& v : t) out->insert(v);
-  }
-  for (const ExprPtr& c : e->children()) CollectConstantsFromExpr(c, out);
-}
-
 }  // namespace
+
+void CollectConstants(const ExprPtr& e, std::set<const Expr*>* visited,
+                      std::set<Value>* constants,
+                      std::set<std::string>* relations) {
+  if (e == nullptr) return;
+  // Only inner nodes are remembered: a leaf costs less to revisit than to
+  // insert, and the walk stays linear in the DAG's edges.
+  if (!e->children().empty() && !visited->insert(e.get()).second) return;
+  if (relations != nullptr && e->kind() == ExprKind::kRelation) {
+    relations->insert(e->name());
+  }
+  CollectConstantsFromCondition(e->condition(), constants);
+  for (const Tuple& t : e->tuples()) {
+    for (const Value& v : t) constants->insert(v);
+  }
+  for (const ExprPtr& c : e->children()) {
+    CollectConstants(c, visited, constants, relations);
+  }
+}
 
 std::set<Value> CollectConstants(const ConstraintSet& cs) {
   std::set<Value> out;
+  std::set<const Expr*> visited;
   for (const Constraint& c : cs) {
-    CollectConstantsFromExpr(c.lhs, &out);
-    CollectConstantsFromExpr(c.rhs, &out);
+    CollectConstants(c.lhs, &visited, &out);
+    CollectConstants(c.rhs, &visited, &out);
   }
   return out;
 }

@@ -13,6 +13,15 @@ namespace mapcomp {
 /// when checking (see EvalOptions::extra_constants).
 std::set<Value> CollectConstants(const ConstraintSet& cs);
 
+/// Adds every constant `e` mentions (selection-condition constants and
+/// literal-relation values) to `constants` and, when `relations` is
+/// non-null, the name of every relation it reads. Walks each edge of the
+/// interned DAG once: `visited` holds the inner nodes already walked and
+/// spans calls, so roots that share subtrees walk them once.
+void CollectConstants(const ExprPtr& e, std::set<const Expr*>* visited,
+                      std::set<Value>* constants,
+                      std::set<std::string>* relations = nullptr);
+
 /// A ⊨ ξ (paper §2). For equality constraints checks both containments.
 /// When `stats` is non-null the evaluation counters of both sides are
 /// accumulated into it.

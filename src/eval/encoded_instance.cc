@@ -3,6 +3,7 @@
 
 #include <utility>
 
+#include "src/eval/checker.h"
 #include "src/eval/evaluator.h"
 #include "src/eval/tuple_table.h"
 #include "src/eval/value_dict.h"
@@ -10,42 +11,6 @@
 namespace mapcomp {
 
 namespace {
-
-void CollectConditionConstants(const Condition& c, std::set<Value>* out) {
-  switch (c.kind()) {
-    case Condition::Kind::kAtom:
-      if (!c.lhs().is_attr) out->insert(c.lhs().constant);
-      if (!c.rhs().is_attr) out->insert(c.rhs().constant);
-      break;
-    case Condition::Kind::kAnd:
-    case Condition::Kind::kOr:
-    case Condition::Kind::kNot:
-      for (const Condition& child : c.children()) {
-        CollectConditionConstants(child, out);
-      }
-      break;
-    default:
-      break;
-  }
-}
-
-/// Every constant a root expression can mention — selection-condition
-/// constants and literal-relation values — goes into the dictionary seed,
-/// so compiled conditions find their constants in the order-preserving
-/// range; and every relation it reads is encoded.
-void CollectRootReads(const ExprPtr& e, std::set<Value>* constants,
-                      std::set<std::string>* relations,
-                      std::set<const Expr*>* visited) {
-  if (e == nullptr || !visited->insert(e.get()).second) return;
-  if (e->kind() == ExprKind::kRelation) relations->insert(e->name());
-  CollectConditionConstants(e->condition(), constants);
-  for (const Tuple& t : e->tuples()) {
-    for (const Value& v : t) constants->insert(v);
-  }
-  for (const ExprPtr& c : e->children()) {
-    CollectRootReads(c, constants, relations, visited);
-  }
-}
 
 /// Encodes one relation: a table when every tuple has the same size, the
 /// tuple set itself otherwise.
@@ -84,13 +49,35 @@ EncodedInstance::EncodedInstance(const Instance& instance,
 EncodedInstance EncodedInstance::ForRoots(
     const Instance& instance, const std::set<Value>& extra_constants,
     const std::vector<ExprPtr>& roots) {
+  // Every constant the roots mention goes into the dictionary seed, so
+  // compiled conditions find their constants in the order-preserving
+  // range; and every relation they read is encoded.
   std::set<Value> constants;
   std::set<std::string> relations;
   std::set<const Expr*> visited;
   for (const ExprPtr& root : roots) {
-    CollectRootReads(root, &constants, &relations, &visited);
+    CollectConstants(root, &visited, &constants, &relations);
   }
   return EncodedInstance(instance, extra_constants, constants, &relations);
+}
+
+EncodedInstance::EncodedInstance(std::shared_ptr<ValueDict> dict,
+                                 std::map<std::string, Relation> relations,
+                                 const std::set<Value>& extra_constants)
+    : dict_(std::move(dict)), relations_(std::move(relations)) {
+  std::vector<bool> in_domain(dict_->size(), false);
+  for (const auto& [_, rel] : relations_) {
+    for (ValueId id : rel.table->Data()) in_domain[id] = true;
+  }
+  extra_ids_.reserve(extra_constants.size());
+  for (const Value& v : extra_constants) {
+    const ValueId id = *dict_->Find(v);
+    extra_ids_.push_back(id);
+    in_domain[id] = true;
+  }
+  for (size_t id = 0; id < in_domain.size(); ++id) {
+    if (in_domain[id]) domain_ids_.push_back(static_cast<ValueId>(id));
+  }
 }
 
 EncodedInstance::EncodedInstance(const Instance& instance,
@@ -237,6 +224,12 @@ std::set<Tuple> EncodedInstance::Decode(const std::string& name) const {
   if (rel == nullptr) return {};
   if (rel->ragged != nullptr) return *rel->ragged;
   return rel->table->ToSet(*dict_);
+}
+
+Instance EncodedInstance::Decode() const {
+  Instance out;
+  for (const auto& [name, _] : relations_) out.Set(name, Decode(name));
+  return out;
 }
 
 }  // namespace mapcomp

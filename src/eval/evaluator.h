@@ -141,7 +141,9 @@ struct EvalResult {
 
 /// An instance encoded once for many evaluations: one seeded ValueDict, the
 /// domain D as ascending ids (the active domain plus the extra constants)
-/// and one sorted TupleTable per relation. Evaluations against it copy no
+/// and one sorted TupleTable per relation. The seed holds D and may hold
+/// more (the constants ForRoots's roots mention, or the whole alphabet of
+/// an InstanceGenerator); only D is enumerated. Evaluations against it copy no
 /// domain, seed no dictionary and encode no relation; their relation nodes
 /// share its tables. Values an evaluation mints (Skolem terms, user-operator
 /// outputs, constants outside the seed) accumulate in the shared
@@ -168,6 +170,14 @@ class EncodedInstance {
   /// Encodes every relation of `instance` with D = its active domain plus
   /// `extra_constants`; the dictionary's seed is D.
   EncodedInstance(const Instance& instance,
+                  const std::set<Value>& extra_constants);
+
+  /// Adopts relations already encoded over `dict`: every one a sorted,
+  /// deduplicated table whose ids, like every extra constant, lie in the
+  /// dictionary's seed. D is the ids the tables hold plus
+  /// `extra_constants`. InstanceGenerator::Encode builds instances this way.
+  EncodedInstance(std::shared_ptr<ValueDict> dict,
+                  std::map<std::string, Relation> relations,
                   const std::set<Value>& extra_constants);
 
   /// What the Instance overloads evaluate against: D as above, the seed
@@ -199,6 +209,8 @@ class EncodedInstance {
 
   /// Relation `name` decoded (empty if absent).
   std::set<Tuple> Decode(const std::string& name) const;
+  /// Every relation decoded.
+  Instance Decode() const;
 
  private:
   EncodedInstance(const Instance& instance,

@@ -1,16 +1,19 @@
 #include "src/eval/generator.h"
 
+#include <map>
+#include <memory>
+
 #include "src/common/rand.h"
-#include "src/eval/checker.h"
-#include "src/eval/materialize.h"
+#include "src/eval/tuple_table.h"
 
 namespace mapcomp {
 
 namespace {
 
+const char* const kStrings[] = {"a", "b", "c"};
+
 void FillRandom(const Signature& sig, std::mt19937_64* rng,
                 const GenOptions& options, Instance* out) {
-  static const char* kStrings[] = {"a", "b", "c"};
   // Draws go through the shared rnd::UniformIndex helper (same underlying
   // distribution, so generated instances are unchanged for a given seed).
   for (const std::string& name : sig.names()) {
@@ -53,29 +56,86 @@ Instance RandomInstanceOver(const std::vector<const Signature*>& sigs,
   return out;
 }
 
-Result<Instance> RandomInstanceSatisfying(const Signature& sig,
-                                          const ConstraintSet& cs,
-                                          std::mt19937_64* rng, int attempts,
-                                          const GenOptions& options) {
-  for (int i = 0; i < attempts; ++i) {
-    Instance candidate = RandomInstance(sig, rng, options);
-    MAPCOMP_ASSIGN_OR_RETURN(bool sat, SatisfiesAll(candidate, cs));
-    if (sat) return candidate;
+InstanceGenerator::InstanceGenerator(const std::vector<const Signature*>& sigs,
+                                     const GenOptions& options,
+                                     std::set<Value> extra_constants)
+    : options_(options), extra_constants_(std::move(extra_constants)) {
+  for (const Signature* sig : sigs) {
+    if (sig == nullptr) continue;
+    for (const std::string& name : sig->names()) {
+      relations_.emplace_back(name, sig->ArityOf(name));
+    }
   }
-  return Status::NotFound("no satisfying instance within attempt budget");
+  // The alphabet in index order is ascending (every integer sorts before
+  // every string), and the seed is sorted too, so one merge walk finds
+  // each alphabet value's id.
+  std::vector<Value> alphabet;
+  for (int k = 0; k < options_.domain_size; ++k) {
+    alphabet.emplace_back(std::in_place_type<int64_t>, k);
+  }
+  if (options_.include_strings) {
+    for (const char* s : kStrings) {
+      alphabet.emplace_back(std::in_place_type<std::string>, s);
+    }
+  }
+  seed_ = extra_constants_;
+  seed_.insert(alphabet.begin(), alphabet.end());
+  alphabet_ids_.reserve(alphabet.size());
+  ValueId id = 0;
+  for (const Value& v : seed_) {
+    if (alphabet_ids_.size() < alphabet.size() &&
+        v == alphabet[alphabet_ids_.size()]) {
+      alphabet_ids_.push_back(id);
+    }
+    ++id;
+  }
 }
 
-Instance RepairTowards(const Instance& instance, const ConstraintSet& cs,
-                       const EvalOptions& options, int max_iterations) {
-  // Every bare receiving side is a feed; an equality with a bare side
-  // *defines* that relation, so the repair assigns it (random extra tuples
-  // would break S ⊆ E forever) while containments only grow their target.
-  Instance out = instance;
-  RunFeedFixpoint(&out,
-                  FeedPlan::ForConstraints(cs, /*keep=*/nullptr,
-                                           /*assign_equalities=*/true),
-                  options, max_iterations, /*stats=*/nullptr);
-  return out;
+InstanceDraw InstanceGenerator::Draw(std::mt19937_64* rng) const {
+  // RandomInstanceOver's loop: a tuple count per relation, then each
+  // tuple's values in order, a string coin first under include_strings.
+  InstanceDraw draw;
+  draw.rows.reserve(relations_.size());
+  for (const auto& [_, arity] : relations_) {
+    const int n = rnd::UniformIndex(rng, options_.max_tuples_per_rel + 1);
+    draw.rows.push_back(n);
+    for (int c = 0; c < n * arity; ++c) {
+      if (options_.include_strings && rnd::UniformIndex(rng, 4) == 0) {
+        draw.cells.push_back(static_cast<uint32_t>(
+            options_.domain_size + rnd::UniformIndex(rng, 3)));
+      } else {
+        draw.cells.push_back(static_cast<uint32_t>(
+            rnd::UniformIndex(rng, options_.domain_size)));
+      }
+    }
+  }
+  return draw;
+}
+
+EncodedInstance InstanceGenerator::Encode(const InstanceDraw& draw) const {
+  auto dict = std::make_shared<ValueDict>();
+  dict->Seed(seed_);
+  std::map<std::string, EncodedInstance::Relation> relations;
+  const uint32_t* cell = draw.cells.data();
+  for (size_t r = 0; r < relations_.size(); ++r) {
+    const auto& [name, arity] = relations_[r];
+    const int n = draw.rows[r];
+    TupleTable table(n > 0 ? arity : 0);
+    if (n > 0 && arity == 0) table.AppendRow(nullptr);
+    if (n > 0 && arity > 0) {
+      std::vector<ValueId>& data = table.MutableData();
+      data.reserve(static_cast<size_t>(n) * arity);
+      for (int c = 0; c < n * arity; ++c) {
+        data.push_back(alphabet_ids_[*cell++]);
+      }
+      table.FinishAppends();
+      table.SortDedupRows();
+    }
+    relations[name] = EncodedInstance::Relation{
+        std::make_shared<const TupleTable>(std::move(table)), nullptr};
+  }
+  return EncodedInstance(std::move(dict), std::move(relations),
+                         extra_constants_);
 }
 
 }  // namespace mapcomp

@@ -1,10 +1,13 @@
 #ifndef MAPCOMP_EVAL_GENERATOR_H_
 #define MAPCOMP_EVAL_GENERATOR_H_
 
+#include <cstdint>
 #include <random>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "src/constraints/constraint.h"
 #include "src/constraints/signature.h"
 #include "src/eval/evaluator.h"
 #include "src/eval/instance.h"
@@ -26,38 +29,61 @@ Instance RandomInstance(const Signature& sig, std::mt19937_64* rng,
 /// Uniformly random instance spanning several signatures at once — the
 /// (A,B,C) instances over σ1 ∪ σ2 ∪ σ3 the compose-soundness harness
 /// evaluates both the original pipeline and the composed mapping against.
+/// A relation named in two signatures keeps the later signature's draw.
 Instance RandomInstanceOver(const std::vector<const Signature*>& sigs,
                             std::mt19937_64* rng,
                             const GenOptions& options = {});
 
-/// Rejection-samples an instance satisfying `cs`; returns NotFound after
-/// `attempts` failures. Useful to seed soundness property tests.
-Result<Instance> RandomInstanceSatisfying(const Signature& sig,
-                                          const ConstraintSet& cs,
-                                          std::mt19937_64* rng, int attempts,
-                                          const GenOptions& options = {});
+/// One RandomInstanceOver draw, kept as indices into the generator's
+/// alphabet instead of values: index k < domain_size is the integer k, and
+/// under include_strings index domain_size + s is the string "a", "b" or
+/// "c" (s = 0, 1, 2).
+struct InstanceDraw {
+  /// Tuples drawn for each relation, in draw order.
+  std::vector<int> rows;
+  /// Every drawn tuple's alphabet indices, row-major, relation after
+  /// relation in draw order; duplicate tuples are kept.
+  std::vector<uint32_t> cells;
+};
 
-/// RepairTowards's default pass budget.
+/// RandomInstanceOver drawn as alphabet indices and encoded straight into
+/// ids, for the soundness check: its caller draws every instance in index
+/// order (Draw allocates no value, tuple or set), and each lane encodes
+/// its own (Encode). Immutable after construction, so any thread may call
+/// either.
+class InstanceGenerator {
+ public:
+  /// `sigs` (nulls skipped) need not outlive the generator.
+  InstanceGenerator(const std::vector<const Signature*>& sigs,
+                    const GenOptions& options,
+                    std::set<Value> extra_constants);
+
+  /// Makes exactly the rng calls RandomInstanceOver(sigs, rng, options)
+  /// makes, in the same order, and records what they drew.
+  InstanceDraw Draw(std::mt19937_64* rng) const;
+
+  /// The instance `draw` denotes, encoded: the same relations, tuples and D
+  /// as EncodedInstance(RandomInstanceOver(...), extra_constants). The
+  /// dictionary's seed is the whole alphabet plus the extra constants, so
+  /// it grows with domain_size; D is the values that occur plus the extra
+  /// constants. An empty relation is an empty arity-0 table, and a name
+  /// drawn twice keeps its later draw, as in RandomInstanceOver.
+  EncodedInstance Encode(const InstanceDraw& draw) const;
+
+ private:
+  GenOptions options_;
+  /// Every relation drawn, in draw order: name and arity.
+  std::vector<std::pair<std::string, int>> relations_;
+  /// The dictionary seed: the alphabet plus the extra constants.
+  std::set<Value> seed_;
+  /// Each alphabet index's id under that seed.
+  std::vector<ValueId> alphabet_ids_;
+  std::set<Value> extra_constants_;
+};
+
+/// The soundness check's pass budget for repairing an instance towards the
+/// original pipeline (RunFeedFixpoint).
 inline constexpr int kRepairPasses = 16;
-
-/// Chase-style repair: starting from `instance`, repeatedly grows every
-/// relation that appears bare on the receiving side of a constraint
-/// (E ⊆ R, or either side of an equality with a bare relation) with the
-/// evaluation of the feeding expression, to a fixpoint. For constraint
-/// sets that are monotone in the fed relations — every pipeline the
-/// simulator emits — this turns an arbitrary instance into one satisfying
-/// far more of `cs` than rejection sampling ever hits, which is what makes
-/// the soundness harness's "original pipeline satisfied" branch non-vacuous.
-/// Feed evaluations run under `options` (guards, cancel token). D is the
-/// instance's active domain plus `options.extra_constants` plus the
-/// constants of `cs` (see FeedPlan::ForConstraints). Returns the repaired
-/// instance; feeds that fail to evaluate (e.g. Skolem without an
-/// interpretation) contribute nothing. CheckComposition runs the same
-/// repair in place on an encoded instance (RunFeedFixpoint), with one
-/// FeedPlan for all of its instances.
-Instance RepairTowards(const Instance& instance, const ConstraintSet& cs,
-                       const EvalOptions& options = {},
-                       int max_iterations = kRepairPasses);
 
 }  // namespace mapcomp
 

@@ -46,23 +46,6 @@ void CollectReads(const ExprPtr& e, std::set<const Expr*>* visited,
   }
 }
 
-/// `instance` encoded for a run of `plan`: D is its active domain plus
-/// the caller's extra constants and the plan's.
-EncodedInstance EncodeForPlan(const Instance& instance, const FeedPlan& plan,
-                              const EvalOptions& options) {
-  std::set<Value> constants = options.extra_constants;
-  constants.insert(plan.constants().begin(), plan.constants().end());
-  return EncodedInstance(instance, constants);
-}
-
-/// Copies the relations a run wrote from `encoded` into `instance`.
-void DecodeWritten(const EncodedInstance& encoded,
-                   const std::set<std::string>& written, Instance* instance) {
-  for (const std::string& name : written) {
-    instance->Set(name, encoded.Decode(name));
-  }
-}
-
 }  // namespace
 
 FeedPlan::FeedPlan(std::vector<RelationFeed> feeds, std::set<Value> constants)
@@ -148,24 +131,6 @@ int RunFeedFixpoint(EncodedInstance* instance, const FeedPlan& plan,
   return iterations;
 }
 
-int RunFeedFixpoint(Instance* instance, const FeedPlan& plan,
-                    const EvalOptions& options, int max_iterations,
-                    EvalStats* stats) {
-  EncodedInstance encoded = EncodeForPlan(*instance, plan, options);
-  std::set<std::string> written;
-  const int iterations = RunFeedFixpoint(&encoded, plan, options,
-                                         max_iterations, stats, &written);
-  DecodeWritten(encoded, written, instance);
-  return iterations;
-}
-
-int RunFeedFixpoint(Instance* instance, const std::vector<RelationFeed>& feeds,
-                    const EvalOptions& options, int max_iterations,
-                    EvalStats* stats) {
-  return RunFeedFixpoint(instance, FeedPlan(feeds), options, max_iterations,
-                         stats);
-}
-
 Result<MaterializeResult> PopulateResiduals(
     const Instance& input, const ConstraintSet& constraints,
     const std::vector<std::string>& residuals, const EvalOptions& options,
@@ -180,8 +145,12 @@ Result<MaterializeResult> PopulateResiduals(
       },
       /*assign_equalities=*/false);
 
-  // One encoding for the fixpoint and the satisfaction check after it.
-  EncodedInstance encoded = EncodeForPlan(input, plan, options);
+  // One encoding for the fixpoint and the satisfaction check after it; D
+  // is the input's active domain plus the caller's and the plan's
+  // constants.
+  std::set<Value> constants = options.extra_constants;
+  constants.insert(plan.constants().begin(), plan.constants().end());
+  EncodedInstance encoded(input, constants);
   MaterializeResult out;
   std::set<std::string> written;
   out.iterations = RunFeedFixpoint(&encoded, plan, options, max_iterations,
@@ -196,7 +165,9 @@ Result<MaterializeResult> PopulateResiduals(
     }
   }
   out.instance = input;
-  DecodeWritten(encoded, written, &out.instance);
+  for (const std::string& name : written) {
+    out.instance.Set(name, encoded.Decode(name));
+  }
   return out;
 }
 

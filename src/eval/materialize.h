@@ -12,10 +12,10 @@
 namespace mapcomp {
 
 /// One feeding edge of the evaluate-and-feed fixpoint shared by
-/// PopulateResiduals and RepairTowards: a constraint side that is a bare
-/// relation symbol receives the evaluation of the other side. With
-/// `assign` the target is replaced (an equality *defines* it); otherwise
-/// it only grows.
+/// PopulateResiduals and the soundness check's repair: a constraint side
+/// that is a bare relation symbol receives the evaluation of the other
+/// side. With `assign` the target is replaced (an equality *defines* it);
+/// otherwise it only grows.
 struct RelationFeed {
   std::string target;
   ExprPtr source;
@@ -95,17 +95,6 @@ class FeedPlan {
 int RunFeedFixpoint(EncodedInstance* instance, const FeedPlan& plan,
                     const EvalOptions& options, int max_iterations,
                     EvalStats* stats, std::set<std::string>* written);
-
-/// The same on an Instance: encodes it with D = its active domain plus
-/// `options.extra_constants` and `plan.constants()`, runs the loop above
-/// and decodes the relations it wrote back into `instance`.
-int RunFeedFixpoint(Instance* instance, const FeedPlan& plan,
-                    const EvalOptions& options, int max_iterations,
-                    EvalStats* stats);
-/// The same for a one-off feed list (no constants of its own).
-int RunFeedFixpoint(Instance* instance, const std::vector<RelationFeed>& feeds,
-                    const EvalOptions& options, int max_iterations,
-                    EvalStats* stats);
 
 /// Outcome of populating residual intermediate relations.
 struct MaterializeResult {

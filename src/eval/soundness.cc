@@ -15,10 +15,6 @@ namespace mapcomp {
 
 namespace {
 
-/// Every second generated instance is chase-repaired towards the original
-/// pipeline (see RepairTowards) so the "original satisfied" branch is
-/// exercised.
-constexpr bool kRepairHalf = true;
 /// Counterexample instances recorded verbatim in the report.
 constexpr int kMaxCounterexamples = 3;
 
@@ -33,10 +29,8 @@ struct InstanceOutcome {
   bool original_satisfied = false;
   bool inconclusive = false;
   int violated = -1;  ///< the composition's violated constraint, or -1
-  /// The relations the repair changed, still encoded in `encoded`. Kept
-  /// only when the fold may print or probe the instance, and decoded only
-  /// if it does.
-  std::set<std::string> repaired;
+  /// The instance as checked (repaired), kept only when the fold may print
+  /// or probe it, so every other one is freed on its lane.
   std::optional<EncodedInstance> encoded;
   EvalStats stats;
 };
@@ -77,15 +71,27 @@ Result<CompositionCheck> CheckComposition(
                   problem.sigma23.end());
   const ConstraintSet& composed = result.constraints;
 
+  // The repair's feeds (every second instance is chase-repaired towards
+  // the original pipeline, so the "original satisfied" branch is
+  // exercised), analysed once for every repaired instance. Every bare
+  // receiving side is a feed; an equality with a bare side *defines* that
+  // relation, so the repair assigns it (random extra tuples would break
+  // S ⊆ E forever), while containments only grow their target.
+  const FeedPlan repair_plan = FeedPlan::ForConstraints(
+      original, /*keep=*/nullptr, /*assign_equalities=*/true);
+
   // One shared domain for both sides of the equivalence: the instance's
   // active domain plus the constants of *both* constraint sets — a D that
   // differed between the two checks would make the comparison meaningless.
+  // The original side's are the repair plan's, so every instance is
+  // encoded with the D the repair needs.
   EvalOptions eval = options.eval;
   {
-    std::set<Value> consts = CollectConstants(original);
-    std::set<Value> composed_consts = CollectConstants(composed);
-    consts.insert(composed_consts.begin(), composed_consts.end());
-    eval.extra_constants.insert(consts.begin(), consts.end());
+    const std::set<Value> composed_consts = CollectConstants(composed);
+    eval.extra_constants.insert(repair_plan.constants().begin(),
+                                repair_plan.constants().end());
+    eval.extra_constants.insert(composed_consts.begin(),
+                                composed_consts.end());
   }
 
   // Signature of the σ2 symbols the composition eliminated (existentially
@@ -119,39 +125,33 @@ Result<CompositionCheck> CheckComposition(
   const std::vector<const EvalOptions*> composed_options =
       options_of(composed);
 
-  // The repair's feeds, analysed once for every repaired instance. Its
-  // constants are already in `eval.extra_constants`, so every instance
-  // below is encoded with the D the repair needs.
-  const FeedPlan repair_plan = FeedPlan::ForConstraints(
-      original, /*keep=*/nullptr, /*assign_equalities=*/true);
-
   // Completeness probes need both sides Skolem-free: FindExtension's
   // internal satisfaction checks run under the default (erroring) mode.
   const bool probes = options.completeness_samples > 0 &&
                       !ContainsSkolem(composed) && !ContainsSkolem(original);
 
-  // Every instance is drawn first, in index order, from the one generator,
-  // so instance i is the same at any lane count.
-  std::vector<Instance> instances;
-  instances.reserve(static_cast<size_t>(n_instances));
+  // Every instance is drawn first, in index order, from the one rng, so
+  // instance i is the same at any lane count. The draws are alphabet
+  // indices; each lane encodes its own instances.
+  const InstanceGenerator generator(
+      {&problem.sigma1, &problem.sigma2, &problem.sigma3}, options.gen,
+      eval.extra_constants);
+  std::vector<InstanceDraw> draws;
+  draws.reserve(static_cast<size_t>(n_instances));
   std::mt19937_64 rng(generator_seed);
-  for (int i = 0; i < n_instances; ++i) {
-    instances.push_back(RandomInstanceOver(
-        {&problem.sigma1, &problem.sigma2, &problem.sigma3}, &rng,
-        options.gen));
-  }
+  for (int i = 0; i < n_instances; ++i) draws.push_back(generator.Draw(&rng));
 
-  // One instance's check, run on some lane. Only the constraint sets, the
-  // option picks and the feed plan are shared, read-only.
+  // One instance's check, run on some lane. Only the generator, the
+  // constraint sets, the option picks and the feed plan are shared,
+  // read-only.
   auto check_instance = [&](int i, InstanceOutcome* o) -> Status {
     // Encoded once: the repair runs in place on it and every satisfaction
     // check below runs against it.
-    EncodedInstance encoded(instances[static_cast<size_t>(i)],
-                            eval.extra_constants);
-    std::set<std::string> repaired;
-    if (kRepairHalf && i % 2 == 1) {
+    EncodedInstance encoded =
+        generator.Encode(draws[static_cast<size_t>(i)]);
+    if (i % 2 == 1) {
       RunFeedFixpoint(&encoded, repair_plan, eval, kRepairPasses,
-                      /*stats=*/nullptr, &repaired);
+                      /*stats=*/nullptr, /*written=*/nullptr);
     }
     // Original-side Skolem terms get the injective interpretation too: a
     // constraint satisfied under it is satisfied under ∃f, so counting the
@@ -187,10 +187,7 @@ Result<CompositionCheck> CheckComposition(
         }
       }
     }
-    if (!repaired.empty() && (o->violated >= 0 || probes)) {
-      o->repaired = std::move(repaired);
-      o->encoded.emplace(std::move(encoded));
-    }
+    if (o->violated >= 0 || probes) o->encoded.emplace(std::move(encoded));
     return Status::OK();
   };
 
@@ -213,37 +210,31 @@ Result<CompositionCheck> CheckComposition(
       },
       std::max(1, options.eval.jobs) - 1);
 
-  // Instance i with the repair's writes decoded into it: only the
-  // counterexamples the fold keeps and the instances it probes are.
-  auto repaired_instance = [&](size_t i) -> const Instance& {
-    InstanceOutcome& o = outcomes[i];
-    for (const std::string& name : o.repaired) {
-      instances[i].Set(name, o.encoded->Decode(name));
-    }
-    o.repaired.clear();
-    o.encoded.reset();
-    return instances[i];
-  };
-
   // Fold in index order, so the counts, the counterexamples (the three
   // lowest violating instances), the error (the lowest failed instance)
   // and the completeness probes' cut are those of checking the instances
   // one after another.
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    InstanceOutcome& o = outcomes[i];
+  for (const InstanceOutcome& o : outcomes) {
     MAPCOMP_RETURN_IF_ERROR(o.status);
     ++out.instances;
     out.eval_stats.MergeFrom(o.stats);
+    // Decoded only for a counterexample the report prints or a probe.
+    const bool printed = o.original_satisfied && o.violated >= 0 &&
+                         static_cast<int>(out.counterexamples.size()) <
+                             kMaxCounterexamples;
+    const bool probed =
+        probes && out.completeness_checked < options.completeness_samples;
+    const Instance instance =
+        printed || probed ? o.encoded->Decode() : Instance();
     if (o.original_satisfied) {
       ++out.original_satisfied;
       if (o.violated >= 0) {
         ++out.violations;
-        if (static_cast<int>(out.counterexamples.size()) <
-            kMaxCounterexamples) {
+        if (printed) {
           out.counterexamples.push_back(
               "violated constraint: " +
               composed[static_cast<size_t>(o.violated)].ToString() + "\n" +
-              repaired_instance(i).ToString());
+              instance.ToString());
         }
       } else if (o.inconclusive) {
         ++out.inconclusive_skolem;
@@ -256,8 +247,8 @@ Result<CompositionCheck> CheckComposition(
     // σ1 ∪ residual σ2 ∪ σ3 satisfies the composition, an equivalent Σ13
     // promises an extension of the eliminated symbols satisfying the
     // original pipeline — search for one. Exponential; gated to tiny cases.
-    if (probes && out.completeness_checked < options.completeness_samples) {
-      Instance restricted = repaired_instance(i).RestrictedTo(result.sigma);
+    if (probed) {
+      Instance restricted = instance.RestrictedTo(result.sigma);
       const EncodedInstance restricted_encoded(restricted,
                                                eval.extra_constants);
       bool restricted_sat = true;

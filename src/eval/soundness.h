@@ -62,23 +62,25 @@ struct CompositionCheck {
 ///
 /// Both satisfaction checks run under one domain: the instance's active
 /// domain plus the constants of *both* constraint sets. Each generated
-/// instance is encoded once (EncodedInstance): a repaired one is repaired
-/// in place on that encoding (RunFeedFixpoint, with one FeedPlan of the
-/// original pipeline built per check), and every satisfaction check runs
-/// against it, with each constraint's Skolem mode picked once per check.
-/// An Instance is decoded back only for a counterexample's text or a
-/// completeness probe. The counts, counterexamples and EvalStats are those
-/// of repairing with RepairTowards and checking a fresh encoding.
+/// instance is drawn as alphabet indices and encoded once, straight into
+/// ids (InstanceGenerator): a repaired one is repaired in place on that
+/// encoding (RunFeedFixpoint, with one FeedPlan of the original pipeline
+/// built per check), and every satisfaction check runs against it, with
+/// each constraint's Skolem mode picked once per check. An Instance is
+/// decoded only for a counterexample's text or a completeness probe. The
+/// counts, counterexamples and EvalStats are those of drawing each
+/// instance with RandomInstanceOver, repairing it on the Instance and
+/// checking a fresh encoding of it.
 ///
 /// Lanes: every instance is drawn first, in index order, from the one
-/// generator; then each instance's encoding, repair and satisfaction checks
-/// run as one task on up to `options.eval.jobs` lanes (values below 1 mean
-/// one lane). Only the feed plan, the option picks and the constraint sets
-/// are shared between tasks, read-only. The outcomes are folded in index
-/// order, and the completeness probes run during that fold, one after
-/// another, so the report — counts, the three lowest-index
-/// counterexamples, EvalStats and the completeness cut — is byte-identical
-/// at any lane count.
+/// rng, as alphabet indices; then each instance's encoding, repair and
+/// satisfaction checks run as one task on up to `options.eval.jobs` lanes
+/// (values below 1 mean one lane). Only the generator, the feed plan, the
+/// option picks and the constraint sets are shared between tasks,
+/// read-only. The outcomes are folded in index order, and the completeness
+/// probes run during that fold, one after another, so the report — counts,
+/// the three lowest-index counterexamples, EvalStats and the completeness
+/// cut — is byte-identical at any lane count.
 ///
 /// Errors (e.g. max_domain_tuples exhausted) abort the check with the
 /// lowest-index instance's error; a finished check with violations == 0

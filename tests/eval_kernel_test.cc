@@ -18,6 +18,7 @@
 #include "src/eval/generator.h"
 #include "src/parser/parser.h"
 #include "src/testdata/literature_suite.h"
+#include "tests/oracles/instance_api.h"
 #include "tests/oracles/oracle.h"
 
 namespace mapcomp {

@@ -17,6 +17,7 @@
 #include "src/parser/parser.h"
 #include "src/simulator/scenarios.h"
 #include "src/testdata/literature_suite.h"
+#include "tests/oracles/instance_api.h"
 
 namespace mapcomp {
 namespace {
@@ -139,10 +140,11 @@ TEST(CompositionSoundnessTest, ReportMentionsVerdict) {
 
 // ---- CheckComposition against a reference loop over the Instance APIs.
 
-/// The check spelled out with one Instance per generated instance: every
-/// second one repaired by RepairTowards, then a fresh EncodedInstance for
-/// its satisfaction checks. CheckComposition repairs and checks on one
-/// encoding instead; its report must be byte-identical to this one's.
+/// The check spelled out with one Instance per generated instance: drawn
+/// by RandomInstanceOver, every second one repaired by RepairTowards, then
+/// a fresh EncodedInstance for its satisfaction checks. CheckComposition
+/// draws ids and repairs and checks on one encoding instead; its report
+/// must be byte-identical to this one's.
 CompositionCheck ReferenceCheck(const CompositionProblem& problem,
                                 const CompositionResult& result,
                                 uint64_t seed, int n_instances,
@@ -293,9 +295,15 @@ CompositionResult ReversedChain(const CompositionProblem& problem) {
 
 TEST(CompositionSoundnessTest, ReportMatchesInstanceReferenceLoop) {
   Parser parser;
+  // With strings, tuples mix the integer and string alphabets.
+  CompositionCheckOptions strings;
+  strings.gen.include_strings = true;
   for (const testdata::LiteratureProblem& lit : testdata::LiteratureSuite()) {
     CompositionProblem problem = parser.ParseProblem(lit.text).value();
-    ExpectMatchesReference(problem, Compose(problem), 1234, 10, {}, lit.name);
+    const CompositionResult composed = Compose(problem);
+    ExpectMatchesReference(problem, composed, 1234, 10, {}, lit.name);
+    ExpectMatchesReference(problem, composed, 4321, 10, strings,
+                           std::string(lit.name) + " with strings");
   }
   // The soundness workload's shape: size-10 reconciliation problems with 2
   // edits per branch and arity at most 5, over a 2-value domain.

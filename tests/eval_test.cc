@@ -2,9 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "src/algebra/builders.h"
+#include "src/compose/compose.h"
 #include "src/eval/checker.h"
 #include "src/eval/generator.h"
+#include "src/parser/parser.h"
+#include "src/testdata/literature_suite.h"
+#include "tests/oracles/instance_api.h"
 
 namespace mapcomp {
 namespace {
@@ -240,6 +249,144 @@ TEST(GeneratorTest, RandomInstanceSatisfying) {
   Result<Instance> inst = RandomInstanceSatisfying(sig, cs, &rng, 200);
   ASSERT_TRUE(inst.ok());
   EXPECT_TRUE(SatisfiesAll(*inst, cs).value());
+}
+
+/// The values of an encoded instance's D, ascending.
+std::vector<Value> DomainValues(const EncodedInstance& encoded) {
+  std::vector<Value> out;
+  for (ValueId id : encoded.domain_ids()) {
+    out.push_back(encoded.dict()->ValueOf(id));
+  }
+  return out;
+}
+
+/// Expects InstanceGenerator, from each of `rounds` consecutive draws of one
+/// seed, to encode exactly RandomInstanceOver's instance — the same
+/// relations, each table of the arity EncodedInstance gives it, and the
+/// same D — and to leave the rng in the same state.
+void ExpectDrawsMatchRandomInstanceOver(
+    const std::vector<const Signature*>& sigs, const GenOptions& gen,
+    uint64_t seed, int rounds = 20) {
+  const std::set<Value> extra = {Value(int64_t{1}), Value(int64_t{7}),
+                                 Value(std::string("b")),
+                                 Value(std::string("z"))};
+  const InstanceGenerator generator(sigs, gen, extra);
+  std::mt19937_64 want_rng(seed), got_rng(seed);
+  for (int i = 0; i < rounds; ++i) {
+    const Instance want = RandomInstanceOver(sigs, &want_rng, gen);
+    const InstanceDraw draw = generator.Draw(&got_rng);
+    EXPECT_TRUE(got_rng == want_rng) << "draw " << i;
+    const EncodedInstance got = generator.Encode(draw);
+    EXPECT_EQ(got.Decode(), want)
+        << "draw " << i << "\ngot:\n" << got.Decode().ToString()
+        << "want:\n" << want.ToString();
+    const EncodedInstance ref(want, extra);
+    EXPECT_EQ(DomainValues(got), DomainValues(ref)) << "draw " << i;
+    for (const auto& [name, _] : want.relations()) {
+      ASSERT_NE(got.Find(name), nullptr) << name;
+      EXPECT_EQ(got.Find(name)->table->arity(),
+                ref.Find(name)->table->arity())
+          << name;
+    }
+  }
+}
+
+TEST(GeneratorTest, DrawEncodesRandomInstanceOverWithAndWithoutStrings) {
+  Signature s1, s2, s3;
+  ASSERT_TRUE(s1.AddRelation("A", 1).ok());
+  ASSERT_TRUE(s2.AddRelation("B", 2).ok());
+  ASSERT_TRUE(s2.AddRelation("C", 3).ok());
+  ASSERT_TRUE(s3.AddRelation("D", 2).ok());
+  GenOptions gen;
+  gen.domain_size = 3;
+  gen.max_tuples_per_rel = 6;
+  for (bool strings : {false, true}) {
+    gen.include_strings = strings;
+    ExpectDrawsMatchRandomInstanceOver({&s1, &s2, &s3}, gen, 11);
+    ExpectDrawsMatchRandomInstanceOver({&s1, nullptr, &s3}, gen, 12);
+  }
+}
+
+TEST(GeneratorTest, DrawOfNoTuplesEncodesEmptyRelations) {
+  Signature sig;
+  ASSERT_TRUE(sig.AddRelation("A", 2).ok());
+  ASSERT_TRUE(sig.AddRelation("B", 1).ok());
+  GenOptions gen;
+  gen.max_tuples_per_rel = 0;
+  ExpectDrawsMatchRandomInstanceOver({&sig}, gen, 3, /*rounds=*/3);
+}
+
+TEST(GeneratorTest, DrawOfArityZeroRelation) {
+  Signature sig;
+  sig.AddOrReplaceRelation("Z", 0);
+  sig.AddOrReplaceRelation("A", 1);
+  GenOptions gen;
+  gen.max_tuples_per_rel = 2;
+  ExpectDrawsMatchRandomInstanceOver({&sig}, gen, 4);
+}
+
+TEST(GeneratorTest, DrawOfSharedNameKeepsTheLaterDraw) {
+  Signature s1, s2;
+  ASSERT_TRUE(s1.AddRelation("A", 1).ok());
+  ASSERT_TRUE(s1.AddRelation("B", 2).ok());
+  ASSERT_TRUE(s2.AddRelation("A", 2).ok());
+  GenOptions gen;
+  gen.domain_size = 5;
+  gen.include_strings = true;
+  ExpectDrawsMatchRandomInstanceOver({&s1, &s2}, gen, 5);
+  ExpectDrawsMatchRandomInstanceOver({&s2, &s1}, gen, 6);
+}
+
+/// CollectConstants as a plain tree walk: the reference for the DAG walk.
+void TreeConstants(const ExprPtr& e, std::set<Value>* out) {
+  std::vector<Condition> conditions = {e->condition()};
+  while (!conditions.empty()) {
+    Condition c = conditions.back();
+    conditions.pop_back();
+    if (c.kind() == Condition::Kind::kAtom) {
+      if (!c.lhs().is_attr) out->insert(c.lhs().constant);
+      if (!c.rhs().is_attr) out->insert(c.rhs().constant);
+    }
+    for (const Condition& child : c.children()) conditions.push_back(child);
+  }
+  for (const Tuple& t : e->tuples()) out->insert(t.begin(), t.end());
+  for (const ExprPtr& child : e->children()) TreeConstants(child, out);
+}
+
+TEST(CheckerTest, CollectConstantsWalksSharedSubtreesOnce) {
+  // E_{k+1} = E_k ∪ (E_k ∩ S): 40 levels are 2^40 paths from the root but
+  // only 85 distinct nodes, so a tree walk would never return.
+  ExprPtr e = Union(Select(Condition::AttrConst(1, CmpOp::kEq,
+                                                Value(int64_t{3})),
+                           Rel("R", 1)),
+                    Lit(1, {T({5})}));
+  for (int k = 0; k < 40; ++k) e = Union(e, Intersect(e, Rel("S", 1)));
+  const ConstraintSet cs{Constraint::Contain(e, Rel("T", 1))};
+  EXPECT_EQ(CollectConstants(cs),
+            (std::set<Value>{Value(int64_t{3}), Value(int64_t{5})}));
+  std::set<const Expr*> visited;
+  std::set<Value> constants;
+  std::set<std::string> relations;
+  CollectConstants(e, &visited, &constants, &relations);
+  EXPECT_EQ(relations, (std::set<std::string>{"R", "S"}));
+}
+
+TEST(CheckerTest, CollectConstantsMatchesTreeWalkOnLiteratureSuite) {
+  Parser parser;
+  for (const testdata::LiteratureProblem& lit : testdata::LiteratureSuite()) {
+    const CompositionProblem problem = parser.ParseProblem(lit.text).value();
+    ConstraintSet original = problem.sigma12;
+    original.insert(original.end(), problem.sigma23.begin(),
+                    problem.sigma23.end());
+    for (const ConstraintSet& cs : {original, Compose(problem).constraints}) {
+      std::set<Value> want;
+      for (const Constraint& c : cs) {
+        TreeConstants(c.lhs, &want);
+        TreeConstants(c.rhs, &want);
+      }
+      EXPECT_EQ(CollectConstants(cs), want) << lit.name;
+    }
+  }
 }
 
 TEST(CheckerTest, FindExtensionWitness) {
