@@ -63,36 +63,37 @@ EncodedInstance EncodedInstance::ForRoots(
 
 EncodedInstance::EncodedInstance(std::shared_ptr<ValueDict> dict,
                                  std::map<std::string, Relation> relations,
-                                 const std::set<Value>& extra_constants)
-    : dict_(std::move(dict)), relations_(std::move(relations)) {
-  std::vector<bool> in_domain(dict_->size(), false);
+                                 std::vector<ValueId> extra_ids)
+    : dict_(std::move(dict)),
+      relations_(std::move(relations)),
+      occurrences_(dict_->size(), 0),
+      counted_(true),
+      extra_ids_(std::move(extra_ids)) {
+  // The occurrence counts Put keeps D in step with, taken in the one walk
+  // over the ids that finds D.
   for (const auto& [_, rel] : relations_) {
-    for (ValueId id : rel.table->Data()) in_domain[id] = true;
+    for (ValueId id : rel.table->Data()) ++occurrences_[id];
   }
-  extra_ids_.reserve(extra_constants.size());
-  for (const Value& v : extra_constants) {
-    const ValueId id = *dict_->Find(v);
-    extra_ids_.push_back(id);
-    in_domain[id] = true;
-  }
-  for (size_t id = 0; id < in_domain.size(); ++id) {
-    if (in_domain[id]) domain_ids_.push_back(static_cast<ValueId>(id));
+  for (ValueId id : extra_ids_) ++occurrences_[id];
+  for (size_t id = 0; id < occurrences_.size(); ++id) {
+    if (occurrences_[id] > 0) domain_ids_.push_back(static_cast<ValueId>(id));
   }
 }
 
 EncodedInstance::EncodedInstance(const Instance& instance,
                                  const std::set<Value>& extra_constants,
                                  const std::set<Value>& seed_constants,
-                                 const std::set<std::string>* only)
-    : dict_(std::make_shared<ValueDict>()) {
+                                 const std::set<std::string>* only) {
   // Seeded sorted, so the id order over the seed is the value order and
-  // encodes and D^r enumerations arrive sorted.
+  // encodes and D^r enumerations arrive sorted. The seed tier is this
+  // instance's own.
   const std::set<Value>& adom = instance.ActiveDomain();
   std::set<Value> universe = adom;
   universe.insert(extra_constants.begin(), extra_constants.end());
   const size_t domain_size = universe.size();
   universe.insert(seed_constants.begin(), seed_constants.end());
-  dict_->Seed(universe);
+  dict_ = std::make_shared<ValueDict>(
+      std::make_shared<const ValueDict::SeedTier>(universe));
   domain_ids_.reserve(domain_size);
   ValueId id = 0;
   for (const Value& v : universe) {

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -46,34 +45,90 @@ TablePtr OwnTable(TupleTable t) {
 // on its lanes, each with its own EncodedInstance.
 // --------------------------------------------------------------------------
 
+/// One distinct node of a walk's root forest: the parent edges (plus root
+/// occurrences) that have not consumed its table yet, and the table while
+/// it is memoized.
+struct NodeSlot {
+  const Expr* node = nullptr;
+  int64_t pending = 0;
+  /// Whether its own child edges are counted.
+  bool expanded = false;
+  TablePtr table;
+};
+
+/// A walk's bookkeeping: one slot per distinct node, in one flat array
+/// under open addressing on the node pointer (linear probing, at most half
+/// full). Every node is added while the forest is counted, before anything
+/// is computed, so slots never move while the walk runs.
+class NodeTable {
+ public:
+  NodeTable() : slots_(kMinSlots) {}
+
+  /// `e`'s slot, added empty when `e` has none. Invalidates every slot
+  /// reference when the array grows.
+  NodeSlot& Insert(const Expr* e) {
+    if (2 * (used_ + 1) > slots_.size()) Grow();
+    NodeSlot& slot = Probe(slots_, e);
+    if (slot.node == nullptr) {
+      slot.node = e;
+      ++used_;
+    }
+    return slot;
+  }
+
+  /// `e`'s slot; `e` must have one.
+  NodeSlot& At(const Expr* e) { return Probe(slots_, e); }
+
+ private:
+  static constexpr size_t kMinSlots = 16;  // a power of two
+
+  /// The slot holding `e`, or the empty one where it would go.
+  static NodeSlot& Probe(std::vector<NodeSlot>& slots, const Expr* e) {
+    const size_t mask = slots.size() - 1;
+    // Fibonacci hashing of the pointer; its low bits are alignment zeros.
+    size_t i = static_cast<size_t>(
+                   (reinterpret_cast<uintptr_t>(e) * 0x9E3779B97F4A7C15ULL) >>
+                   32) &
+               mask;
+    while (slots[i].node != nullptr && slots[i].node != e) i = (i + 1) & mask;
+    return slots[i];
+  }
+
+  void Grow() {
+    std::vector<NodeSlot> bigger(2 * slots_.size());
+    for (NodeSlot& slot : slots_) {
+      if (slot.node != nullptr) Probe(bigger, slot.node) = std::move(slot);
+    }
+    slots_.swap(bigger);
+  }
+
+  std::vector<NodeSlot> slots_;
+  size_t used_ = 0;
+};
+
 struct Walk {
   const EncodedInstance* instance = nullptr;
   const EvalOptions* options = nullptr;
   ValueDict* dict = nullptr;
   /// The instance's domain ids, ascending.
   const std::vector<ValueId>* domain_ids = nullptr;
-  /// Parent edges (plus root occurrences) that have not consumed each
-  /// node's table yet.
-  std::unordered_map<const Expr*, int64_t> pending;
-  /// Computed nodes' tables, each dropped with its last pending edge.
-  std::unordered_map<const Expr*, TablePtr> memo;
+  NodeTable nodes;
   /// Counters of the whole evaluation so far; a root's share is the
   /// DiffFrom of its walk.
   EvalStats stats;
-  std::vector<EvalStats> root_stats;
   int64_t live_bytes = 0;
 };
 
-/// Parent-edge refcounts for the whole root forest: each static child edge
-/// contributes one pending consumption (roots get one extra per occurrence,
-/// added by the caller).
-void CountUses(const ExprPtr& e, std::unordered_map<const Expr*, int64_t>* uses,
-               std::set<const Expr*>* visited) {
-  if (!visited->insert(e.get()).second) return;
-  for (const ExprPtr& c : e->children()) {
-    ++(*uses)[c.get()];
-    CountUses(c, uses, visited);
-  }
+/// Counts one more pending consumption of `e`'s table: one per static
+/// parent edge, one per root occurrence. The first count also counts `e`'s
+/// own child edges.
+void CountEdge(const ExprPtr& e, NodeTable* nodes) {
+  NodeSlot& slot = nodes->Insert(e.get());
+  ++slot.pending;
+  if (slot.expanded) return;
+  slot.expanded = true;
+  // `slot` may move from here on.
+  for (const ExprPtr& c : e->children()) CountEdge(c, nodes);
 }
 
 /// One parent edge (or root occurrence) of `e` is done with its table. The
@@ -81,11 +136,11 @@ void CountUses(const ExprPtr& e, std::unordered_map<const Expr*, int64_t>* uses,
 /// run as a join, the D^r under a pruned select) was never computed, so its
 /// own child edges are released instead.
 void Consume(const Expr* e, Walk* w) {
-  if (--w->pending[e] > 0) return;
-  auto it = w->memo.find(e);
-  if (it != w->memo.end()) {
-    w->live_bytes -= it->second->ApproxBytes();
-    w->memo.erase(it);
+  NodeSlot& slot = w->nodes.At(e);
+  if (--slot.pending > 0) return;
+  if (slot.table != nullptr) {
+    w->live_bytes -= slot.table->ApproxBytes();
+    slot.table.reset();
     return;
   }
   for (const ExprPtr& c : e->children()) Consume(c.get(), w);
@@ -335,7 +390,7 @@ Result<TablePtr> EvalNode(const ExprPtr& e, Walk* w) {
       // stays memoized while this select's edge is pending): filtering it
       // is cheaper than re-joining, and its children may be dropped.
       if (child->kind() == ExprKind::kProduct &&
-          w->memo.count(child.get()) == 0) {
+          w->nodes.At(child.get()).table == nullptr) {
         MAPCOMP_ASSIGN_OR_RETURN(TablePtr a, Rec(child->child(0), w));
         MAPCOMP_ASSIGN_OR_RETURN(TablePtr b, Rec(child->child(1), w));
         return EvalJoin(
@@ -448,10 +503,10 @@ Result<TablePtr> EvalNode(const ExprPtr& e, Walk* w) {
 Result<TablePtr> Rec(const ExprPtr& e, Walk* w) {
   // Interned nodes make the memo exact: pointer equality ⇔ structural
   // equality, so a subtree shared k times in the DAG is computed once.
-  auto hit = w->memo.find(e.get());
-  if (hit != w->memo.end()) {
+  NodeSlot& slot = w->nodes.At(e.get());
+  if (slot.table != nullptr) {
     ++w->stats.memo_hits;
-    return hit->second;
+    return slot.table;
   }
   common::fault::MaybeSleep(common::fault::FaultPoint::kSlowEvalSlot);
   MAPCOMP_RETURN_IF_ERROR(w->options->cancel.StatusAt("eval node"));
@@ -465,44 +520,48 @@ Result<TablePtr> Rec(const ExprPtr& e, Walk* w) {
   st.memo_bytes_total += bytes;
   w->live_bytes += bytes;
   st.memo_bytes_peak = std::max(st.memo_bytes_peak, w->live_bytes);
-  w->memo.emplace(e.get(), out);
+  slot.table = out;
   // This compute is the one traversal of `e`'s child edges: release them
   // so children no other parent needs drop out of the memo.
   for (const ExprPtr& c : e->children()) Consume(c.get(), w);
   return out;
 }
 
-/// Walks `roots` in order under one memo. Returns each root's table (held
-/// here, since its memo entry goes with its last occurrence) and records
-/// each root's stats in `w->root_stats`.
-Result<std::vector<TablePtr>> WalkRoots(const std::vector<ExprPtr>& roots,
-                                        const EncodedInstance& instance,
-                                        const EvalOptions& options, Walk* w) {
+}  // namespace
+
+namespace eval_internal {
+
+Result<std::vector<TablePtr>> EvaluateTables(
+    const std::vector<ExprPtr>& roots, const EncodedInstance& instance,
+    const EvalOptions& options, EvalStats* stats,
+    std::vector<EvalStats>* root_stats) {
   for (const ExprPtr& root : roots) {
     if (root == nullptr) return Status::InvalidArgument("null expression");
   }
   MAPCOMP_RETURN_IF_ERROR(options.cancel.StatusAt("eval"));
-  w->instance = &instance;
-  w->options = &options;
-  w->dict = instance.dict().get();
-  w->domain_ids = &instance.domain_ids();
-  std::set<const Expr*> counted;
-  for (const ExprPtr& root : roots) {
-    ++w->pending[root.get()];
-    CountUses(root, &w->pending, &counted);
-  }
+  Walk w;
+  w.instance = &instance;
+  w.options = &options;
+  w.dict = instance.dict().get();
+  w.domain_ids = &instance.domain_ids();
+  for (const ExprPtr& root : roots) CountEdge(root, &w.nodes);
   std::vector<TablePtr> tables;
+  tables.reserve(roots.size());
+  if (root_stats != nullptr) root_stats->reserve(roots.size());
   for (const ExprPtr& root : roots) {
-    const EvalStats before = w->stats;
-    MAPCOMP_ASSIGN_OR_RETURN(TablePtr table, Rec(root, w));
-    Consume(root.get(), w);
-    w->root_stats.push_back(w->stats.DiffFrom(before));
+    const EvalStats before = w.stats;
+    // The root's table is held here, since its memo entry goes with its
+    // last occurrence.
+    MAPCOMP_ASSIGN_OR_RETURN(TablePtr table, Rec(root, &w));
+    Consume(root.get(), &w);
+    if (root_stats != nullptr) root_stats->push_back(w.stats.DiffFrom(before));
     tables.push_back(std::move(table));
   }
+  if (stats != nullptr) stats->MergeFrom(w.stats);
   return tables;
 }
 
-}  // namespace
+}  // namespace eval_internal
 
 void EvalStats::MergeFrom(const EvalStats& other) {
   nodes_evaluated += other.nodes_evaluated;
@@ -574,12 +633,6 @@ std::set<Tuple> EvalResult::TakeTuples() {
   std::set<Tuple> out = std::move(lazy_->set);
   lazy_->set.clear();
   return out;
-}
-
-std::shared_ptr<const TupleTable> EvalResult::table() const {
-  if (lazy_ == nullptr) return nullptr;
-  std::lock_guard<std::mutex> lock(lazy_->mu);
-  return lazy_->table;
 }
 
 void EvalResult::SetDecoded(std::set<Tuple> tuples) {
@@ -677,13 +730,14 @@ Result<std::vector<EvalResult>> EvaluateMany(const std::vector<ExprPtr>& roots,
 Result<std::vector<EvalResult>> EvaluateMany(const std::vector<ExprPtr>& roots,
                                              const EncodedInstance& instance,
                                              const EvalOptions& options) {
-  Walk w;
+  std::vector<EvalStats> root_stats;
   MAPCOMP_ASSIGN_OR_RETURN(std::vector<TablePtr> tables,
-                           WalkRoots(roots, instance, options, &w));
+                           eval_internal::EvaluateTables(
+                               roots, instance, options, nullptr, &root_stats));
   std::vector<EvalResult> results(roots.size());
   for (size_t i = 0; i < roots.size(); ++i) {
     results[i].arity = roots[i]->arity();
-    results[i].stats = w.root_stats[i];
+    results[i].stats = root_stats[i];
     // Columnar handoff: the table is decoded only if someone asks for
     // tuples() — fingerprints and containment checks never pay for it.
     results[i].SetTable(std::move(tables[i]), instance.dict());
@@ -709,10 +763,9 @@ Result<bool> EvaluateContainment(const ExprPtr& lhs, const ExprPtr& rhs,
   // Both sides run under one memo, so shared subtrees evaluate once. The
   // subset check is a linear merge walk over the columnar tables — nothing
   // is decoded back to std::set.
-  Walk w;
   MAPCOMP_ASSIGN_OR_RETURN(std::vector<TablePtr> tables,
-                           WalkRoots({lhs, rhs}, instance, options, &w));
-  if (stats != nullptr) stats->MergeFrom(w.stats);
+                           eval_internal::EvaluateTables(
+                               {lhs, rhs}, instance, options, stats, nullptr));
   const TablePtr& a = tables[0];
   const TablePtr& b = tables[1];
   bool contained = TupleTable::SubsetOf(*a, *b);

@@ -119,11 +119,6 @@ struct EvalResult {
   /// empty. For callers that consume the set.
   std::set<Tuple> TakeTuples();
 
-  /// The columnar result, over the dictionary of the instance it was
-  /// evaluated against; null once decoded. The feed fixpoint writes it
-  /// into its encoded instance without a decode.
-  std::shared_ptr<const TupleTable> table() const;
-
   /// Canonical serialization of the *semantic* result (arity + tuples in
   /// set order). Stats are excluded: two evaluations of the same expression
   /// over the same instance produce equal fingerprints.
@@ -139,15 +134,18 @@ struct EvalResult {
   std::shared_ptr<Lazy> lazy_;
 };
 
-/// An instance encoded once for many evaluations: one seeded ValueDict, the
+/// An instance encoded once for many evaluations: one ValueDict, the
 /// domain D as ascending ids (the active domain plus the extra constants)
-/// and one sorted TupleTable per relation. The seed holds D and may hold
-/// more (the constants ForRoots's roots mention, or the whole alphabet of
-/// an InstanceGenerator); only D is enumerated. Evaluations against it copy no
+/// and one sorted TupleTable per relation. The dictionary's seed tier holds
+/// D and may hold more (the constants ForRoots's roots mention, or the
+/// whole alphabet of an InstanceGenerator); only D is enumerated. An
+/// instance encoded from an Instance builds a seed tier of its own; the
+/// instances one InstanceGenerator encodes all share the generator's one
+/// tier, each with a mint tier of its own. Evaluations against it copy no
 /// domain, seed no dictionary and encode no relation; their relation nodes
 /// share its tables. Values an evaluation mints (Skolem terms, user-operator
-/// outputs, constants outside the seed) accumulate in the shared
-/// dictionary. Id equality is still value equality there, and every result
+/// outputs, constants outside the seed) accumulate in the instance's mint
+/// tier. Id equality is still value equality there, and every result
 /// surface re-canonicalizes by value, so results, Fingerprint() and
 /// EvalStats equal those of the Instance overloads, which encode a fresh
 /// one per call.
@@ -173,12 +171,13 @@ class EncodedInstance {
                   const std::set<Value>& extra_constants);
 
   /// Adopts relations already encoded over `dict`: every one a sorted,
-  /// deduplicated table whose ids, like every extra constant, lie in the
-  /// dictionary's seed. D is the ids the tables hold plus
-  /// `extra_constants`. InstanceGenerator::Encode builds instances this way.
+  /// deduplicated table whose ids, like `extra_ids` (the extra constants'
+  /// ids), lie in the dictionary's seed. D is the ids the tables hold plus
+  /// `extra_ids`, counted here once for Assign and Grow.
+  /// InstanceGenerator::Encode builds instances this way.
   EncodedInstance(std::shared_ptr<ValueDict> dict,
                   std::map<std::string, Relation> relations,
-                  const std::set<Value>& extra_constants);
+                  std::vector<ValueId> extra_ids);
 
   /// What the Instance overloads evaluate against: D as above, the seed
   /// also holding every constant `roots` mention, and only the relations
@@ -225,7 +224,8 @@ class EncodedInstance {
   std::vector<ValueId> domain_ids_;
   std::map<std::string, Relation> relations_;
   /// Occurrences of each id across every relation, plus one for each extra
-  /// constant; D is the ids counted above zero. Built by the first write.
+  /// constant; D is the ids counted above zero. Built by the adopting
+  /// constructor, or else by the first write.
   std::vector<int64_t> occurrences_;
   bool counted_ = false;
   std::vector<ValueId> extra_ids_;
@@ -237,8 +237,10 @@ class EncodedInstance {
 ///
 /// The engine is one memoized walk over the interned DAG on the calling
 /// thread: each node's table is computed when the walk first reaches it
-/// and dropped once its last parent has consumed it. The first failing
-/// node in visit order names the error.
+/// and dropped once its last parent has consumed it. The walk's
+/// bookkeeping (each node's pending parent edges and memoized table) is
+/// one flat open-addressed table per walk. The first failing node in visit
+/// order names the error.
 Result<EvalResult> EvaluateFull(const ExprPtr& e, const Instance& instance,
                                 const EvalOptions& options = {});
 /// The same against an encoded instance. D is the one fixed when it was
@@ -278,6 +280,20 @@ Result<bool> EvaluateContainment(const ExprPtr& lhs, const ExprPtr& rhs,
                                  const EncodedInstance& instance,
                                  const EvalOptions& options = {},
                                  EvalStats* stats = nullptr);
+
+namespace eval_internal {
+
+/// The one walk behind every entry point above and the feed fixpoint:
+/// evaluates `roots` against `instance` under one shared memo and returns
+/// each root's table, over the instance's dictionary. On success the
+/// walk's counters are merged into `stats` and each root's share is
+/// appended to `root_stats`, each when non-null.
+Result<std::vector<std::shared_ptr<const TupleTable>>> EvaluateTables(
+    const std::vector<ExprPtr>& roots, const EncodedInstance& instance,
+    const EvalOptions& options, EvalStats* stats,
+    std::vector<EvalStats>* root_stats);
+
+}  // namespace eval_internal
 
 }  // namespace mapcomp
 

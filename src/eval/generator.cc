@@ -58,8 +58,8 @@ Instance RandomInstanceOver(const std::vector<const Signature*>& sigs,
 
 InstanceGenerator::InstanceGenerator(const std::vector<const Signature*>& sigs,
                                      const GenOptions& options,
-                                     std::set<Value> extra_constants)
-    : options_(options), extra_constants_(std::move(extra_constants)) {
+                                     const std::set<Value>& extra_constants)
+    : options_(options) {
   for (const Signature* sig : sigs) {
     if (sig == nullptr) continue;
     for (const std::string& name : sig->names()) {
@@ -68,7 +68,8 @@ InstanceGenerator::InstanceGenerator(const std::vector<const Signature*>& sigs,
   }
   // The alphabet in index order is ascending (every integer sorts before
   // every string), and the seed is sorted too, so one merge walk finds
-  // each alphabet value's id.
+  // each alphabet value's id; the extra constants are a sorted subset of
+  // the seed, so a second one finds theirs.
   std::vector<Value> alphabet;
   for (int k = 0; k < options_.domain_size; ++k) {
     alphabet.emplace_back(std::in_place_type<int64_t>, k);
@@ -78,17 +79,24 @@ InstanceGenerator::InstanceGenerator(const std::vector<const Signature*>& sigs,
       alphabet.emplace_back(std::in_place_type<std::string>, s);
     }
   }
-  seed_ = extra_constants_;
-  seed_.insert(alphabet.begin(), alphabet.end());
+  std::set<Value> seed = extra_constants;
+  seed.insert(alphabet.begin(), alphabet.end());
   alphabet_ids_.reserve(alphabet.size());
+  extra_ids_.reserve(extra_constants.size());
+  auto extra = extra_constants.begin();
   ValueId id = 0;
-  for (const Value& v : seed_) {
+  for (const Value& v : seed) {
     if (alphabet_ids_.size() < alphabet.size() &&
         v == alphabet[alphabet_ids_.size()]) {
       alphabet_ids_.push_back(id);
     }
+    if (extra != extra_constants.end() && v == *extra) {
+      extra_ids_.push_back(id);
+      ++extra;
+    }
     ++id;
   }
+  seed_ = std::make_shared<const ValueDict::SeedTier>(seed);
 }
 
 InstanceDraw InstanceGenerator::Draw(std::mt19937_64* rng) const {
@@ -113,8 +121,7 @@ InstanceDraw InstanceGenerator::Draw(std::mt19937_64* rng) const {
 }
 
 EncodedInstance InstanceGenerator::Encode(const InstanceDraw& draw) const {
-  auto dict = std::make_shared<ValueDict>();
-  dict->Seed(seed_);
+  auto dict = std::make_shared<ValueDict>(seed_);
   std::map<std::string, EncodedInstance::Relation> relations;
   const uint32_t* cell = draw.cells.data();
   for (size_t r = 0; r < relations_.size(); ++r) {
@@ -134,8 +141,7 @@ EncodedInstance InstanceGenerator::Encode(const InstanceDraw& draw) const {
     relations[name] = EncodedInstance::Relation{
         std::make_shared<const TupleTable>(std::move(table)), nullptr};
   }
-  return EncodedInstance(std::move(dict), std::move(relations),
-                         extra_constants_);
+  return EncodedInstance(std::move(dict), std::move(relations), extra_ids_);
 }
 
 }  // namespace mapcomp

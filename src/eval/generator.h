@@ -2,6 +2,7 @@
 #define MAPCOMP_EVAL_GENERATOR_H_
 
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
@@ -56,16 +57,17 @@ class InstanceGenerator {
   /// `sigs` (nulls skipped) need not outlive the generator.
   InstanceGenerator(const std::vector<const Signature*>& sigs,
                     const GenOptions& options,
-                    std::set<Value> extra_constants);
+                    const std::set<Value>& extra_constants);
 
   /// Makes exactly the rng calls RandomInstanceOver(sigs, rng, options)
   /// makes, in the same order, and records what they drew.
   InstanceDraw Draw(std::mt19937_64* rng) const;
 
   /// The instance `draw` denotes, encoded: the same relations, tuples and D
-  /// as EncodedInstance(RandomInstanceOver(...), extra_constants). The
-  /// dictionary's seed is the whole alphabet plus the extra constants, so
-  /// it grows with domain_size; D is the values that occur plus the extra
+  /// as EncodedInstance(RandomInstanceOver(...), extra_constants). Its
+  /// dictionary shares the generator's one seed tier, the whole alphabet
+  /// plus the extra constants (so it grows with domain_size), and mints
+  /// into a tier of its own; D is the values that occur plus the extra
   /// constants. An empty relation is an empty arity-0 table, and a name
   /// drawn twice keeps its later draw, as in RandomInstanceOver.
   EncodedInstance Encode(const InstanceDraw& draw) const;
@@ -74,11 +76,13 @@ class InstanceGenerator {
   GenOptions options_;
   /// Every relation drawn, in draw order: name and arity.
   std::vector<std::pair<std::string, int>> relations_;
-  /// The dictionary seed: the alphabet plus the extra constants.
-  std::set<Value> seed_;
+  /// The seed tier every encoded instance's dictionary shares: the
+  /// alphabet plus the extra constants.
+  std::shared_ptr<const ValueDict::SeedTier> seed_;
   /// Each alphabet index's id under that seed.
   std::vector<ValueId> alphabet_ids_;
-  std::set<Value> extra_constants_;
+  /// The extra constants' ids under that seed.
+  std::vector<ValueId> extra_ids_;
 };
 
 /// The soundness check's pass budget for repairing an instance towards the

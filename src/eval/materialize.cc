@@ -1,6 +1,7 @@
 #include "src/eval/materialize.h"
 
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -108,17 +109,21 @@ int RunFeedFixpoint(EncodedInstance* instance, const FeedPlan& plan,
       if (!stale(f)) continue;
       seen[f] = clock;
       const RelationFeed& feed = steps[f].feed;
-      Result<EvalResult> value = EvaluateFull(feed.source, *instance, options);
+      // The source's table straight from the walk, written without a
+      // decode.
+      Result<std::vector<std::shared_ptr<const TupleTable>>> value =
+          eval_internal::EvaluateTables({feed.source}, *instance, options,
+                                        stats, nullptr);
       if (!value.ok()) {
         // A feed we cannot evaluate (e.g. Skolem without interpretation)
         // simply contributes nothing; the caller's satisfaction check
         // reports the truth.
         continue;
       }
-      if (stats != nullptr) stats->MergeFrom(value->stats);
+      std::shared_ptr<const TupleTable>& table = (*value)[0];
       const bool wrote = feed.assign
-                             ? instance->Assign(feed.target, value->table())
-                             : instance->Grow(feed.target, value->table());
+                             ? instance->Assign(feed.target, std::move(table))
+                             : instance->Grow(feed.target, std::move(table));
       if (!wrote) continue;
       changed = true;
       if (written != nullptr) written->insert(feed.target);

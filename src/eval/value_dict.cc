@@ -1,8 +1,22 @@
 #include "src/eval/value_dict.h"
 
 #include <stdexcept>
+#include <utility>
 
 namespace mapcomp {
+
+ValueDict::SeedTier::SeedTier(const std::set<Value>& universe)
+    : values_(universe.begin(), universe.end()) {
+  index_.reserve(values_.size());
+  for (size_t i = 0; i < values_.size(); ++i) {
+    index_.emplace(values_[i], static_cast<ValueId>(i));
+  }
+}
+
+ValueDict::ValueDict(std::shared_ptr<const SeedTier> seed)
+    : seed_(std::move(seed)),
+      seeded_(seed_->values_.data()),
+      ordered_limit_(static_cast<ValueId>(seed_->values_.size())) {}
 
 ValueDict::~ValueDict() {
   if (mint_chunks_ == nullptr) return;
@@ -20,18 +34,9 @@ void ValueDict::EnsureMintChunksLocked() {
   mint_chunks_.reset(new std::atomic<Value*>[kMaxMintChunks]());
 }
 
-void ValueDict::Seed(const std::set<Value>& universe) {
-  seeded_.assign(universe.begin(), universe.end());
-  seeded_index_.reserve(seeded_.size());
-  for (size_t i = 0; i < seeded_.size(); ++i) {
-    seeded_index_.emplace(seeded_[i], static_cast<ValueId>(i));
-  }
-  ordered_limit_ = static_cast<ValueId>(seeded_.size());
-}
-
 ValueId ValueDict::Intern(const Value& v) {
-  auto it = seeded_index_.find(v);
-  if (it != seeded_index_.end()) return it->second;
+  auto it = seed_->index_.find(v);
+  if (it != seed_->index_.end()) return it->second;
   std::lock_guard<std::mutex> lock(mint_mu_);
   auto mit = mint_index_.find(v);
   if (mit != mint_index_.end()) return mit->second;
@@ -56,8 +61,8 @@ ValueId ValueDict::Intern(const Value& v) {
 }
 
 const ValueId* ValueDict::Find(const Value& v) const {
-  auto it = seeded_index_.find(v);
-  if (it != seeded_index_.end()) return &it->second;
+  auto it = seed_->index_.find(v);
+  if (it != seed_->index_.end()) return &it->second;
   std::lock_guard<std::mutex> lock(mint_mu_);
   auto mit = mint_index_.find(v);
   return mit == mint_index_.end() ? nullptr : &mit->second;

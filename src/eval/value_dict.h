@@ -18,43 +18,57 @@ namespace mapcomp {
 /// no per-value heap allocation.
 using ValueId = uint32_t;
 
-/// Per-evaluation interning dictionary `Value` → dense `ValueId`.
+/// Per-evaluation interning dictionary `Value` → dense `ValueId`, in two
+/// tiers.
 ///
-/// The dictionary is seeded once with every value the evaluation can see up
-/// front — the instance's active domain, the extra constants, and every
-/// constant mentioned in the expressions — in sorted order, so over the
-/// seeded range **id order is value order** (CompareValues): tables sorted
-/// by id decode to canonically ordered tuple sets, D^r enumerated in id
-/// order is already sorted, and ordered condition atoms (`<`, `>=`, ...)
-/// compare ids directly.
+/// The seed tier holds every value the evaluations can see up front — an
+/// instance's active domain, the extra constants, and possibly more (every
+/// constant the expressions mention, or a generator's whole alphabet) — in
+/// sorted order, so over the seeded range **id order is value order**
+/// (CompareValues): tables sorted by id decode to canonically ordered tuple
+/// sets, D^r enumerated in id order is already sorted, and ordered
+/// condition atoms (`<`, `>=`, ...) compare ids directly.
 ///
-/// Values minted *during* evaluation (Skolem terms, user-operator outputs)
-/// are appended past the seeded range. Appended ids still satisfy
-/// id equality ⇔ value equality (appends are interned), but not the order
-/// guarantee — Compare() falls back to CompareValues for them.
+/// Values minted *during* evaluation (Skolem terms, user-operator outputs,
+/// constants outside the seed) go to the dictionary's own mint tier, past
+/// the seeded range. Minted ids still satisfy id equality ⇔ value equality
+/// (mints are interned), but not the order guarantee — Compare() falls back
+/// to CompareValues for them.
 ///
-/// Concurrency: the seeded tier is immutable after Seed and read lock-free.
-/// Minting is serialized by a mutex, and minted values live in fixed-size
-/// chunks whose pointers are published with release stores — so ValueOf and
-/// Compare are safe from any thread that learned the id through a
-/// happens-before edge (a thread or ParallelFor join), which is the only
-/// way ids travel between threads. Under concurrent minting the
-/// *assignment* of minted ids is schedule-dependent, but harmless: within
-/// one dictionary id equality still means value equality, and every result
-/// surface (ToSet, Fingerprint, sorted tables) re-canonicalizes by value.
+/// Concurrency: the seed tier is immutable from construction and may be
+/// shared by many dictionaries on many threads (a soundness check builds
+/// one for all of its instances); it is read lock-free. The mint tier is
+/// private to one dictionary: minting is serialized by its mutex, and
+/// minted values live in fixed-size chunks whose pointers are published
+/// with release stores — so ValueOf and Compare are safe from any thread
+/// that learned the id through a happens-before edge (a thread or
+/// ParallelFor join), which is the only way ids travel between threads.
+/// Under concurrent minting the *assignment* of minted ids is
+/// schedule-dependent, but harmless: within one dictionary id equality
+/// still means value equality, and every result surface (ToSet,
+/// Fingerprint, sorted tables) re-canonicalizes by value.
 class ValueDict {
  public:
-  ValueDict() = default;
+  /// The immutable seed tier: values in ascending order, id i being the
+  /// i-th, plus their index.
+  class SeedTier {
+   public:
+    explicit SeedTier(const std::set<Value>& universe);
+
+   private:
+    friend class ValueDict;
+    std::vector<Value> values_;
+    std::unordered_map<Value, ValueId, ValueHash> index_;
+  };
+
+  /// A dictionary over `seed` (ids 0..|seed|-1) with an empty mint tier.
+  explicit ValueDict(std::shared_ptr<const SeedTier> seed);
   ValueDict(const ValueDict&) = delete;
   ValueDict& operator=(const ValueDict&) = delete;
   ~ValueDict();
 
-  /// Seeds ids 0..|universe|-1 in ascending value order. Must be called
-  /// once, before any Intern, from a single thread.
-  void Seed(const std::set<Value>& universe);
-
-  /// Returns the id of `v`, appending it (unordered range) when unknown.
-  /// Thread-safe after Seed.
+  /// Returns the id of `v`, minting it (unordered range) when unknown.
+  /// Thread-safe.
   ValueId Intern(const Value& v);
 
   /// Returns the id of `v`, or nullptr when `v` was never interned. The
@@ -78,7 +92,7 @@ class ValueDict {
   }
 
   size_t size() const {
-    return seeded_.size() + mint_count_.load(std::memory_order_acquire);
+    return ordered_limit_ + mint_count_.load(std::memory_order_acquire);
   }
   /// Ids below this bound are in ascending value order.
   ValueId ordered_limit() const { return ordered_limit_; }
@@ -91,12 +105,13 @@ class ValueDict {
 
   void EnsureMintChunksLocked();
 
-  // Immutable after Seed: lock-free tier.
-  std::vector<Value> seeded_;
-  std::unordered_map<Value, ValueId, ValueHash> seeded_index_;
-  ValueId ordered_limit_ = 0;
+  // The shared seed tier, read lock-free; `seeded_` and `ordered_limit_`
+  // are its values and their count.
+  std::shared_ptr<const SeedTier> seed_;
+  const Value* seeded_;
+  ValueId ordered_limit_;
 
-  // Minted overflow tier, guarded by mint_mu_ for writers.
+  // The private mint tier, guarded by mint_mu_ for writers.
   mutable std::mutex mint_mu_;
   std::unordered_map<Value, ValueId, ValueHash> mint_index_;
   std::unique_ptr<std::atomic<Value*>[]> mint_chunks_;

@@ -323,6 +323,35 @@ TEST(CompositionSoundnessTest, ReportMatchesInstanceReferenceLoop) {
   }
 }
 
+TEST(CompositionSoundnessTest, SkolemTermsMatchReferenceLoopAtEveryLaneCount) {
+  // Both sides carry Skolem terms, which the check evaluates under the
+  // injective interpretation: every lane mints terms into its instances'
+  // dictionaries, all of which share one seed built for the check. The
+  // last composed constraint pairs a term with itself, so no instance with
+  // a row in R satisfies it and those count as skolem-inconclusive.
+  CompositionProblem problem = ChainProblem();
+  problem.sigma23.push_back(Constraint::Contain(
+      Project({1, 2}, SkolemApp("g", {2}, Rel("S", 2))), Rel("T", 2)));
+  CompositionResult result;
+  result.sigma = *Signature::Merge(problem.sigma1, problem.sigma3);
+  result.constraints = {
+      Constraint::Contain(Rel("R", 2), Rel("T", 2)),
+      Constraint::Contain(
+          Project({1, 2}, SkolemApp("h", {1, 2}, Rel("R", 2))), Rel("T", 2)),
+      Constraint::Contain(Project({3, 3}, SkolemApp("f", {1}, Rel("R", 2))),
+                          Rel("T", 2))};
+  CompositionCheckOptions options;
+  options.gen.domain_size = 3;
+  options.gen.max_tuples_per_rel = 3;
+  const std::string report = ExpectMatchesReference(
+      problem, result, 77, 24, options, "skolem terms", /*reps=*/3);
+  EXPECT_EQ(report.find(" 0 skolem-inconclusive"), std::string::npos)
+      << report;
+  options.gen.include_strings = true;
+  ExpectMatchesReference(problem, result, 78, 24, options,
+                         "skolem terms with strings", /*reps=*/3);
+}
+
 TEST(CompositionSoundnessTest, CounterexampleTextMatchesReferenceLoop) {
   // The repair assigns S := R and grows T ⊇ S; the bogus "composition"
   // T ⊆ R fails wherever T kept a random tuple, so repaired instances'

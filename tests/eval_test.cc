@@ -14,6 +14,7 @@
 #include "src/parser/parser.h"
 #include "src/testdata/literature_suite.h"
 #include "tests/oracles/instance_api.h"
+#include "tests/oracles/oracle.h"
 
 namespace mapcomp {
 namespace {
@@ -170,6 +171,97 @@ TEST_F(EvalTest, EvaluateManySharesTheMemoAcrossRoots) {
   EXPECT_EQ(sides[1].stats.memo_hits, 1);
   EXPECT_EQ(sides[1].tuples(),
             Evaluate(Project({1}, Rel("R", 2)), db_).value());
+
+  // A forest of several hundred distinct nodes, most of them shared by
+  // several parents and several roots, with one root given twice: the
+  // walk's node table grows many times over. Results and per-root counters
+  // equal the nested-loop oracle's and the values pinned below.
+  Instance db;
+  std::vector<ExprPtr> nodes;
+  for (int64_t rel = 0; rel < 6; ++rel) {
+    std::set<Tuple> tuples;
+    for (int64_t i = 0; i < 6; ++i) tuples.insert(T({(rel * 5 + i * 7) % 16}));
+    const std::string name = "L" + std::to_string(rel);
+    db.Set(name, std::move(tuples));
+    nodes.push_back(Rel(name, 1));
+  }
+  for (size_t k = 0; nodes.size() < 600; ++k) {
+    const ExprPtr& a = nodes[(k * 7) % nodes.size()];
+    const ExprPtr& b = nodes[(k * 13 + 5) % nodes.size()];
+    nodes.push_back(k % 3 == 0   ? Union(a, b)
+                    : k % 3 == 1 ? Intersect(a, b)
+                                 : Difference(a, b));
+  }
+  const std::vector<ExprPtr> roots = {nodes[599], nodes[420], nodes[599],
+                                      nodes[598], nodes[300], nodes[597],
+                                      nodes[511], nodes[596]};
+  std::vector<EvalResult> got = EvaluateMany(roots, db).value();
+  std::vector<EvalResult> want = oracle::EvaluateMany(roots, db).value();
+  ASSERT_EQ(got.size(), roots.size());
+  ASSERT_EQ(want.size(), roots.size());
+  // The oracle counts nodes, memo hits and tuples the kernel's way; its
+  // memo bytes measure value sets, so those are pinned below instead.
+  auto counters = [](const EvalStats& st) {
+    return std::to_string(st.nodes_evaluated) + " nodes, " +
+           std::to_string(st.memo_hits) + " hits, " +
+           std::to_string(st.tuples_produced) + " tuples";
+  };
+  int64_t computed = 0;
+  for (size_t i = 0; i < roots.size(); ++i) {
+    EXPECT_EQ(got[i].Fingerprint(), want[i].Fingerprint()) << "root " << i;
+    EXPECT_EQ(counters(got[i].stats), counters(want[i].stats)) << "root " << i;
+    computed += got[i].stats.nodes_evaluated;
+  }
+  EXPECT_GE(computed, 300);
+  const std::string empty = "eval{arity=1;n=0;}";
+  const std::vector<std::string> pinned_fingerprints = {
+      empty,
+      "eval{arity=1;n=12;t1:i0;t1:i1;t1:i3;t1:i5;t1:i6;t1:i7;t1:i8;t1:i10;"
+      "t1:i12;t1:i13;t1:i14;t1:i15;}",
+      empty,
+      empty,
+      "eval{arity=1;n=10;t1:i0;t1:i2;t1:i3;t1:i4;t1:i5;t1:i7;t1:i9;t1:i11;"
+      "t1:i12;t1:i14;}",
+      "eval{arity=1;n=14;t1:i1;t1:i2;t1:i3;t1:i4;t1:i5;t1:i6;t1:i8;t1:i9;"
+      "t1:i10;t1:i11;t1:i12;t1:i13;t1:i14;t1:i15;}",
+      empty,
+      empty,
+  };
+  const std::vector<std::string> pinned_stats = {
+      "eval: 91 nodes, 80 memo hits, 319 tuples, 0 hash joins, 0 nested "
+      "products, memo 2340B peak / 4916B total, 91 tasks",
+      "eval: 10 nodes, 11 memo hits, 120 tuples, 0 hash joins, 0 nested "
+      "products, memo 2440B peak / 880B total, 10 tasks",
+      "eval: 0 nodes, 1 memo hits, 0 tuples, 0 hash joins, 0 nested "
+      "products, memo 2440B peak / 0B total, 0 tasks",
+      "eval: 71 nodes, 72 memo hits, 347 tuples, 0 hash joins, 0 nested "
+      "products, memo 3056B peak / 4228B total, 71 tasks",
+      "eval: 21 nodes, 22 memo hits, 124 tuples, 0 hash joins, 0 nested "
+      "products, memo 3056B peak / 1336B total, 21 tasks",
+      "eval: 36 nodes, 37 memo hits, 236 tuples, 0 hash joins, 0 nested "
+      "products, memo 3056B peak / 2384B total, 36 tasks",
+      "eval: 38 nodes, 39 memo hits, 187 tuples, 0 hash joins, 0 nested "
+      "products, memo 3056B peak / 2268B total, 38 tasks",
+      "eval: 43 nodes, 44 memo hits, 160 tuples, 0 hash joins, 0 nested "
+      "products, memo 3056B peak / 2360B total, 43 tasks",
+  };
+  for (size_t i = 0; i < roots.size(); ++i) {
+    EXPECT_EQ(got[i].Fingerprint(), pinned_fingerprints[i]) << "root " << i;
+    EXPECT_EQ(got[i].stats.ToString(), pinned_stats[i]) << "root " << i;
+  }
+  EXPECT_EQ(got.back().stats.memo_bytes_peak, 3056);
+  EvalStats both, both_oracle;
+  ASSERT_TRUE(EvaluateContainment(roots[0], roots[1], /*equality=*/false, db,
+                                  {}, &both)
+                  .ok());
+  ASSERT_TRUE(oracle::EvaluateContainment(roots[0], roots[1],
+                                          /*equality=*/false, db, {},
+                                          &both_oracle)
+                  .ok());
+  EXPECT_EQ(counters(both), counters(both_oracle));
+  EXPECT_EQ(both.ToString(),
+            "eval: 101 nodes, 91 memo hits, 439 tuples, 0 hash joins, 0 "
+            "nested products, memo 1368B peak / 5796B total, 101 tasks");
 }
 
 TEST_F(EvalTest, SharedSubtreeEvaluatesOnce) {

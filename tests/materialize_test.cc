@@ -488,7 +488,8 @@ TEST(FeedFixpointOracleTest, RaggedRelationsMatchEveryFeedLoop) {
 TEST(FeedFixpointOracleTest, OneFeedPlanServesManyInstances) {
   // Each fixture's feeds are analysed once; the plan then runs on 20
   // random instances, through the Instance wrapper and in place on an
-  // encoding, and must match the oracle loop on each.
+  // encoding, and on 20 generator-built encodings, and must match the
+  // oracle loop on each.
   const op::Registry& reg = op::Registry::Default();
   ExprPtr pad = reg.MakeOp("lojoin", {Rel("R", 1), Rel("S", 1)},
                            Condition::AttrCmp(1, CmpOp::kEq, 2))
@@ -559,6 +560,33 @@ TEST(FeedFixpointOracleTest, OneFeedPlanServesManyInstances) {
           EXPECT_EQ(start.Get(name), want.Get(name)) << at << " " << name;
         }
       }
+    }
+
+    // The same plan in place on generator-built encodings, whose
+    // dictionaries share the generator's seed: every relation and D end
+    // as the oracle loop leaves them, through the shrinking assignments
+    // and the minted pad value too.
+    const InstanceGenerator generator({&sig}, gen, fx.constants);
+    std::mt19937_64 draw_rng(fx.name.size() + 100);
+    for (int i = 0; i < 20; ++i) {
+      const std::string at = fx.name + " generated #" + std::to_string(i);
+      EncodedInstance encoded = generator.Encode(generator.Draw(&draw_rng));
+      Instance want = encoded.Decode();
+      int want_iters =
+          oracle::RunFeedFixpoint(&want, fx.feeds, oracle_options, 16, nullptr);
+      EXPECT_EQ(RunFeedFixpoint(&encoded, plan, {}, 16, nullptr, nullptr),
+                want_iters)
+          << at;
+      for (const std::string& name : plan.relations()) {
+        EXPECT_EQ(encoded.Decode(name), want.Get(name)) << at << " " << name;
+      }
+      std::set<Value> want_domain = want.ActiveDomain();
+      want_domain.insert(fx.constants.begin(), fx.constants.end());
+      std::set<Value> got_domain;
+      for (ValueId id : encoded.domain_ids()) {
+        got_domain.insert(encoded.dict()->ValueOf(id));
+      }
+      EXPECT_EQ(got_domain, want_domain) << at;
     }
   }
 }
