@@ -1,10 +1,9 @@
 #include "src/algebra/expr.h"
 
-#include <algorithm>
 #include <functional>
 #include <limits>
-#include <unordered_set>
 
+#include "src/algebra/dag_walk.h"
 #include "src/algebra/interner.h"
 
 namespace mapcomp {
@@ -41,59 +40,27 @@ int OperatorCount(const ExprPtr& e) {
              : static_cast<int>(n);
 }
 
-namespace {
-
-/// `bit` is NameBit(name), hashed once per query rather than per node.
-/// `seen` (used above kSharedSubtreeThreshold) keeps mask false positives
-/// from revisiting shared subtrees of a large DAG.
-bool ContainsRelationImpl(const Expr& e, const std::string& name,
-                          uint64_t bit,
-                          std::unordered_set<const Expr*>* seen) {
-  if ((e.relation_mask() & bit) == 0) return false;
-  if (e.kind() == ExprKind::kRelation && e.name() == name) return true;
-  if (seen != nullptr && !seen->insert(&e).second) return false;
-  for (const ExprPtr& c : e.children()) {
-    if (ContainsRelationImpl(*c, name, bit, seen)) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 bool ContainsRelation(const ExprPtr& e, const std::string& name) {
   if (e == nullptr) return false;
-  uint64_t bit = Expr::NameBit(name);
-  if (e->op_count() <= kSharedSubtreeThreshold) {
-    return ContainsRelationImpl(*e, name, bit, nullptr);
-  }
-  std::unordered_set<const Expr*> seen;
-  return ContainsRelationImpl(*e, name, bit, &seen);
+  const uint64_t bit = Expr::NameBit(name);
+  NodeTable<NoValue> seen;
+  return !WalkDag(e, &seen, [&](const ExprPtr& n) {
+    if ((n->relation_mask() & bit) == 0) return Visit::kPrune;
+    if (n->kind() == ExprKind::kRelation && n->name() == name) {
+      return Visit::kStop;
+    }
+    return Visit::kEnter;
+  });
 }
-
-namespace {
-
-/// Shared-subtree-aware collector: visits each interned node once, pruning
-/// subtrees whose mask proves the target absent.
-template <typename Mask, typename Visit>
-void CollectUnique(const ExprPtr& e, std::unordered_set<const Expr*>* seen,
-                   const Mask& has_any, const Visit& visit) {
-  if (e == nullptr || !has_any(*e)) return;
-  if (!seen->insert(e.get()).second) return;
-  visit(*e);
-  for (const ExprPtr& c : e->children()) {
-    CollectUnique(c, seen, has_any, visit);
-  }
-}
-
-}  // namespace
 
 void CollectRelations(const ExprPtr& e, std::set<std::string>* out) {
-  std::unordered_set<const Expr*> seen;
-  CollectUnique(
-      e, &seen, [](const Expr& n) { return n.relation_mask() != 0; },
-      [out](const Expr& n) {
-        if (n.kind() == ExprKind::kRelation) out->insert(n.name());
-      });
+  if (e == nullptr) return;
+  NodeTable<NoValue> seen;
+  WalkDag(e, &seen, [out](const ExprPtr& n) {
+    if (n->relation_mask() == 0) return Visit::kPrune;
+    if (n->kind() == ExprKind::kRelation) out->insert(n->name());
+    return Visit::kEnter;
+  });
 }
 
 bool ContainsSkolem(const ExprPtr& e) {
@@ -101,21 +68,23 @@ bool ContainsSkolem(const ExprPtr& e) {
 }
 
 void CollectSkolems(const ExprPtr& e, std::set<std::string>* out) {
-  std::unordered_set<const Expr*> seen;
-  CollectUnique(
-      e, &seen, [](const Expr& n) { return n.contains_skolem(); },
-      [out](const Expr& n) {
-        if (n.kind() == ExprKind::kSkolem) out->insert(n.name());
-      });
+  if (e == nullptr) return;
+  NodeTable<NoValue> seen;
+  WalkDag(e, &seen, [out](const ExprPtr& n) {
+    if (!n->contains_skolem()) return Visit::kPrune;
+    if (n->kind() == ExprKind::kSkolem) out->insert(n->name());
+    return Visit::kEnter;
+  });
 }
 
 bool ContainsDomain(const ExprPtr& e) {
   return e != nullptr && e->contains_domain();
 }
 
-Status ValidateExpr(const ExprPtr& e) {
-  if (e == nullptr) return Status::InvalidArgument("null expression");
-  for (const ExprPtr& c : e->children()) MAPCOMP_RETURN_IF_ERROR(ValidateExpr(c));
+namespace {
+
+/// Checks one node against its children, which are checked already.
+Status ValidateNode(const ExprPtr& e) {
   switch (e->kind()) {
     case ExprKind::kRelation:
     case ExprKind::kDomain:
@@ -194,6 +163,23 @@ Status ValidateExpr(const ExprPtr& e) {
       return Status::OK();
   }
   return Status::Internal("unknown expression kind");
+}
+
+}  // namespace
+
+Status ValidateExpr(const ExprPtr& e) {
+  if (e == nullptr) return Status::InvalidArgument("null expression");
+  // Post-order: children before their parent, left to right. The first
+  // node that fails names the error.
+  Status status;
+  NodeTable<NoValue> done;
+  WalkDag(
+      e, &done, [](const ExprPtr&) { return Visit::kEnter; },
+      [&status](const ExprPtr& n, NoValue*) {
+        status = ValidateNode(n);
+        return status.ok();
+      });
+  return status;
 }
 
 }  // namespace mapcomp

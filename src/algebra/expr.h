@@ -71,9 +71,11 @@ class Expr {
   /// 1 each) — the paper's mapping-size metric. Stored wide because interned
   /// DAGs can denote trees far larger than physical node count.
   int64_t op_count() const { return op_count_; }
-  /// Longest root-to-leaf path, counted in nodes (a leaf is 1). Every
-  /// recursive pass over an expression nests this deep; the parser refuses
-  /// inputs past its bound by reading it.
+  /// Longest root-to-leaf path, counted in nodes (a leaf is 1). The
+  /// algebra's passes walk on an explicit stack (dag_walk.h) and take any
+  /// depth; the passes that still recurse (evaluation, compose's normalize
+  /// and eliminate, the logic translation) nest this deep, which is why the
+  /// parser refuses inputs past its bound by reading it.
   int depth() const { return depth_; }
   /// True iff a Skolem operator occurs in the subtree.
   bool contains_skolem() const { return contains_skolem_; }
@@ -114,13 +116,6 @@ class Expr {
   bool contains_domain_ = false;
   uint64_t relation_mask_ = 0;
 };
-
-/// Trees at or below this operator count are walked with plain recursion;
-/// larger ones use memoized / seen-set traversals so shared (DAG) subtrees
-/// are visited once. Shared by simplify, substitute, monotone and the
-/// contains queries — below the threshold the table churn costs more than
-/// the shared work saves.
-inline constexpr int64_t kSharedSubtreeThreshold = 64;
 
 /// Structural equality. Interning canonicalizes structurally equal nodes to
 /// one object, so this is a pointer comparison.

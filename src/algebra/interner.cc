@@ -137,18 +137,46 @@ size_t ExprInterner::size() const {
 }
 
 void ExprInterner::Sweep() {
-  // Run to a global fixpoint: dropping a parent releases its children, which
-  // then also become table-only — possibly in a different shard.
-  size_t before = std::numeric_limits<size_t>::max();
-  for (;;) {
-    size_t after = 0;
-    for (Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      RehashLocked(shard);
-      after += shard.count;
+  // The table-only nodes, taken out of their slots one shard at a time.
+  std::vector<ExprPtr> dropped;
+  for (Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    for (Slot& s : shard.slots) {
+      if (s.node != nullptr && s.node.use_count() == 1) {
+        dropped.push_back(std::move(s.node));
+      }
     }
-    if (after >= before) break;
-    before = after;
+    RehashLocked(shard);
+  }
+  // Released parents first. A child that only the table and its parent
+  // hold leaves its slot, in whatever shard, before the parent goes: it
+  // joins the list, and no release cascades down a chain.
+  for (size_t i = 0; i < dropped.size(); ++i) {
+    const std::vector<ExprPtr>& children = dropped[i]->children();
+    for (const ExprPtr& c : children) {
+      const long edges = std::count(children.begin(), children.end(), c);
+      Shard& shard = shards_[ShardIndex(c->hash())];
+      std::lock_guard<std::mutex> lock(shard.mu);
+      if (c.use_count() != 1 + edges) continue;
+      size_t at = c->hash() & shard.mask;
+      while (shard.slots[at].node != nullptr && shard.slots[at].node != c) {
+        at = (at + 1) & shard.mask;
+      }
+      if (shard.slots[at].node == nullptr) continue;  // taken, or not ours
+      dropped.push_back(std::move(shard.slots[at].node));
+      --shard.count;
+      // Backward-shift deletion: every later entry of the cluster whose
+      // home slot does not lie after the hole moves into it.
+      for (size_t j = (at + 1) & shard.mask; shard.slots[j].node != nullptr;
+           j = (j + 1) & shard.mask) {
+        const size_t home = shard.slots[j].hash & shard.mask;
+        if (((j - home) & shard.mask) >= ((j - at) & shard.mask)) {
+          shard.slots[at] = std::move(shard.slots[j]);
+          at = j;
+        }
+      }
+    }
+    dropped[i].reset();
   }
 }
 

@@ -52,10 +52,11 @@ struct InternerStats {
 /// index uses the low hash bits, independent of the shard-selection bits.
 /// A shard holds strong references; garbage is reclaimed when it rebuilds:
 /// entries whose only remaining reference is the table itself are dropped
-/// during every rehash. Entries are never erased outside a rebuild, so probe
-/// sequences need no tombstones. This keeps both node creation and node
-/// destruction free of per-node bookkeeping beyond one probe, at the cost of
-/// retaining dead nodes until the next rebuild.
+/// during every rehash. Only Sweep erases entries outside a rebuild, by
+/// backward shifting, so probe sequences need no tombstones. This keeps
+/// both node creation and node destruction free of per-node bookkeeping
+/// beyond one probe, at the cost of retaining dead nodes until the next
+/// rebuild.
 class ExprInterner {
  public:
   /// Shard count. Power of two; 16 is enough stripes that 8 construction
@@ -80,9 +81,11 @@ class ExprInterner {
   /// reclaimed (for tests and diagnostics).
   size_t size() const;
 
-  /// Immediately drops every cached node not referenced outside the table.
-  /// Runs shard rebuilds to a global fixpoint: dropping a parent in one
-  /// shard releases children that may live in any other shard.
+  /// Immediately drops every cached node not referenced outside the table
+  /// or by another such node, in time linear in the garbage plus one
+  /// rebuild of each shard. Dropping a parent in one shard releases
+  /// children that may live in any other; they are erased from their
+  /// slots as their parents go.
   void Sweep();
 
   /// Grows every shard so that `expected_new_nodes` additional insertions

@@ -4,7 +4,7 @@
 #include <set>
 
 #include "src/algebra/builders.h"
-#include "src/algebra/rewrite_memo.h"
+#include "src/algebra/dag_walk.h"
 
 namespace mapcomp {
 
@@ -30,9 +30,9 @@ std::vector<Tuple> SortedUnique(std::vector<Tuple> ts) {
 
 bool IsLit(const ExprPtr& e) { return e->kind() == ExprKind::kLiteral; }
 
-/// One top-level rewrite step; children are already simplified.
-/// Returns nullptr when no rule applies.
-ExprPtr RewriteNode(const ExprPtr& e, const SimplifyHook& hook) {
+}  // namespace
+
+ExprPtr SimplifyNode(const ExprPtr& e, const SimplifyHook& hook) {
   switch (e->kind()) {
     case ExprKind::kRelation:
     case ExprKind::kDomain:
@@ -183,36 +183,26 @@ ExprPtr RewriteNode(const ExprPtr& e, const SimplifyHook& hook) {
   return nullptr;
 }
 
-/// One bottom-up pass. Interning makes node identity equal structural
-/// equality, so the memo (when non-null) rewrites every occurrence of a
-/// shared subtree exactly once per pass, and pointer inequality of the
-/// result signals a structural change.
-ExprPtr SimplifyOnce(const ExprPtr& e, const SimplifyHook& hook,
-                     RewriteMemo* memo, bool* changed) {
-  if (memo != nullptr) {
-    if (const ExprPtr* hit = memo->Find(e)) {
-      *changed = *changed || *hit != e;
-      return *hit;
-    }
-  }
-  bool child_changed = false;
-  std::vector<ExprPtr> new_children;
-  new_children.reserve(e->children().size());
-  for (const ExprPtr& c : e->children()) {
-    ExprPtr nc = SimplifyOnce(c, hook, memo, &child_changed);
-    new_children.push_back(std::move(nc));
-  }
-  ExprPtr node = e;
-  if (child_changed) {
-    node = Expr::Make(e->kind(), e->name(), std::move(new_children),
-                      e->condition(), e->indexes(), e->arity(), e->tuples());
-  }
-  ExprPtr rewritten = RewriteNode(node, hook);
-  ExprPtr result = rewritten != nullptr ? std::move(rewritten)
-                                        : std::move(node);
-  if (memo != nullptr) memo->Insert(e, result);
-  *changed = *changed || result != e;
-  return result;
+namespace {
+
+/// One bottom-up pass: each node is rewritten once its children are, and
+/// each distinct subtree once, since its result depends on the node alone.
+ExprPtr SimplifyOnce(const ExprPtr& e, const SimplifyHook& hook) {
+  NodeTable<ExprPtr> done;
+  auto rewrite = [&hook](ExprPtr node) {
+    ExprPtr rewritten = SimplifyNode(node, hook);
+    return rewritten != nullptr ? std::move(rewritten) : std::move(node);
+  };
+  auto simplified = [&](const ExprPtr& n) {
+    return n->children().empty() ? rewrite(n) : done.At(n.get());
+  };
+  WalkDag(
+      e, &done, [](const ExprPtr&) { return Visit::kEnter; },
+      [&](const ExprPtr& n, ExprPtr* out) {
+        if (!n->children().empty()) *out = rewrite(RebuildNode(n, simplified));
+        return true;
+      });
+  return simplified(e);
 }
 
 }  // namespace
@@ -223,14 +213,9 @@ ExprPtr SimplifyExpr(const ExprPtr& e, const SimplifyHook& hook) {
   // A bounded fixpoint: each pass strictly shrinks or rewrites; 16 passes is
   // far more than any chain of the above rules requires.
   for (int i = 0; i < 16; ++i) {
-    bool changed = false;
-    if (cur->op_count() > kSharedSubtreeThreshold) {
-      RewriteMemo memo;
-      cur = SimplifyOnce(cur, hook, &memo, &changed);
-    } else {
-      cur = SimplifyOnce(cur, hook, nullptr, &changed);
-    }
-    if (!changed) break;
+    ExprPtr next = SimplifyOnce(cur, hook);
+    if (next == cur) break;
+    cur = std::move(next);
   }
   return cur;
 }

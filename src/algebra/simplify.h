@@ -30,6 +30,11 @@ using SimplifyHook = std::function<ExprPtr(const ExprPtr&)>;
 /// (see Evaluator); this matters only when literal relations are in play.
 ExprPtr SimplifyExpr(const ExprPtr& e, const SimplifyHook& hook = nullptr);
 
+/// One top-level rewrite step on `e`, whose children count as simplified:
+/// the rewritten node, or nullptr when no rule applies. SimplifyExpr's
+/// passes apply it bottom-up.
+ExprPtr SimplifyNode(const ExprPtr& e, const SimplifyHook& hook = nullptr);
+
 }  // namespace mapcomp
 
 #endif  // MAPCOMP_ALGEBRA_SIMPLIFY_H_

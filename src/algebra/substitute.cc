@@ -1,55 +1,40 @@
 #include "src/algebra/substitute.h"
 
-#include "src/algebra/rewrite_memo.h"
+#include "src/algebra/dag_walk.h"
 
 namespace mapcomp {
 
 namespace {
 
-/// Memoized bottom-up rewrite of kRelation leaves, shared by substitution
-/// and renaming. `leaf` returns the replacement for a relation node, or
-/// nullptr to keep it. Pure node-local, so a RewriteMemo keyed on node
-/// identity rewrites each distinct subtree once, and the cached relation
-/// mask (`bit` = NameBit of the target) skips whole subtrees that cannot
-/// mention it.
-template <typename LeafFn>
-ExprPtr RewriteRelationLeaves(const ExprPtr& e, uint64_t bit,
-                              const LeafFn& leaf, RewriteMemo* memo) {
-  if ((e->relation_mask() & bit) == 0) return e;
-  if (e->kind() == ExprKind::kRelation) {
-    ExprPtr replaced = leaf(*e);
-    return replaced != nullptr ? replaced : e;
-  }
-  if (memo != nullptr) {
-    if (const ExprPtr* hit = memo->Find(e)) return *hit;
-  }
-  bool changed = false;
-  std::vector<ExprPtr> new_children;
-  new_children.reserve(e->children().size());
-  for (const ExprPtr& c : e->children()) {
-    ExprPtr nc = RewriteRelationLeaves(c, bit, leaf, memo);
-    changed = changed || nc != c;
-    new_children.push_back(std::move(nc));
-  }
-  ExprPtr result =
-      changed ? Expr::Make(e->kind(), e->name(), std::move(new_children),
-                           e->condition(), e->indexes(), e->arity(),
-                           e->tuples())
-              : e;
-  if (memo != nullptr) memo->Insert(e, result);
-  return result;
-}
-
+/// Bottom-up rewrite of kRelation leaves, shared by substitution and
+/// renaming. `leaf` returns the replacement for a relation node, or nullptr
+/// to keep it. The rewrite is node-local, so each distinct subtree is
+/// rewritten once, and the cached relation mask skips whole subtrees that
+/// cannot mention `name`.
 template <typename LeafFn>
 ExprPtr RewriteRelationLeaves(const ExprPtr& e, const std::string& name,
                               const LeafFn& leaf) {
   if (e == nullptr) return e;
-  uint64_t bit = Expr::NameBit(name);
-  if (e->op_count() <= kSharedSubtreeThreshold) {
-    return RewriteRelationLeaves(e, bit, leaf, nullptr);
-  }
-  RewriteMemo memo;
-  return RewriteRelationLeaves(e, bit, leaf, &memo);
+  const uint64_t bit = Expr::NameBit(name);
+  NodeTable<ExprPtr> done;
+  auto rewritten = [&](const ExprPtr& n) -> ExprPtr {
+    if ((n->relation_mask() & bit) == 0) return n;
+    if (n->kind() == ExprKind::kRelation) {
+      ExprPtr replaced = leaf(*n);
+      return replaced != nullptr ? replaced : n;
+    }
+    return done.At(n.get());
+  };
+  WalkDag(
+      e, &done,
+      [bit](const ExprPtr& n) {
+        return (n->relation_mask() & bit) == 0 ? Visit::kPrune : Visit::kEnter;
+      },
+      [&](const ExprPtr& n, ExprPtr* out) {
+        if (!n->children().empty()) *out = RebuildNode(n, rewritten);
+        return true;
+      });
+  return rewritten(e);
 }
 
 }  // namespace

@@ -1,14 +1,10 @@
 #include "src/compose/monotone.h"
 
-#include <unordered_map>
+#include "src/algebra/dag_walk.h"
 
 namespace mapcomp {
 
 namespace {
-
-Mono CheckMonotoneNode(const ExprPtr& e, const std::string& symbol,
-                       uint64_t bit, const op::Registry* registry,
-                       std::unordered_map<const Expr*, Mono>* memo);
 
 /// Combination table for operators that are monotone in all arguments
 /// (∪, ∩, ×): 'i' is the identity, equal values persist, opposite
@@ -31,30 +27,10 @@ Mono Flip(Mono m) {
   }
 }
 
-/// `bit` is NameBit(symbol), hashed once per query rather than per node.
-/// `memo` (used above kSharedSubtreeThreshold) keeps the walk linear in the
-/// physical node count of a shared DAG.
-Mono CheckMonotoneImpl(const ExprPtr& e, const std::string& symbol,
-                       uint64_t bit, const op::Registry* registry,
-                       std::unordered_map<const Expr*, Mono>* memo) {
-  // O(1) fast path via the interner's cached analyses: a subtree that
-  // provably mentions neither `symbol` nor D is independent of `symbol`
-  // under every operator's polarity rule.
-  if ((e->relation_mask() & bit) == 0 && !e->contains_domain()) {
-    return Mono::kIndependent;
-  }
-  if (memo != nullptr) {
-    auto it = memo->find(e.get());
-    if (it != memo->end()) return it->second;
-  }
-  Mono result = CheckMonotoneNode(e, symbol, bit, registry, memo);
-  if (memo != nullptr) memo->emplace(e.get(), result);
-  return result;
-}
-
-Mono CheckMonotoneNode(const ExprPtr& e, const std::string& symbol,
-                       uint64_t bit, const op::Registry* registry,
-                       std::unordered_map<const Expr*, Mono>* memo) {
+/// `e`'s polarity from its children's, which `child` gives.
+template <typename ChildMono>
+Mono NodeMono(const ExprPtr& e, const std::string& symbol,
+              const op::Registry* registry, const ChildMono& child) {
   switch (e->kind()) {
     case ExprKind::kRelation:
       return e->name() == symbol ? Mono::kMonotone : Mono::kIndependent;
@@ -68,24 +44,19 @@ Mono CheckMonotoneNode(const ExprPtr& e, const std::string& symbol,
     case ExprKind::kUnion:
     case ExprKind::kIntersect:
     case ExprKind::kProduct:
-      return Combine(
-          CheckMonotoneImpl(e->child(0), symbol, bit, registry, memo),
-          CheckMonotoneImpl(e->child(1), symbol, bit, registry, memo));
+      return Combine(child(e->child(0)), child(e->child(1)));
     case ExprKind::kDifference:
-      return Combine(
-          CheckMonotoneImpl(e->child(0), symbol, bit, registry, memo),
-          Flip(CheckMonotoneImpl(e->child(1), symbol, bit, registry, memo)));
+      return Combine(child(e->child(0)), Flip(child(e->child(1))));
     case ExprKind::kSelect:
     case ExprKind::kProject:
     case ExprKind::kSkolem:
-      return CheckMonotoneImpl(e->child(0), symbol, bit, registry, memo);
+      return child(e->child(0));
     case ExprKind::kUserOp: {
       const op::OperatorDef* def =
           registry != nullptr ? registry->Find(e->name()) : nullptr;
       Mono acc = Mono::kIndependent;
       for (size_t i = 0; i < e->children().size(); ++i) {
-        Mono child =
-            CheckMonotoneImpl(e->children()[i], symbol, bit, registry, memo);
+        const Mono m = child(e->children()[i]);
         op::Polarity pol =
             def != nullptr && i < def->polarity.size()
                 ? def->polarity[i]
@@ -93,14 +64,14 @@ Mono CheckMonotoneNode(const ExprPtr& e, const std::string& symbol,
         Mono adjusted = Mono::kUnknown;
         switch (pol) {
           case op::Polarity::kMonotone:
-            adjusted = child;
+            adjusted = m;
             break;
           case op::Polarity::kAnti:
-            adjusted = Flip(child);
+            adjusted = Flip(m);
             break;
           case op::Polarity::kUnknown:
-            adjusted = child == Mono::kIndependent ? Mono::kIndependent
-                                                   : Mono::kUnknown;
+            adjusted =
+                m == Mono::kIndependent ? Mono::kIndependent : Mono::kUnknown;
             break;
         }
         acc = Combine(acc, adjusted);
@@ -129,12 +100,30 @@ char MonoToChar(Mono m) {
 
 Mono CheckMonotone(const ExprPtr& e, const std::string& symbol,
                    const op::Registry* registry) {
-  uint64_t bit = Expr::NameBit(symbol);
-  if (e->op_count() <= kSharedSubtreeThreshold) {
-    return CheckMonotoneImpl(e, symbol, bit, registry, nullptr);
-  }
-  std::unordered_map<const Expr*, Mono> memo;
-  return CheckMonotoneImpl(e, symbol, bit, registry, &memo);
+  const uint64_t bit = Expr::NameBit(symbol);
+  // A subtree that provably mentions neither `symbol` nor D is independent
+  // of `symbol` under every operator's polarity rule (the interner's cached
+  // analyses, O(1)).
+  auto independent = [bit](const ExprPtr& n) {
+    return (n->relation_mask() & bit) == 0 && !n->contains_domain();
+  };
+  NodeTable<Mono> done;
+  auto mono = [&](const ExprPtr& n) {
+    if (independent(n)) return Mono::kIndependent;
+    if (!n->children().empty()) return done.At(n.get());
+    return NodeMono(n, symbol, registry,
+                    [](const ExprPtr&) { return Mono::kIndependent; });
+  };
+  WalkDag(
+      e, &done,
+      [&](const ExprPtr& n) {
+        return independent(n) ? Visit::kPrune : Visit::kEnter;
+      },
+      [&](const ExprPtr& n, Mono* out) {
+        if (!n->children().empty()) *out = NodeMono(n, symbol, registry, mono);
+        return true;
+      });
+  return mono(e);
 }
 
 bool IsMonotoneOrIndependent(const ExprPtr& e, const std::string& symbol,

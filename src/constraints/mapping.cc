@@ -1,5 +1,8 @@
 #include "src/constraints/mapping.h"
 
+#include <algorithm>
+
+#include "src/algebra/dag_walk.h"
 #include "src/common/wire_format.h"
 
 namespace mapcomp {
@@ -7,28 +10,30 @@ namespace mapcomp {
 namespace {
 
 /// Every relation in `e` must be declared in one of the signatures with the
-/// same arity.
+/// same arity; the first one, left to right, that is not names the error.
 Status CheckDeclared(const ExprPtr& e,
                      const std::vector<const Signature*>& sigs) {
   if (e == nullptr) return Status::InvalidArgument("null expression");
-  if (e->kind() == ExprKind::kRelation) {
-    for (const Signature* s : sigs) {
-      if (s->Contains(e->name())) {
-        if (s->ArityOf(e->name()) != e->arity()) {
-          return Status::InvalidArgument(
-              "relation " + e->name() + " used with arity " +
-              std::to_string(e->arity()) + " but declared with " +
-              std::to_string(s->ArityOf(e->name())));
-        }
-        return Status::OK();
-      }
+  Status status;
+  NodeTable<NoValue> seen;
+  WalkDag(e, &seen, [&](const ExprPtr& n) {
+    if (n->relation_mask() == 0) return Visit::kPrune;
+    if (n->kind() != ExprKind::kRelation) return Visit::kEnter;
+    auto declared = std::find_if(sigs.begin(), sigs.end(),
+                                 [&n](const Signature* s) {
+                                   return s->Contains(n->name());
+                                 });
+    if (declared == sigs.end()) {
+      status = Status::NotFound("relation " + n->name() + " not declared");
+    } else if ((*declared)->ArityOf(n->name()) != n->arity()) {
+      status = Status::InvalidArgument(
+          "relation " + n->name() + " used with arity " +
+          std::to_string(n->arity()) + " but declared with " +
+          std::to_string((*declared)->ArityOf(n->name())));
     }
-    return Status::NotFound("relation " + e->name() + " not declared");
-  }
-  for (const ExprPtr& c : e->children()) {
-    MAPCOMP_RETURN_IF_ERROR(CheckDeclared(c, sigs));
-  }
-  return Status::OK();
+    return status.ok() ? Visit::kPrune : Visit::kStop;
+  });
+  return status;
 }
 
 Status CheckConstraints(const ConstraintSet& cs,

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "src/algebra/dag_walk.h"
+
 namespace mapcomp {
 
 namespace {
@@ -26,32 +28,32 @@ void CollectConstantsFromCondition(const Condition& c, std::set<Value>* out) {
 
 }  // namespace
 
-void CollectConstants(const ExprPtr& e, std::set<const Expr*>* visited,
+void CollectConstants(const std::vector<ExprPtr>& roots,
                       std::set<Value>* constants,
                       std::set<std::string>* relations) {
-  if (e == nullptr) return;
-  // Only inner nodes are remembered: a leaf costs less to revisit than to
-  // insert, and the walk stays linear in the DAG's edges.
-  if (!e->children().empty() && !visited->insert(e.get()).second) return;
-  if (relations != nullptr && e->kind() == ExprKind::kRelation) {
-    relations->insert(e->name());
-  }
-  CollectConstantsFromCondition(e->condition(), constants);
-  for (const Tuple& t : e->tuples()) {
-    for (const Value& v : t) constants->insert(v);
-  }
-  for (const ExprPtr& c : e->children()) {
-    CollectConstants(c, visited, constants, relations);
+  NodeTable<NoValue> seen;
+  for (const ExprPtr& root : roots) {
+    if (root == nullptr) continue;
+    WalkDag(root, &seen, [&](const ExprPtr& e) {
+      if (relations != nullptr && e->kind() == ExprKind::kRelation) {
+        relations->insert(e->name());
+      }
+      CollectConstantsFromCondition(e->condition(), constants);
+      for (const Tuple& t : e->tuples()) constants->insert(t.begin(), t.end());
+      return Visit::kEnter;
+    });
   }
 }
 
 std::set<Value> CollectConstants(const ConstraintSet& cs) {
-  std::set<Value> out;
-  std::set<const Expr*> visited;
+  std::vector<ExprPtr> roots;
+  roots.reserve(2 * cs.size());
   for (const Constraint& c : cs) {
-    CollectConstants(c.lhs, &visited, &out);
-    CollectConstants(c.rhs, &visited, &out);
+    roots.push_back(c.lhs);
+    roots.push_back(c.rhs);
   }
+  std::set<Value> out;
+  CollectConstants(roots, &out);
   return out;
 }
 

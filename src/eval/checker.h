@@ -13,12 +13,11 @@ namespace mapcomp {
 /// when checking (see EvalOptions::extra_constants).
 std::set<Value> CollectConstants(const ConstraintSet& cs);
 
-/// Adds every constant `e` mentions (selection-condition constants and
-/// literal-relation values) to `constants` and, when `relations` is
-/// non-null, the name of every relation it reads. Walks each edge of the
-/// interned DAG once: `visited` holds the inner nodes already walked and
-/// spans calls, so roots that share subtrees walk them once.
-void CollectConstants(const ExprPtr& e, std::set<const Expr*>* visited,
+/// Adds every constant the `roots` mention (selection-condition constants
+/// and literal-relation values) to `constants` and, when `relations` is
+/// non-null, the name of every relation they read. Walks each distinct node
+/// of their interned forest once, however many roots share it.
+void CollectConstants(const std::vector<ExprPtr>& roots,
                       std::set<Value>* constants,
                       std::set<std::string>* relations = nullptr);
 

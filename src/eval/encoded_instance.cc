@@ -54,10 +54,7 @@ EncodedInstance EncodedInstance::ForRoots(
   // range; and every relation they read is encoded.
   std::set<Value> constants;
   std::set<std::string> relations;
-  std::set<const Expr*> visited;
-  for (const ExprPtr& root : roots) {
-    CollectConstants(root, &visited, &constants, &relations);
-  }
+  CollectConstants(roots, &constants, &relations);
   return EncodedInstance(instance, extra_constants, constants, &relations);
 }
 

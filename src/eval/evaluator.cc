@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/algebra/dag_walk.h"
 #include "src/common/fault.h"
 #include "src/eval/join.h"
 #include "src/eval/tuple_table.h"
@@ -49,61 +50,8 @@ TablePtr OwnTable(TupleTable t) {
 /// occurrences) that have not consumed its table yet, and the table while
 /// it is memoized.
 struct NodeSlot {
-  const Expr* node = nullptr;
   int64_t pending = 0;
-  /// Whether its own child edges are counted.
-  bool expanded = false;
   TablePtr table;
-};
-
-/// A walk's bookkeeping: one slot per distinct node, in one flat array
-/// under open addressing on the node pointer (linear probing, at most half
-/// full). Every node is added while the forest is counted, before anything
-/// is computed, so slots never move while the walk runs.
-class NodeTable {
- public:
-  NodeTable() : slots_(kMinSlots) {}
-
-  /// `e`'s slot, added empty when `e` has none. Invalidates every slot
-  /// reference when the array grows.
-  NodeSlot& Insert(const Expr* e) {
-    if (2 * (used_ + 1) > slots_.size()) Grow();
-    NodeSlot& slot = Probe(slots_, e);
-    if (slot.node == nullptr) {
-      slot.node = e;
-      ++used_;
-    }
-    return slot;
-  }
-
-  /// `e`'s slot; `e` must have one.
-  NodeSlot& At(const Expr* e) { return Probe(slots_, e); }
-
- private:
-  static constexpr size_t kMinSlots = 16;  // a power of two
-
-  /// The slot holding `e`, or the empty one where it would go.
-  static NodeSlot& Probe(std::vector<NodeSlot>& slots, const Expr* e) {
-    const size_t mask = slots.size() - 1;
-    // Fibonacci hashing of the pointer; its low bits are alignment zeros.
-    size_t i = static_cast<size_t>(
-                   (reinterpret_cast<uintptr_t>(e) * 0x9E3779B97F4A7C15ULL) >>
-                   32) &
-               mask;
-    while (slots[i].node != nullptr && slots[i].node != e) i = (i + 1) & mask;
-    return slots[i];
-  }
-
-  void Grow() {
-    std::vector<NodeSlot> bigger(2 * slots_.size());
-    for (NodeSlot& slot : slots_) {
-      if (slot.node != nullptr) Probe(bigger, slot.node) = std::move(slot);
-    }
-    slots_.swap(bigger);
-  }
-
-  std::vector<NodeSlot> slots_;
-  size_t used_ = 0;
 };
 
 struct Walk {
@@ -112,23 +60,31 @@ struct Walk {
   ValueDict* dict = nullptr;
   /// The instance's domain ids, ascending.
   const std::vector<ValueId>* domain_ids = nullptr;
-  NodeTable nodes;
+  /// Every node is added while the forest is counted, before anything is
+  /// computed, so slots never move while the walk runs.
+  NodeTable<NodeSlot> nodes;
   /// Counters of the whole evaluation so far; a root's share is the
   /// DiffFrom of its walk.
   EvalStats stats;
   int64_t live_bytes = 0;
 };
 
-/// Counts one more pending consumption of `e`'s table: one per static
-/// parent edge, one per root occurrence. The first count also counts `e`'s
-/// own child edges.
-void CountEdge(const ExprPtr& e, NodeTable* nodes) {
-  NodeSlot& slot = nodes->Insert(e.get());
-  ++slot.pending;
-  if (slot.expanded) return;
-  slot.expanded = true;
-  // `slot` may move from here on.
-  for (const ExprPtr& c : e->children()) CountEdge(c, nodes);
+/// Counts the pending consumptions of every node's table: one per static
+/// parent edge, one per root occurrence.
+void CountEdges(const std::vector<ExprPtr>& roots,
+                NodeTable<NodeSlot>* nodes) {
+  for (const ExprPtr& root : roots) {
+    WalkDag(
+        root, nodes, [](const ExprPtr&) { return Visit::kEnter; },
+        [nodes](const ExprPtr& e, NodeSlot*) {
+          for (const ExprPtr& c : e->children()) {
+            ++nodes->Insert(c.get()).pending;
+          }
+          return true;
+        });
+  }
+  // Last: a walk skips the nodes the table already holds.
+  for (const ExprPtr& root : roots) ++nodes->Insert(root.get()).pending;
 }
 
 /// One parent edge (or root occurrence) of `e` is done with its table. The
@@ -544,7 +500,7 @@ Result<std::vector<TablePtr>> EvaluateTables(
   w.options = &options;
   w.dict = instance.dict().get();
   w.domain_ids = &instance.domain_ids();
-  for (const ExprPtr& root : roots) CountEdge(root, &w.nodes);
+  CountEdges(roots, &w.nodes);
   std::vector<TablePtr> tables;
   tables.reserve(roots.size());
   if (root_stats != nullptr) root_stats->reserve(roots.size());

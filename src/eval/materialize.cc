@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/algebra/dag_walk.h"
 #include "src/eval/checker.h"
 
 namespace mapcomp {
@@ -33,22 +34,6 @@ std::vector<RelationFeed> CollectFeeds(
   return feeds;
 }
 
-namespace {
-
-void CollectReads(const ExprPtr& e, std::set<const Expr*>* visited,
-                  std::set<std::string>* relations, bool* domain) {
-  if (!visited->insert(e.get()).second) return;
-  if (e->kind() == ExprKind::kRelation) relations->insert(e->name());
-  if (e->kind() == ExprKind::kDomain || e->kind() == ExprKind::kUserOp) {
-    *domain = true;
-  }
-  for (const ExprPtr& c : e->children()) {
-    CollectReads(c, visited, relations, domain);
-  }
-}
-
-}  // namespace
-
 FeedPlan::FeedPlan(std::vector<RelationFeed> feeds, std::set<Value> constants)
     : constants_(std::move(constants)) {
   std::map<std::string, int> ids;
@@ -60,9 +45,14 @@ FeedPlan::FeedPlan(std::vector<RelationFeed> feeds, std::set<Value> constants)
   steps_.reserve(feeds.size());
   for (RelationFeed& feed : feeds) {
     Step step;
-    std::set<const Expr*> visited;
     std::set<std::string> reads;
-    CollectReads(feed.source, &visited, &reads, &step.domain);
+    NodeTable<NoValue> seen;
+    WalkDag(feed.source, &seen, [&](const ExprPtr& e) {
+      if (e->kind() == ExprKind::kRelation) reads.insert(e->name());
+      step.domain = step.domain || e->kind() == ExprKind::kDomain ||
+                    e->kind() == ExprKind::kUserOp;
+      return Visit::kEnter;
+    });
     step.target = id_of(feed.target);
     step.self = step.domain || reads.count(feed.target) > 0;
     reads.insert(feed.target);

@@ -8,7 +8,10 @@
 #include <vector>
 
 #include "src/algebra/builders.h"
+#include "src/algebra/simplify.h"
+#include "src/algebra/substitute.h"
 #include "src/compose/compose.h"
+#include "src/compose/monotone.h"
 #include "src/eval/checker.h"
 #include "src/eval/generator.h"
 #include "src/parser/parser.h"
@@ -447,7 +450,8 @@ void TreeConstants(const ExprPtr& e, std::set<Value>* out) {
 
 TEST(CheckerTest, CollectConstantsWalksSharedSubtreesOnce) {
   // E_{k+1} = E_k ∪ (E_k ∩ S): 40 levels are 2^40 paths from the root but
-  // only 85 distinct nodes, so a tree walk would never return.
+  // only 85 distinct nodes, so a pass that walked the tree would never
+  // return. Every pass here walks each distinct node once.
   ExprPtr e = Union(Select(Condition::AttrConst(1, CmpOp::kEq,
                                                 Value(int64_t{3})),
                            Rel("R", 1)),
@@ -456,11 +460,32 @@ TEST(CheckerTest, CollectConstantsWalksSharedSubtreesOnce) {
   const ConstraintSet cs{Constraint::Contain(e, Rel("T", 1))};
   EXPECT_EQ(CollectConstants(cs),
             (std::set<Value>{Value(int64_t{3}), Value(int64_t{5})}));
-  std::set<const Expr*> visited;
   std::set<Value> constants;
   std::set<std::string> relations;
-  CollectConstants(e, &visited, &constants, &relations);
+  CollectConstants({e, e}, &constants, &relations);
   EXPECT_EQ(relations, (std::set<std::string>{"R", "S"}));
+  relations.clear();
+  CollectRelations(e, &relations);
+  EXPECT_EQ(relations, (std::set<std::string>{"R", "S"}));
+
+  EXPECT_TRUE(ValidateExpr(e).ok());
+  Mapping m;
+  ASSERT_TRUE(m.input.AddRelation("R", 1).ok());
+  ASSERT_TRUE(m.input.AddRelation("S", 1).ok());
+  ASSERT_TRUE(m.output.AddRelation("T", 1).ok());
+  m.constraints = cs;
+  EXPECT_TRUE(m.Validate().ok());
+  m.constraints = {Constraint::Contain(Union(e, Rel("U", 1)), Rel("T", 1))};
+  EXPECT_EQ(m.Validate().message(), "relation U not declared");
+
+  EXPECT_EQ(SimplifyExpr(e), e);  // no rule applies anywhere
+  EXPECT_EQ(CheckMonotone(e, "S"), Mono::kMonotone);
+  EXPECT_EQ(CheckMonotone(Difference(Rel("T", 1), e), "S"), Mono::kAnti);
+  ExprPtr renamed = RenameRelation(e, "S", "S2");
+  EXPECT_EQ(renamed->op_count(), e->op_count());
+  EXPECT_FALSE(ContainsRelation(renamed, "S"));
+  EXPECT_TRUE(ContainsRelation(renamed, "S2"));
+  EXPECT_EQ(SubstituteRelation(renamed, "S2", Rel("S", 1)), e);
 }
 
 TEST(CheckerTest, CollectConstantsMatchesTreeWalkOnLiteratureSuite) {

@@ -1,8 +1,10 @@
 // Property tests for the hash-consing Expr interner: pointer equality of
 // interned nodes coincides with structural equality, the cached hash and
-// analyses agree with fresh recursive recomputation, and the memoized
-// rewrite passes agree with naive recursion — all over randomized trees
-// (generator style shared with roundtrip_fuzz_test.cc).
+// analyses agree with fresh recursive recomputation, and the passes that
+// walk the interned DAG once (dag_walk.h) agree node for node with plain
+// tree recursions — over randomized trees mostly past 64 operators and
+// over DAGs that share subtrees (generator style shared with
+// roundtrip_fuzz_test.cc).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,8 @@
 #include "src/algebra/print.h"
 #include "src/algebra/simplify.h"
 #include "src/algebra/substitute.h"
+#include "src/compose/monotone.h"
+#include "src/constraints/mapping.h"
 #include "src/op/registry.h"
 
 namespace mapcomp {
@@ -94,7 +98,10 @@ struct Gen {
         return Difference(RandomExpr(arity, depth - 1),
                           RandomExpr(arity, depth - 1));
       case 3: {
-        if (arity < 2) break;
+        if (arity < 2) {
+          return Union(RandomExpr(arity, depth - 1),
+                       RandomExpr(arity, depth - 1));
+        }
         int left = Int(1, arity - 1);
         return Product(RandomExpr(left, depth - 1),
                        RandomExpr(arity - left, depth - 1));
@@ -111,7 +118,10 @@ struct Gen {
         return Project(std::move(idx), std::move(inner));
       }
       default: {
-        if (arity < 2) break;
+        if (arity < 2) {
+          return Select(RandomCondition(arity, 2),
+                        RandomExpr(arity, depth - 1));
+        }
         ExprPtr inner = RandomExpr(arity - 1, depth - 1);
         std::vector<int> args;
         int n = Int(0, arity - 1);
@@ -120,7 +130,71 @@ struct Gen {
                          std::move(inner));
       }
     }
-    return RandomExpr(arity, 0);
+  }
+
+  /// A DAG sharing subtrees: each step builds on the previous one and on
+  /// some earlier result, so its tree reading outgrows its node count.
+  ExprPtr RandomDag(int arity, int steps) {
+    std::vector<ExprPtr> pool;
+    for (int i = 0; i < 3; ++i) pool.push_back(RandomExpr(arity, 1));
+    auto pick = [&] { return pool[Int(0, static_cast<int>(pool.size()) - 1)]; };
+    for (int step = 0; step < steps; ++step) {
+      ExprPtr a = pool.back();
+      ExprPtr b = pick();
+      switch (Int(0, 4)) {
+        case 0:
+          pool.push_back(Union(a, b));
+          break;
+        case 1:
+          pool.push_back(Intersect(a, b));
+          break;
+        case 2:
+          pool.push_back(Difference(a, b));
+          break;
+        case 3:
+          pool.push_back(Select(RandomCondition(arity, 1), a));
+          break;
+        default: {
+          std::vector<int> idx;
+          for (int i = 0; i < arity; ++i) idx.push_back(Int(1, 2 * arity));
+          pool.push_back(Project(std::move(idx), Product(a, b)));
+        }
+      }
+    }
+    return pool.back();
+  }
+
+  /// RandomExpr with about one node in eight replaced by a malformed one
+  /// (built without the checking builders), each kind with its own error.
+  ExprPtr CorruptExpr(int arity, int depth) {
+    if (Int(0, 7) == 0) {
+      switch (Int(0, 2)) {
+        case 0:
+          return Expr::Make(ExprKind::kLiteral, "", {}, Condition::True(), {},
+                            arity, {Tuple(arity + 1, Value(int64_t{1}))});
+        case 1: {
+          std::vector<int> idx(arity, 1);
+          idx.back() = arity + 1;
+          return Expr::Make(ExprKind::kProject, "", {RandomExpr(arity, 0)},
+                            Condition::True(), std::move(idx), arity, {});
+        }
+        default:
+          return Expr::Make(ExprKind::kSelect, "", {RandomExpr(arity, 0)},
+                            Condition::AttrCmp(1, CmpOp::kEq, arity + 1), {},
+                            arity, {});
+      }
+    }
+    if (depth == 0) return RandomExpr(arity, 0);
+    switch (Int(0, 2)) {
+      case 0:
+        return Union(CorruptExpr(arity, depth - 1),
+                     CorruptExpr(arity, depth - 1));
+      case 1:
+        return Difference(CorruptExpr(arity, depth - 1),
+                          CorruptExpr(arity, depth - 1));
+      default:
+        return Select(RandomCondition(arity, 1), CorruptExpr(arity, depth - 1));
+    }
   }
 };
 
@@ -198,6 +272,86 @@ ExprPtr DeepSubstitute(const ExprPtr& e, const std::string& name,
                     e->indexes(), e->arity(), e->tuples());
 }
 
+/// SimplifyExpr as a plain tree recursion: every pass rewrites each node
+/// (each occurrence) bottom-up with SimplifyNode, and passes repeat while
+/// any node changes.
+ExprPtr DeepSimplifyOnce(const ExprPtr& e, bool* changed) {
+  std::vector<ExprPtr> children;
+  for (const ExprPtr& c : e->children()) {
+    children.push_back(DeepSimplifyOnce(c, changed));
+  }
+  ExprPtr node = Expr::Make(e->kind(), e->name(), std::move(children),
+                            e->condition(), e->indexes(), e->arity(),
+                            e->tuples());
+  ExprPtr rewritten = SimplifyNode(node);
+  ExprPtr result = rewritten != nullptr ? rewritten : node;
+  *changed = *changed || result != e;
+  return result;
+}
+
+ExprPtr DeepSimplify(const ExprPtr& e) {
+  ExprPtr cur = e;
+  for (int i = 0; i < 16; ++i) {
+    bool changed = false;
+    cur = DeepSimplifyOnce(cur, &changed);
+    if (!changed) break;
+  }
+  return cur;
+}
+
+Mono DeepCombine(Mono a, Mono b) {
+  if (a == Mono::kIndependent) return b;
+  if (b == Mono::kIndependent) return a;
+  return a == b ? a : Mono::kUnknown;
+}
+
+Mono DeepFlip(Mono m) {
+  if (m == Mono::kMonotone) return Mono::kAnti;
+  if (m == Mono::kAnti) return Mono::kMonotone;
+  return m;
+}
+
+/// CheckMonotone's polarity rules (paper §3.3) as a plain tree recursion,
+/// for the operators the generators build.
+Mono DeepMonotone(const ExprPtr& e, const std::string& symbol) {
+  switch (e->kind()) {
+    case ExprKind::kRelation:
+      return e->name() == symbol ? Mono::kMonotone : Mono::kIndependent;
+    case ExprKind::kDomain:
+      return Mono::kMonotone;
+    case ExprKind::kEmpty:
+    case ExprKind::kLiteral:
+      return Mono::kIndependent;
+    case ExprKind::kUnion:
+    case ExprKind::kIntersect:
+    case ExprKind::kProduct:
+      return DeepCombine(DeepMonotone(e->child(0), symbol),
+                         DeepMonotone(e->child(1), symbol));
+    case ExprKind::kDifference:
+      return DeepCombine(DeepMonotone(e->child(0), symbol),
+                         DeepFlip(DeepMonotone(e->child(1), symbol)));
+    case ExprKind::kSelect:
+    case ExprKind::kProject:
+    case ExprKind::kSkolem:
+      return DeepMonotone(e->child(0), symbol);
+    case ExprKind::kUserOp:
+      break;
+  }
+  ADD_FAILURE() << "no reference rule for " << ExprToString(e);
+  return Mono::kUnknown;
+}
+
+/// ValidateExpr as a plain tree recursion: children first, in order, then
+/// the node itself (ValidateExpr on a node whose children are valid checks
+/// that node alone).
+Status DeepValidate(const ExprPtr& e) {
+  for (const ExprPtr& c : e->children()) {
+    Status s = DeepValidate(c);
+    if (!s.ok()) return s;
+  }
+  return ValidateExpr(e);
+}
+
 class InternFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(InternFuzzTest, PointerEqualityIsStructuralEquality) {
@@ -239,7 +393,7 @@ TEST_P(InternFuzzTest, CachedAnalysesMatchFreshRecomputation) {
   Gen gen;
   gen.rng.seed(GetParam() * 31 + 7);
   for (int round = 0; round < 40; ++round) {
-    ExprPtr e = gen.RandomExpr(gen.Int(1, 3), 3);
+    ExprPtr e = gen.RandomExpr(gen.Int(1, 3), 8);
     EXPECT_EQ(ExprHash(e), DeepHash(e));
     EXPECT_EQ(OperatorCount(e), DeepOperatorCount(e));
     EXPECT_EQ(ContainsSkolem(e), DeepContainsKind(e, ExprKind::kSkolem));
@@ -262,7 +416,7 @@ TEST_P(InternFuzzTest, MemoizedSubstituteMatchesNaiveRecursion) {
   Gen gen;
   gen.rng.seed(GetParam() * 131 + 5);
   for (int round = 0; round < 20; ++round) {
-    ExprPtr e = gen.RandomExpr(2, 4);
+    ExprPtr e = gen.RandomExpr(2, 8);
     ExprPtr replacement = Rel("Z", 2);
     std::string victim = "R" + std::to_string(gen.Int(0, 3)) + "_2";
     ExprPtr fast = SubstituteRelation(e, victim, replacement);
@@ -277,13 +431,107 @@ TEST_P(InternFuzzTest, SimplifyIdempotentAndPreservesValidity) {
   Gen gen;
   gen.rng.seed(GetParam() * 17 + 3);
   for (int round = 0; round < 20; ++round) {
-    ExprPtr e = gen.RandomExpr(gen.Int(1, 3), 4);
+    ExprPtr e = gen.RandomExpr(gen.Int(1, 3), 8);
     ExprPtr s1 = SimplifyExpr(e);
     ExprPtr s2 = SimplifyExpr(s1);
     EXPECT_EQ(s1.get(), s2.get()) << ExprToString(e);
     EXPECT_TRUE(ValidateExpr(s1).ok()) << ExprToString(s1);
     EXPECT_EQ(s1->arity(), e->arity());
   }
+}
+
+TEST_P(InternFuzzTest, WalkedPassesMatchTreeRecursion) {
+  Gen gen;
+  gen.rng.seed(GetParam() * 53 + 11);
+  int walked = 0;
+  int over_64_ops = 0;
+  for (int round = 0; round < 40; ++round) {
+    const int arity = gen.Int(1, 3);
+    ExprPtr e = round % 2 == 0 ? gen.RandomExpr(arity, 8)
+                               : gen.RandomDag(arity, 12);
+    // The references walk the tree reading, which a DAG can blow up.
+    if (e->op_count() > 20000) continue;
+    ++walked;
+    over_64_ops += e->op_count() > 64;
+    SCOPED_TRACE(ExprToString(e));
+    EXPECT_EQ(SimplifyExpr(e).get(), DeepSimplify(e).get());
+    EXPECT_TRUE(ValidateExpr(e).ok());
+    EXPECT_EQ(DeepValidate(e).ok(), true);
+    std::set<std::string> names;
+    DeepCollectRelations(e, &names);
+    std::set<std::string> got;
+    CollectRelations(e, &got);
+    EXPECT_EQ(got, names);
+    names.insert("Absent");
+    for (const std::string& name : names) {
+      // Generated names end in their arity: R<i>_<arity>.
+      const int r = name == "Absent"
+                        ? arity
+                        : std::stoi(name.substr(name.find('_') + 1));
+      EXPECT_EQ(ContainsRelation(e, name), DeepContainsRelation(e, name));
+      EXPECT_EQ(CheckMonotone(e, name), DeepMonotone(e, name)) << name;
+      EXPECT_EQ(SubstituteRelation(e, name, Dom(r)).get(),
+                DeepSubstitute(e, name, Dom(r)).get())
+          << name;
+      EXPECT_EQ(RenameRelation(e, name, "Renamed").get(),
+                DeepSubstitute(e, name, Rel("Renamed", r)).get())
+          << name;
+    }
+  }
+  // Most inputs exceed 64 operators: no input size is left to one path.
+  EXPECT_GT(walked, 30);
+  EXPECT_GT(over_64_ops, walked / 2) << "of " << walked;
+}
+
+TEST_P(InternFuzzTest, ValidateNamesTheFirstFailingNodeInPostOrder) {
+  Gen gen;
+  gen.rng.seed(GetParam() * 71 + 19);
+  int failing = 0;
+  for (int round = 0; round < 40; ++round) {
+    ExprPtr e = gen.CorruptExpr(gen.Int(1, 3), 6);
+    Status want = DeepValidate(e);
+    failing += !want.ok();
+    EXPECT_EQ(ValidateExpr(e).ToString(), want.ToString()) << ExprToString(e);
+  }
+  EXPECT_GT(failing, 0);
+}
+
+TEST(InternTest, FirstFailingChildNamesTheError) {
+  ExprPtr r = Rel("R", 1);
+  ExprPtr bad_literal =
+      Expr::Make(ExprKind::kLiteral, "", {}, Condition::True(), {}, 1,
+                 {Tuple{Value(int64_t{1}), Value(int64_t{2})}});
+  ExprPtr bad_project = Expr::Make(ExprKind::kProject, "", {r},
+                                   Condition::True(), {2}, 1, {});
+  // Each order reports its first child's error, and a shared failing
+  // subtree reached again later changes nothing.
+  EXPECT_EQ(ValidateExpr(Union(bad_literal, bad_project)).message(),
+            "literal tuple arity mismatch");
+  EXPECT_EQ(ValidateExpr(Union(bad_project, bad_literal)).message(),
+            "projection index out of range");
+  ExprPtr shared = Union(bad_project, r);
+  EXPECT_EQ(ValidateExpr(Intersect(Union(shared, shared), bad_literal))
+                .message(),
+            "projection index out of range");
+
+  // CheckDeclared (through Mapping::Validate) names the first relation,
+  // left to right, that is undeclared or used with the wrong arity.
+  Mapping m;
+  ASSERT_TRUE(m.input.AddRelation("A", 1).ok());
+  ASSERT_TRUE(m.output.AddRelation("B", 2).ok());
+  auto validate = [&m](ExprPtr lhs) {
+    m.constraints = {Constraint::Contain(std::move(lhs), Rel("A", 1))};
+    return m.Validate().message();
+  };
+  ExprPtr undeclared = Rel("X", 1);
+  ExprPtr wrong_arity = Rel("B", 1);
+  EXPECT_EQ(validate(Union(undeclared, wrong_arity)),
+            "relation X not declared");
+  EXPECT_EQ(validate(Union(wrong_arity, undeclared)),
+            "relation B used with arity 1 but declared with 2");
+  ExprPtr ok_side = Union(Rel("A", 1), Project({1}, Rel("B", 2)));
+  EXPECT_EQ(validate(Union(Union(ok_side, ok_side), undeclared)),
+            "relation X not declared");
 }
 
 TEST(InternTest, SharedSubtreesAreSharedObjects) {
