@@ -67,16 +67,6 @@ bool ContainsSkolem(const ExprPtr& e) {
   return e != nullptr && e->contains_skolem();
 }
 
-void CollectSkolems(const ExprPtr& e, std::set<std::string>* out) {
-  if (e == nullptr) return;
-  NodeTable<NoValue> seen;
-  WalkDag(e, &seen, [out](const ExprPtr& n) {
-    if (!n->contains_skolem()) return Visit::kPrune;
-    if (n->kind() == ExprKind::kSkolem) out->insert(n->name());
-    return Visit::kEnter;
-  });
-}
-
 bool ContainsDomain(const ExprPtr& e) {
   return e != nullptr && e->contains_domain();
 }

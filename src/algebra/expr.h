@@ -140,9 +140,6 @@ void CollectRelations(const ExprPtr& e, std::set<std::string>* out);
 /// True if any Skolem operator occurs in `e`. O(1) — cached at interning.
 bool ContainsSkolem(const ExprPtr& e);
 
-/// Inserts every Skolem function name occurring in `e` into `out`.
-void CollectSkolems(const ExprPtr& e, std::set<std::string>* out);
-
 /// True if the active-domain relation D occurs in `e`. O(1) — cached.
 bool ContainsDomain(const ExprPtr& e);
 

@@ -11,8 +11,8 @@ namespace fault {
 
 const char* FaultPointName(FaultPoint point) {
   switch (point) {
-    case FaultPoint::kSlowEliminationWave:
-      return "SlowEliminationWave";
+    case FaultPoint::kSlowElimination:
+      return "SlowElimination";
     case FaultPoint::kAllocFailInterner:
       return "AllocFailInterner";
     case FaultPoint::kSocketResetAfterNBytes:

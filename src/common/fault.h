@@ -5,7 +5,7 @@
 #include <cstdint>
 
 // Deterministic fault-injection points. Tests arm a point with ScopedFault
-// and the wired-in production sites (elimination waves, the interner's
+// and the wired-in production sites (each elimination, the interner's
 // allocation path, the server's socket write path, eval nodes) then fail or
 // stall in a reproducible way — trigger counts and arguments, never
 // randomness, decide when a fault fires, so a failing run replays exactly.
@@ -24,7 +24,7 @@ namespace common {
 namespace fault {
 
 enum class FaultPoint : int {
-  kSlowEliminationWave = 0,   // arg = sleep ms before each elimination
+  kSlowElimination = 0,       // arg = sleep ms before each elimination
   kAllocFailInterner,         // throws std::bad_alloc on the Nth intern
   kSocketResetAfterNBytes,    // arg = server-side reply bytes before reset
   kSlowEvalSlot,              // arg = sleep ms before each computed eval node
@@ -72,7 +72,7 @@ inline void MaybeSleep(FaultPoint) {}
 /// fault points compiled in, arming is a no-op — tests should check
 /// kFaultPointsCompiled and skip.
 ///
-///   ScopedFault slow(FaultPoint::kSlowEliminationWave, /*arg=*/20);
+///   ScopedFault slow(FaultPoint::kSlowElimination, /*arg=*/20);
 ///   ScopedFault alloc(FaultPoint::kAllocFailInterner,
 ///                     /*arg=*/0, /*trigger_after=*/100);
 class ScopedFault {

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "src/algebra/interner.h"
 #include "src/common/fault.h"
 #include "src/common/wire_format.h"
-#include "src/compose/schedule.h"
 #include "src/compose/simplify_constraints.h"
 
 namespace mapcomp {
@@ -18,13 +18,14 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// A σ2 symbol not yet eliminated. `order_index` is its position in the
-/// user-specified order, used to restore that order between rounds (wave
-/// scheduling pulls symbols out of sequence within a round).
+/// A σ2 symbol not yet eliminated, and what its last failed attempt saw.
 struct PendingSymbol {
   std::string symbol;
-  int order_index = 0;
-  int failed_at = -1;  ///< sigma_version at the last failed attempt
+  /// The constraints that mentioned it. Empty until an attempt fails: a
+  /// symbol that no constraint mentions is always eliminated.
+  ConstraintSet failed_group;
+  /// Σ's operator count at a blowup-limited failure.
+  std::optional<int> blowup_sigma_ops;
 };
 
 }  // namespace
@@ -63,7 +64,6 @@ void ComposeOptions::AppendWireFieldsTo(std::string* out) const {
   common::PutStringList(out, order);
   common::PutU8(out, simplify_output ? 1 : 0);
   common::PutU32(out, static_cast<uint32_t>(max_rounds));
-  common::PutU8(out, exact_conflicts ? 1 : 0);
 }
 
 void ComposeOptions::AppendTo(std::string* out) const {
@@ -101,12 +101,7 @@ std::string CompositionResult::Fingerprint() const {
   for (const RoundStat& r : rounds) {
     out += "round{" + std::to_string(r.round) + " " +
            std::to_string(r.eliminated) + "/" + std::to_string(r.attempted) +
-           " waves[";
-    for (size_t i = 0; i < r.wave_widths.size(); ++i) {
-      if (i > 0) out += ",";
-      out += std::to_string(r.wave_widths[i]);
-    }
-    out += "]}\n";
+           "}\n";
   }
   for (const std::string& w : warnings) out += "warning{" + w + "}\n";
   // Only interrupted runs carry this line, so a completed bounded run
@@ -155,23 +150,19 @@ CompositionResult Compose(const CompositionProblem& problem,
                                                 : problem.sigma2.names());
   result.total_count = static_cast<int>(order.size());
 
-  // Multi-round fixpoint over a wave scheduler. Each round repeatedly
-  // plans one wave of constraint-disjoint pending symbols against the
-  // *current* Σ and executes it; a symbol that fails stays pending for the
-  // next round. ELIMINATE is deterministic and only reads the constraints
-  // mentioning its symbol, so retrying a symbol against a Σ that has not
-  // changed since its last failure must fail identically —
-  // `sigma_version` counts successful eliminations, and a pending symbol
-  // is only re-attempted once Σ has changed since it last failed. Stops
-  // when everything is eliminated, no pending symbol has a fresher Σ to
-  // try, or max_rounds is reached.
+  // Multi-round fixpoint. Each round walks the pending symbols in user
+  // order and eliminates each one from the constraints that mention it;
+  // a success splices the rewritten group into Σ. ELIMINATE is
+  // deterministic and reads nothing but its group and the blowup baseline,
+  // so a symbol whose group is still the one it failed on would fail
+  // again — unless the failure was blowup-limited and Σ's size moved. Such
+  // a retry is skipped. Stops when everything is eliminated, no pending
+  // symbol is worth retrying, or max_rounds is reached.
   std::vector<PendingSymbol> pending;
   pending.reserve(order.size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    pending.push_back({std::move(order[i]), static_cast<int>(i), -1});
-  }
+  for (std::string& s : order) pending.emplace_back().symbol = std::move(s);
 
-  int sigma_version = 0;
+  int sigma_ops = OperatorCount(sigma);
   int max_rounds = std::max(1, options.max_rounds);
   for (int round = 1; round <= max_rounds && !pending.empty(); ++round) {
     interrupt = cancel.StatusAt("compose round boundary");
@@ -180,235 +171,87 @@ CompositionResult Compose(const CompositionProblem& problem,
     RoundStat round_stat;
     round_stat.round = round;
     std::vector<PendingSymbol> next_pending;
-    std::vector<PendingSymbol> unprocessed = std::move(pending);
-    pending.clear();
 
-    while (!unprocessed.empty()) {
-      interrupt = cancel.StatusAt("wave plan boundary");
-      if (!interrupt.ok()) break;
-      // --- Plan one wave against the current Σ. Futile symbols (Σ is
-      // exactly what they already failed against) are skipped but stay in
-      // the pool: a later wave's success can revive them this round.
-      std::vector<int> candidates;  // non-futile, in order
-      candidates.reserve(unprocessed.size());
-      for (size_t i = 0; i < unprocessed.size(); ++i) {
-        if (unprocessed[i].failed_at != sigma_version) {
-          candidates.push_back(static_cast<int>(i));
+    size_t next = 0;
+    for (; next < pending.size(); ++next) {
+      PendingSymbol& p = pending[next];
+      std::vector<size_t> where;  // positions of the group in Σ
+      ConstraintSet group;
+      for (size_t c = 0; c < sigma.size(); ++c) {
+        if (ConstraintContainsRelation(sigma[c], p.symbol)) {
+          where.push_back(c);
+          group.push_back(sigma[c]);
         }
       }
-      if (candidates.empty()) {
-        // Every remaining symbol is provably futile against this Σ.
-        for (PendingSymbol& p : unprocessed) {
-          next_pending.push_back(std::move(p));
-        }
-        break;
-      }
-      // Occurrence sets only for the candidates — futile symbols are by
-      // definition mentioned in Σ, so scanning them would do exact walks
-      // whose results nobody reads.
-      std::vector<std::string> names;
-      names.reserve(candidates.size());
-      for (int i : candidates) {
-        names.push_back(unprocessed[static_cast<size_t>(i)].symbol);
-      }
-      std::vector<std::vector<int>> occ =
-          OccurrenceSets(sigma, names, options.exact_conflicts, &cancel);
-      if (cancel.Fired()) {
-        // The scan may have been truncated: do not plan from it.
-        interrupt = cancel.StatusAt("occurrence scan");
-        break;
-      }
-      std::vector<int> wave_local =  // indices into candidates/occ
-          PlanWaveFromOccurrences(occ, sigma.size());
-
-      std::vector<char> in_wave(unprocessed.size(), 0);
-      std::vector<PendingSymbol> wave;
-      std::vector<std::vector<int>> wave_occ;  // planning rows, wave order
-      wave.reserve(wave_local.size());
-      wave_occ.reserve(wave_local.size());
-      for (int w : wave_local) {
-        size_t i = static_cast<size_t>(candidates[static_cast<size_t>(w)]);
-        in_wave[i] = 1;
-        wave.push_back(std::move(unprocessed[i]));
-        wave_occ.push_back(std::move(occ[static_cast<size_t>(w)]));
-      }
-      std::vector<PendingSymbol> rest;
-      rest.reserve(unprocessed.size() - wave.size());
-      for (size_t i = 0; i < unprocessed.size(); ++i) {
-        if (!in_wave[i]) rest.push_back(std::move(unprocessed[i]));
-      }
-      unprocessed = std::move(rest);
-      round_stat.wave_widths.push_back(static_cast<int>(wave.size()));
-      round_stat.attempted += static_cast<int>(wave.size());
-
-      if (wave.size() == 1) {
-        // Singleton wave: eliminate from the full Σ, exactly like the
-        // original one-at-a-time driver.
-        PendingSymbol& p = wave[0];
-        auto start = std::chrono::steady_clock::now();
-        SymbolStat stat;
-        stat.symbol = p.symbol;
-        stat.round = round;
-        stat.size_before = OperatorCount(sigma);
-        common::fault::MaybeSleep(
-            common::fault::FaultPoint::kSlowEliminationWave);
-        EliminateOutcome outcome =
-            Eliminate(sigma, p.symbol, problem.sigma2.ArityOf(p.symbol),
-                      opts.eliminate);
-        stat.eliminated = outcome.success;
-        stat.step = outcome.step;
-        stat.failure_reason = outcome.failure_reason;
-        if (outcome.success) {
-          sigma = std::move(outcome.constraints);
-          ++sigma_version;
-          ++result.eliminated_count;
-          ++round_stat.eliminated;
-        } else {
-          // An interrupted attempt is not a reproducible failure: leave
-          // failed_at alone so a later (hypothetical) retry is not skipped
-          // as futile.
-          if (!outcome.interrupted) p.failed_at = sigma_version;
-          next_pending.push_back(std::move(p));
-        }
-        stat.size_after = OperatorCount(sigma);
-        stat.millis = MillisSince(start);
-        result.stats.push_back(std::move(stat));
-        if (outcome.interrupted) {
-          interrupt = cancel.StatusAt("elimination");
-          if (interrupt.ok()) interrupt = Status::Cancelled("elimination");
-          break;
-        }
+      if (!p.failed_group.empty() &&
+          std::equal(group.begin(), group.end(), p.failed_group.begin(),
+                     p.failed_group.end(), ConstraintEquals) &&
+          (!p.blowup_sigma_ops || *p.blowup_sigma_ops == sigma_ops)) {
+        next_pending.push_back(std::move(p));
         continue;
       }
+      interrupt = cancel.StatusAt("elimination");
+      if (!interrupt.ok()) break;
 
-      // --- Wider wave: partition Σ into per-symbol groups (the exact
-      // occurrence sets, pairwise disjoint by construction) plus the
-      // untouched remainder, eliminate each group against the wave
-      // snapshot in wave (= user) order, then merge.
-      const size_t width = wave.size();
-      const int size_before_wave = OperatorCount(sigma);
-      const int snapshot_version = sigma_version;
-      // Execution always partitions by exact occurrence; the planning rows
-      // already are exact unless Bloom-only planning was requested, in
-      // which case they are recomputed (an exact subset of disjoint Bloom
-      // sets is still disjoint).
-      if (!options.exact_conflicts) {
-        std::vector<std::string> wave_names;
-        for (const PendingSymbol& p : wave) wave_names.push_back(p.symbol);
-        wave_occ = OccurrenceSets(sigma, wave_names, /*exact=*/true);
-      }
-
-      std::vector<int> owner(sigma.size(), -1);
-      std::vector<ConstraintSet> groups(width);
-      for (size_t wi = 0; wi < width; ++wi) {
-        for (int c : wave_occ[wi]) {
-          owner[static_cast<size_t>(c)] = static_cast<int>(wi);
-          groups[wi].push_back(sigma[static_cast<size_t>(c)]);
-        }
-      }
-
+      auto start = std::chrono::steady_clock::now();
+      SymbolStat stat;
+      stat.symbol = p.symbol;
+      stat.round = round;
+      stat.size_before = sigma_ops;
       // The paper's blowup guard stays relative to the full Σ, not the
-      // (much smaller) per-symbol group.
-      EliminateOptions wave_opts = opts.eliminate;
-      wave_opts.blowup_baseline_ops = std::max(1, size_before_wave);
-
-      std::vector<EliminateOutcome> outcomes(width);
-      ConstraintSet rewritten;  // each success's group, in wave order
-      int running = size_before_wave;
-      for (size_t wi = 0; wi < width; ++wi) {
-        EliminateOutcome& outcome = outcomes[wi];
-        SymbolStat stat;
-        stat.symbol = wave[wi].symbol;
-        stat.round = round;
-        stat.size_before = running;
-        // Per-member cancellation point: a fired token skips the rest of
-        // the wave (interrupted, not failed). ELIMINATE polls the token
-        // only between its steps, so a step is never torn.
-        if (cancel.Fired()) {
-          outcome.interrupted = true;
-          outcome.failure_reason = "interrupted";
-        } else {
-          auto start = std::chrono::steady_clock::now();
-          common::fault::MaybeSleep(
-              common::fault::FaultPoint::kSlowEliminationWave);
-          outcome = Eliminate(groups[wi], stat.symbol,
-                              problem.sigma2.ArityOf(stat.symbol), wave_opts);
-          stat.millis = MillisSince(start);
+      // (much smaller) group.
+      EliminateOptions eliminate = opts.eliminate;
+      eliminate.blowup_baseline_ops = std::max(1, sigma_ops);
+      common::fault::MaybeSleep(common::fault::FaultPoint::kSlowElimination);
+      EliminateOutcome outcome = Eliminate(
+          group, p.symbol, problem.sigma2.ArityOf(p.symbol), eliminate);
+      ++round_stat.attempted;
+      stat.eliminated = outcome.success;
+      stat.step = outcome.step;
+      stat.failure_reason = outcome.failure_reason;
+      if (outcome.success) {
+        // Splice: the constraints outside the group keep their positions,
+        // the rewritten group follows them.
+        sigma_ops += OperatorCount(outcome.constraints) - OperatorCount(group);
+        size_t kept = 0;
+        for (size_t c = 0, g = 0; c < sigma.size(); ++c) {
+          if (g < where.size() && where[g] == c) {
+            ++g;
+          } else {
+            sigma[kept++] = std::move(sigma[c]);
+          }
         }
-        stat.eliminated = outcome.success;
-        stat.step = outcome.step;
-        stat.failure_reason = outcome.failure_reason;
-        if (outcome.success) {
-          running += OperatorCount(outcome.constraints) -
-                     OperatorCount(groups[wi]);
-          rewritten.insert(rewritten.end(),
-                           std::make_move_iterator(outcome.constraints.begin()),
-                           std::make_move_iterator(outcome.constraints.end()));
-          ++sigma_version;
-          ++result.eliminated_count;
-          ++round_stat.eliminated;
-        }
-        stat.size_after = running;
-        result.stats.push_back(std::move(stat));
+        sigma.resize(kept);
+        sigma.insert(sigma.end(),
+                     std::make_move_iterator(outcome.constraints.begin()),
+                     std::make_move_iterator(outcome.constraints.end()));
+        ++result.eliminated_count;
+        ++round_stat.eliminated;
+      } else if (!outcome.interrupted) {
+        // An interrupted attempt is not a reproducible failure, so only a
+        // real one is remembered.
+        p.failed_group = std::move(group);
+        p.blowup_sigma_ops.reset();
+        if (outcome.blowup_limited) p.blowup_sigma_ops = sigma_ops;
       }
-
-      // Merge: untouched constraints and failed groups keep their
-      // positions; the successes' rewritten groups follow in wave order.
-      // Group contents can only mention names that already occurred in the
-      // group, so a success never re-introduces another wave symbol and
-      // the merged occurrence structure of a failed symbol is unchanged —
-      // which is what makes failed_at below sound.
-      ConstraintSet merged;
-      merged.reserve(sigma.size() + rewritten.size());
-      for (size_t c = 0; c < sigma.size(); ++c) {
-        if (owner[c] < 0 || !outcomes[static_cast<size_t>(owner[c])].success) {
-          merged.push_back(std::move(sigma[c]));
-        }
-      }
-      merged.insert(merged.end(), std::make_move_iterator(rewritten.begin()),
-                    std::make_move_iterator(rewritten.end()));
-      sigma = std::move(merged);
-      // A failure in this wave saw only its own group, which no other wave
-      // member touched, so it would fail identically against the merged Σ
-      // — record the post-merge version and let the futility check skip it
-      // until Σ changes again. The exception is a blowup-limited failure:
-      // the budget is measured against the *global* snapshot size, which
-      // sibling successes just changed, so such a failure is only known
-      // futile against the snapshot it actually saw.
-      bool wave_interrupted = false;
-      for (size_t wi = 0; wi < width; ++wi) {
-        if (outcomes[wi].success) continue;
-        if (outcomes[wi].interrupted) {
-          wave_interrupted = true;  // not a reproducible failure
-        } else {
-          wave[wi].failed_at =
-              outcomes[wi].blowup_limited ? snapshot_version : sigma_version;
-        }
-        next_pending.push_back(std::move(wave[wi]));
-      }
-      if (wave_interrupted) {
-        interrupt = cancel.StatusAt("elimination wave");
-        if (interrupt.ok()) interrupt = Status::Cancelled("elimination wave");
+      stat.size_after = sigma_ops;
+      stat.millis = MillisSince(start);
+      result.stats.push_back(std::move(stat));
+      if (outcome.interrupted) {
+        interrupt = cancel.StatusAt("elimination");
+        if (interrupt.ok()) interrupt = Status::Cancelled("elimination");
         break;
       }
+      if (!outcome.success) next_pending.push_back(std::move(p));
     }
-
-    // A fired token mid-round: whatever was never pulled into a wave stays
-    // pending and surfaces as residual symbols below.
-    if (!interrupt.ok()) {
-      for (PendingSymbol& p : unprocessed) {
-        next_pending.push_back(std::move(p));
-      }
+    // A fired token mid-round: every symbol not reached stays pending and
+    // surfaces as a residual below.
+    for (; next < pending.size(); ++next) {
+      next_pending.push_back(std::move(pending[next]));
     }
 
     round_stat.millis = MillisSince(round_start);
     pending = std::move(next_pending);
-    // Wave scheduling pulls symbols out of sequence; retries and residuals
-    // follow the user-specified order.
-    std::sort(pending.begin(), pending.end(),
-              [](const PendingSymbol& a, const PendingSymbol& b) {
-                return a.order_index < b.order_index;
-              });
     if (round_stat.attempted == 0) break;  // every retry was provably futile
     result.rounds.push_back(std::move(round_stat));
     if (!interrupt.ok()) break;  // partial round recorded, stop attempting

@@ -25,24 +25,19 @@ struct ComposeOptions {
   /// stops early as soon as a round eliminates nothing, so raising this is
   /// cheap on inputs where one pass already suffices. Must be >= 1.
   int max_rounds = 4;
-  /// Confirm Bloom-mask occurrence candidates with an exact walk during
-  /// wave planning. When false, planning trusts the mask alone: false
-  /// positives add spurious conflict edges, which can only merge waves
-  /// (over-serialize) — never co-schedule two truly conflicting symbols.
-  bool exact_conflicts = true;
-  /// Cooperative cancellation/deadline token, polled at plan-defined
-  /// points: round boundaries, wave-plan boundaries, and before each
-  /// symbol's elimination (including inside ELIMINATE between steps). When
-  /// it fires, the driver stops attempting, keeps every un-attempted
-  /// symbol as a residual, and reports via CompositionResult::interrupt —
-  /// the partial composition is still a valid best-effort answer (§3.1).
+  /// Cooperative cancellation/deadline token, polled at round boundaries
+  /// and before each symbol's elimination (and inside ELIMINATE between
+  /// steps). When it fires, the driver stops attempting, keeps every
+  /// un-attempted symbol as a residual, and reports via
+  /// CompositionResult::interrupt — the partial composition is still a
+  /// valid best-effort answer (§3.1).
   /// Excluded from Fingerprint(): a run that completes without the token
   /// firing is byte-identical to an unbounded run.
   common::CancelToken cancel;
 
   /// Appends the options section of the wire format: the eliminate
   /// switches and blowup budget, a preset `eliminate.keys` by content, the
-  /// order, and the simplify/rounds/exact_conflicts knobs.
+  /// order, and the simplify/rounds knobs.
   void AppendWireFieldsTo(std::string* out) const;
   /// Appends the key form of every option that can change a
   /// CompositionResult: the wire fields, then the two that never cross the
@@ -73,10 +68,6 @@ struct RoundStat {
   int round = 1;
   int attempted = 0;   ///< symbols tried in this round
   int eliminated = 0;  ///< of those, how many succeeded
-  /// Width of each scheduler wave executed in this round, in execution
-  /// order; sums to `attempted`. All-1 means the conflict graph serialized
-  /// everything (the pre-scheduler behavior).
-  std::vector<int> wave_widths;
   double millis = 0.0;
 };
 
@@ -121,19 +112,16 @@ struct CompositionResult {
   std::string Fingerprint() const;
 };
 
-/// Procedure COMPOSE (§3.1), upgraded to a multi-round fixpoint with a
-/// dependency-aware scheduler: each round partitions the pending σ2
-/// symbols into waves of constraint-disjoint symbols (conflict graph over
-/// occurrence sets, src/compose/schedule.h). A singleton wave eliminates
-/// from the full Σ exactly like the original one-at-a-time driver; a wider
-/// wave hands each symbol only the constraints that mention it, runs the
-/// eliminations one after another against the same snapshot, and merges
-/// outcomes in the user-specified order — untouched constraints keep their
-/// positions, each success's rewritten group is appended in order,
-/// failures leave their group in place. Failures are retried for up to
-/// options.max_rounds rounds while Σ keeps changing, keeping whatever
-/// still cannot be eliminated. Key information from all three schemas
-/// feeds Skolem-argument minimization automatically unless
+/// Procedure COMPOSE (§3.1) as a multi-round fixpoint. Each round walks
+/// the pending σ2 symbols in the user-specified order and hands ELIMINATE
+/// only the constraints that mention the symbol, with the blowup budget
+/// measured against the full Σ. A success splices the result into Σ: the
+/// constraints outside the group keep their positions and the rewritten
+/// group is appended. A failed symbol is retried in a later round (up to
+/// options.max_rounds) only when the constraints that mention it changed,
+/// or its failure was blowup-limited and Σ's operator count changed;
+/// whatever still cannot be eliminated is kept. Key information from all
+/// three schemas feeds Skolem-argument minimization automatically unless
 /// options.eliminate.keys is preset.
 CompositionResult Compose(const CompositionProblem& problem,
                           const ComposeOptions& options = {});

@@ -35,10 +35,9 @@ struct EliminateOptions {
   /// input size (operator count); the paper aborts at 100 (§4).
   int max_blowup_factor = 100;
   /// When > 0, the blowup guard measures growth against this operator
-  /// count instead of the input set's own size. The wave scheduler passes
-  /// the full Σ snapshot size here when eliminating from a per-symbol
-  /// partition, so a symbol's budget does not shrink merely because it was
-  /// handed only the constraints that mention it.
+  /// count instead of the input set's own size. COMPOSE passes the full
+  /// Σ's size here, so a symbol's budget does not shrink merely because it
+  /// was handed only the constraints that mention it.
   int blowup_baseline_ops = 0;
   /// Polled between steps (unfold → left → right). When it fires the
   /// remaining steps are skipped and the outcome reports `interrupted`:
@@ -56,8 +55,8 @@ struct EliminateOutcome {
   /// True when at least one step failed only by exceeding the blowup
   /// budget. Unlike every other failure mode — which depends solely on the
   /// constraints mentioning the symbol — a blowup abort depends on the
-  /// *global* baseline size, so the wave scheduler must not treat such a
-  /// failure as reproducible across Σ changes.
+  /// baseline size, so COMPOSE retries such a failure once Σ's operator
+  /// count changes, even if the symbol's constraints did not.
   bool blowup_limited = false;
   /// True when options.cancel fired before or between steps: the symbol
   /// was never fully attempted. The constraints are the untouched input.

@@ -106,8 +106,6 @@ std::string ServiceStats::ToString() const {
          std::to_string(completed) + " completed, " +
          std::to_string(failed) + " failed, " +
          std::to_string(cancelled) + " cancelled\n";
-  out += "scheduler: " + std::to_string(waves_executed) +
-         " waves executed, max width " + std::to_string(max_wave_width) + "\n";
   return out;
 }
 
@@ -120,25 +118,13 @@ ComposeService::~ComposeService() {
   idle_.wait(lock, [this] { return outstanding_ == 0; });
 }
 
-void ComposeService::RecordCompletion(const CompositionResult* result,
-                                      bool interrupted,
+void ComposeService::RecordCompletion(bool failed,
                                       uint64_t extra_cancelled) {
   std::lock_guard<std::mutex> lock(mu_);
   --stats_.in_flight;
   ++stats_.completed;
   stats_.cancelled += extra_cancelled;
-  if (result != nullptr) {
-    for (const RoundStat& r : result->rounds) {
-      stats_.waves_executed += r.wave_widths.size();
-      for (int w : r.wave_widths) {
-        if (w > stats_.max_wave_width) stats_.max_wave_width = w;
-      }
-    }
-  } else if (!interrupted) {
-    // Interrupted runs are neither successes nor reproducible failures:
-    // they count in `cancelled`, never in `failed`.
-    ++stats_.failed;
-  }
+  if (failed) ++stats_.failed;
 }
 
 void ComposeService::ReleaseOutstanding() {
@@ -273,7 +259,9 @@ ComposeService::Handle ComposeService::Submit(serve::ServeRequest request,
         auto refuse = [&](Status status, bool interrupted) {
           if (caching) EvictFailed(key, entry_id);
           uint64_t extra = plumb->Finish(interrupted);
-          RecordCompletion(nullptr, interrupted, extra);
+          // Interrupted runs are neither successes nor reproducible
+          // failures: they count in `cancelled`, never in `failed`.
+          RecordCompletion(/*failed=*/!interrupted, extra);
           promise->set_value(ServedOutcome(std::move(status)));
           ReleaseOutstanding();
         };
@@ -304,9 +292,9 @@ ComposeService::Handle ComposeService::Submit(serve::ServeRequest request,
           // Slim before caching: constraints + residuals + warnings and
           // the precomputed full fingerprint are retained; per-round stat
           // payloads are dropped (they would dominate a registry-scale
-          // cache) after their wave counters were folded into stats_.
+          // cache).
           uint64_t extra = plumb->Finish(/*interrupted=*/false);
-          RecordCompletion(&full, /*interrupted=*/false, extra);
+          RecordCompletion(/*failed=*/false, extra);
           result = std::make_shared<ServedResult>(
               ServedResult::FromResult(full));
           // Serialized once; every wire reply for this entry appends it.

@@ -20,10 +20,7 @@
 namespace mapcomp {
 namespace runtime {
 
-/// Point-in-time counters of a ComposeService. Wave fields aggregate the
-/// scheduler behavior of every composition the service completed; chain
-/// fields aggregate the prefix-cache behavior of every ChainComposer
-/// attached to this service.
+/// Point-in-time counters of a ComposeService.
 struct ServiceStats {
   uint64_t hits = 0;        ///< Submits answered by the cache (incl. joining
                             ///< a computation already in flight and
@@ -46,8 +43,6 @@ struct ServiceStats {
   /// and reply bytes once the entry's computation completed.
   uint64_t cache_bytes = 0;
   uint64_t cache_bytes_peak = 0;  ///< high-water mark of cache_bytes
-  uint64_t waves_executed = 0; ///< scheduler waves across completed results
-  int max_wave_width = 0;      ///< widest elimination wave observed
 
   double HitRate() const {
     uint64_t total = hits + misses;
@@ -273,11 +268,11 @@ class ComposeService {
     bool wire_ok = false;
   };
 
-  /// `interrupted` = the composition unwound on a fired cancel token; it
-  /// counts as completed (never failed), and `extra_cancelled` carries the
+  /// `failed` = the computation ended without a servable result for a
+  /// reason other than a fired cancel token (an interrupted run counts as
+  /// completed, never failed); `extra_cancelled` carries the
   /// deadline-fired-with-no-explicit-cancel correction.
-  void RecordCompletion(const CompositionResult* result, bool interrupted,
-                        uint64_t extra_cancelled);
+  void RecordCompletion(bool failed, uint64_t extra_cancelled);
   /// One submission withdrew interest in a still-running computation.
   /// Called from CancelPlumb under its liveness fence (see the .cc).
   void BumpCancelled();

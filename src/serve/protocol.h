@@ -26,7 +26,7 @@ namespace serve {
 
 inline constexpr uint8_t kWireMagic0 = 'M';
 inline constexpr uint8_t kWireMagic1 = 'C';
-inline constexpr uint8_t kWireVersion = 1;
+inline constexpr uint8_t kWireVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 4;  // magic+version+type
 inline constexpr size_t kDefaultMaxFrameBytes = 16u << 20;
 

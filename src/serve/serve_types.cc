@@ -57,9 +57,6 @@ Status ReadHead(common::WireReader* r, ServeRequest* out) {
       return Invalid("bad max_rounds");
     }
     options.max_rounds = static_cast<int>(rounds);
-    if (!ReadBool(r, &options.exact_conflicts)) {
-      return Invalid("bad exact_conflicts flag");
-    }
   }
   if (!r->ReadString(&out->problem.name)) return Invalid("bad problem name");
   return Status::OK();
@@ -76,8 +73,8 @@ Status ServeRequest::SerializeTo(std::string* out) const {
     }
     if (options.eliminate.blowup_baseline_ops != 0) {
       return Status::Unsupported(
-          "blowup_baseline_ops is internal to the wave scheduler and not "
-          "a wire option");
+          "blowup_baseline_ops is set by Compose for each elimination and "
+          "is not a wire option");
     }
   }
   common::PutU64(out, request_id);
@@ -85,8 +82,8 @@ Status ServeRequest::SerializeTo(std::string* out) const {
   if (has_options) options.AppendWireFieldsTo(out);
   common::PutString(out, problem.name);
   problem.AppendTo(out);
-  // Optional trailing field (v2): written only when set, so deadline-less
-  // requests keep their v1 byte image.
+  // Optional trailing field: written only when set, so a deadline-less
+  // request ends with its problem.
   if (deadline_ms > 0) common::PutU32(out, deadline_ms);
   return Status::OK();
 }
@@ -138,7 +135,7 @@ Result<ServeRequest> ServeRequest::Parse(const uint8_t* data, size_t len) {
     return Invalid("bad elimination order");
   }
   if (!r.AtEnd()) {
-    // Optional trailing deadline (v2). Zero must travel as absence — one
+    // Optional trailing deadline. Zero must travel as absence — one
     // canonical byte image per value — so a present zero is hostile input.
     if (!r.ReadU32(&out.deadline_ms) || out.deadline_ms == 0) {
       return Invalid("bad deadline field");

@@ -40,9 +40,9 @@ struct ServeRequest {
   bool has_options = false;
   /// Read only when has_options. On the wire this carries the wire-safe
   /// subset: the eliminate switches and blowup budget, a keys signature by
-  /// content, the order, simplify_output, max_rounds and exact_conflicts.
-  /// Not serialized: blowup_baseline_ops (internal to the wave scheduler)
-  /// and a non-default registry (process-local identity; SerializeTo
+  /// content, the order, simplify_output and max_rounds. Not serialized:
+  /// blowup_baseline_ops (Compose sets it for each elimination) and a
+  /// non-default registry (process-local identity; SerializeTo
   /// rejects it with kUnsupported).
   ComposeOptions options;
 
@@ -55,9 +55,8 @@ struct ServeRequest {
   /// request's arrival; 0 = unbounded. The server submits the composition
   /// under min(arrival + deadline_ms, queue-aging bound), so an expired
   /// budget answers kTimeout instead of burning pool time. On the wire
-  /// this is an OPTIONAL trailing u32: a request without one serializes to
-  /// the exact v1 bytes (old servers keep working, old byte-level golden
-  /// frames stay valid), and a present-but-zero field is rejected at parse
+  /// this is an OPTIONAL trailing u32: a request without one ends with its
+  /// problem, and a present-but-zero field is rejected at parse
   /// time so every value has exactly one canonical serialization. Not part
   /// of any cache key — it names urgency, not the computation.
   uint32_t deadline_ms = 0;

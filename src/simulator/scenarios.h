@@ -104,14 +104,13 @@ ReconciliationScenarioResult RunReconciliationScenario(
 CompositionProblem BuildReconciliationProblem(
     const ReconciliationScenarioOptions& opts);
 
-/// A serving/scheduler workload shape: `width` σ2 symbols S1..Sw whose
-/// constraint clusters share nothing (Si is defined from Ri alone and only
-/// feeds Ti), so every symbol's occurrence set is disjoint from every
-/// other's and the elimination scheduler puts the whole problem into one
-/// width-`width` wave. `chain_overlap` threads Si into S(i+1)'s cluster
-/// (Si+1's definition mentions Si), giving the opposite extreme: every
-/// adjacent pair conflicts and waves serialize to alternating halves.
-/// All symbols are eliminable by view unfolding in both shapes.
+/// A fan-out workload shape: `width` σ2 symbols S1..Sw whose constraint
+/// clusters share nothing (Si is defined from Ri alone and only feeds Ti),
+/// so no elimination touches another symbol's constraints and the problem
+/// composes to Ri <= Ti per cluster. `chain_overlap` threads Si into
+/// S(i+1)'s cluster (Si+1's definition mentions Si), so every elimination
+/// rewrites the next symbol's constraints. All symbols are eliminable by
+/// view unfolding in both shapes.
 CompositionProblem BuildFanoutProblem(int width, bool chain_overlap = false);
 
 }  // namespace sim

@@ -206,16 +206,6 @@ TEST(ComposeServiceTest, ResultsMatchDirectComposition) {
   }
 }
 
-TEST(ComposeServiceTest, AggregatesSchedulerWaveStats) {
-  ComposeServiceOptions options;
-  ComposeService service(options);
-  service.Submit(FanoutRequest(8)).Wait();
-  ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.max_wave_width, 8);
-  EXPECT_GE(stats.waves_executed, 1u);
-  EXPECT_NE(stats.ToString().find("max width 8"), std::string::npos);
-}
-
 TEST(ComposeServiceTest, ConcurrentClientsMixedHitsAndMisses) {
   // >= 8 client threads hammering one service with overlapping problem
   // sets: every result must equal the single-threaded baseline, and the

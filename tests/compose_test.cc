@@ -2,13 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "src/algebra/builders.h"
 #include "src/algebra/print.h"
+#include "src/compose/simplify_constraints.h"
 #include "src/eval/checker.h"
 #include "src/eval/generator.h"
 #include "src/parser/parser.h"
+#include "src/simulator/scenarios.h"
+#include "src/testdata/literature_suite.h"
 
 namespace mapcomp {
 namespace {
@@ -32,6 +38,70 @@ void ExpectEquivalent(const ConstraintSet& a, const ConstraintSet& b,
         << "a:\n" << ConstraintSetToString(a)
         << "b:\n" << ConstraintSetToString(b);
   }
+}
+
+std::vector<CompositionProblem> ParsedLiteratureSuite() {
+  Parser parser;
+  std::vector<CompositionProblem> problems;
+  for (const testdata::LiteratureProblem& prob :
+       testdata::LiteratureSuite()) {
+    Result<CompositionProblem> parsed = parser.ParseProblem(prob.text);
+    EXPECT_TRUE(parsed.ok()) << prob.name;
+    if (parsed.ok()) problems.push_back(std::move(*parsed));
+  }
+  return problems;
+}
+
+std::vector<std::string> SortedText(const ConstraintSet& cs) {
+  std::vector<std::string> out;
+  for (const Constraint& c : cs) out.push_back(c.ToString());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+struct ReferenceResult {
+  int eliminated = 0;
+  std::vector<std::string> residual;
+  ConstraintSet constraints;
+};
+
+/// The paper's plain COMPOSE loop (§3.1) under Compose's default options:
+/// each pending symbol in order is eliminated from the full Σ, and every
+/// failed symbol is tried again in the next round as long as the previous
+/// round eliminated something.
+ReferenceResult ReferenceCompose(const CompositionProblem& p) {
+  const ComposeOptions defaults;
+  ConstraintSet sigma = p.sigma12;
+  sigma.insert(sigma.end(), p.sigma23.begin(), p.sigma23.end());
+  Signature keys;
+  Result<Signature> merged = Signature::Merge(p.sigma1, p.sigma2);
+  if (merged.ok()) {
+    Result<Signature> merged3 = Signature::Merge(*merged, p.sigma3);
+    if (merged3.ok()) keys = *merged3;
+  }
+  EliminateOptions eliminate = defaults.eliminate;
+  eliminate.keys = &keys;
+  ReferenceResult out;
+  out.residual =
+      p.elimination_order.empty() ? p.sigma2.names() : p.elimination_order;
+  for (int round = 1; round <= defaults.max_rounds; ++round) {
+    std::vector<std::string> failed;
+    int before = out.eliminated;
+    for (const std::string& s : out.residual) {
+      EliminateOutcome outcome =
+          Eliminate(sigma, s, p.sigma2.ArityOf(s), eliminate);
+      if (outcome.success) {
+        sigma = std::move(outcome.constraints);
+        ++out.eliminated;
+      } else {
+        failed.push_back(s);
+      }
+    }
+    out.residual = std::move(failed);
+    if (out.eliminated == before) break;
+  }
+  out.constraints = SimplifyConstraintSet(std::move(sigma), eliminate.registry);
+  return out;
 }
 
 TEST(ComposeTest, PaperExample3TransitiveContainment) {
@@ -128,8 +198,8 @@ TEST(ComposeTest, BestEffortKeepsResidualSymbols) {
   EXPECT_EQ(res.residual_sigma2[0], "S2");
   EXPECT_TRUE(res.sigma.Contains("S2"));
   // Stats carry one record per attempt. S2 fails *after* S1's elimination,
-  // so Σ cannot have changed since its failure and the multi-round driver
-  // proves a retry futile: exactly one attempt each, one round.
+  // so its constraints cannot have changed since its failure and the
+  // multi-round driver proves a retry futile: one attempt each, one round.
   ASSERT_EQ(res.stats.size(), 2u);
   EXPECT_TRUE(res.stats[0].eliminated);
   EXPECT_EQ(res.stats[0].round, 1);
@@ -275,6 +345,184 @@ TEST(ComposeTest, CompletenessWitnessOnTinyInstances) {
                               << db.ToString();
   }
   EXPECT_GT(checked, 0);
+}
+
+TEST(ComposeTest, FanoutComposesToRiContainedInTi) {
+  // No elimination touches another cluster, so each composes alone.
+  CompositionResult res = Compose(sim::BuildFanoutProblem(3));
+  EXPECT_TRUE(res.residual_sigma2.empty());
+  EXPECT_EQ(SortedText(res.constraints),
+            (std::vector<std::string>{"R1 <= T1", "R2 <= T2", "R3 <= T3"}))
+      << res.Report();
+  ASSERT_EQ(res.rounds.size(), 1u);
+  EXPECT_EQ(res.rounds[0].attempted, 3);
+}
+
+TEST(ComposeTest, ChainedFanoutEliminatesEverySymbol) {
+  // Each elimination rewrites the next symbol's constraints.
+  CompositionResult res =
+      Compose(sim::BuildFanoutProblem(5, /*chain_overlap=*/true));
+  EXPECT_EQ(res.eliminated_count, 5);
+  EXPECT_TRUE(res.residual_sigma2.empty());
+  int attempted = 0;
+  for (const RoundStat& r : res.rounds) attempted += r.attempted;
+  EXPECT_EQ(attempted, static_cast<int>(res.stats.size()));
+}
+
+TEST(ComposeTest, SpliceKeepsUntouchedConstraintsInPlace) {
+  // Each success drops its group from Σ and appends the rewritten group;
+  // the constraint that mentions no σ2 symbol keeps its place at the front.
+  CompositionProblem p;
+  for (const char* r : {"A", "R1", "R2"}) p.sigma1.AddOrReplaceRelation(r, 1);
+  for (const char* s : {"S1", "S2"}) p.sigma2.AddOrReplaceRelation(s, 1);
+  for (const char* t : {"B", "T1", "T2"}) p.sigma3.AddOrReplaceRelation(t, 1);
+  p.sigma12 = {Constraint::Equal(Rel("S1", 1), Rel("R1", 1)),
+               Constraint::Contain(Rel("A", 1), Rel("B", 1)),
+               Constraint::Equal(Rel("S2", 1), Rel("R2", 1))};
+  p.sigma23 = {Constraint::Contain(Rel("S1", 1), Rel("T1", 1)),
+               Constraint::Contain(Rel("S2", 1), Rel("T2", 1))};
+  ComposeOptions options;
+  options.simplify_output = false;
+  CompositionResult res = Compose(p, options);
+  EXPECT_EQ(res.eliminated_count, 2);
+  EXPECT_EQ(ConstraintSetToString(res.constraints),
+            "A <= B;\nR1 <= T1;\nR2 <= T2;\n");
+  ASSERT_EQ(res.stats.size(), 2u);
+  EXPECT_EQ(res.stats[1].size_after, OperatorCount(res.constraints));
+}
+
+/// SA = R1 x ... x R10 and SA <= TAj for j = 1..5: unfolding SA copies
+/// the product five times. Returns the product.
+ExprPtr AddFivefoldUnfold(CompositionProblem* p) {
+  ExprPtr big = Rel("R1", 1);
+  p->sigma1.AddOrReplaceRelation("R1", 1);
+  for (int i = 2; i <= 10; ++i) {
+    std::string r = "R" + std::to_string(i);
+    p->sigma1.AddOrReplaceRelation(r, 1);
+    big = Product(std::move(big), Rel(r, 1));
+  }
+  p->sigma2.AddOrReplaceRelation("SA", 10);
+  p->sigma12.push_back(Constraint::Equal(Rel("SA", 10), big));
+  for (int j = 1; j <= 5; ++j) {
+    std::string t = "TA" + std::to_string(j);
+    p->sigma3.AddOrReplaceRelation(t, 10);
+    p->sigma23.push_back(Constraint::Contain(Rel("SA", 10), Rel(t, 10)));
+  }
+  return big;
+}
+
+/// Blowup factor 1 with only unfolding enabled: a symbol fails exactly
+/// when its unfolding is larger than Σ.
+ComposeOptions UnfoldOnlyNoGrowth() {
+  ComposeOptions options;
+  options.eliminate.max_blowup_factor = 1;
+  options.eliminate.enable_left_compose = false;
+  options.eliminate.enable_right_compose = false;
+  return options;
+}
+
+TEST(ComposeTest, BlowupBudgetIsMeasuredAgainstTheWholeSigma) {
+  // SA's unfolding is larger than the constraints that mention SA but
+  // smaller than Σ, which six more copies of the product fill out.
+  CompositionProblem p;
+  ExprPtr big = AddFivefoldUnfold(&p);
+  for (int j = 1; j <= 6; ++j) {
+    std::string t = "TP" + std::to_string(j);
+    p.sigma3.AddOrReplaceRelation(t, 10);
+    p.sigma12.push_back(Constraint::Contain(big, Rel(t, 10)));
+  }
+  CompositionResult res = Compose(p, UnfoldOnlyNoGrowth());
+  EXPECT_TRUE(res.residual_sigma2.empty()) << res.Report();
+}
+
+TEST(ComposeTest, BlowupLimitedFailureIsRetriedOnceSigmaSizeChanges) {
+  // SA unfolds into something larger than the whole Σ, so it fails *only*
+  // on the blowup guard; SB is independent and succeeds after it. The
+  // guard is measured against Σ's size, which SB's success just changed —
+  // so SA's failure is NOT reproducible although its constraints are
+  // untouched, and it is attempted again in round 2 (where it fails
+  // again: Σ only shrank).
+  CompositionProblem p;
+  AddFivefoldUnfold(&p);
+  p.sigma1.AddOrReplaceRelation("RB", 1);
+  p.sigma2.AddOrReplaceRelation("SB", 1);
+  p.sigma3.AddOrReplaceRelation("TB", 1);
+  p.sigma12.push_back(Constraint::Equal(Rel("SB", 1), Rel("RB", 1)));
+  p.sigma23.push_back(Constraint::Contain(Rel("SB", 1), Rel("TB", 1)));
+
+  CompositionResult res = Compose(p, UnfoldOnlyNoGrowth());
+
+  EXPECT_EQ(res.residual_sigma2, std::vector<std::string>{"SA"});
+  EXPECT_EQ(res.eliminated_count, 1);
+  ASSERT_EQ(res.rounds.size(), 2u) << res.Report();
+  EXPECT_EQ(res.rounds[0].attempted, 2);
+  EXPECT_EQ(res.rounds[0].eliminated, 1);
+  // The retry happened (and failed against a now-smaller Σ for real).
+  EXPECT_EQ(res.rounds[1].attempted, 1);
+  EXPECT_EQ(res.rounds[1].eliminated, 0);
+  ASSERT_EQ(res.stats.size(), 3u);
+  EXPECT_NE(res.stats[2].failure_reason.find("blowup"), std::string::npos);
+}
+
+TEST(ComposeTest, FailureIsRetriedOnlyWhenItsConstraintsChange) {
+  // S sits on both sides of its only constraint, so no step can eliminate
+  // it. U is eliminated after it by unfolding U = R2.
+  auto problem = [](ExprPtr s_rhs) {
+    CompositionProblem p;
+    for (const char* r : {"R", "R2"}) p.sigma1.AddOrReplaceRelation(r, 1);
+    for (const char* s : {"S", "U"}) p.sigma2.AddOrReplaceRelation(s, 1);
+    p.sigma3.AddOrReplaceRelation("T", 1);
+    p.sigma12 = {
+        Constraint::Contain(Difference(Rel("R", 1), Rel("S", 1)), s_rhs),
+        Constraint::Equal(Rel("U", 1), Rel("R2", 1))};
+    p.sigma23 = {Constraint::Contain(Rel("U", 1), Rel("T", 1))};
+    return p;
+  };
+  auto attempts_of_s = [](const CompositionResult& res) {
+    std::vector<int> rounds;
+    for (const SymbolStat& st : res.stats) {
+      if (st.symbol == "S") rounds.push_back(st.round);
+    }
+    return rounds;
+  };
+
+  // U's success changes Σ but not S's constraint: no second attempt.
+  CompositionResult untouched = Compose(problem(Rel("S", 1)));
+  EXPECT_EQ(untouched.residual_sigma2, std::vector<std::string>{"S"});
+  EXPECT_EQ(untouched.rounds.size(), 1u) << untouched.Report();
+  EXPECT_EQ(attempts_of_s(untouched), std::vector<int>{1});
+
+  // S's constraint also mentions U, so U's unfolding rewrites it: S is
+  // attempted again in round 2 (and fails again).
+  CompositionResult rewritten =
+      Compose(problem(Union(Rel("S", 1), Rel("U", 1))));
+  EXPECT_EQ(rewritten.residual_sigma2, std::vector<std::string>{"S"});
+  EXPECT_EQ(rewritten.rounds.size(), 2u) << rewritten.Report();
+  EXPECT_EQ(attempts_of_s(rewritten), (std::vector<int>{1, 2}));
+}
+
+TEST(ComposeTest, AgreesWithPlainFullSigmaLoop) {
+  std::vector<CompositionProblem> problems = ParsedLiteratureSuite();
+  for (int width = 2; width <= 12; ++width) {
+    problems.push_back(sim::BuildFanoutProblem(width));
+    problems.push_back(sim::BuildFanoutProblem(width, /*chain_overlap=*/true));
+  }
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    sim::ReconciliationScenarioOptions opts;
+    opts.schema_size = 10;
+    opts.num_edits = 8;
+    opts.seed = seed;
+    opts.max_branch_attempts = 2;
+    problems.push_back(sim::BuildReconciliationProblem(opts));
+  }
+  for (const CompositionProblem& p : problems) {
+    CompositionResult res = Compose(p);
+    ReferenceResult ref = ReferenceCompose(p);
+    EXPECT_EQ(res.eliminated_count, ref.eliminated) << p.name;
+    EXPECT_EQ(res.residual_sigma2, ref.residual) << p.name;
+    EXPECT_EQ(SortedText(res.constraints), SortedText(ref.constraints))
+        << p.name;
+  }
 }
 
 }  // namespace

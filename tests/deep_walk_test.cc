@@ -68,9 +68,6 @@ TEST(DeepWalkTest, HundredThousandDeepChain) {
     std::set<std::string> names;
     CollectRelations(e, &names);
     EXPECT_EQ(names, (std::set<std::string>{"A", "B", "R"}));
-    names.clear();
-    CollectSkolems(e, &names);
-    EXPECT_EQ(names, std::set<std::string>{"f"});
     EXPECT_EQ(CollectConstants(cs), std::set<Value>{Value(int64_t{7})});
     EXPECT_EQ(CheckMonotone(e, "A"), Mono::kMonotone);
     EXPECT_EQ(CheckMonotone(e, "B"), Mono::kAnti);

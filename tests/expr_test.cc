@@ -70,9 +70,6 @@ TEST(ExprTest, ContainsSkolemAndDomain) {
   EXPECT_TRUE(ContainsSkolem(Project({1}, SkolemApp("f", {1}, Rel("R", 1)))));
   EXPECT_TRUE(ContainsDomain(Union(Rel("R", 2), Dom(2))));
   EXPECT_FALSE(ContainsDomain(Rel("R", 2)));
-  std::set<std::string> sks;
-  CollectSkolems(SkolemApp("g", {1}, SkolemApp("f", {1}, Rel("R", 1))), &sks);
-  EXPECT_EQ(sks, (std::set<std::string>{"f", "g"}));
 }
 
 TEST(ExprTest, SubstituteRelation) {

@@ -60,13 +60,13 @@ void WaitServiceIdle(ComposeService& service) {
     }                                                                 \
   } while (0)
 
-TEST(FaultInjectionTest, SlowWaveDeadlineInterruptsMidCompose) {
+TEST(FaultInjectionTest, SlowEliminationDeadlineInterruptsMidCompose) {
   SKIP_WITHOUT_FAULT_POINTS();
   // Every elimination stalls 25ms; the deadline allows roughly two of
   // them. The driver must stop at a poll point with a well-formed partial
   // result: untouched symbols become residuals, the interrupt carries
   // kDeadlineExceeded, and the warning names the interruption.
-  ScopedFault slow(FaultPoint::kSlowEliminationWave, /*arg=*/25);
+  ScopedFault slow(FaultPoint::kSlowElimination, /*arg=*/25);
   ComposeOptions options;
   options.cancel = CancelToken::WithDeadline(Deadline::After(40));
   CompositionResult result = Compose(sim::BuildFanoutProblem(8), options);
@@ -80,7 +80,7 @@ TEST(FaultInjectionTest, SlowWaveDeadlineInterruptsMidCompose) {
     warned = warned || w.find("composition interrupted") != std::string::npos;
   }
   EXPECT_TRUE(warned) << "interrupted run must carry a warning";
-  EXPECT_GE(slow.hits(), 1u) << "the slow-wave fault never fired";
+  EXPECT_GE(slow.hits(), 1u) << "the slow-elimination fault never fired";
 }
 
 TEST(FaultInjectionTest, PreCancelledTokenYieldsAllResidualInterrupt) {
@@ -157,10 +157,10 @@ TEST(FaultInjectionTest, InternerAllocFailureSurfacesAsStatusNotCrash) {
 
 TEST(FaultInjectionTest, HandleCancelCountsAndUnwindsComputation) {
   SKIP_WITHOUT_FAULT_POINTS();
-  // Slow waves give Cancel a computation that is reliably still in
+  // Slow eliminations give Cancel a computation that is reliably still in
   // flight. The cancel must count, the run must unwind as kCancelled
   // (counted completed, not failed), and the service must drain to idle.
-  ScopedFault slow(FaultPoint::kSlowEliminationWave, /*arg=*/50);
+  ScopedFault slow(FaultPoint::kSlowElimination, /*arg=*/50);
   ComposeService service;
   ComposeService::Handle handle =
       service.Submit(serve::ServeRequest::Of(
@@ -298,12 +298,12 @@ TEST(FaultInjectionTest, CallWithRetryRetriesOnlyOverloadedReplies) {
 
 TEST(FaultInjectionTest, ServerCancelsWorkWhoseBudgetExpiresMidCompose) {
   SKIP_WITHOUT_FAULT_POINTS();
-  // The zombie-lane contract end to end: slow waves push the composition
-  // past the queue budget, the dispatcher answers kTimeout immediately
-  // and withdraws interest, and the abandoned computation unwinds — it
-  // must show up as cancelled, with the service back at idle, never as a
-  // lane still burning pool time.
-  ScopedFault slow(FaultPoint::kSlowEliminationWave, /*arg=*/60);
+  // The zombie-lane contract end to end: slow eliminations push the
+  // composition past the queue budget, the dispatcher answers kTimeout
+  // immediately and withdraws interest, and the abandoned computation
+  // unwinds — it must show up as cancelled, with the service back at
+  // idle, never as a lane still burning pool time.
+  ScopedFault slow(FaultPoint::kSlowElimination, /*arg=*/60);
   ComposeService service;
   serve::ServerOptions options;
   options.queue_timeout_ms = 30;
@@ -331,7 +331,7 @@ TEST(FaultInjectionTest, PerRequestWireDeadlineTightensTheQueueBudget) {
   SKIP_WITHOUT_FAULT_POINTS();
   // No queue_timeout_ms at all: the bound comes entirely from the
   // request's own deadline_ms field riding the wire.
-  ScopedFault slow(FaultPoint::kSlowEliminationWave, /*arg=*/60);
+  ScopedFault slow(FaultPoint::kSlowElimination, /*arg=*/60);
   ComposeService service;
   serve::ComposeServer server(&service, serve::ServerOptions{});
   ASSERT_TRUE(server.Start().ok());
@@ -356,7 +356,7 @@ TEST(FaultInjectionTest, AbandonedInFlightHandleCountsCancelled) {
   // Dropping every copy of an un-waited handle while the computation is
   // in flight is a cancellation: the zombie-lane guarantee does not
   // depend on clients being polite.
-  ScopedFault slow(FaultPoint::kSlowEliminationWave, /*arg=*/50);
+  ScopedFault slow(FaultPoint::kSlowElimination, /*arg=*/50);
   ComposeService service;
   {
     service.Submit(serve::ServeRequest::Of(

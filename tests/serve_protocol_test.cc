@@ -165,28 +165,28 @@ TEST(ServeRequestRoundTripTest, SerializeParseSerializeIsByteIdentical) {
 }
 
 TEST(ServeRequestRoundTripTest, DeadlineFieldIsOptionalAndCanonical) {
-  // A deadline-less request serializes to the exact v1 byte image: the
-  // trailing field is simply absent, so old golden frames and old servers
-  // keep working.
+  // A deadline-less request serializes without the trailing field: its
+  // bytes are a bounded request's bytes minus the last four.
   ServeRequest plain = ServeRequest::Of(sim::BuildFanoutProblem(3), 5);
-  std::string v1_bytes;
-  ASSERT_TRUE(plain.SerializeTo(&v1_bytes).ok());
+  std::string plain_bytes;
+  ASSERT_TRUE(plain.SerializeTo(&plain_bytes).ok());
 
   ServeRequest bounded = plain;
   bounded.deadline_ms = 100;
-  std::string v2_bytes;
-  ASSERT_TRUE(bounded.SerializeTo(&v2_bytes).ok());
-  ASSERT_EQ(v2_bytes.size(), v1_bytes.size() + 4);
-  EXPECT_EQ(v2_bytes.compare(0, v1_bytes.size(), v1_bytes), 0);
+  std::string bounded_bytes;
+  ASSERT_TRUE(bounded.SerializeTo(&bounded_bytes).ok());
+  ASSERT_EQ(bounded_bytes.size(), plain_bytes.size() + 4);
+  EXPECT_EQ(bounded_bytes.compare(0, plain_bytes.size(), plain_bytes), 0);
 
   Result<ServeRequest> parsed = ServeRequest::Parse(
-      reinterpret_cast<const uint8_t*>(v2_bytes.data()), v2_bytes.size());
+      reinterpret_cast<const uint8_t*>(bounded_bytes.data()),
+      bounded_bytes.size());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->deadline_ms, 100u);
 
   // Zero must travel as absence: a present-but-zero trailing field would
   // give one value two byte images, so it is rejected as hostile input.
-  std::string zero_bytes = v1_bytes + std::string(4, '\0');
+  std::string zero_bytes = plain_bytes + std::string(4, '\0');
   EXPECT_FALSE(ServeRequest::Parse(
                    reinterpret_cast<const uint8_t*>(zero_bytes.data()),
                    zero_bytes.size())
@@ -719,6 +719,22 @@ TEST(FrameDecoderTest, BadMagicAndVersionLatchTheErrorState) {
     FrameType type;
     std::string body;
     EXPECT_EQ(decoder.Poll(&type, &body), FrameDecoder::Next::kError);
+  }
+  {
+    // Version 1 carried an options byte that version 2 dropped: an old
+    // peer's frame is refused whole rather than misparsed.
+    FrameDecoder decoder;
+    std::string frame;
+    EncodeFrame(FrameType::kRequest, "x", &frame);
+    ASSERT_EQ(frame[6], 2);
+    frame[6] = 1;
+    decoder.Feed(frame);
+    FrameType type;
+    std::string body;
+    EXPECT_EQ(decoder.Poll(&type, &body), FrameDecoder::Next::kError);
+    EXPECT_NE(decoder.error().find("unsupported wire version 1"),
+              std::string::npos)
+        << decoder.error();
   }
   {
     FrameDecoder decoder;
