@@ -28,63 +28,30 @@ void CollectConstantsFromCondition(const Condition& c, std::set<Value>* out) {
 
 }  // namespace
 
-void CollectConstants(const std::vector<ExprPtr>& roots,
-                      std::set<Value>* constants,
-                      std::set<std::string>* relations) {
-  NodeTable<NoValue> seen;
-  for (const ExprPtr& root : roots) {
-    if (root == nullptr) continue;
-    WalkDag(root, &seen, [&](const ExprPtr& e) {
-      if (relations != nullptr && e->kind() == ExprKind::kRelation) {
-        relations->insert(e->name());
-      }
-      CollectConstantsFromCondition(e->condition(), constants);
-      for (const Tuple& t : e->tuples()) constants->insert(t.begin(), t.end());
-      return Visit::kEnter;
-    });
-  }
-}
-
 std::set<Value> CollectConstants(const ConstraintSet& cs) {
-  std::vector<ExprPtr> roots;
-  roots.reserve(2 * cs.size());
-  for (const Constraint& c : cs) {
-    roots.push_back(c.lhs);
-    roots.push_back(c.rhs);
-  }
   std::set<Value> out;
-  CollectConstants(roots, &out);
+  NodeTable<NoValue> seen;
+  for (const Constraint& c : cs) {
+    for (const ExprPtr& side : {c.lhs, c.rhs}) {
+      if (side == nullptr) continue;
+      WalkDag(side, &seen, [&out](const ExprPtr& e) {
+        CollectConstantsFromCondition(e->condition(), &out);
+        for (const Tuple& t : e->tuples()) out.insert(t.begin(), t.end());
+        return Visit::kEnter;
+      });
+    }
+  }
   return out;
-}
-
-Result<bool> Satisfies(const Instance& instance, const Constraint& c,
-                       const EvalOptions& options, EvalStats* stats) {
-  // One memo across both sides: the composer's outputs frequently repeat a
-  // join subtree on the two sides of a constraint, which then evaluates
-  // once. The containment itself runs inside the evaluator — on the kernel
-  // path a linear merge walk over two columnar tables, never decoded.
-  return EvaluateContainment(c.lhs, c.rhs,
-                             c.kind == ConstraintKind::kEquality, instance,
-                             options, stats);
 }
 
 Result<bool> Satisfies(const EncodedInstance& instance, const Constraint& c,
                        const EvalOptions& options, EvalStats* stats) {
+  // One memo across both sides: the composer's outputs frequently repeat a
+  // join subtree on the two sides of a constraint, which then evaluates
+  // once.
   return EvaluateContainment(c.lhs, c.rhs,
                              c.kind == ConstraintKind::kEquality, instance,
                              options, stats);
-}
-
-Result<bool> SatisfiesAll(const Instance& instance, const ConstraintSet& cs,
-                          const EvalOptions& options, EvalStats* stats) {
-  EvalOptions opts = options;
-  std::set<Value> consts = CollectConstants(cs);
-  opts.extra_constants.insert(consts.begin(), consts.end());
-  for (const Constraint& c : cs) {
-    MAPCOMP_ASSIGN_OR_RETURN(bool sat, Satisfies(instance, c, opts, stats));
-    if (!sat) return false;
-  }
-  return true;
 }
 
 Result<Instance> FindExtension(const Instance& base, const Signature& extra,
@@ -93,7 +60,7 @@ Result<Instance> FindExtension(const Instance& base, const Signature& extra,
   // Candidate universe: base's active domain, the constraint constants, and
   // a few fresh values (completeness allows extending the domain, paper §2).
   std::set<Value> universe = base.ActiveDomain();
-  std::set<Value> consts = CollectConstants(cs);
+  const std::set<Value> consts = CollectConstants(cs);
   universe.insert(consts.begin(), consts.end());
   for (int i = 0; i < fresh_values; ++i) {
     universe.insert(Value(std::string("fresh" + std::to_string(i))));
@@ -140,7 +107,12 @@ Result<Instance> FindExtension(const Instance& base, const Signature& extra,
   std::function<Result<bool>(size_t)> search =
       [&](size_t slot_index) -> Result<bool> {
     if (slot_index == slots.size()) {
-      return SatisfiesAll(current, cs);
+      const EncodedInstance encoded(current, consts);
+      for (const Constraint& c : cs) {
+        MAPCOMP_ASSIGN_OR_RETURN(bool sat, Satisfies(encoded, c));
+        if (!sat) return false;
+      }
+      return true;
     }
     const Slot& slot = slots[slot_index];
     size_t n = slot.candidates.size();

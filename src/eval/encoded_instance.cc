@@ -1,9 +1,9 @@
 // EncodedInstance: an instance's dictionary, domain ids and relation tables,
 // built once and shared by every evaluation against it (see evaluator.h).
 
+#include <numeric>
 #include <utility>
 
-#include "src/eval/checker.h"
 #include "src/eval/evaluator.h"
 #include "src/eval/tuple_table.h"
 #include "src/eval/value_dict.h"
@@ -42,22 +42,6 @@ int64_t EncodedInstance::Relation::size() const {
                            : table->size();
 }
 
-EncodedInstance::EncodedInstance(const Instance& instance,
-                                 const std::set<Value>& extra_constants)
-    : EncodedInstance(instance, extra_constants, {}, nullptr) {}
-
-EncodedInstance EncodedInstance::ForRoots(
-    const Instance& instance, const std::set<Value>& extra_constants,
-    const std::vector<ExprPtr>& roots) {
-  // Every constant the roots mention goes into the dictionary seed, so
-  // compiled conditions find their constants in the order-preserving
-  // range; and every relation they read is encoded.
-  std::set<Value> constants;
-  std::set<std::string> relations;
-  CollectConstants(roots, &constants, &relations);
-  return EncodedInstance(instance, extra_constants, constants, &relations);
-}
-
 EncodedInstance::EncodedInstance(std::shared_ptr<ValueDict> dict,
                                  std::map<std::string, Relation> relations,
                                  std::vector<ValueId> extra_ids)
@@ -78,39 +62,18 @@ EncodedInstance::EncodedInstance(std::shared_ptr<ValueDict> dict,
 }
 
 EncodedInstance::EncodedInstance(const Instance& instance,
-                                 const std::set<Value>& extra_constants,
-                                 const std::set<Value>& seed_constants,
-                                 const std::set<std::string>* only) {
+                                 const std::set<Value>& extra_constants) {
   // Seeded sorted, so the id order over the seed is the value order and
   // encodes and D^r enumerations arrive sorted. The seed tier is this
-  // instance's own.
-  const std::set<Value>& adom = instance.ActiveDomain();
-  std::set<Value> universe = adom;
+  // instance's own, and it is D: every seeded id is a domain id.
+  std::set<Value> universe = instance.ActiveDomain();
   universe.insert(extra_constants.begin(), extra_constants.end());
-  const size_t domain_size = universe.size();
-  universe.insert(seed_constants.begin(), seed_constants.end());
   dict_ = std::make_shared<ValueDict>(
       std::make_shared<const ValueDict::SeedTier>(universe));
-  domain_ids_.reserve(domain_size);
-  ValueId id = 0;
-  for (const Value& v : universe) {
-    if (domain_size == universe.size() || adom.count(v) > 0 ||
-        extra_constants.count(v) > 0) {
-      domain_ids_.push_back(id);
-    }
-    ++id;
-  }
+  domain_ids_.resize(universe.size());
+  std::iota(domain_ids_.begin(), domain_ids_.end(), ValueId{0});
   for (const Value& v : extra_constants) {
     extra_ids_.push_back(*dict_->Find(v));
-  }
-  if (only != nullptr) {
-    for (const std::string& name : *only) {
-      if (instance.Has(name)) {
-        relations_.emplace(name,
-                           EncodeRelation(instance.Get(name), dict_.get()));
-      }
-    }
-    return;
   }
   for (const auto& [name, tuples] : instance.relations()) {
     relations_.emplace(name, EncodeRelation(tuples, dict_.get()));

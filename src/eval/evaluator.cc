@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -390,8 +389,8 @@ Result<TablePtr> EvalNode(const ExprPtr& e, Walk* w) {
       MAPCOMP_ASSIGN_OR_RETURN(TablePtr a, Rec(e->child(0), w));
       // Minted term ids depend on what the dictionary already holds (other
       // evaluations on the same encoded instance mint into it too) —
-      // harmless: id equality still means value equality, and the result
-      // surfaces (ToSet, Fingerprint) re-canonicalize by value.
+      // harmless: id equality still means value equality, and decoding
+      // (ToSet) re-canonicalizes by value.
       const std::vector<int>& indexes = e->indexes();
       const int in_arity = a->arity();
       TupleTable out(in_arity + 1);
@@ -485,8 +484,6 @@ Result<TablePtr> Rec(const ExprPtr& e, Walk* w) {
 
 }  // namespace
 
-namespace eval_internal {
-
 Result<std::vector<TablePtr>> EvaluateTables(
     const std::vector<ExprPtr>& roots, const EncodedInstance& instance,
     const EvalOptions& options, EvalStats* stats,
@@ -517,7 +514,20 @@ Result<std::vector<TablePtr>> EvaluateTables(
   return tables;
 }
 
-}  // namespace eval_internal
+Result<bool> EvaluateContainment(const ExprPtr& lhs, const ExprPtr& rhs,
+                                 bool equality,
+                                 const EncodedInstance& instance,
+                                 const EvalOptions& options,
+                                 EvalStats* stats) {
+  MAPCOMP_ASSIGN_OR_RETURN(
+      std::vector<TablePtr> tables,
+      EvaluateTables({lhs, rhs}, instance, options, stats, nullptr));
+  const TablePtr& a = tables[0];
+  const TablePtr& b = tables[1];
+  bool contained = TupleTable::SubsetOf(*a, *b);
+  if (equality) contained = contained && a->size() == b->size();
+  return contained;
+}
 
 void EvalStats::MergeFrom(const EvalStats& other) {
   nodes_evaluated += other.nodes_evaluated;
@@ -553,202 +563,6 @@ std::string EvalStats::ToString() const {
          std::to_string(memo_bytes_peak) + "B peak / " +
          std::to_string(memo_bytes_total) + "B total, " +
          std::to_string(tasks_spawned) + " tasks";
-}
-
-/// Shared decode-on-demand payload: copies of one EvalResult (and the
-/// evaluator's own handle) all see the same cached decode.
-struct EvalResult::Lazy {
-  std::mutex mu;
-  bool decoded = false;
-  std::set<Tuple> set;
-  std::shared_ptr<const TupleTable> table;
-  std::shared_ptr<const ValueDict> dict;
-};
-
-EvalResult::EvalResult() : lazy_(std::make_shared<Lazy>()) {}
-
-const std::set<Tuple>& EvalResult::tuples() const {
-  static const std::set<Tuple>* kEmpty = new std::set<Tuple>();
-  if (lazy_ == nullptr) return *kEmpty;
-  std::lock_guard<std::mutex> lock(lazy_->mu);
-  if (!lazy_->decoded) {
-    if (lazy_->table != nullptr) {
-      lazy_->set = lazy_->table->ToSet(*lazy_->dict);
-    }
-    lazy_->decoded = true;
-    lazy_->table.reset();
-    lazy_->dict.reset();
-  }
-  return lazy_->set;
-}
-
-std::set<Tuple> EvalResult::TakeTuples() {
-  if (lazy_ == nullptr) return {};
-  tuples();  // force the decode (idempotent)
-  std::lock_guard<std::mutex> lock(lazy_->mu);
-  std::set<Tuple> out = std::move(lazy_->set);
-  lazy_->set.clear();
-  return out;
-}
-
-void EvalResult::SetDecoded(std::set<Tuple> tuples) {
-  if (lazy_ == nullptr) lazy_ = std::make_shared<Lazy>();
-  std::lock_guard<std::mutex> lock(lazy_->mu);
-  lazy_->set = std::move(tuples);
-  lazy_->decoded = true;
-  lazy_->table.reset();
-  lazy_->dict.reset();
-}
-
-void EvalResult::SetTable(std::shared_ptr<const TupleTable> table,
-                          std::shared_ptr<const ValueDict> dict) {
-  if (lazy_ == nullptr) lazy_ = std::make_shared<Lazy>();
-  std::lock_guard<std::mutex> lock(lazy_->mu);
-  lazy_->table = std::move(table);
-  lazy_->dict = std::move(dict);
-  lazy_->decoded = false;
-  lazy_->set.clear();
-}
-
-namespace {
-
-void AppendValueFp(const Value& v, std::string* out) {
-  if (const int64_t* i = std::get_if<int64_t>(&v)) {
-    *out += "i" + std::to_string(*i) + ";";
-  } else {
-    const std::string& s = std::get<std::string>(v);
-    *out += "s" + std::to_string(s.size()) + ":" + s + ";";
-  }
-}
-
-}  // namespace
-
-std::string EvalResult::Fingerprint() const {
-  // Canonical, not pretty: string values are length-prefixed (a quote or
-  // comma inside a value must never make two different tuple sets
-  // serialize identically — this string is the determinism oracle).
-  if (lazy_ != nullptr) {
-    std::lock_guard<std::mutex> lock(lazy_->mu);
-    if (!lazy_->decoded && lazy_->table != nullptr) {
-      const TupleTable& t = *lazy_->table;
-      const ValueDict& dict = *lazy_->dict;
-      // Zero-decode fast path: when every id is in the dictionary's seeded
-      // order-preserving range, the sorted table's row order IS the decoded
-      // set's order — stream it directly, no std::set, no Tuple heap
-      // allocation. (Minted ids — Skolem terms, user-op outputs — break
-      // the order guarantee; fall through to the cached decode for those.)
-      bool all_seeded = true;
-      for (ValueId id : t.Data()) {
-        if (id >= dict.ordered_limit()) {
-          all_seeded = false;
-          break;
-        }
-      }
-      if (all_seeded) {
-        std::string out = "eval{arity=" + std::to_string(arity) +
-                          ";n=" + std::to_string(t.size()) + ";";
-        const int a = t.arity();
-        for (int64_t i = 0; i < t.size(); ++i) {
-          out += "t" + std::to_string(a) + ":";
-          const ValueId* row = t.Row(i);
-          for (int k = 0; k < a; ++k) {
-            AppendValueFp(dict.ValueOf(row[k]), &out);
-          }
-        }
-        out += "}";
-        return out;
-      }
-      lazy_->set = t.ToSet(dict);
-      lazy_->decoded = true;
-      lazy_->table.reset();
-      lazy_->dict.reset();
-    }
-  }
-  const std::set<Tuple>& ts = tuples();
-  std::string out = "eval{arity=" + std::to_string(arity) +
-                    ";n=" + std::to_string(ts.size()) + ";";
-  for (const Tuple& t : ts) {
-    out += "t" + std::to_string(t.size()) + ":";
-    for (const Value& v : t) AppendValueFp(v, &out);
-  }
-  out += "}";
-  return out;
-}
-
-Result<std::vector<EvalResult>> EvaluateMany(const std::vector<ExprPtr>& roots,
-                                             const Instance& instance,
-                                             const EvalOptions& options) {
-  return EvaluateMany(
-      roots, EncodedInstance::ForRoots(instance, options.extra_constants, roots),
-      options);
-}
-
-Result<std::vector<EvalResult>> EvaluateMany(const std::vector<ExprPtr>& roots,
-                                             const EncodedInstance& instance,
-                                             const EvalOptions& options) {
-  std::vector<EvalStats> root_stats;
-  MAPCOMP_ASSIGN_OR_RETURN(std::vector<TablePtr> tables,
-                           eval_internal::EvaluateTables(
-                               roots, instance, options, nullptr, &root_stats));
-  std::vector<EvalResult> results(roots.size());
-  for (size_t i = 0; i < roots.size(); ++i) {
-    results[i].arity = roots[i]->arity();
-    results[i].stats = root_stats[i];
-    // Columnar handoff: the table is decoded only if someone asks for
-    // tuples() — fingerprints and containment checks never pay for it.
-    results[i].SetTable(std::move(tables[i]), instance.dict());
-  }
-  return results;
-}
-
-Result<bool> EvaluateContainment(const ExprPtr& lhs, const ExprPtr& rhs,
-                                 bool equality, const Instance& instance,
-                                 const EvalOptions& options,
-                                 EvalStats* stats) {
-  return EvaluateContainment(
-      lhs, rhs, equality,
-      EncodedInstance::ForRoots(instance, options.extra_constants, {lhs, rhs}),
-      options, stats);
-}
-
-Result<bool> EvaluateContainment(const ExprPtr& lhs, const ExprPtr& rhs,
-                                 bool equality,
-                                 const EncodedInstance& instance,
-                                 const EvalOptions& options,
-                                 EvalStats* stats) {
-  // Both sides run under one memo, so shared subtrees evaluate once. The
-  // subset check is a linear merge walk over the columnar tables — nothing
-  // is decoded back to std::set.
-  MAPCOMP_ASSIGN_OR_RETURN(std::vector<TablePtr> tables,
-                           eval_internal::EvaluateTables(
-                               {lhs, rhs}, instance, options, stats, nullptr));
-  const TablePtr& a = tables[0];
-  const TablePtr& b = tables[1];
-  bool contained = TupleTable::SubsetOf(*a, *b);
-  if (equality) contained = contained && a->size() == b->size();
-  return contained;
-}
-
-Result<EvalResult> EvaluateFull(const ExprPtr& e, const Instance& instance,
-                                const EvalOptions& options) {
-  MAPCOMP_ASSIGN_OR_RETURN(std::vector<EvalResult> results,
-                           EvaluateMany({e}, instance, options));
-  return std::move(results[0]);
-}
-
-Result<EvalResult> EvaluateFull(const ExprPtr& e,
-                                const EncodedInstance& instance,
-                                const EvalOptions& options) {
-  MAPCOMP_ASSIGN_OR_RETURN(std::vector<EvalResult> results,
-                           EvaluateMany({e}, instance, options));
-  return std::move(results[0]);
-}
-
-Result<std::set<Tuple>> Evaluate(const ExprPtr& e, const Instance& instance,
-                                 const EvalOptions& options) {
-  MAPCOMP_ASSIGN_OR_RETURN(EvalResult result,
-                           EvaluateFull(e, instance, options));
-  return result.TakeTuples();
 }
 
 }  // namespace mapcomp

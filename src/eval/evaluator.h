@@ -32,10 +32,12 @@ enum class SkolemEvalMode {
 
 /// Evaluation options.
 struct EvalOptions {
-  /// Extra values added to the active domain. Following the paper's use of
-  /// D in rewrite identities, the checker passes every constant mentioned in
-  /// the constraint set being checked, which keeps identities such as
-  /// E ∪ D^r = D^r sound in the presence of literal relations.
+  /// Extra values added to the active domain when an Instance is encoded
+  /// (an evaluation reads the D its EncodedInstance fixed). Following the
+  /// paper's use of D in rewrite identities, the checker adds every
+  /// constant mentioned in the constraint set being checked, which keeps
+  /// identities such as E ∪ D^r = D^r sound in the presence of literal
+  /// relations.
   std::set<Value> extra_constants;
   SkolemEvalMode skolem_mode = SkolemEvalMode::kError;
   const op::Registry* registry = &op::Registry::Default();
@@ -51,11 +53,11 @@ struct EvalOptions {
   /// Cooperative cancellation/deadline token, polled when an evaluation
   /// starts and on both sides of each node's compute. A fired token makes
   /// the evaluation return kDeadlineExceeded / kCancelled; a run that
-  /// completes without it firing is byte-identical — results,
-  /// Fingerprint() and EvalStats — to a run with no token, because every
-  /// check site only reads the token. If the token fires after every root
-  /// table is already materialized, the completed result wins the race and
-  /// is returned as a success.
+  /// completes without it firing is byte-identical — tables and EvalStats
+  /// — to a run with no token, because every check site only reads the
+  /// token. If the token fires after every root table is already
+  /// materialized, the completed result wins the race and is returned as a
+  /// success.
   common::CancelToken cancel;
 };
 
@@ -96,59 +98,20 @@ struct EvalStats {
   std::string ToString() const;
 };
 
-/// A fully evaluated expression: the resulting relation plus evaluation
-/// counters.
-///
-/// Kernel results stay columnar until someone actually needs value tuples:
-/// `tuples()` decodes the TupleTable on first access (cached — copies of
-/// one result share the decode), and `Fingerprint()` streams the table
-/// directly with zero decode whenever every id is in the dictionary's
-/// order-preserving seeded range. Containment callers never decode at all.
-struct EvalResult {
-  int arity = 0;
-  EvalStats stats;
-
-  EvalResult();
-
-  /// The result as a canonical value-ordered tuple set, decoding on first
-  /// access. The reference stays valid while any copy of this EvalResult
-  /// lives (and until TakeTuples()).
-  const std::set<Tuple>& tuples() const;
-
-  /// Moves the decoded tuple set out, leaving this result (and its copies)
-  /// empty. For callers that consume the set.
-  std::set<Tuple> TakeTuples();
-
-  /// Canonical serialization of the *semantic* result (arity + tuples in
-  /// set order). Stats are excluded: two evaluations of the same expression
-  /// over the same instance produce equal fingerprints.
-  std::string Fingerprint() const;
-
-  /// Installers used by the evaluator (and tests building fixed results).
-  void SetDecoded(std::set<Tuple> tuples);
-  void SetTable(std::shared_ptr<const TupleTable> table,
-                std::shared_ptr<const ValueDict> dict);
-
- private:
-  struct Lazy;
-  std::shared_ptr<Lazy> lazy_;
-};
-
 /// An instance encoded once for many evaluations: one ValueDict, the
 /// domain D as ascending ids (the active domain plus the extra constants)
 /// and one sorted TupleTable per relation. The dictionary's seed tier holds
-/// D and may hold more (the constants ForRoots's roots mention, or the
-/// whole alphabet of an InstanceGenerator); only D is enumerated. An
-/// instance encoded from an Instance builds a seed tier of its own; the
-/// instances one InstanceGenerator encodes all share the generator's one
-/// tier, each with a mint tier of its own. Evaluations against it copy no
-/// domain, seed no dictionary and encode no relation; their relation nodes
-/// share its tables. Values an evaluation mints (Skolem terms, user-operator
-/// outputs, constants outside the seed) accumulate in the instance's mint
-/// tier. Id equality is still value equality there, and every result
-/// surface re-canonicalizes by value, so results, Fingerprint() and
-/// EvalStats equal those of the Instance overloads, which encode a fresh
-/// one per call.
+/// D and may hold more (the whole alphabet of an InstanceGenerator); only D
+/// is enumerated. An instance encoded from an Instance builds a seed tier
+/// of its own; the instances one InstanceGenerator encodes all share the
+/// generator's one tier, each with a mint tier of its own. Evaluations
+/// against it copy no domain, seed no dictionary and encode no relation;
+/// their relation nodes share its tables. Values an evaluation mints
+/// (Skolem terms, user-operator outputs, constants outside the seed)
+/// accumulate in the instance's mint tier. Id equality is still value
+/// equality there, and every comparison that needs order falls back to
+/// the values, so what an evaluation decides does not depend on which
+/// values were minted before it.
 ///
 /// Nothing in it changes while evaluations run, so it needs no lock of its
 /// own; the dictionary's minting is already thread-safe. Assign and Grow
@@ -179,13 +142,6 @@ class EncodedInstance {
                   std::map<std::string, Relation> relations,
                   std::vector<ValueId> extra_ids);
 
-  /// What the Instance overloads evaluate against: D as above, the seed
-  /// also holding every constant `roots` mention, and only the relations
-  /// they read encoded. Read-only: Assign and Grow need every relation.
-  static EncodedInstance ForRoots(const Instance& instance,
-                                  const std::set<Value>& extra_constants,
-                                  const std::vector<ExprPtr>& roots);
-
   const std::shared_ptr<ValueDict>& dict() const { return dict_; }
   const std::vector<ValueId>& domain_ids() const { return domain_ids_; }
 
@@ -212,11 +168,6 @@ class EncodedInstance {
   Instance Decode() const;
 
  private:
-  EncodedInstance(const Instance& instance,
-                  const std::set<Value>& extra_constants,
-                  const std::set<Value>& seed_constants,
-                  const std::set<std::string>* only);
-
   void Put(const std::string& name, Relation rel);
   void Count(const Relation& rel, int64_t delta, bool* crossed);
 
@@ -231,69 +182,37 @@ class EncodedInstance {
   std::vector<ValueId> extra_ids_;
 };
 
-/// Evaluates a relational expression against an instance under standard set
-/// semantics (paper §2). `D` denotes the instance's active domain plus
-/// `options.extra_constants`.
+/// Evaluates `roots` against `instance` under standard set semantics
+/// (paper §2) and returns each root's table, over the instance's
+/// dictionary. D is the one fixed when the instance was encoded;
+/// `options.extra_constants` is not read.
 ///
 /// The engine is one memoized walk over the interned DAG on the calling
 /// thread: each node's table is computed when the walk first reaches it
-/// and dropped once its last parent has consumed it. The walk's
+/// and dropped once its last parent has consumed it. All roots share the
+/// walk's memo, so a subtree shared across roots (the two sides of a
+/// constraint frequently reuse the same join) evaluates once. The walk's
 /// bookkeeping (each node's pending parent edges and memoized table) is
 /// one flat open-addressed table per walk. The first failing node in visit
-/// order names the error.
-Result<EvalResult> EvaluateFull(const ExprPtr& e, const Instance& instance,
-                                const EvalOptions& options = {});
-/// The same against an encoded instance. D is the one fixed when it was
-/// encoded; `options.extra_constants` is not read.
-Result<EvalResult> EvaluateFull(const ExprPtr& e,
-                                const EncodedInstance& instance,
-                                const EvalOptions& options = {});
+/// order names the error. On success the walk's counters are merged into
+/// `stats` and each root's share (the work its evaluation added; a subtree
+/// an earlier root left memoized counts as a memo hit) is appended to
+/// `root_stats`, each when non-null.
+Result<std::vector<std::shared_ptr<const TupleTable>>> EvaluateTables(
+    const std::vector<ExprPtr>& roots, const EncodedInstance& instance,
+    const EvalOptions& options = {}, EvalStats* stats = nullptr,
+    std::vector<EvalStats>* root_stats = nullptr);
 
-/// Evaluates several roots against one instance under ONE shared memo
-/// table, so subtrees shared *across* roots — e.g. the two sides of a
-/// constraint emitted by the composer, which frequently reuse the same
-/// join — also evaluate exactly once. Results come back in root order; each
-/// root's stats cover the work its evaluation added (a subtree a later
-/// root found memoized counts as that root's memo hit).
-Result<std::vector<EvalResult>> EvaluateMany(const std::vector<ExprPtr>& roots,
-                                             const Instance& instance,
-                                             const EvalOptions& options = {});
-Result<std::vector<EvalResult>> EvaluateMany(const std::vector<ExprPtr>& roots,
-                                             const EncodedInstance& instance,
-                                             const EvalOptions& options = {});
-
-/// Convenience wrapper returning only the tuple set.
-Result<std::set<Tuple>> Evaluate(const ExprPtr& e, const Instance& instance,
-                                 const EvalOptions& options = {});
-
-/// Evaluates both sides of a constraint under one shared memo and reports
+/// Evaluates both sides of a constraint with EvaluateTables and reports
 /// `lhs ⊆ rhs` (with `equality` also `|lhs| == |rhs|`) — the checker's hot
 /// path. The subset check is a linear merge walk over the two columnar
 /// tables; nothing is ever decoded back to `std::set`.
 /// Accumulates evaluation counters into `stats` when non-null.
 Result<bool> EvaluateContainment(const ExprPtr& lhs, const ExprPtr& rhs,
-                                 bool equality, const Instance& instance,
-                                 const EvalOptions& options = {},
-                                 EvalStats* stats = nullptr);
-Result<bool> EvaluateContainment(const ExprPtr& lhs, const ExprPtr& rhs,
                                  bool equality,
                                  const EncodedInstance& instance,
                                  const EvalOptions& options = {},
                                  EvalStats* stats = nullptr);
-
-namespace eval_internal {
-
-/// The one walk behind every entry point above and the feed fixpoint:
-/// evaluates `roots` against `instance` under one shared memo and returns
-/// each root's table, over the instance's dictionary. On success the
-/// walk's counters are merged into `stats` and each root's share is
-/// appended to `root_stats`, each when non-null.
-Result<std::vector<std::shared_ptr<const TupleTable>>> EvaluateTables(
-    const std::vector<ExprPtr>& roots, const EncodedInstance& instance,
-    const EvalOptions& options, EvalStats* stats,
-    std::vector<EvalStats>* root_stats);
-
-}  // namespace eval_internal
 
 }  // namespace mapcomp
 

@@ -102,8 +102,7 @@ int RunFeedFixpoint(EncodedInstance* instance, const FeedPlan& plan,
       // The source's table straight from the walk, written without a
       // decode.
       Result<std::vector<std::shared_ptr<const TupleTable>>> value =
-          eval_internal::EvaluateTables({feed.source}, *instance, options,
-                                        stats, nullptr);
+          EvaluateTables({feed.source}, *instance, options, stats);
       if (!value.ok()) {
         // A feed we cannot evaluate (e.g. Skolem without interpretation)
         // simply contributes nothing; the caller's satisfaction check

@@ -45,8 +45,8 @@ using ValueId = uint32_t;
 /// ParallelFor join), which is the only way ids travel between threads.
 /// Under concurrent minting the *assignment* of minted ids is
 /// schedule-dependent, but harmless: within one dictionary id equality
-/// still means value equality, and every result surface (ToSet,
-/// Fingerprint, sorted tables) re-canonicalizes by value.
+/// still means value equality, and every result surface (ToSet, sorted
+/// tables) re-canonicalizes by value.
 class ValueDict {
  public:
   /// The immutable seed tier: values in ascending order, id i being the

@@ -13,6 +13,7 @@
 #include "src/eval/generator.h"
 #include "src/parser/parser.h"
 #include "src/simulator/scenarios.h"
+#include "tests/oracles/instance_api.h"
 
 namespace mapcomp {
 namespace {

@@ -15,6 +15,7 @@
 #include "src/parser/parser.h"
 #include "src/simulator/scenarios.h"
 #include "src/testdata/literature_suite.h"
+#include "tests/oracles/instance_api.h"
 
 namespace mapcomp {
 namespace {

@@ -8,6 +8,7 @@
 #include "src/algebra/print.h"
 #include "src/eval/checker.h"
 #include "src/eval/generator.h"
+#include "tests/oracles/instance_api.h"
 
 namespace mapcomp {
 namespace {

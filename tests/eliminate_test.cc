@@ -9,6 +9,7 @@
 #include "src/eval/checker.h"
 #include "src/eval/generator.h"
 #include "src/op/extra_ops.h"
+#include "tests/oracles/instance_api.h"
 
 namespace mapcomp {
 namespace {

@@ -3,12 +3,14 @@
 // across the literature suite, adversarial mixed int/string domains that
 // stress ValueId order preservation, and generated hash-join-vs-product
 // property instances. Also pins the join planner's stats, the constraint-
-// driven σ(D^r) enumeration, and memo-byte refcount dropping.
+// driven σ(D^r) enumeration, memo-byte refcount dropping, wide sibling
+// fan-outs, and concurrent callers sharing one encoded instance.
 
 #include <gtest/gtest.h>
 
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/algebra/builders.h"
@@ -77,7 +79,7 @@ TEST(EvalKernelTest, LiteratureSuiteMatchesNestedLoopOracle) {
   }
 }
 
-TEST(EvalKernelTest, SharedEncodedInstanceMatchesInstanceOverload) {
+TEST(EvalKernelTest, SharedEncodedInstanceMatchesFreshEncodings) {
   // One EncodedInstance per problem serves every constraint at every lane
   // count, the way CheckComposition uses it. Skolem terms minted by one
   // evaluation stay in the shared dictionary for the next; results and
@@ -527,6 +529,115 @@ TEST(EvalKernelTest, InstanceActiveDomainCacheInvalidation) {
   EXPECT_EQ(assigned.ActiveDomain().size(), 1u);  // warm the target cache
   assigned = db;
   EXPECT_EQ(assigned.ActiveDomain().size(), 4u);
+}
+
+// ---- Wide sibling fan-outs.
+
+/// The bench's dag_siblings shape: a balanced union tree over `width`
+/// independent join subtrees, each over its own relation pair — so the
+/// walk meets `width` sibling chains with no shared nodes below the unions.
+ExprPtr DagSiblings(int width) {
+  std::vector<ExprPtr> legs;
+  for (int i = 0; i < width; ++i) {
+    std::string suffix = std::to_string(i);
+    legs.push_back(Project(
+        {1, 4}, Select(Condition::AttrCmp(2, CmpOp::kEq, 3),
+                       Product(Rel("R" + suffix, 2), Rel("S" + suffix, 2)))));
+  }
+  while (legs.size() > 1) {
+    std::vector<ExprPtr> next;
+    for (size_t i = 0; i + 1 < legs.size(); i += 2) {
+      next.push_back(Union(legs[i], legs[i + 1]));
+    }
+    if (legs.size() % 2 == 1) next.push_back(legs.back());
+    legs = std::move(next);
+  }
+  return legs[0];
+}
+
+Instance DagSiblingsInstance(int width, int tuples, int domain,
+                             uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int64_t> val(0, domain - 1);
+  Instance db;
+  for (int i = 0; i < width; ++i) {
+    std::string suffix = std::to_string(i);
+    std::set<Tuple> r, s;
+    for (int t = 0; t < tuples; ++t) {
+      r.insert(Tuple{Value(val(rng)), Value(val(rng))});
+      s.insert(Tuple{Value(val(rng)), Value(val(rng))});
+    }
+    db.Set("R" + suffix, std::move(r));
+    db.Set("S" + suffix, std::move(s));
+  }
+  return db;
+}
+
+TEST(EvalKernelTest, WideFanoutRunsEveryLegAsAJoin) {
+  const ExprPtr e = DagSiblings(16);
+  Instance db = DagSiblingsInstance(16, 40, 24, 7);
+  EvalResult out = EvaluateFull(e, db).value();
+  EXPECT_EQ(out.stats.hash_join_nodes, 16);
+  EXPECT_EQ(out.stats.tasks_spawned, out.stats.nodes_evaluated);
+  ExpectKernelMatchesOracle(DagSiblings(4), db);
+  // Minted values (Skolem terms) agree with the oracle byte for byte too.
+  EvalOptions sk_opts;
+  sk_opts.skolem_mode = SkolemEvalMode::kInjectiveTerms;
+  ExpectKernelMatchesOracle(SkolemApp("f", {1}, Rel("R0", 2)), db, sk_opts);
+}
+
+TEST(EvalKernelTest, RaggedLegFailsTheFanout) {
+  // A ragged relation in one leg of a wide fan-out fails the evaluation
+  // when the walk reads it; the D^r guard fails before enumerating.
+  Instance db = DagSiblingsInstance(8, 20, 12, 9);
+  std::set<Tuple> ragged = db.Get("R3");
+  ragged.insert(T({7}));
+  db.Set("R3", std::move(ragged));
+  Result<EvalResult> got = EvaluateFull(DagSiblings(8), db);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument)
+      << got.status().ToString();
+  EvalOptions tight;
+  tight.max_domain_tuples = 10;
+  Result<EvalResult> guard = EvaluateFull(Dom(3), db, tight);
+  ASSERT_FALSE(guard.ok());
+  EXPECT_EQ(guard.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(EvalKernelTest, ConcurrentCallersShareOneEncodedInstance) {
+  // Eight threads evaluate the same roots at once through EvaluateTables
+  // against one EncodedInstance, which needs no lock of its own; the
+  // Skolem root mints terms into its one dictionary from every thread.
+  // Each must decode to the fingerprints of a fresh single-caller
+  // encoding.
+  constexpr int kThreads = 8;
+  Instance db = DagSiblingsInstance(8, 30, 16, 11);
+  std::vector<ExprPtr> roots;
+  for (int w : {2, 4, 8}) roots.push_back(DagSiblings(w));
+  roots.push_back(Union(
+      Project({1, 4}, Select(Condition::AttrCmp(2, CmpOp::kEq, 3),
+                             Product(Rel("R0", 2), Rel("S0", 2)))),
+      Difference(Rel("R1", 2), Rel("S1", 2))));
+  roots.push_back(SkolemApp("f", {1, 2}, Rel("R2", 2)));
+  EvalOptions opts;
+  opts.skolem_mode = SkolemEvalMode::kInjectiveTerms;
+  auto fingerprints = [](const std::vector<EvalResult>& results) {
+    std::vector<std::string> out;
+    for (const EvalResult& r : results) out.push_back(r.Fingerprint());
+    return out;
+  };
+  const std::vector<std::string> baseline =
+      fingerprints(EvaluateMany(roots, db, opts).value());
+  const EncodedInstance shared(db, {});
+  std::vector<std::vector<std::string>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      got[i] = fingerprints(EvaluateMany(roots, shared, opts).value());
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int i = 0; i < kThreads; ++i) EXPECT_EQ(got[i], baseline) << i;
 }
 
 }  // namespace

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <map>
 #include <random>
 #include <set>
 #include <string>
@@ -458,6 +462,149 @@ TEST(CompositionSoundnessTest, CompletenessProbesMatchReferenceLoop) {
   EXPECT_NE(report.find("completeness probes: 2/2 witnessed"),
             std::string::npos)
       << report;
+}
+
+// ---- FindExtension against the Instance-level search it replaced.
+
+/// FindExtension's search spelled out over Instances: the same candidate
+/// universe, the same subsets in the same depth-first order, and each
+/// candidate Instance checked with SatisfiesAll, which encodes it afresh.
+/// FindExtension checks each candidate on one encoding instead; it must
+/// return the same witness, NotFound or error.
+Result<Instance> ReferenceFindExtension(const Instance& base,
+                                        const Signature& extra,
+                                        const ConstraintSet& cs) {
+  std::set<Value> universe = base.ActiveDomain();
+  const std::set<Value> consts = CollectConstants(cs);
+  universe.insert(consts.begin(), consts.end());
+  universe.insert(Value(std::string("fresh0")));
+  const std::vector<Value> vals(universe.begin(), universe.end());
+  std::vector<std::pair<std::string, std::vector<Tuple>>> slots;
+  double total = 1.0;
+  for (const std::string& name : extra.names()) {
+    const int r = extra.ArityOf(name);
+    if (std::pow(static_cast<double>(vals.size()), r) > 20) {
+      return Status::ResourceExhausted("too many candidate tuples for " +
+                                       name);
+    }
+    std::vector<Tuple> candidates(1);
+    for (int k = 0; k < r; ++k) {  // odometer order, last column fastest
+      std::vector<Tuple> longer;
+      for (const Tuple& t : candidates) {
+        for (const Value& v : vals) {
+          longer.push_back(t);
+          longer.back().push_back(v);
+        }
+      }
+      candidates = std::move(longer);
+    }
+    total *= std::pow(2.0, static_cast<double>(candidates.size()));
+    slots.emplace_back(name, std::move(candidates));
+  }
+  if (total > 200000) {
+    return Status::ResourceExhausted("extension search space too large");
+  }
+  Instance current = base;
+  std::function<Result<bool>(size_t)> search = [&](size_t i) -> Result<bool> {
+    if (i == slots.size()) return SatisfiesAll(current, cs);
+    const std::vector<Tuple>& candidates = slots[i].second;
+    for (uint64_t mask = 0; mask < (uint64_t{1} << candidates.size());
+         ++mask) {
+      std::set<Tuple> tuples;
+      for (size_t k = 0; k < candidates.size(); ++k) {
+        if (mask & (uint64_t{1} << k)) tuples.insert(candidates[k]);
+      }
+      current.Set(slots[i].first, std::move(tuples));
+      MAPCOMP_ASSIGN_OR_RETURN(bool found, search(i + 1));
+      if (found) return true;
+      current.Clear(slots[i].first);
+    }
+    return false;
+  };
+  MAPCOMP_ASSIGN_OR_RETURN(bool found, search(0));
+  if (!found) {
+    return Status::NotFound("no extension found within bounded search");
+  }
+  return current;
+}
+
+/// Expects FindExtension and the reference search to agree on `base`;
+/// returns the outcome's status code.
+StatusCode ExpectSameExtension(const Instance& base, const Signature& extra,
+                               const ConstraintSet& cs,
+                               const std::string& label) {
+  const Result<Instance> want = ReferenceFindExtension(base, extra, cs);
+  const Result<Instance> got = FindExtension(base, extra, cs);
+  EXPECT_EQ(got.status().ToString(), want.status().ToString()) << label;
+  if (want.ok() && got.ok()) {
+    EXPECT_TRUE(*got == *want) << label << "\ngot:\n"
+                               << got->ToString() << "want:\n"
+                               << want->ToString();
+  }
+  return want.status().code();
+}
+
+TEST(CompositionSoundnessTest, FindExtensionMatchesInstanceReferenceSearch) {
+  // The chain and every literature problem, on the restrictions of tiny
+  // generated instances (every second one repaired, so that many have an
+  // extension) to the composition's signature, as the completeness probe
+  // searches them.
+  std::vector<CompositionProblem> problems = {ChainProblem()};
+  Parser parser;
+  for (const testdata::LiteratureProblem& lit : testdata::LiteratureSuite()) {
+    problems.push_back(parser.ParseProblem(lit.text).value());
+  }
+  GenOptions gen;
+  gen.domain_size = 2;
+  gen.max_tuples_per_rel = 2;
+  std::map<StatusCode, int> outcomes;
+  for (size_t p = 0; p < problems.size(); ++p) {
+    const CompositionProblem& problem = problems[p];
+    const CompositionResult composed = Compose(problem);
+    ConstraintSet original = problem.sigma12;
+    original.insert(original.end(), problem.sigma23.begin(),
+                    problem.sigma23.end());
+    Signature eliminated;
+    for (const std::string& name : problem.sigma2.names()) {
+      if (std::find(composed.residual_sigma2.begin(),
+                    composed.residual_sigma2.end(),
+                    name) == composed.residual_sigma2.end()) {
+        ASSERT_TRUE(
+            eliminated.AddRelation(name, problem.sigma2.ArityOf(name)).ok());
+      }
+    }
+    std::mt19937_64 rng(p + 17);
+    for (int i = 0; i < 6; ++i) {
+      Instance inst = RandomInstanceOver(
+          {&problem.sigma1, &problem.sigma2, &problem.sigma3}, &rng, gen);
+      if (i % 2 == 1) inst = RepairTowards(inst, original);
+      ++outcomes[ExpectSameExtension(
+          inst.RestrictedTo(composed.sigma), eliminated, original,
+          "problem " + std::to_string(p) + " instance " +
+              std::to_string(i))];
+    }
+  }
+  // D holds the constraints' constants: S must hold the 7 that
+  // σ[#1=7](D^1) selects, though neither R nor S holds it yet.
+  Signature extra;
+  ASSERT_TRUE(extra.AddRelation("S", 1).ok());
+  const ConstraintSet pinned = {
+      Constraint::Contain(Rel("R", 1), Rel("S", 1)),
+      Constraint::Contain(
+          Select(Condition::AttrConst(1, CmpOp::kEq, Value(int64_t{7})),
+                 Dom(1)),
+          Rel("S", 1))};
+  Instance base;
+  base.Set("R", {Tuple{Value(int64_t{1})}});
+  ASSERT_EQ(ExpectSameExtension(base, extra, pinned, "pinned constant"),
+            StatusCode::kOk);
+  EXPECT_EQ(FindExtension(base, extra, pinned)->Get("S"),
+            (std::set<Tuple>{Tuple{Value(int64_t{1})},
+                             Tuple{Value(int64_t{7})}}));
+  // Not vacuous: witnesses, exhausted searches and failed ones all occur.
+  EXPECT_GT(outcomes[StatusCode::kOk], 30);
+  EXPECT_GT(outcomes[StatusCode::kNotFound], 20);
+  EXPECT_GT(outcomes[StatusCode::kResourceExhausted], 0);
 }
 
 }  // namespace

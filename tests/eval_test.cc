@@ -11,6 +11,7 @@
 #include "src/algebra/simplify.h"
 #include "src/algebra/substitute.h"
 #include "src/compose/compose.h"
+#include "src/common/cancel.h"
 #include "src/compose/monotone.h"
 #include "src/eval/checker.h"
 #include "src/eval/generator.h"
@@ -26,6 +27,21 @@ Tuple T(std::initializer_list<int64_t> vals) {
   Tuple t;
   for (int64_t v : vals) t.push_back(Value(v));
   return t;
+}
+
+/// R and S of `tuples` random pairs each over `domain` values.
+Instance RandomPairs(int tuples, int domain, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int64_t> val(0, domain - 1);
+  Instance db;
+  std::set<Tuple> r, s;
+  for (int i = 0; i < tuples; ++i) {
+    r.insert(Tuple{Value(val(rng)), Value(val(rng))});
+    s.insert(Tuple{Value(val(rng)), Value(val(rng))});
+  }
+  db.Set("R", std::move(r));
+  db.Set("S", std::move(s));
+  return db;
 }
 
 class EvalTest : public ::testing::Test {
@@ -275,6 +291,86 @@ TEST_F(EvalTest, SharedSubtreeEvaluatesOnce) {
   EXPECT_EQ(out.tuples(), db_.Get("R"));
 }
 
+TEST(EvalMemoTest, DuplicatedSubtreeEvaluatesOnce) {
+  // A shared join subtree duplicated 2^6 times in the tree reading: the
+  // interner collapses every level to one physical node, and the memo
+  // evaluates the join exactly once.
+  Instance db = RandomPairs(50, 12, 2);
+  ExprPtr join = Project(
+      {1, 4}, Select(Condition::AttrCmp(2, CmpOp::kEq, 3),
+                     Product(Rel("R", 2), Rel("S", 2))));
+  ExprPtr e = join;
+  for (int i = 0; i < 6; ++i) e = Union(e, e);
+  ASSERT_GT(OperatorCount(e), 100);  // the *tree* is huge
+  Result<EvalResult> out = EvaluateFull(e, db);
+  ASSERT_TRUE(out.ok());
+  // Every Union(x, x) visits its child twice: once computed, once memo.
+  EXPECT_GE(out->stats.memo_hits, 6);
+  // Physical nodes: 4 join nodes + 2 relations + 6 unions.
+  EXPECT_LE(out->stats.nodes_evaluated, 12);
+  EXPECT_EQ(out->tuples(), Evaluate(join, db).value());
+}
+
+TEST(EvalErrorTest, DomainExhaustionIsAnError) {
+  // Guard exhaustion surfaces as an error before anything is enumerated,
+  // never as a hang.
+  Instance db = RandomPairs(400, 50, 3);
+  ASSERT_GE(db.ActiveDomain().size(), 40u);
+  Result<EvalResult> r = EvaluateFull(Dom(4), db);  // ≥ 40^4 > 2M
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  EvalOptions opts;
+  opts.max_domain_tuples = 10;
+  Result<EvalResult> small = EvaluateFull(Dom(2), db, opts);
+  ASSERT_FALSE(small.ok());
+  EXPECT_EQ(small.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(EvalErrorTest, FirstFailingNodeInVisitOrderNamesTheError) {
+  // A ragged relation fails when its table is read, the D^3 guard before
+  // anything is enumerated; whichever leg the walk reaches first names the
+  // error, as in the nested-loop oracle's recursion.
+  Instance db;
+  db.Set("R", {T({1, 2}), T({7})});
+  const ExprPtr ragged = Rel("R", 2);
+  const ExprPtr oversized = Project({1, 2}, Dom(3));
+  EvalOptions tight;
+  tight.max_domain_tuples = 10;
+  Result<EvalResult> ragged_first =
+      EvaluateFull(Union(ragged, oversized), db, tight);
+  ASSERT_FALSE(ragged_first.ok());
+  EXPECT_EQ(ragged_first.status().code(), StatusCode::kInvalidArgument)
+      << ragged_first.status().ToString();
+  Result<EvalResult> guard_first =
+      EvaluateFull(Union(oversized, ragged), db, tight);
+  ASSERT_FALSE(guard_first.ok());
+  EXPECT_EQ(guard_first.status().code(), StatusCode::kResourceExhausted)
+      << guard_first.status().ToString();
+}
+
+TEST(EvalErrorTest, FiredTokenCancelsTheEvaluation) {
+  // A token fired before the call wins.
+  Instance db;
+  db.Set("R", {T({1, 2}), T({2, 3}), T({3, 4})});
+  db.Set("S", {T({2, 5}), T({3, 5}), T({4, 1}), T({5, 5})});
+  const ExprPtr e = Union(Rel("R", 2), Rel("S", 2));
+  common::CancelSource source;
+  source.Cancel();
+  EvalOptions opts;
+  opts.cancel = source.token();
+  Result<EvalResult> got = EvaluateFull(e, db, opts);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kCancelled);
+  Result<bool> contained =
+      EvaluateContainment(Rel("R", 2), e, false, db, opts);
+  ASSERT_FALSE(contained.ok());
+  EXPECT_EQ(contained.status().code(), StatusCode::kCancelled);
+  opts.cancel = common::CancelToken::WithDeadline(common::Deadline::After(0));
+  Result<EvalResult> late = EvaluateFull(e, db, opts);
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
+}
+
 TEST(InstanceTest, TotalTuples) {
   Instance a;
   a.Set("R", {Tuple{Value(int64_t{1})}, Tuple{Value(int64_t{2})}});
@@ -460,11 +556,7 @@ TEST(CheckerTest, CollectConstantsWalksSharedSubtreesOnce) {
   const ConstraintSet cs{Constraint::Contain(e, Rel("T", 1))};
   EXPECT_EQ(CollectConstants(cs),
             (std::set<Value>{Value(int64_t{3}), Value(int64_t{5})}));
-  std::set<Value> constants;
   std::set<std::string> relations;
-  CollectConstants({e, e}, &constants, &relations);
-  EXPECT_EQ(relations, (std::set<std::string>{"R", "S"}));
-  relations.clear();
   CollectRelations(e, &relations);
   EXPECT_EQ(relations, (std::set<std::string>{"R", "S"}));
 

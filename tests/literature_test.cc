@@ -15,6 +15,7 @@
 #include "src/eval/checker.h"
 #include "src/eval/generator.h"
 #include "src/parser/parser.h"
+#include "tests/oracles/instance_api.h"
 
 namespace mapcomp {
 namespace {

@@ -10,6 +10,7 @@
 #include "src/eval/generator.h"
 #include "src/logic/homomorphism.h"
 #include "src/logic/to_algebra.h"
+#include "tests/oracles/instance_api.h"
 
 namespace mapcomp {
 namespace {

@@ -22,7 +22,7 @@ int RunFeedFixpoint(Instance* instance, const std::vector<RelationFeed>& feeds,
       if (stats != nullptr) stats->MergeFrom(result.stats);
       if (feed.assign) {
         if (instance->Get(feed.target) != result.tuples()) {
-          instance->Set(feed.target, result.TakeTuples());
+          instance->Set(feed.target, std::move(result.tuple_set));
           changed = true;
         }
         continue;

@@ -300,9 +300,9 @@ Result<std::vector<EvalResult>> EvaluateMany(const std::vector<ExprPtr>& roots,
   st.memo_sets.clear();
   for (size_t i = 0; i < roots.size(); ++i) {
     if (ptrs[i].use_count() == 1) {
-      results[i].SetDecoded(std::move(*ptrs[i]));
+      results[i].tuple_set = std::move(*ptrs[i]);
     } else {
-      results[i].SetDecoded(*ptrs[i]);
+      results[i].tuple_set = *ptrs[i];
     }
   }
   return results;

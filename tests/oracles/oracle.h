@@ -8,6 +8,7 @@
 
 #include "src/eval/evaluator.h"
 #include "src/eval/materialize.h"
+#include "tests/oracles/instance_api.h"
 
 namespace mapcomp {
 namespace oracle {
@@ -15,9 +16,10 @@ namespace oracle {
 // The columnar kernel's differential oracles, linked only by the tests and
 // bench_eval. The nested-loop evaluator keeps tuples as value vectors in
 // `std::set`, materializes products as full nested loops with the selection
-// applied afterwards, and always enumerates `D^r` in full.
-// `EvalResult::Fingerprint()` must be byte-identical to the kernel's; the
-// kernel may *succeed* where the oracle exhausts `max_domain_tuples`, since
+// applied afterwards, and always enumerates `D^r` in full. It returns the
+// same EvalResult as the kernel's Instance-level forms (instance_api.h),
+// whose Fingerprint() must be byte-identical to the kernel's; the kernel
+// may *succeed* where the oracle exhausts `max_domain_tuples`, since
 // constraint-driven `σ(D^r)` enumeration needs only the pruned space.
 //
 // The oracle runs on the calling thread whatever `options.jobs` says. Its

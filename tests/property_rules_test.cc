@@ -12,6 +12,7 @@
 #include "src/compose/eliminate.h"
 #include "src/eval/checker.h"
 #include "src/eval/generator.h"
+#include "tests/oracles/instance_api.h"
 
 namespace mapcomp {
 namespace {

@@ -7,6 +7,7 @@
 #include "src/compose/monotone.h"
 #include "src/eval/evaluator.h"
 #include "src/op/extra_ops.h"
+#include "tests/oracles/instance_api.h"
 
 namespace mapcomp {
 namespace {

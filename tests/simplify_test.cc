@@ -9,6 +9,7 @@
 #include "src/eval/checker.h"
 #include "src/eval/evaluator.h"
 #include "src/eval/generator.h"
+#include "tests/oracles/instance_api.h"
 
 namespace mapcomp {
 namespace {
