@@ -30,6 +30,11 @@ class NodeTable {
     Slot& slot = Probe(slots_, capacity_, e);
     return slot.node == e ? &slot.value : nullptr;
   }
+  /// Reads nothing but the slots, so threads may share a table nobody
+  /// inserts into any more.
+  const V* Find(const Expr* e) const {
+    return const_cast<NodeTable*>(this)->Find(e);
+  }
 
   /// `e`'s value; `e` must have one.
   V& At(const Expr* e) { return Probe(slots_, capacity_, e).value; }

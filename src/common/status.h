@@ -104,7 +104,9 @@ class Result {
 
   const T& value() const& { return CheckedRef(); }
   T& value() & { return CheckedMutableRef(); }
-  T&& value() && { return std::move(CheckedMutableRef()); }
+  /// By value: a reference would dangle once the temporary Result dies,
+  /// as in `for (const X& x : F().value())`.
+  T value() && { return std::move(CheckedMutableRef()); }
 
   const T& operator*() const& { return CheckedRef(); }
   T& operator*() & { return CheckedMutableRef(); }

@@ -28,6 +28,16 @@ bool ConstraintContainsRelation(const Constraint& c, const std::string& name) {
   return ContainsRelation(c.lhs, name) || ContainsRelation(c.rhs, name);
 }
 
+std::vector<ExprPtr> ConstraintSides(const ConstraintSet& cs) {
+  std::vector<ExprPtr> out;
+  out.reserve(2 * cs.size());
+  for (const Constraint& c : cs) {
+    out.push_back(c.lhs);
+    out.push_back(c.rhs);
+  }
+  return out;
+}
+
 std::set<std::string> CollectRelations(const ConstraintSet& cs) {
   std::set<std::string> out;
   for (const Constraint& c : cs) {

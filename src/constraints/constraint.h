@@ -46,6 +46,9 @@ int OperatorCount(const ConstraintSet& cs);
 /// True if relation `name` occurs on either side.
 bool ConstraintContainsRelation(const Constraint& c, const std::string& name);
 
+/// Both sides of every constraint of the set, in order (lhs, then rhs).
+std::vector<ExprPtr> ConstraintSides(const ConstraintSet& cs);
+
 /// All base relation names occurring in the set.
 std::set<std::string> CollectRelations(const ConstraintSet& cs);
 

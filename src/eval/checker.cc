@@ -102,12 +102,20 @@ Result<Instance> FindExtension(const Instance& base, const Signature& extra,
     return Status::ResourceExhausted("extension search space too large");
   }
 
+  // Every candidate holds base's relations and extra's, and is checked
+  // against `cs`: one schema numbers them all and resolves the leaves.
+  std::vector<std::string> names;
+  for (const auto& [name, _] : base.relations()) names.push_back(name);
+  names.insert(names.end(), extra.names().begin(), extra.names().end());
+  const auto schema =
+      std::make_shared<const RelationSchema>(names, ConstraintSides(cs));
+
   // Enumerate all subsets of candidates for each slot (depth-first).
   Instance current = base;
   std::function<Result<bool>(size_t)> search =
       [&](size_t slot_index) -> Result<bool> {
     if (slot_index == slots.size()) {
-      const EncodedInstance encoded(current, consts);
+      const EncodedInstance encoded(current, consts, schema);
       for (const Constraint& c : cs) {
         MAPCOMP_ASSIGN_OR_RETURN(bool sat, Satisfies(encoded, c));
         if (!sat) return false;

@@ -1,6 +1,8 @@
-// EncodedInstance: an instance's dictionary, domain ids and relation tables,
-// built once and shared by every evaluation against it (see evaluator.h).
+// RelationSchema and EncodedInstance: the relation ids and an instance's
+// dictionary, domain ids and relation tables, built once and shared by
+// every evaluation against it (see evaluator.h).
 
+#include <algorithm>
 #include <numeric>
 #include <utility>
 
@@ -37,22 +39,62 @@ bool SameRows(const TupleTable& a, const TupleTable& b) {
 
 }  // namespace
 
-int64_t EncodedInstance::Relation::size() const {
-  return ragged != nullptr ? static_cast<int64_t>(ragged->size())
-                           : table->size();
+RelationSchema::RelationSchema(const std::vector<std::string>& names,
+                               const std::vector<ExprPtr>& roots) {
+  for (const std::string& name : names) Add(name);
+  Resolve(roots);
+}
+
+std::shared_ptr<const RelationSchema> RelationSchema::Extend(
+    std::shared_ptr<const RelationSchema> base,
+    const std::vector<std::string>& names) {
+  if (base != nullptr &&
+      std::all_of(names.begin(), names.end(), [&base](const std::string& n) {
+        return base->Find(n) >= 0;
+      })) {
+    return base;
+  }
+  auto out = std::make_shared<RelationSchema>(
+      base != nullptr ? base->names_ : std::vector<std::string>{});
+  for (const std::string& name : names) out->Add(name);
+  if (base != nullptr) out->Resolve(base->leaves_);
+  return out;
+}
+
+void RelationSchema::Resolve(const std::vector<ExprPtr>& roots) {
+  NodeTable<NoValue> seen;
+  for (const ExprPtr& root : roots) {
+    WalkDag(root, &seen, [this](const ExprPtr& e) {
+      if (e->kind() == ExprKind::kRelation &&
+          leaf_ids_.Find(e.get()) == nullptr) {
+        leaf_ids_.Insert(e.get()) = Add(e->name());
+        leaves_.push_back(e);
+      }
+      return Visit::kEnter;
+    });
+  }
+}
+
+bool RelationSchema::Extends(const RelationSchema& base) const {
+  return this == &base ||
+         (base.names_.size() <= names_.size() &&
+          std::equal(base.names_.begin(), base.names_.end(), names_.begin()));
 }
 
 EncodedInstance::EncodedInstance(std::shared_ptr<ValueDict> dict,
-                                 std::map<std::string, Relation> relations,
+                                 SchemaPtr schema,
+                                 std::vector<Relation> relations,
                                  std::vector<ValueId> extra_ids)
     : dict_(std::move(dict)),
+      schema_(std::move(schema)),
       relations_(std::move(relations)),
       occurrences_(dict_->size(), 0),
       counted_(true),
       extra_ids_(std::move(extra_ids)) {
   // The occurrence counts Put keeps D in step with, taken in the one walk
   // over the ids that finds D.
-  for (const auto& [_, rel] : relations_) {
+  for (const Relation& rel : relations_) {
+    if (rel.table == nullptr) continue;
     for (ValueId id : rel.table->Data()) ++occurrences_[id];
   }
   for (ValueId id : extra_ids_) ++occurrences_[id];
@@ -62,7 +104,12 @@ EncodedInstance::EncodedInstance(std::shared_ptr<ValueDict> dict,
 }
 
 EncodedInstance::EncodedInstance(const Instance& instance,
-                                 const std::set<Value>& extra_constants) {
+                                 const std::set<Value>& extra_constants,
+                                 SchemaPtr schema) {
+  std::vector<std::string> names;
+  names.reserve(instance.relations().size());
+  for (const auto& [name, _] : instance.relations()) names.push_back(name);
+  schema_ = RelationSchema::Extend(std::move(schema), names);
   // Seeded sorted, so the id order over the seed is the value order and
   // encodes and D^r enumerations arrive sorted. The seed tier is this
   // instance's own, and it is D: every seeded id is a domain id.
@@ -75,19 +122,17 @@ EncodedInstance::EncodedInstance(const Instance& instance,
   for (const Value& v : extra_constants) {
     extra_ids_.push_back(*dict_->Find(v));
   }
+  relations_.resize(static_cast<size_t>(schema_->size()));
   for (const auto& [name, tuples] : instance.relations()) {
-    relations_.emplace(name, EncodeRelation(tuples, dict_.get()));
+    relations_[static_cast<size_t>(schema_->Find(name))] =
+        EncodeRelation(tuples, dict_.get());
   }
 }
 
-const EncodedInstance::Relation* EncodedInstance::Find(
-    const std::string& name) const {
-  auto it = relations_.find(name);
-  return it == relations_.end() ? nullptr : &it->second;
-}
-
 Result<std::shared_ptr<const TupleTable>> EncodedInstance::TableOf(
-    const Relation* rel, int arity) const {
+    const Expr& leaf) const {
+  const Relation* rel = Find(schema_->IdOf(leaf));
+  const int arity = leaf.arity();
   if (rel == nullptr) return std::make_shared<const TupleTable>(arity);
   if (rel->table != nullptr) {
     if (rel->table->arity() == arity) return rel->table;
@@ -120,19 +165,19 @@ void EncodedInstance::Count(const Relation& rel, int64_t delta,
   for (ValueId id : rel.table->Data()) bump(id);
 }
 
-void EncodedInstance::Put(const std::string& name, Relation rel) {
+void EncodedInstance::Put(int id, Relation rel) {
   bool crossed = false;
   if (!counted_) {
     occurrences_.assign(dict_->size(), 0);
-    for (const auto& [_, r] : relations_) Count(r, 1, &crossed);
-    for (ValueId id : extra_ids_) ++occurrences_[id];
+    for (const Relation& r : relations_) {
+      if (r.present()) Count(r, 1, &crossed);
+    }
+    for (ValueId v : extra_ids_) ++occurrences_[v];
     counted_ = true;
     crossed = false;
   }
-  Relation& slot = relations_[name];
-  if (slot.table != nullptr || slot.ragged != nullptr) {
-    Count(slot, -1, &crossed);
-  }
+  Relation& slot = relations_[static_cast<size_t>(id)];
+  if (slot.present()) Count(slot, -1, &crossed);
   Count(rel, 1, &crossed);
   slot = std::move(rel);
   if (!crossed) return;
@@ -142,46 +187,43 @@ void EncodedInstance::Put(const std::string& name, Relation rel) {
   }
 }
 
-bool EncodedInstance::Assign(const std::string& name,
-                             std::shared_ptr<const TupleTable> table) {
-  const Relation* cur = Find(name);
+bool EncodedInstance::Assign(int id, std::shared_ptr<const TupleTable> table) {
+  const Relation* cur = Find(id);
   if (cur == nullptr ? table->empty()
                      : cur->table != nullptr && SameRows(*cur->table, *table)) {
     return false;
   }
-  Put(name, Relation{std::move(table), nullptr});
+  Put(id, Relation{std::move(table), nullptr});
   return true;
 }
 
-bool EncodedInstance::Grow(const std::string& name,
-                           std::shared_ptr<const TupleTable> table) {
+bool EncodedInstance::Grow(int id, std::shared_ptr<const TupleTable> table) {
   if (table->empty()) return false;
-  const Relation* cur = Find(name);
+  const Relation* cur = Find(id);
   if (cur == nullptr || (cur->table != nullptr && cur->table->empty())) {
-    Put(name, Relation{std::move(table), nullptr});
+    Put(id, Relation{std::move(table), nullptr});
     return true;
   }
   if (cur->table != nullptr && cur->table->arity() == table->arity()) {
     TupleTable merged = TupleTable::UnionOf(*cur->table, *table);
     if (merged.size() == cur->table->size()) return false;
-    Put(name,
-        Relation{std::make_shared<const TupleTable>(std::move(merged)),
-                 nullptr});
+    Put(id, Relation{std::make_shared<const TupleTable>(std::move(merged)),
+                     nullptr});
     return true;
   }
   // Tuples of another size: the relation is (or stays) ragged.
-  std::set<Tuple> tuples = Decode(name);
+  std::set<Tuple> tuples = Decode(id);
   const size_t before = tuples.size();
   std::set<Tuple> added = table->ToSet(*dict_);
   tuples.insert(added.begin(), added.end());
   if (tuples.size() == before) return false;
-  Put(name, Relation{nullptr,
-                     std::make_shared<const std::set<Tuple>>(std::move(tuples))});
+  Put(id, Relation{nullptr,
+                   std::make_shared<const std::set<Tuple>>(std::move(tuples))});
   return true;
 }
 
-std::set<Tuple> EncodedInstance::Decode(const std::string& name) const {
-  const Relation* rel = Find(name);
+std::set<Tuple> EncodedInstance::Decode(int id) const {
+  const Relation* rel = Find(id);
   if (rel == nullptr) return {};
   if (rel->ragged != nullptr) return *rel->ragged;
   return rel->table->ToSet(*dict_);
@@ -189,7 +231,9 @@ std::set<Tuple> EncodedInstance::Decode(const std::string& name) const {
 
 Instance EncodedInstance::Decode() const {
   Instance out;
-  for (const auto& [name, _] : relations_) out.Set(name, Decode(name));
+  for (int id = 0; id < schema_->size(); ++id) {
+    if (Find(id) != nullptr) out.Set(schema_->name(id), Decode(id));
+  }
   return out;
 }
 

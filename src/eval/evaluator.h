@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "src/algebra/dag_walk.h"
 #include "src/algebra/expr.h"
 #include "src/common/cancel.h"
 #include "src/common/status.h"
@@ -98,20 +99,76 @@ struct EvalStats {
   std::string ToString() const;
 };
 
+/// The relations a set of instances addresses, numbered once: a dense id
+/// per name, and each interned relation leaf of the expressions the schema
+/// was built from resolved to its id up front. Immutable, so one schema
+/// serves every instance of a soundness check, on any thread.
+class RelationSchema {
+ public:
+  /// Numbers `names` in order (a repeated name keeps its first id), then
+  /// the new names of the relation leaves under `roots`, and resolves
+  /// those leaves.
+  explicit RelationSchema(const std::vector<std::string>& names,
+                          const std::vector<ExprPtr>& roots = {});
+
+  /// `base` when it numbers every one of `names`; otherwise a copy of
+  /// `base` (none when null), ids and resolved leaves alike, that also
+  /// numbers the names it lacks.
+  static std::shared_ptr<const RelationSchema> Extend(
+      std::shared_ptr<const RelationSchema> base,
+      const std::vector<std::string>& names);
+
+  int size() const { return static_cast<int>(names_.size()); }
+  const std::string& name(int id) const {
+    return names_[static_cast<size_t>(id)];
+  }
+  /// `name`'s id, or -1 when the schema does not number it.
+  int Find(const std::string& name) const {
+    auto it = ids_.find(name);
+    return it == ids_.end() ? -1 : it->second;
+  }
+  /// Relation leaf `leaf`'s id: one pointer probe for a resolved leaf, the
+  /// name lookup, which finds the same id, for any other.
+  int IdOf(const Expr& leaf) const {
+    const int* id = leaf_ids_.Find(&leaf);
+    return id != nullptr ? *id : Find(leaf.name());
+  }
+  /// Whether every id of `base` names the same relation here.
+  bool Extends(const RelationSchema& base) const;
+
+ private:
+  /// `name`'s id, numbering it first when it is new.
+  int Add(const std::string& name) {
+    auto [it, added] = ids_.emplace(name, size());
+    if (added) names_.push_back(name);
+    return it->second;
+  }
+  void Resolve(const std::vector<ExprPtr>& roots);
+
+  std::vector<std::string> names_;
+  std::map<std::string, int> ids_;
+  /// The resolved leaves, held so that no other node can take one's
+  /// address while the schema keys on it.
+  std::vector<ExprPtr> leaves_;
+  NodeTable<int> leaf_ids_;
+};
+
 /// An instance encoded once for many evaluations: one ValueDict, the
 /// domain D as ascending ids (the active domain plus the extra constants)
-/// and one sorted TupleTable per relation. The dictionary's seed tier holds
-/// D and may hold more (the whole alphabet of an InstanceGenerator); only D
-/// is enumerated. An instance encoded from an Instance builds a seed tier
-/// of its own; the instances one InstanceGenerator encodes all share the
-/// generator's one tier, each with a mint tier of its own. Evaluations
-/// against it copy no domain, seed no dictionary and encode no relation;
-/// their relation nodes share its tables. Values an evaluation mints
-/// (Skolem terms, user-operator outputs, constants outside the seed)
-/// accumulate in the instance's mint tier. Id equality is still value
-/// equality there, and every comparison that needs order falls back to
-/// the values, so what an evaluation decides does not depend on which
-/// values were minted before it.
+/// and one slot per relation of its RelationSchema, indexed by id, each
+/// holding a sorted TupleTable or nothing (an absent relation reads as
+/// empty). The dictionary's seed tier holds D and may hold more (the whole
+/// alphabet of an InstanceGenerator); only D is enumerated. An instance
+/// encoded from an Instance builds a seed tier of its own; the instances
+/// one InstanceGenerator encodes all share the generator's one tier and
+/// schema, each with a mint tier of its own. Evaluations against it copy
+/// no domain, seed no dictionary, encode no relation and look up no name
+/// for a resolved leaf; their relation nodes share its tables. Values an
+/// evaluation mints (Skolem terms, user-operator outputs, constants
+/// outside the seed) accumulate in the instance's mint tier. Id equality
+/// is still value equality there, and every comparison that needs order
+/// falls back to the values, so what an evaluation decides does not depend
+/// on which values were minted before it.
 ///
 /// Nothing in it changes while evaluations run, so it needs no lock of its
 /// own; the dictionary's minting is already thread-safe. Assign and Grow
@@ -122,58 +179,69 @@ class EncodedInstance {
  public:
   /// One relation: its sorted table, or — for a ragged relation, whose
   /// tuples differ in size and so have no row stride — its tuple set.
+  /// Neither for a relation the instance does not hold.
   struct Relation {
     std::shared_ptr<const TupleTable> table;
     std::shared_ptr<const std::set<Tuple>> ragged;
-    int64_t size() const;
+    bool present() const { return table != nullptr || ragged != nullptr; }
   };
+  using SchemaPtr = std::shared_ptr<const RelationSchema>;
 
   /// Encodes every relation of `instance` with D = its active domain plus
-  /// `extra_constants`; the dictionary's seed is D.
+  /// `extra_constants`; the dictionary's seed is D. The schema is
+  /// RelationSchema::Extend(schema, the instance's relation names).
   EncodedInstance(const Instance& instance,
-                  const std::set<Value>& extra_constants);
+                  const std::set<Value>& extra_constants,
+                  SchemaPtr schema = nullptr);
 
-  /// Adopts relations already encoded over `dict`: every one a sorted,
-  /// deduplicated table whose ids, like `extra_ids` (the extra constants'
-  /// ids), lie in the dictionary's seed. D is the ids the tables hold plus
-  /// `extra_ids`, counted here once for Assign and Grow.
-  /// InstanceGenerator::Encode builds instances this way.
-  EncodedInstance(std::shared_ptr<ValueDict> dict,
-                  std::map<std::string, Relation> relations,
+  /// Adopts relations already encoded over `dict`, one slot per id of
+  /// `schema`: every present one a sorted, deduplicated table whose ids,
+  /// like `extra_ids` (the extra constants' ids), lie in the dictionary's
+  /// seed. D is the ids the tables hold plus `extra_ids`, counted here once
+  /// for Assign and Grow. InstanceGenerator::Encode builds instances this
+  /// way.
+  EncodedInstance(std::shared_ptr<ValueDict> dict, SchemaPtr schema,
+                  std::vector<Relation> relations,
                   std::vector<ValueId> extra_ids);
 
   const std::shared_ptr<ValueDict>& dict() const { return dict_; }
   const std::vector<ValueId>& domain_ids() const { return domain_ids_; }
+  const SchemaPtr& schema() const { return schema_; }
 
-  /// Relation `name`, or null when the instance has none.
-  const Relation* Find(const std::string& name) const;
+  /// Relation `id`, or null when the instance has none (or `id` is -1).
+  const Relation* Find(int id) const {
+    if (id < 0) return nullptr;
+    const Relation& rel = relations_[static_cast<size_t>(id)];
+    return rel.present() ? &rel : nullptr;
+  }
 
-  /// `rel` (null for an absent relation) as a table of `arity`. A relation
-  /// whose tuples do not all have `arity` values is the same
-  /// InvalidArgument TupleTable::FromSet reports for it.
-  Result<std::shared_ptr<const TupleTable>> TableOf(const Relation* rel,
-                                                    int arity) const;
+  /// The relation `leaf` names as a table of the leaf's arity; empty when
+  /// the instance has no such relation. A relation whose tuples do not all
+  /// have that arity is the same InvalidArgument TupleTable::FromSet
+  /// reports for it.
+  Result<std::shared_ptr<const TupleTable>> TableOf(const Expr& leaf) const;
 
-  /// Replaces relation `name` with `table` unless it already holds the
-  /// same tuples. Returns whether it changed.
-  bool Assign(const std::string& name,
-              std::shared_ptr<const TupleTable> table);
-  /// Grows relation `name` by the rows of `table`. Returns whether it
+  /// Replaces relation `id` with `table` unless it already holds the same
+  /// tuples. Returns whether it changed.
+  bool Assign(int id, std::shared_ptr<const TupleTable> table);
+  /// Grows relation `id` by the rows of `table`. Returns whether it
   /// changed.
-  bool Grow(const std::string& name, std::shared_ptr<const TupleTable> table);
+  bool Grow(int id, std::shared_ptr<const TupleTable> table);
 
-  /// Relation `name` decoded (empty if absent).
-  std::set<Tuple> Decode(const std::string& name) const;
-  /// Every relation decoded.
+  /// Relation `id` decoded (empty if absent).
+  std::set<Tuple> Decode(int id) const;
+  /// Every relation the instance holds, decoded, by name.
   Instance Decode() const;
 
  private:
-  void Put(const std::string& name, Relation rel);
+  void Put(int id, Relation rel);
   void Count(const Relation& rel, int64_t delta, bool* crossed);
 
   std::shared_ptr<ValueDict> dict_;
+  SchemaPtr schema_;
   std::vector<ValueId> domain_ids_;
-  std::map<std::string, Relation> relations_;
+  /// Indexed by schema id.
+  std::vector<Relation> relations_;
   /// Occurrences of each id across every relation, plus one for each extra
   /// constant; D is the ids counted above zero. Built by the adopting
   /// constructor, or else by the first write.

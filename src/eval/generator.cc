@@ -1,6 +1,5 @@
 #include "src/eval/generator.h"
 
-#include <map>
 #include <memory>
 
 #include "src/common/rand.h"
@@ -58,12 +57,20 @@ Instance RandomInstanceOver(const std::vector<const Signature*>& sigs,
 
 InstanceGenerator::InstanceGenerator(const std::vector<const Signature*>& sigs,
                                      const GenOptions& options,
-                                     const std::set<Value>& extra_constants)
-    : options_(options) {
+                                     const std::set<Value>& extra_constants,
+                                     const std::vector<ExprPtr>& roots)
+    : options_(options), empty_(std::make_shared<const TupleTable>(0)) {
+  std::vector<std::string> names;
+  for (const Signature* sig : sigs) {
+    if (sig != nullptr) {
+      names.insert(names.end(), sig->names().begin(), sig->names().end());
+    }
+  }
+  schema_ = std::make_shared<const RelationSchema>(names, roots);
   for (const Signature* sig : sigs) {
     if (sig == nullptr) continue;
     for (const std::string& name : sig->names()) {
-      relations_.emplace_back(name, sig->ArityOf(name));
+      relations_.emplace_back(schema_->Find(name), sig->ArityOf(name));
     }
   }
   // The alphabet in index order is ascending (every integer sorts before
@@ -122,14 +129,20 @@ InstanceDraw InstanceGenerator::Draw(std::mt19937_64* rng) const {
 
 EncodedInstance InstanceGenerator::Encode(const InstanceDraw& draw) const {
   auto dict = std::make_shared<ValueDict>(seed_);
-  std::map<std::string, EncodedInstance::Relation> relations;
+  std::vector<EncodedInstance::Relation> relations(
+      static_cast<size_t>(schema_->size()));
   const uint32_t* cell = draw.cells.data();
   for (size_t r = 0; r < relations_.size(); ++r) {
-    const auto& [name, arity] = relations_[r];
+    const auto& [id, arity] = relations_[r];
     const int n = draw.rows[r];
-    TupleTable table(n > 0 ? arity : 0);
-    if (n > 0 && arity == 0) table.AppendRow(nullptr);
-    if (n > 0 && arity > 0) {
+    EncodedInstance::Relation& rel = relations[static_cast<size_t>(id)];
+    if (n == 0) {
+      rel = EncodedInstance::Relation{empty_, nullptr};
+      continue;
+    }
+    TupleTable table(arity);
+    if (arity == 0) table.AppendRow(nullptr);
+    if (arity > 0) {
       std::vector<ValueId>& data = table.MutableData();
       data.reserve(static_cast<size_t>(n) * arity);
       for (int c = 0; c < n * arity; ++c) {
@@ -138,10 +151,11 @@ EncodedInstance InstanceGenerator::Encode(const InstanceDraw& draw) const {
       table.FinishAppends();
       table.SortDedupRows();
     }
-    relations[name] = EncodedInstance::Relation{
+    rel = EncodedInstance::Relation{
         std::make_shared<const TupleTable>(std::move(table)), nullptr};
   }
-  return EncodedInstance(std::move(dict), std::move(relations), extra_ids_);
+  return EncodedInstance(std::move(dict), schema_, std::move(relations),
+                         extra_ids_);
 }
 
 }  // namespace mapcomp

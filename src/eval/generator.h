@@ -54,28 +54,39 @@ struct InstanceDraw {
 /// either.
 class InstanceGenerator {
  public:
-  /// `sigs` (nulls skipped) need not outlive the generator.
+  /// `sigs` (nulls skipped) need not outlive the generator. The schema
+  /// numbers the signatures' relations in order, then any other relation
+  /// a leaf under `roots` names, and resolves every relation leaf under
+  /// `roots` (the check's constraint sides).
   InstanceGenerator(const std::vector<const Signature*>& sigs,
                     const GenOptions& options,
-                    const std::set<Value>& extra_constants);
+                    const std::set<Value>& extra_constants,
+                    const std::vector<ExprPtr>& roots = {});
 
   /// Makes exactly the rng calls RandomInstanceOver(sigs, rng, options)
   /// makes, in the same order, and records what they drew.
   InstanceDraw Draw(std::mt19937_64* rng) const;
 
   /// The instance `draw` denotes, encoded: the same relations, tuples and D
-  /// as EncodedInstance(RandomInstanceOver(...), extra_constants). Its
-  /// dictionary shares the generator's one seed tier, the whole alphabet
-  /// plus the extra constants (so it grows with domain_size), and mints
-  /// into a tier of its own; D is the values that occur plus the extra
-  /// constants. An empty relation is an empty arity-0 table, and a name
-  /// drawn twice keeps its later draw, as in RandomInstanceOver.
+  /// as EncodedInstance(RandomInstanceOver(...), extra_constants). It
+  /// shares the generator's schema, and its dictionary shares the
+  /// generator's one seed tier, the whole alphabet plus the extra constants
+  /// (so it grows with domain_size), and mints into a tier of its own; D is
+  /// the values that occur plus the extra constants. Its relations are one
+  /// vector, filled by id; every empty relation is the generator's one
+  /// empty arity-0 table, and a name drawn twice keeps its later draw, as
+  /// in RandomInstanceOver.
   EncodedInstance Encode(const InstanceDraw& draw) const;
+
+  const EncodedInstance::SchemaPtr& schema() const { return schema_; }
 
  private:
   GenOptions options_;
-  /// Every relation drawn, in draw order: name and arity.
-  std::vector<std::pair<std::string, int>> relations_;
+  EncodedInstance::SchemaPtr schema_;
+  /// Every relation drawn, in draw order: schema id and arity.
+  std::vector<std::pair<int, int>> relations_;
+  /// What every empty relation of every encoded instance holds.
+  std::shared_ptr<const TupleTable> empty_;
   /// The seed tier every encoded instance's dictionary shares: the
   /// alphabet plus the extra constants.
   std::shared_ptr<const ValueDict::SeedTier> seed_;

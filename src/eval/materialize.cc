@@ -1,6 +1,7 @@
 #include "src/eval/materialize.h"
 
-#include <map>
+#include <cstdlib>
+#include <iostream>
 #include <memory>
 #include <set>
 #include <string>
@@ -34,45 +35,53 @@ std::vector<RelationFeed> CollectFeeds(
   return feeds;
 }
 
-FeedPlan::FeedPlan(std::vector<RelationFeed> feeds, std::set<Value> constants)
+FeedPlan::FeedPlan(std::vector<RelationFeed> feeds, std::set<Value> constants,
+                   EncodedInstance::SchemaPtr schema)
     : constants_(std::move(constants)) {
-  std::map<std::string, int> ids;
-  auto id_of = [&](const std::string& name) {
-    auto [it, added] = ids.emplace(name, static_cast<int>(relations_.size()));
-    if (added) relations_.push_back(name);
-    return it->second;
-  };
-  steps_.reserve(feeds.size());
-  for (RelationFeed& feed : feeds) {
-    Step step;
-    std::set<std::string> reads;
+  // First the names each source reads, then their ids in a schema that
+  // numbers all of them.
+  std::vector<std::set<std::string>> reads(feeds.size());
+  std::vector<std::string> names;
+  steps_.resize(feeds.size());
+  for (size_t f = 0; f < feeds.size(); ++f) {
+    Step& step = steps_[f];
     NodeTable<NoValue> seen;
-    WalkDag(feed.source, &seen, [&](const ExprPtr& e) {
-      if (e->kind() == ExprKind::kRelation) reads.insert(e->name());
+    WalkDag(feeds[f].source, &seen, [&](const ExprPtr& e) {
+      if (e->kind() == ExprKind::kRelation) reads[f].insert(e->name());
       step.domain = step.domain || e->kind() == ExprKind::kDomain ||
                     e->kind() == ExprKind::kUserOp;
       return Visit::kEnter;
     });
-    step.target = id_of(feed.target);
-    step.self = step.domain || reads.count(feed.target) > 0;
-    reads.insert(feed.target);
-    for (const std::string& r : reads) step.watched.push_back(id_of(r));
-    step.feed = std::move(feed);
-    steps_.push_back(std::move(step));
+    step.self = step.domain || reads[f].count(feeds[f].target) > 0;
+    reads[f].insert(feeds[f].target);
+    names.insert(names.end(), reads[f].begin(), reads[f].end());
+    step.feed = std::move(feeds[f]);
+  }
+  schema_ = RelationSchema::Extend(std::move(schema), names);
+  for (size_t f = 0; f < steps_.size(); ++f) {
+    steps_[f].target = schema_->Find(steps_[f].feed.target);
+    for (const std::string& r : reads[f]) {
+      steps_[f].watched.push_back(schema_->Find(r));
+    }
   }
 }
 
 FeedPlan FeedPlan::ForConstraints(
     const ConstraintSet& cs,
     const std::function<bool(const std::string&)>& keep,
-    bool assign_equalities) {
+    bool assign_equalities, EncodedInstance::SchemaPtr schema) {
   return FeedPlan(CollectFeeds(cs, keep, assign_equalities),
-                  CollectConstants(cs));
+                  CollectConstants(cs), std::move(schema));
 }
 
 int RunFeedFixpoint(EncodedInstance* instance, const FeedPlan& plan,
                     const EvalOptions& options, int max_iterations,
-                    EvalStats* stats, std::set<std::string>* written) {
+                    EvalStats* stats, std::set<int>* written) {
+  if (!instance->schema()->Extends(*plan.schema())) {
+    std::cerr << "RunFeedFixpoint: the instance's relation ids are not the "
+                 "plan's\n";
+    std::abort();
+  }
   const std::vector<FeedPlan::Step>& steps = plan.steps();
   // Change clock: every write that changes a relation takes the next tick,
   // and `seen[f]` is the tick up to which feed f has accounted for every
@@ -80,7 +89,8 @@ int RunFeedFixpoint(EncodedInstance* instance, const FeedPlan& plan,
   // would reproduce a result its target already holds (or fail the same
   // way again), so it is skipped — the passes, their writes and the
   // iteration count are exactly those of re-evaluating every feed.
-  std::vector<int64_t> changed_at(plan.relations().size(), 0);
+  std::vector<int64_t> changed_at(static_cast<size_t>(plan.schema()->size()),
+                                  0);
   int64_t clock = 0;
   std::vector<int64_t> seen(steps.size(), -1);
   auto stale = [&](size_t f) {
@@ -98,11 +108,11 @@ int RunFeedFixpoint(EncodedInstance* instance, const FeedPlan& plan,
     for (size_t f = 0; f < steps.size(); ++f) {
       if (!stale(f)) continue;
       seen[f] = clock;
-      const RelationFeed& feed = steps[f].feed;
+      const FeedPlan::Step& step = steps[f];
       // The source's table straight from the walk, written without a
       // decode.
       Result<std::vector<std::shared_ptr<const TupleTable>>> value =
-          EvaluateTables({feed.source}, *instance, options, stats);
+          EvaluateTables({step.feed.source}, *instance, options, stats);
       if (!value.ok()) {
         // A feed we cannot evaluate (e.g. Skolem without interpretation)
         // simply contributes nothing; the caller's satisfaction check
@@ -110,15 +120,15 @@ int RunFeedFixpoint(EncodedInstance* instance, const FeedPlan& plan,
         continue;
       }
       std::shared_ptr<const TupleTable>& table = (*value)[0];
-      const bool wrote = feed.assign
-                             ? instance->Assign(feed.target, std::move(table))
-                             : instance->Grow(feed.target, std::move(table));
+      const bool wrote = step.feed.assign
+                             ? instance->Assign(step.target, std::move(table))
+                             : instance->Grow(step.target, std::move(table));
       if (!wrote) continue;
       changed = true;
-      if (written != nullptr) written->insert(feed.target);
-      changed_at[static_cast<size_t>(steps[f].target)] = ++clock;
+      if (written != nullptr) written->insert(step.target);
+      changed_at[static_cast<size_t>(step.target)] = ++clock;
       // A feed blind to its own write has already accounted for it.
-      if (!steps[f].self) seen[f] = clock;
+      if (!step.self) seen[f] = clock;
     }
     if (!changed) break;
   }
@@ -137,16 +147,21 @@ Result<MaterializeResult> PopulateResiduals(
       [&residual_set](const std::string& name) {
         return residual_set.count(name) > 0;
       },
-      /*assign_equalities=*/false);
+      /*assign_equalities=*/false,
+      // One schema for the fixpoint and the satisfaction check after it,
+      // with every relation leaf of the constraints resolved.
+      std::make_shared<const RelationSchema>(std::vector<std::string>{},
+                                             ConstraintSides(constraints)));
 
   // One encoding for the fixpoint and the satisfaction check after it; D
   // is the input's active domain plus the caller's and the plan's
-  // constants.
+  // constants. A residual the input lacks has an id already, from the
+  // plan's schema.
   std::set<Value> constants = options.extra_constants;
   constants.insert(plan.constants().begin(), plan.constants().end());
-  EncodedInstance encoded(input, constants);
+  EncodedInstance encoded(input, constants, plan.schema());
   MaterializeResult out;
-  std::set<std::string> written;
+  std::set<int> written;
   out.iterations = RunFeedFixpoint(&encoded, plan, options, max_iterations,
                                    &out.eval_stats, &written);
   out.satisfied = true;
@@ -158,9 +173,10 @@ Result<MaterializeResult> PopulateResiduals(
       break;
     }
   }
+  // Decoded by name once, here.
   out.instance = input;
-  for (const std::string& name : written) {
-    out.instance.Set(name, encoded.Decode(name));
+  for (int id : written) {
+    out.instance.Set(encoded.schema()->name(id), encoded.Decode(id));
   }
   return out;
 }

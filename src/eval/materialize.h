@@ -32,9 +32,10 @@ std::vector<RelationFeed> CollectFeeds(
     bool assign_equalities);
 
 /// The feeds of one fixpoint, analysed once and reused for every instance
-/// it runs on: the feeds in order, each feed's dependencies as relation
-/// ids, and the constants D must hold. Immutable, so one plan serves every
-/// instance of a soundness check, on any thread.
+/// it runs on: the feeds in order, each feed's target and dependencies as
+/// ids of the plan's RelationSchema, and the constants D must hold.
+/// Immutable, so one plan serves every instance of a soundness check, on
+/// any thread.
 class FeedPlan {
  public:
   /// A feed and what it depends on: the relations its source reads plus
@@ -52,34 +53,39 @@ class FeedPlan {
   };
 
   /// Analyses `feeds`, which run in order; `constants` are the values every
-  /// run's D must hold besides the instance's active domain.
+  /// run's D must hold besides the instance's active domain. The plan's
+  /// schema is RelationSchema::Extend(schema, every relation a feed
+  /// writes or reads).
   explicit FeedPlan(std::vector<RelationFeed> feeds,
-                    std::set<Value> constants = {});
+                    std::set<Value> constants = {},
+                    EncodedInstance::SchemaPtr schema = nullptr);
 
   /// The feeds CollectFeeds(cs, keep, assign_equalities) collects, with
   /// the constants of `cs` (CollectConstants).
   static FeedPlan ForConstraints(
       const ConstraintSet& cs,
       const std::function<bool(const std::string&)>& keep,
-      bool assign_equalities);
+      bool assign_equalities, EncodedInstance::SchemaPtr schema = nullptr);
 
   const std::vector<Step>& steps() const { return steps_; }
-  /// Relation names by id: every feed's target and every relation a source
-  /// reads.
-  const std::vector<std::string>& relations() const { return relations_; }
+  /// The ids the steps use: every feed's target and every relation a
+  /// source reads are numbered here.
+  const EncodedInstance::SchemaPtr& schema() const { return schema_; }
   const std::set<Value>& constants() const { return constants_; }
 
  private:
   std::vector<Step> steps_;
-  std::vector<std::string> relations_;
+  EncodedInstance::SchemaPtr schema_;
   std::set<Value> constants_;
 };
 
 /// Runs the feed loop on `instance`, in place, until a fixpoint or
 /// `max_iterations`: each pass walks the plan's feeds in order and grows
 /// (EncodedInstance::Grow) or assigns (EncodedInstance::Assign) each
-/// target with its source evaluated against the current instance. D was
-/// fixed when `instance` was encoded and must hold `plan.constants()`;
+/// target, by id, with its source evaluated against the current instance.
+/// The instance's schema must be the plan's or extend it (an instance
+/// encoded with the plan's schema does), so the plan's ids are its ids. D
+/// was fixed when `instance` was encoded and must hold `plan.constants()`;
 /// after a write it follows the relations (see EncodedInstance).
 ///
 /// The loop is change-driven: a feed is re-evaluated only when a relation
@@ -90,11 +96,11 @@ class FeedPlan {
 /// to evaluate (e.g. Skolem without an interpretation) contribute nothing.
 ///
 /// Returns the number of passes used; accumulates the counters of the
-/// evaluations actually run into `stats` and adds the names of the
-/// relations it changed to `written`, each when non-null.
+/// evaluations actually run into `stats` and adds the ids of the relations
+/// it changed to `written`, each when non-null.
 int RunFeedFixpoint(EncodedInstance* instance, const FeedPlan& plan,
                     const EvalOptions& options, int max_iterations,
-                    EvalStats* stats, std::set<std::string>* written);
+                    EvalStats* stats, std::set<int>* written);
 
 /// Outcome of populating residual intermediate relations.
 struct MaterializeResult {

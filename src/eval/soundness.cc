@@ -71,25 +71,17 @@ Result<CompositionCheck> CheckComposition(
                   problem.sigma23.end());
   const ConstraintSet& composed = result.constraints;
 
-  // The repair's feeds (every second instance is chase-repaired towards
-  // the original pipeline, so the "original satisfied" branch is
-  // exercised), analysed once for every repaired instance. Every bare
-  // receiving side is a feed; an equality with a bare side *defines* that
-  // relation, so the repair assigns it (random extra tuples would break
-  // S ⊆ E forever), while containments only grow their target.
-  const FeedPlan repair_plan = FeedPlan::ForConstraints(
-      original, /*keep=*/nullptr, /*assign_equalities=*/true);
-
   // One shared domain for both sides of the equivalence: the instance's
   // active domain plus the constants of *both* constraint sets — a D that
   // differed between the two checks would make the comparison meaningless.
-  // The original side's are the repair plan's, so every instance is
-  // encoded with the D the repair needs.
+  // The original side's are the repair's, so every instance is encoded
+  // with the D the repair needs.
+  const std::set<Value> original_consts = CollectConstants(original);
   EvalOptions eval = options.eval;
   {
     const std::set<Value> composed_consts = CollectConstants(composed);
-    eval.extra_constants.insert(repair_plan.constants().begin(),
-                                repair_plan.constants().end());
+    eval.extra_constants.insert(original_consts.begin(),
+                                original_consts.end());
     eval.extra_constants.insert(composed_consts.begin(),
                                 composed_consts.end());
   }
@@ -132,10 +124,28 @@ Result<CompositionCheck> CheckComposition(
 
   // Every instance is drawn first, in index order, from the one rng, so
   // instance i is the same at any lane count. The draws are alphabet
-  // indices; each lane encodes its own instances.
+  // indices; each lane encodes its own instances. The generator numbers
+  // the check's relations once, σ1 ∪ σ2 ∪ σ3 in order, and resolves every
+  // relation leaf of both constraint sets, so no evaluation below looks a
+  // relation up by name.
+  std::vector<ExprPtr> sides = ConstraintSides(original);
+  for (ExprPtr& side : ConstraintSides(composed)) {
+    sides.push_back(std::move(side));
+  }
   const InstanceGenerator generator(
       {&problem.sigma1, &problem.sigma2, &problem.sigma3}, options.gen,
-      eval.extra_constants);
+      eval.extra_constants, sides);
+
+  // The repair's feeds (every second instance is chase-repaired towards
+  // the original pipeline, so the "original satisfied" branch is
+  // exercised), analysed once for every repaired instance, in the
+  // generator's ids. Every bare receiving side is a feed; an equality with
+  // a bare side *defines* that relation, so the repair assigns it (random
+  // extra tuples would break S ⊆ E forever), while containments only grow
+  // their target.
+  const FeedPlan repair_plan(
+      CollectFeeds(original, /*keep=*/nullptr, /*assign_equalities=*/true),
+      original_consts, generator.schema());
   std::vector<InstanceDraw> draws;
   draws.reserve(static_cast<size_t>(n_instances));
   std::mt19937_64 rng(generator_seed);
@@ -249,8 +259,8 @@ Result<CompositionCheck> CheckComposition(
     // original pipeline — search for one. Exponential; gated to tiny cases.
     if (probed) {
       Instance restricted = instance.RestrictedTo(result.sigma);
-      const EncodedInstance restricted_encoded(restricted,
-                                               eval.extra_constants);
+      const EncodedInstance restricted_encoded(
+          restricted, eval.extra_constants, generator.schema());
       bool restricted_sat = true;
       for (const Constraint& c : composed) {
         MAPCOMP_ASSIGN_OR_RETURN(

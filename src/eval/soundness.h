@@ -63,10 +63,12 @@ struct CompositionCheck {
 /// Both satisfaction checks run under one domain: the instance's active
 /// domain plus the constants of *both* constraint sets. Each generated
 /// instance is drawn as alphabet indices and encoded once, straight into
-/// ids (InstanceGenerator): a repaired one is repaired in place on that
-/// encoding (RunFeedFixpoint, with one FeedPlan of the original pipeline
-/// built per check), and every satisfaction check runs against it, with
-/// each constraint's Skolem mode picked once per check. An Instance is
+/// ids (InstanceGenerator), its relations addressed by the ids of one
+/// RelationSchema per check that resolves every relation leaf of both
+/// constraint sets: a repaired one is repaired in place on that encoding
+/// (RunFeedFixpoint, with one FeedPlan of the original pipeline built per
+/// check in the same ids), and every satisfaction check runs against it,
+/// with each constraint's Skolem mode picked once per check. An Instance is
 /// decoded only for a counterexample's text or a completeness probe. The
 /// counts, counterexamples and EvalStats are those of drawing each
 /// instance with RandomInstanceOver, repairing it on the Instance and

@@ -142,6 +142,44 @@ TEST(CompositionSoundnessTest, ReportMentionsVerdict) {
   EXPECT_NE(check->Report().find("verdict: SOUND"), std::string::npos);
 }
 
+/// 64-bit FNV-1a, spelled out so the pinned value does not depend on the
+/// standard library's std::hash.
+uint64_t Fnv1a(const std::string& bytes, uint64_t h = 0xcbf29ce484222325ULL) {
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(CompositionSoundnessTest, LiteratureReportsMatchPinnedDigest) {
+  // Every literature problem's Report() (counts, EvalStats, completeness
+  // probes), with and without strings, hashed in suite order. The value
+  // was recorded before the eval tier addressed relations by id; any
+  // change to what a check computes or prints moves it.
+  Parser parser;
+  for (int jobs : {1, 4}) {
+    uint64_t digest = Fnv1a("");
+    for (bool strings : {false, true}) {
+      CompositionCheckOptions options;
+      options.gen.include_strings = strings;
+      options.completeness_samples = 2;
+      options.eval.jobs = jobs;
+      for (const testdata::LiteratureProblem& lit :
+           testdata::LiteratureSuite()) {
+        CompositionProblem problem = parser.ParseProblem(lit.text).value();
+        const CompositionResult composed = Compose(problem);
+        Result<CompositionCheck> check =
+            CheckComposition(problem, composed, 42, 30, options);
+        ASSERT_TRUE(check.ok()) << lit.name << ": "
+                                << check.status().ToString();
+        digest = Fnv1a(std::string(lit.name) + "\n" + check->Report(), digest);
+      }
+    }
+    EXPECT_EQ(digest, 0xca3c2696f89f094bULL) << "jobs " << jobs;
+  }
+}
+
 // ---- CheckComposition against a reference loop over the Instance APIs.
 
 /// The check spelled out with one Instance per generated instance: drawn

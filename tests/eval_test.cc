@@ -474,9 +474,11 @@ void ExpectDrawsMatchRandomInstanceOver(
     const EncodedInstance ref(want, extra);
     EXPECT_EQ(DomainValues(got), DomainValues(ref)) << "draw " << i;
     for (const auto& [name, _] : want.relations()) {
-      ASSERT_NE(got.Find(name), nullptr) << name;
-      EXPECT_EQ(got.Find(name)->table->arity(),
-                ref.Find(name)->table->arity())
+      const EncodedInstance::Relation* got_rel =
+          got.Find(got.schema()->Find(name));
+      ASSERT_NE(got_rel, nullptr) << name;
+      EXPECT_EQ(got_rel->table->arity(),
+                ref.Find(ref.schema()->Find(name))->table->arity())
           << name;
     }
   }
@@ -526,6 +528,105 @@ TEST(GeneratorTest, DrawOfSharedNameKeepsTheLaterDraw) {
   gen.include_strings = true;
   ExpectDrawsMatchRandomInstanceOver({&s1, &s2}, gen, 5);
   ExpectDrawsMatchRandomInstanceOver({&s2, &s1}, gen, 6);
+}
+
+// ---- Relations addressed by id.
+
+TEST(RelationIdTest, SchemaNumbersEachNameOnceAndExtendKeepsIds) {
+  const auto base = std::make_shared<const RelationSchema>(
+      std::vector<std::string>{"B", "A", "B"},
+      std::vector<ExprPtr>{Rel("C", 1), Union(Rel("A", 2), Rel("C", 2))});
+  ASSERT_EQ(base->size(), 3);
+  EXPECT_EQ(base->Find("B"), 0);
+  EXPECT_EQ(base->Find("A"), 1);
+  EXPECT_EQ(base->Find("C"), 2);
+  EXPECT_EQ(base->Find("Z"), -1);
+  EXPECT_EQ(base->name(2), "C");
+  // Two leaves of one name (arities differ) share its id.
+  EXPECT_EQ(base->IdOf(*Rel("C", 1)), 2);
+  EXPECT_EQ(base->IdOf(*Rel("C", 2)), 2);
+  EXPECT_EQ(base->IdOf(*Rel("Z", 1)), -1);
+
+  EXPECT_EQ(RelationSchema::Extend(base, {"A", "C"}), base);
+  const auto more = RelationSchema::Extend(base, {"D", "A"});
+  ASSERT_NE(more, base);
+  EXPECT_EQ(more->size(), 4);
+  EXPECT_EQ(more->Find("D"), 3);
+  EXPECT_EQ(more->IdOf(*Rel("C", 1)), 2);
+  EXPECT_TRUE(more->Extends(*base));
+  EXPECT_TRUE(base->Extends(*base));
+  EXPECT_FALSE(base->Extends(*more));
+  EXPECT_FALSE(RelationSchema({"A", "B"}).Extends(*base));
+}
+
+TEST(RelationIdTest, AbsentRelationReadsAsEmptyTableOfTheLeafsArity) {
+  Instance db;
+  db.Set("R", {T({1, 2})});
+  // S has an id but no relation; Q has neither.
+  const auto schema = std::make_shared<const RelationSchema>(
+      std::vector<std::string>{}, std::vector<ExprPtr>{Rel("S", 3)});
+  const EncodedInstance encoded(db, {}, schema);
+  ASSERT_GE(encoded.schema()->Find("S"), 0);
+  EXPECT_EQ(encoded.Find(encoded.schema()->Find("S")), nullptr);
+  EXPECT_EQ(encoded.Find(encoded.schema()->Find("Q")), nullptr);
+  for (const ExprPtr& leaf : {Rel("S", 3), Rel("Q", 2)}) {
+    const auto tables = EvaluateTables({leaf}, encoded).value();
+    EXPECT_EQ(tables[0]->arity(), leaf->arity()) << leaf->name();
+    EXPECT_TRUE(tables[0]->empty()) << leaf->name();
+  }
+}
+
+TEST(RelationIdTest, RaggedRelationReportsTheEncodingError) {
+  Instance db;
+  db.Set("R", {T({1}), T({1, 2})});
+  const EncodedInstance encoded(db, {});
+  const auto got = EvaluateTables({Rel("R", 2)}, encoded);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().ToString(),
+            "InvalidArgument: cannot encode a 1-tuple into an arity-2 "
+            "relation");
+}
+
+TEST(RelationIdTest, UnresolvedLeafFallsBackToItsNameForTheSameTable) {
+  Instance db;
+  db.Set("R", {T({1, 2}), T({3, 4})});
+  db.Set("S", {T({5})});
+  // R's leaf is resolved; S is numbered by name only.
+  const auto schema = std::make_shared<const RelationSchema>(
+      std::vector<std::string>{"S"}, std::vector<ExprPtr>{Rel("R", 2)});
+  const EncodedInstance encoded(db, {}, schema);
+  ASSERT_EQ(encoded.schema(), schema);
+  for (const ExprPtr& leaf : {Rel("R", 2), Rel("S", 1)}) {
+    const auto tables = EvaluateTables({leaf}, encoded).value();
+    // The instance's own table, shared.
+    EXPECT_EQ(tables[0],
+              encoded.Find(encoded.schema()->Find(leaf->name()))->table)
+        << leaf->name();
+  }
+  // An instance whose schema resolves neither gives the same tuples.
+  const EncodedInstance by_name(db, {});
+  const ExprPtr e = Union(Rel("R", 2), Product(Rel("S", 1), Rel("S", 1)));
+  const auto a = EvaluateTables({e}, encoded).value();
+  const auto b = EvaluateTables({e}, by_name).value();
+  EXPECT_EQ(a[0]->ToSet(*encoded.dict()), b[0]->ToSet(*by_name.dict()));
+}
+
+TEST(RelationIdTest, DecodeRoundTrips) {
+  Instance db;
+  db.Set("R", {T({1, 2}), T({3, 4})});
+  db.Set("S", {Tuple{Value(std::string("a"))}, T({5})});
+  db.Set("E", {});
+  db.Set("G", {T({1}), T({1, 2})});  // ragged
+  // Relations the schema numbers but the instance lacks stay absent.
+  const auto schema = std::make_shared<const RelationSchema>(
+      std::vector<std::string>{"Z"}, std::vector<ExprPtr>{Rel("Y", 2)});
+  const EncodedInstance encoded(db, {Value(int64_t{9})}, schema);
+  EXPECT_EQ(encoded.Decode(), db);
+  EXPECT_EQ(EncodedInstance(encoded.Decode(), {}).Decode(), db);
+  for (const auto& [name, tuples] : db.relations()) {
+    EXPECT_EQ(encoded.Decode(encoded.schema()->Find(name)), tuples) << name;
+  }
+  EXPECT_TRUE(encoded.Decode(encoded.schema()->Find("Z")).empty());
 }
 
 /// CollectConstants as a plain tree walk: the reference for the DAG walk.

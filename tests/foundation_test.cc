@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/algebra/builders.h"
 #include "src/algebra/value.h"
 #include "src/common/status.h"
@@ -60,6 +63,20 @@ TEST(ResultTest, AssignOrReturnMacro) {
   EXPECT_EQ(*Quarter(8), 2);
   EXPECT_FALSE(Quarter(6).ok());  // 6/2 = 3 is odd
   EXPECT_FALSE(Quarter(7).ok());
+}
+
+Result<std::vector<std::string>> Words() {
+  return std::vector<std::string>{"long enough to live on the heap", "b"};
+}
+
+TEST(ResultTest, RangeForOverTemporaryValue) {
+  // value() on a temporary Result returns the value itself, so the loop
+  // iterates a vector that lives as long as the loop does, not one inside
+  // the destroyed Result.
+  std::vector<std::string> seen;
+  for (const std::string& w : Words().value()) seen.push_back(w);
+  EXPECT_EQ(seen, (std::vector<std::string>{
+                      "long enough to live on the heap", "b"}));
 }
 
 TEST(ValueTest, TotalOrder) {

@@ -39,6 +39,20 @@ TEST(MaterializeTest, SimpleLowerBoundPopulation) {
   EXPECT_EQ(res.instance.Get("S"), input.Get("R"));
 }
 
+TEST(MaterializeTest, ResidualsAbsentFromTheInputAreWritten) {
+  // The input holds R only: S and U get ids from the constraints' schema,
+  // are written by id and decoded by name at the end.
+  ConstraintSet cs{Constraint::Contain(Rel("R", 1), Rel("S", 1)),
+                   Constraint::Contain(Rel("S", 1), Rel("U", 1))};
+  Instance input;
+  input.Set("R", {T({1}), T({2})});
+  MaterializeResult res = PopulateResiduals(input, cs, {"S", "U"}).value();
+  EXPECT_TRUE(res.satisfied);
+  EXPECT_EQ(res.instance.Get("S"), input.Get("R"));
+  EXPECT_EQ(res.instance.Get("U"), input.Get("R"));
+  EXPECT_EQ(res.instance.relations().size(), 3u);
+}
+
 TEST(MaterializeTest, EqualityDefinitionPopulated) {
   // S = π1(R): evaluated directly.
   ConstraintSet cs{
@@ -547,14 +561,15 @@ TEST(FeedFixpointOracleTest, OneFeedPlanServesManyInstances) {
           << at;
       EXPECT_EQ(got.ToString(), want.ToString()) << at;
 
-      EncodedInstance encoded(start, fx.constants);
-      std::set<std::string> written;
+      EncodedInstance encoded(start, fx.constants, plan.schema());
+      std::set<int> written;
       EXPECT_EQ(RunFeedFixpoint(&encoded, plan, {}, 16, nullptr, &written),
                 want_iters)
           << at;
-      for (const std::string& name : plan.relations()) {
-        if (written.count(name) > 0) {
-          EXPECT_EQ(encoded.Decode(name), want.Get(name)) << at << " " << name;
+      for (int id = 0; id < plan.schema()->size(); ++id) {
+        const std::string& name = plan.schema()->name(id);
+        if (written.count(id) > 0) {
+          EXPECT_EQ(encoded.Decode(id), want.Get(name)) << at << " " << name;
         } else {
           // Not written: as it started.
           EXPECT_EQ(start.Get(name), want.Get(name)) << at << " " << name;
@@ -562,11 +577,19 @@ TEST(FeedFixpointOracleTest, OneFeedPlanServesManyInstances) {
       }
     }
 
-    // The same plan in place on generator-built encodings, whose
-    // dictionaries share the generator's seed: every relation and D end
-    // as the oracle loop leaves them, through the shrinking assignments
-    // and the minted pad value too.
-    const InstanceGenerator generator({&sig}, gen, fx.constants);
+    // The same feeds in place on generator-built encodings, whose
+    // dictionaries share the generator's seed, planned in the generator's
+    // ids (its schema numbers every relation a feed writes or reads):
+    // every relation and D end as the oracle loop leaves them, through the
+    // shrinking assignments and the minted pad value too.
+    std::vector<ExprPtr> fed;
+    for (const RelationFeed& feed : fx.feeds) {
+      fed.push_back(Rel(feed.target, feed.source->arity()));
+      fed.push_back(feed.source);
+    }
+    const InstanceGenerator generator({&sig}, gen, fx.constants, fed);
+    const FeedPlan generated_plan(fx.feeds, fx.constants, generator.schema());
+    ASSERT_EQ(generated_plan.schema(), generator.schema()) << fx.name;
     std::mt19937_64 draw_rng(fx.name.size() + 100);
     for (int i = 0; i < 20; ++i) {
       const std::string at = fx.name + " generated #" + std::to_string(i);
@@ -574,11 +597,13 @@ TEST(FeedFixpointOracleTest, OneFeedPlanServesManyInstances) {
       Instance want = encoded.Decode();
       int want_iters =
           oracle::RunFeedFixpoint(&want, fx.feeds, oracle_options, 16, nullptr);
-      EXPECT_EQ(RunFeedFixpoint(&encoded, plan, {}, 16, nullptr, nullptr),
+      EXPECT_EQ(RunFeedFixpoint(&encoded, generated_plan, {}, 16, nullptr,
+                                nullptr),
                 want_iters)
           << at;
-      for (const std::string& name : plan.relations()) {
-        EXPECT_EQ(encoded.Decode(name), want.Get(name)) << at << " " << name;
+      for (int id = 0; id < generated_plan.schema()->size(); ++id) {
+        const std::string& name = generated_plan.schema()->name(id);
+        EXPECT_EQ(encoded.Decode(id), want.Get(name)) << at << " " << name;
       }
       std::set<Value> want_domain = want.ActiveDomain();
       want_domain.insert(fx.constants.begin(), fx.constants.end());

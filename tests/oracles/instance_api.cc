@@ -104,12 +104,12 @@ int RunFeedFixpoint(Instance* instance, const FeedPlan& plan,
                     EvalStats* stats) {
   std::set<Value> constants = options.extra_constants;
   constants.insert(plan.constants().begin(), plan.constants().end());
-  EncodedInstance encoded(*instance, constants);
-  std::set<std::string> written;
+  EncodedInstance encoded(*instance, constants, plan.schema());
+  std::set<int> written;
   const int iterations = RunFeedFixpoint(&encoded, plan, options,
                                          max_iterations, stats, &written);
-  for (const std::string& name : written) {
-    instance->Set(name, encoded.Decode(name));
+  for (int id : written) {
+    instance->Set(encoded.schema()->name(id), encoded.Decode(id));
   }
   return iterations;
 }

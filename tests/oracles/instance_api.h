@@ -69,9 +69,10 @@ Result<bool> SatisfiesAll(const Instance& instance, const ConstraintSet& cs,
                           const EvalOptions& options = {},
                           EvalStats* stats = nullptr);
 
-/// Runs RunFeedFixpoint on `instance` encoded with D = its active domain
-/// plus `options.extra_constants` and `plan.constants()`, and decodes the
-/// relations it wrote back into `instance`.
+/// Runs RunFeedFixpoint on `instance` encoded with the plan's relation ids
+/// and D = its active domain plus `options.extra_constants` and
+/// `plan.constants()`, and decodes the relations it wrote back into
+/// `instance` by name.
 int RunFeedFixpoint(Instance* instance, const FeedPlan& plan,
                     const EvalOptions& options, int max_iterations,
                     EvalStats* stats);
