@@ -16,10 +16,6 @@ struct Mapping {
   Signature output;
   ConstraintSet constraints;
 
-  /// Inverse mapping: swaps the roles of input and output (the constraints
-  /// are symmetric in the paper's semantics, so they carry over verbatim).
-  Mapping Inverse() const { return Mapping{output, input, constraints}; }
-
   std::string ToString() const;
 
   /// Validates: disjoint signatures, constraint expressions well formed,

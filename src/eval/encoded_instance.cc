@@ -3,7 +3,6 @@
 // every evaluation against it (see evaluator.h).
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "src/eval/evaluator.h"
@@ -88,19 +87,8 @@ EncodedInstance::EncodedInstance(std::shared_ptr<ValueDict> dict,
     : dict_(std::move(dict)),
       schema_(std::move(schema)),
       relations_(std::move(relations)),
-      occurrences_(dict_->size(), 0),
-      counted_(true),
       extra_ids_(std::move(extra_ids)) {
-  // The occurrence counts Put keeps D in step with, taken in the one walk
-  // over the ids that finds D.
-  for (const Relation& rel : relations_) {
-    if (rel.table == nullptr) continue;
-    for (ValueId id : rel.table->Data()) ++occurrences_[id];
-  }
-  for (ValueId id : extra_ids_) ++occurrences_[id];
-  for (size_t id = 0; id < occurrences_.size(); ++id) {
-    if (occurrences_[id] > 0) domain_ids_.push_back(static_cast<ValueId>(id));
-  }
+  CountDomain();
 }
 
 EncodedInstance::EncodedInstance(const Instance& instance,
@@ -117,8 +105,6 @@ EncodedInstance::EncodedInstance(const Instance& instance,
   universe.insert(extra_constants.begin(), extra_constants.end());
   dict_ = std::make_shared<ValueDict>(
       std::make_shared<const ValueDict::SeedTier>(universe));
-  domain_ids_.resize(universe.size());
-  std::iota(domain_ids_.begin(), domain_ids_.end(), ValueId{0});
   for (const Value& v : extra_constants) {
     extra_ids_.push_back(*dict_->Find(v));
   }
@@ -127,6 +113,7 @@ EncodedInstance::EncodedInstance(const Instance& instance,
     relations_[static_cast<size_t>(schema_->Find(name))] =
         EncodeRelation(tuples, dict_.get());
   }
+  CountDomain();
 }
 
 Result<std::shared_ptr<const TupleTable>> EncodedInstance::TableOf(
@@ -165,26 +152,34 @@ void EncodedInstance::Count(const Relation& rel, int64_t delta,
   for (ValueId id : rel.table->Data()) bump(id);
 }
 
+void EncodedInstance::CountDomain() {
+  occurrences_.assign(dict_->size(), 0);
+  bool crossed = false;
+  for (const Relation& rel : relations_) {
+    if (rel.table != nullptr) {
+      for (ValueId id : rel.table->Data()) ++occurrences_[id];
+    } else if (rel.ragged != nullptr) {
+      Count(rel, 1, &crossed);
+    }
+  }
+  for (ValueId id : extra_ids_) ++occurrences_[id];
+  ListDomain();
+}
+
+void EncodedInstance::ListDomain() {
+  domain_ids_.clear();
+  for (size_t id = 0; id < occurrences_.size(); ++id) {
+    if (occurrences_[id] > 0) domain_ids_.push_back(static_cast<ValueId>(id));
+  }
+}
+
 void EncodedInstance::Put(int id, Relation rel) {
   bool crossed = false;
-  if (!counted_) {
-    occurrences_.assign(dict_->size(), 0);
-    for (const Relation& r : relations_) {
-      if (r.present()) Count(r, 1, &crossed);
-    }
-    for (ValueId v : extra_ids_) ++occurrences_[v];
-    counted_ = true;
-    crossed = false;
-  }
   Relation& slot = relations_[static_cast<size_t>(id)];
   if (slot.present()) Count(slot, -1, &crossed);
   Count(rel, 1, &crossed);
   slot = std::move(rel);
-  if (!crossed) return;
-  domain_ids_.clear();
-  for (size_t i = 0; i < occurrences_.size(); ++i) {
-    if (occurrences_[i] > 0) domain_ids_.push_back(static_cast<ValueId>(i));
-  }
+  if (crossed) ListDomain();
 }
 
 bool EncodedInstance::Assign(int id, std::shared_ptr<const TupleTable> table) {

@@ -174,7 +174,8 @@ class RelationSchema {
 /// own; the dictionary's minting is already thread-safe. Assign and Grow
 /// are for the one thread that owns the instance between evaluations (the
 /// feed fixpoint): they replace a relation's table and keep D in step
-/// through per-id occurrence counts.
+/// through per-id occurrence counts, which both constructors take in the
+/// one step that first lists D.
 class EncodedInstance {
  public:
   /// One relation: its sorted table, or — for a ragged relation, whose
@@ -188,8 +189,9 @@ class EncodedInstance {
   using SchemaPtr = std::shared_ptr<const RelationSchema>;
 
   /// Encodes every relation of `instance` with D = its active domain plus
-  /// `extra_constants`; the dictionary's seed is D. The schema is
-  /// RelationSchema::Extend(schema, the instance's relation names).
+  /// `extra_constants`; the dictionary's seed is exactly D. The schema is
+  /// RelationSchema::Extend(schema, the instance's relation names), which
+  /// is `schema` itself when it numbers every one of them.
   EncodedInstance(const Instance& instance,
                   const std::set<Value>& extra_constants,
                   SchemaPtr schema = nullptr);
@@ -197,9 +199,8 @@ class EncodedInstance {
   /// Adopts relations already encoded over `dict`, one slot per id of
   /// `schema`: every present one a sorted, deduplicated table whose ids,
   /// like `extra_ids` (the extra constants' ids), lie in the dictionary's
-  /// seed. D is the ids the tables hold plus `extra_ids`, counted here once
-  /// for Assign and Grow. InstanceGenerator::Encode builds instances this
-  /// way.
+  /// seed. D is the ids the tables hold plus `extra_ids`.
+  /// InstanceGenerator::Encode builds instances this way.
   EncodedInstance(std::shared_ptr<ValueDict> dict, SchemaPtr schema,
                   std::vector<Relation> relations,
                   std::vector<ValueId> extra_ids);
@@ -234,6 +235,11 @@ class EncodedInstance {
   Instance Decode() const;
 
  private:
+  /// Both constructors end here: counts the ids of every present relation
+  /// and of the extra constants, then lists D.
+  void CountDomain();
+  /// Lists D, the ids counted above zero, into `domain_ids_`.
+  void ListDomain();
   void Put(int id, Relation rel);
   void Count(const Relation& rel, int64_t delta, bool* crossed);
 
@@ -243,10 +249,9 @@ class EncodedInstance {
   /// Indexed by schema id.
   std::vector<Relation> relations_;
   /// Occurrences of each id across every relation, plus one for each extra
-  /// constant; D is the ids counted above zero. Built by the adopting
-  /// constructor, or else by the first write.
+  /// constant; D is the ids counted above zero. Counted when the instance
+  /// is built, kept in step by every write.
   std::vector<int64_t> occurrences_;
-  bool counted_ = false;
   std::vector<ValueId> extra_ids_;
 };
 

@@ -4,47 +4,15 @@
 
 namespace mapcomp {
 
-// The mutex member makes the special members non-defaultable. The cache
-// deliberately does NOT travel with copies/moves: copying only reads
-// relations_ (so it cannot race a concurrent first ActiveDomain() on the
-// source, which mutates the cache fields under the mutex), and callers
-// that copy-then-mutate directly — MergedWith, RestrictedTo — can never
-// inherit a stale warm cache.
-Instance::Instance(const Instance& other) : relations_(other.relations_) {}
-
-Instance::Instance(Instance&& other) noexcept
-    : relations_(std::move(other.relations_)) {}
-
-Instance& Instance::operator=(const Instance& other) {
-  if (this != &other) {
-    relations_ = other.relations_;
-    adom_valid_ = false;
-    adom_cache_.clear();
-  }
-  return *this;
-}
-
-Instance& Instance::operator=(Instance&& other) noexcept {
-  if (this != &other) {
-    relations_ = std::move(other.relations_);
-    adom_valid_ = false;
-    adom_cache_.clear();
-  }
-  return *this;
-}
-
 void Instance::Set(const std::string& name, std::set<Tuple> tuples) {
-  adom_valid_ = false;
   relations_[name] = std::move(tuples);
 }
 
 void Instance::Add(const std::string& name, Tuple t) {
-  adom_valid_ = false;
   relations_[name].insert(std::move(t));
 }
 
 void Instance::Clear(const std::string& name) {
-  adom_valid_ = false;
   relations_.erase(name);
 }
 
@@ -58,32 +26,10 @@ bool Instance::Has(const std::string& name) const {
   return relations_.count(name) > 0;
 }
 
-int64_t Instance::TotalTuples() const {
-  int64_t out = 0;
+std::set<Value> Instance::ActiveDomain() const {
+  std::set<Value> out;
   for (const auto& [_, tuples] : relations_) {
-    out += static_cast<int64_t>(tuples.size());
-  }
-  return out;
-}
-
-const std::set<Value>& Instance::ActiveDomain() const {
-  std::lock_guard<std::mutex> lock(adom_mutex_);
-  if (!adom_valid_) {
-    adom_cache_.clear();
-    for (const auto& [_, tuples] : relations_) {
-      for (const Tuple& t : tuples) {
-        for (const Value& v : t) adom_cache_.insert(v);
-      }
-    }
-    adom_valid_ = true;
-  }
-  return adom_cache_;
-}
-
-Instance Instance::MergedWith(const Instance& other) const {
-  Instance out = *this;
-  for (const auto& [name, tuples] : other.relations_) {
-    out.relations_[name].insert(tuples.begin(), tuples.end());
+    for (const Tuple& t : tuples) out.insert(t.begin(), t.end());
   }
   return out;
 }

@@ -1,5 +1,6 @@
 #include "src/eval/materialize.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
@@ -37,41 +38,46 @@ std::vector<RelationFeed> CollectFeeds(
 
 FeedPlan::FeedPlan(std::vector<RelationFeed> feeds, std::set<Value> constants,
                    EncodedInstance::SchemaPtr schema)
-    : constants_(std::move(constants)) {
-  // First the names each source reads, then their ids in a schema that
-  // numbers all of them.
-  std::vector<std::set<std::string>> reads(feeds.size());
-  std::vector<std::string> names;
+    : schema_(std::move(schema)), constants_(std::move(constants)) {
+  if (schema_ == nullptr) {
+    std::vector<std::string> targets;
+    std::vector<ExprPtr> sources;
+    for (const RelationFeed& feed : feeds) {
+      targets.push_back(feed.target);
+      sources.push_back(feed.source);
+    }
+    schema_ = std::make_shared<const RelationSchema>(targets, sources);
+  }
+  auto numbered = [](int id, const std::string& name) {
+    if (id < 0) {
+      std::cerr << "FeedPlan: the schema does not number relation " << name
+                << "\n";
+      std::abort();
+    }
+    return id;
+  };
   steps_.resize(feeds.size());
   for (size_t f = 0; f < feeds.size(); ++f) {
     Step& step = steps_[f];
+    step.feed = std::move(feeds[f]);
+    step.target = numbered(schema_->Find(step.feed.target), step.feed.target);
     NodeTable<NoValue> seen;
-    WalkDag(feeds[f].source, &seen, [&](const ExprPtr& e) {
-      if (e->kind() == ExprKind::kRelation) reads[f].insert(e->name());
+    WalkDag(step.feed.source, &seen, [&](const ExprPtr& e) {
+      if (e->kind() == ExprKind::kRelation) {
+        step.watched.push_back(numbered(schema_->IdOf(*e), e->name()));
+      }
       step.domain = step.domain || e->kind() == ExprKind::kDomain ||
                     e->kind() == ExprKind::kUserOp;
       return Visit::kEnter;
     });
-    step.self = step.domain || reads[f].count(feeds[f].target) > 0;
-    reads[f].insert(feeds[f].target);
-    names.insert(names.end(), reads[f].begin(), reads[f].end());
-    step.feed = std::move(feeds[f]);
+    step.self = step.domain ||
+                std::find(step.watched.begin(), step.watched.end(),
+                          step.target) != step.watched.end();
+    step.watched.push_back(step.target);
+    std::sort(step.watched.begin(), step.watched.end());
+    step.watched.erase(std::unique(step.watched.begin(), step.watched.end()),
+                       step.watched.end());
   }
-  schema_ = RelationSchema::Extend(std::move(schema), names);
-  for (size_t f = 0; f < steps_.size(); ++f) {
-    steps_[f].target = schema_->Find(steps_[f].feed.target);
-    for (const std::string& r : reads[f]) {
-      steps_[f].watched.push_back(schema_->Find(r));
-    }
-  }
-}
-
-FeedPlan FeedPlan::ForConstraints(
-    const ConstraintSet& cs,
-    const std::function<bool(const std::string&)>& keep,
-    bool assign_equalities, EncodedInstance::SchemaPtr schema) {
-  return FeedPlan(CollectFeeds(cs, keep, assign_equalities),
-                  CollectConstants(cs), std::move(schema));
 }
 
 int RunFeedFixpoint(EncodedInstance* instance, const FeedPlan& plan,
@@ -140,26 +146,29 @@ Result<MaterializeResult> PopulateResiduals(
     const std::vector<std::string>& residuals, const EvalOptions& options,
     int max_iterations) {
   std::set<std::string> residual_set(residuals.begin(), residuals.end());
+  // One schema for the fixpoint, the satisfaction check after it and the
+  // decode: the input's relations, then every relation leaf of the
+  // constraints, resolved. It numbers every relation a feed writes or
+  // reads, and a residual the input lacks has an id already.
+  std::vector<std::string> names;
+  for (const auto& [name, _] : input.relations()) names.push_back(name);
+  const auto schema = std::make_shared<const RelationSchema>(
+      names, ConstraintSides(constraints));
   // Grow-only even for equalities: starting from empty residuals this
   // computes the least population for constraints monotone in them.
-  const FeedPlan plan = FeedPlan::ForConstraints(
-      constraints,
-      [&residual_set](const std::string& name) {
-        return residual_set.count(name) > 0;
-      },
-      /*assign_equalities=*/false,
-      // One schema for the fixpoint and the satisfaction check after it,
-      // with every relation leaf of the constraints resolved.
-      std::make_shared<const RelationSchema>(std::vector<std::string>{},
-                                             ConstraintSides(constraints)));
+  const FeedPlan plan(CollectFeeds(constraints,
+                                   [&residual_set](const std::string& name) {
+                                     return residual_set.count(name) > 0;
+                                   },
+                                   /*assign_equalities=*/false),
+                      CollectConstants(constraints), schema);
 
   // One encoding for the fixpoint and the satisfaction check after it; D
   // is the input's active domain plus the caller's and the plan's
-  // constants. A residual the input lacks has an id already, from the
-  // plan's schema.
+  // constants.
   std::set<Value> constants = options.extra_constants;
   constants.insert(plan.constants().begin(), plan.constants().end());
-  EncodedInstance encoded(input, constants, plan.schema());
+  EncodedInstance encoded(input, constants, schema);
   MaterializeResult out;
   std::set<int> written;
   out.iterations = RunFeedFixpoint(&encoded, plan, options, max_iterations,

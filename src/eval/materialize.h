@@ -52,20 +52,18 @@ class FeedPlan {
     bool self = false;
   };
 
-  /// Analyses `feeds`, which run in order; `constants` are the values every
-  /// run's D must hold besides the instance's active domain. The plan's
-  /// schema is RelationSchema::Extend(schema, every relation a feed
-  /// writes or reads).
+  /// Analyses `feeds`, which run in order, in one walk of each source;
+  /// `constants` are the values every run's D must hold besides the
+  /// instance's active domain. The plan's ids are `schema`'s, which must
+  /// number every relation a feed writes or reads: each source leaf's id
+  /// is RelationSchema::IdOf (one pointer probe for a leaf the schema
+  /// resolved), each target's RelationSchema::Find. A relation the schema
+  /// lacks is a caller error, reported on stderr before aborting. Without
+  /// a schema, the plan numbers its feeds' own relations: the targets
+  /// first, then the relation leaves of the sources.
   explicit FeedPlan(std::vector<RelationFeed> feeds,
                     std::set<Value> constants = {},
                     EncodedInstance::SchemaPtr schema = nullptr);
-
-  /// The feeds CollectFeeds(cs, keep, assign_equalities) collects, with
-  /// the constants of `cs` (CollectConstants).
-  static FeedPlan ForConstraints(
-      const ConstraintSet& cs,
-      const std::function<bool(const std::string&)>& keep,
-      bool assign_equalities, EncodedInstance::SchemaPtr schema = nullptr);
 
   const std::vector<Step>& steps() const { return steps_; }
   /// The ids the steps use: every feed's target and every relation a
@@ -127,6 +125,11 @@ struct MaterializeResult {
 /// population. The result records whether the populated instance satisfies
 /// the whole constraint set (it may not when residuals appear in
 /// non-monotone positions).
+///
+/// One RelationSchema — the input's relation names, then every relation
+/// leaf of `constraints`, resolved — numbers the feed plan, the one
+/// encoding of `input` the fixpoint and the satisfaction check run on, and
+/// the decode of the residuals written.
 Result<MaterializeResult> PopulateResiduals(
     const Instance& input, const ConstraintSet& constraints,
     const std::vector<std::string>& residuals,

@@ -17,8 +17,10 @@ struct CompositionCheckOptions {
   GenOptions gen;
   /// Evaluation options (domain guard, cancel token) applied to every
   /// satisfaction check; `jobs` is the number of lanes the instances are
-  /// checked on. `extra_constants` and `skolem_mode` are managed by the
-  /// harness itself.
+  /// checked on. `extra_constants` joins D, together with the constants of
+  /// both constraint sets, which the harness adds. Every constraint with a
+  /// Skolem term is checked under kInjectiveTerms, whatever `skolem_mode`
+  /// says.
   EvalOptions eval;
   /// Bounded completeness probes: for up to this many instances whose
   /// restriction satisfies the composed mapping, search for an extension of

@@ -186,17 +186,6 @@ TEST(MappingTest, ValidationCatchesErrors) {
   EXPECT_FALSE(bad.Validate().ok());
 }
 
-TEST(MappingTest, InverseSwapsRoles) {
-  Mapping m;
-  ASSERT_TRUE(m.input.AddRelation("R", 2).ok());
-  ASSERT_TRUE(m.output.AddRelation("S", 2).ok());
-  m.constraints = {Constraint::Contain(Rel("R", 2), Rel("S", 2))};
-  Mapping inv = m.Inverse();
-  EXPECT_TRUE(inv.input.Contains("S"));
-  EXPECT_TRUE(inv.output.Contains("R"));
-  EXPECT_EQ(inv.constraints.size(), 1u);
-}
-
 TEST(KeyConstraintsTest, ShapePerNonKeyAttribute) {
   // Arity 4 with key {1,2}: one constraint per non-key position.
   ConstraintSet cs = KeyConstraintsFor("R", 4, {1, 2});

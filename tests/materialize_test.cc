@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
@@ -547,6 +548,19 @@ TEST(FeedFixpointOracleTest, OneFeedPlanServesManyInstances) {
       ASSERT_TRUE(sig.AddRelation(name, arity).ok());
     }
     const FeedPlan plan(fx.feeds, fx.constants);
+    // D, decoded, and the D the oracle's instance implies.
+    auto domain_of = [](const EncodedInstance& encoded) {
+      std::set<Value> out;
+      for (ValueId id : encoded.domain_ids()) {
+        out.insert(encoded.dict()->ValueOf(id));
+      }
+      return out;
+    };
+    auto want_domain_of = [&fx](const Instance& want) {
+      std::set<Value> out = want.ActiveDomain();
+      out.insert(fx.constants.begin(), fx.constants.end());
+      return out;
+    };
     EvalOptions oracle_options;
     oracle_options.extra_constants = fx.constants;
     std::mt19937_64 rng(fx.name.size());
@@ -575,6 +589,7 @@ TEST(FeedFixpointOracleTest, OneFeedPlanServesManyInstances) {
           EXPECT_EQ(start.Get(name), want.Get(name)) << at << " " << name;
         }
       }
+      EXPECT_EQ(domain_of(encoded), want_domain_of(want)) << at;
     }
 
     // The same feeds in place on generator-built encodings, whose
@@ -605,15 +620,20 @@ TEST(FeedFixpointOracleTest, OneFeedPlanServesManyInstances) {
         const std::string& name = generated_plan.schema()->name(id);
         EXPECT_EQ(encoded.Decode(id), want.Get(name)) << at << " " << name;
       }
-      std::set<Value> want_domain = want.ActiveDomain();
-      want_domain.insert(fx.constants.begin(), fx.constants.end());
-      std::set<Value> got_domain;
-      for (ValueId id : encoded.domain_ids()) {
-        got_domain.insert(encoded.dict()->ValueOf(id));
-      }
-      EXPECT_EQ(got_domain, want_domain) << at;
+      EXPECT_EQ(domain_of(encoded), want_domain_of(want)) << at;
     }
   }
+}
+
+TEST(FeedPlanDeathTest, SchemaLackingAFeedRelationDies) {
+  // Forked death tests and the eval lanes' pool threads do not mix.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const auto schema =
+      std::make_shared<const RelationSchema>(std::vector<std::string>{"S"});
+  EXPECT_DEATH(FeedPlan({{"S", Rel("R", 1), false}}, {}, schema),
+               "FeedPlan: the schema does not number relation R");
+  EXPECT_DEATH(FeedPlan({{"V", Rel("S", 1), false}}, {}, schema),
+               "FeedPlan: the schema does not number relation V");
 }
 
 }  // namespace

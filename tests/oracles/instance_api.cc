@@ -125,8 +125,9 @@ Instance RepairTowards(const Instance& instance, const ConstraintSet& cs,
                        const EvalOptions& options, int max_iterations) {
   Instance out = instance;
   RunFeedFixpoint(&out,
-                  FeedPlan::ForConstraints(cs, /*keep=*/nullptr,
-                                           /*assign_equalities=*/true),
+                  FeedPlan(CollectFeeds(cs, /*keep=*/nullptr,
+                                        /*assign_equalities=*/true),
+                           CollectConstants(cs)),
                   options, max_iterations, /*stats=*/nullptr);
   return out;
 }

@@ -13,7 +13,8 @@
 //     --no-right           disable right compose (§3.5)
 //     --no-simplify        skip output simplification
 //     --blowup N           abort a symbol when output exceeds N x input
-//                          operator count (default 100, paper §4)
+//                          operator count (default 100, paper §4;
+//                          N in [1, 1048576])
 //     --order s1,s2,...    eliminate the sigma2 symbols in this order
 //                          (the paper's user-specified ordering, §3.1);
 //                          overrides a task file's `order` directive
@@ -200,7 +201,15 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--no-simplify") == 0) {
       options.simplify_output = false;
     } else if (std::strcmp(arg, "--blowup") == 0 && i + 1 < argc) {
-      options.eliminate.max_blowup_factor = std::atoi(argv[++i]);
+      // The range the wire request accepts (ServeRequest::Parse).
+      const char* text = argv[++i];
+      char* end = nullptr;
+      long blowup = std::strtol(text, &end, 10);
+      if (*text == '\0' || *end != '\0' || blowup < 1 || blowup > (1L << 20)) {
+        std::fprintf(stderr, "--blowup expects an integer in [1, 1048576]\n");
+        return 2;
+      }
+      options.eliminate.max_blowup_factor = static_cast<int>(blowup);
     } else if (std::strcmp(arg, "--rounds") == 0 && i + 1 < argc) {
       options.max_rounds = std::atoi(argv[++i]);
       if (options.max_rounds < 1) {
